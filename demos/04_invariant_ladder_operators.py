@@ -35,8 +35,8 @@ for k in (0, 5000, 10000):
     rb2, ranti = ladder_conditions_check(traj.nu_at(k))
     print(f"t={traj.times[k]:5.2f}  ||B^2||={rb2:.2e}  |{{B,B'}}-1|={ranti:.2e}")
 
-# oracle equivalence: B(t) = U b U' with an independent rk4 propagator
-u = evolve_unitary(spec, t_final, PropagatorConfig(dt=1e-3, method="rk4"))
+# oracle equivalence: B(t) = U b U' with the independent Magnus propagator
+u = evolve_unitary(spec, t_final, cfg)
 b, _, _ = ladder_operators()
 oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
 print("\nmax |B(t) - U b U'| :", np.max(np.abs(build_B_array(traj.nu) - oracle)))

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .grassmann import (ZETA, ZETA_STAR, coherent_ket, completeness_check,
 from .grid import time_grid
 from .invariants import (NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max)
-from .propagator import PropagatorConfig, evolve_state, evolve_unitary
+from .propagator import PropagatorConfig, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
@@ -92,6 +92,16 @@ _SIGNAL_KEYS = {
 }
 
 
+def _finite(x, path: str) -> float:
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise ConfigError(path, "expected a number") from None
+    if not math.isfinite(x):
+        raise ConfigError(path, "must be finite")
+    return x
+
+
 def _parse_signal(node, path: str) -> Signal:
     if not isinstance(node, dict):
         raise ConfigError(path, "signal descriptor must be an object")
@@ -101,18 +111,23 @@ def _parse_signal(node, path: str) -> Signal:
     extra = set(node) - _SIGNAL_KEYS[kind] - {"type"}
     if extra:
         raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
+
+    def num(key, default):
+        return _finite(node.get(key, default), f"{path}.{key}")
+
+    def seq(key, default):
+        return tuple(_finite(x, f"{path}.{key}[{i}]")
+                     for i, x in enumerate(node.get(key, default)))
+
     try:
         if kind == "constant":
-            return Constant(float(node.get("value", 0.0)))
+            return Constant(num("value", 0.0))
         if kind == "sinusoid":
-            return Sinusoid(amplitude=float(node.get("amplitude", 1.0)),
-                            frequency=float(node.get("frequency", 1.0)),
-                            phase=float(node.get("phase", 0.0)),
-                            offset=float(node.get("offset", 0.0)))
+            return Sinusoid(amplitude=num("amplitude", 1.0), frequency=num("frequency", 1.0),
+                            phase=num("phase", 0.0), offset=num("offset", 0.0))
         if kind == "polynomial":
-            return Polynomial(tuple(float(c) for c in node.get("coeffs", [0.0])))
-        return Tabulated(tuple(float(x) for x in node.get("times", [])),
-                         tuple(float(x) for x in node.get("values", [])))
+            return Polynomial(seq("coeffs", [0.0]))
+        return Tabulated(seq("times", []), seq("values", []))
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -120,10 +135,7 @@ def _parse_signal(node, path: str) -> Signal:
 def _parse_complex_pair(node, path: str) -> complex:
     if not (isinstance(node, (list, tuple)) and len(node) == 2):
         raise ConfigError(path, "expected [re, im]")
-    try:
-        return complex(float(node[0]), float(node[1]))
-    except (TypeError, ValueError):
-        raise ConfigError(path, "expected numeric [re, im]") from None
+    return complex(_finite(node[0], f"{path}[0]"), _finite(node[1], f"{path}[1]"))
 
 
 @dataclass
@@ -141,6 +153,9 @@ class ScenarioConfig:
     fields: list | None = None
 
     def validate(self):
+        for path, x in (("run.dt", self.dt), ("run.t_final", self.t_final)):
+            if not math.isfinite(x):
+                raise ConfigError(path, "must be finite")
         if self.dt <= 0:
             raise ConfigError("run.dt", "must be positive")
         if self.t_final < self.dt:
@@ -149,9 +164,16 @@ class ScenarioConfig:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("output.format", f"unknown format {self.out_format!r}")
-        for name in self.tolerances:
+        for name, tol in self.tolerances.items():
             if name not in CHECK_TOLERANCES:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ConfigError(f"run.tolerances.{name}", "must be finite and non-negative")
+        # an all-zero nu0 or epsilon0 gives the zero operator B = 0, on which
+        # every invariants or reduce check passes vacuously
+        for path, vec in (("initial.nu0", self.nu0), ("initial.epsilon0", self.epsilon0)):
+            if not any(vec):
+                raise ConfigError(path, "must not be all zero")
 
 
 def _check_keys(node, allowed, path):
@@ -190,13 +212,13 @@ def parse_config(text: str) -> ScenarioConfig:
     if "mode" in run:
         cfg.mode = str(run["mode"])
     if "t_final" in run:
-        cfg.t_final = float(run["t_final"])
+        cfg.t_final = _finite(run["t_final"], "run.t_final")
     if "dt" in run:
-        cfg.dt = float(run["dt"])
+        cfg.dt = _finite(run["dt"], "run.dt")
     tols = run.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("run.tolerances", "must be an object")
-    cfg.tolerances = {str(k): float(v) for k, v in tols.items()}
+    cfg.tolerances = {str(k): _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
 
     init = doc.get("initial", {})
     _check_keys(init, {"nu0", "epsilon0", "state"}, "initial")
@@ -355,9 +377,8 @@ def _spec_is_free(cfg: ScenarioConfig) -> bool:
 
 
 def _run_evolve(cfg: ScenarioConfig, tols: dict):
-    times, psi = evolve_state(cfg.spec, np.array(cfg.state0), cfg.t_final,
-                              PropagatorConfig(dt=cfg.dt))
     traj = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+    times, psi = traj.times, traj.U @ np.asarray(cfg.state0, dtype=complex)
     unit = np.max(np.abs(np.conj(np.transpose(traj.U, (0, 2, 1))) @ traj.U - np.eye(2)))
     norms = np.linalg.norm(psi, axis=1)
     checks: list = []
@@ -371,7 +392,7 @@ def _run_evolve(cfg: ScenarioConfig, tols: dict):
 
 def _run_invariants(cfg: ScenarioConfig, tols: dict):
     traj = integrate_nu(cfg.spec, cfg.nu0, cfg.t_final, PropagatorConfig(dt=cfg.dt))
-    u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt, method="rk4"))
+    u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
     b0 = build_B_array(np.tile(np.asarray(cfg.nu0, dtype=complex), (len(traj.times), 1)))
     oracle = u.U @ b0 @ np.conj(np.transpose(u.U, (0, 2, 1)))
     dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
@@ -601,8 +622,7 @@ def main(argv=None) -> int:
             rng = np.random.default_rng(args.seed)
             mode = args.mode if args.mode != "all" else "invariants"
             scenarios = [_sweep_config(cfg, rng, mode) for _ in range(args.sweep)]
-            with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-                results = list(pool.map(lambda c: run(mode, c), scenarios))
+            results = [run(mode, c) for c in scenarios]
             ok = True
             for i, (rep, tables) in enumerate(results):
                 path = _output_paths(cfg.out_path, cfg.out_format, i)

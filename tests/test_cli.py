@@ -6,6 +6,7 @@ import pytest
 from ffo.cli import (ScenarioConfig, main, parse_config, run,
                      serialize_config)
 from ffo.errors import ConfigError
+from ffo.propagator import PropagatorConfig, evolve_state
 
 GOOD = """
 {
@@ -133,6 +134,32 @@ def test_main_bad_config_exit_2(tmp_path):
     assert main(["invariants", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("old, new, flags, path", [
+    ('[[1, 0], [0, 0], [0, 0]]', '[[0, 0], [0, 0], [0, 0]]', [], "initial.nu0"),
+    ('"initial": {', '"initial": {"epsilon0": [[0, 0], [0, 0]], ', [], "initial.epsilon0"),
+    ('"t_final": 2.0', '"t_final": Infinity', [], "run.t_final"),
+    ('"t_final": 2.0', '"t_final": 1e400', [], "run.t_final"),
+    ("", "", ["--t-final", "inf"], "run.t_final"),
+    ('"dt": 0.001', '"dt": NaN', [], "run.dt"),
+    ("", "", ["--dt", "nan"], "run.dt"),
+    ('"value": 0.5', '"value": NaN', [], "hamiltonian.f_re.value"),
+    ('"coeffs": [0.2, 0.01]', '"coeffs": [0.2, -Infinity]', [], "hamiltonian.g.coeffs[1]"),
+    ('[[1, 0], [0, 0]', '[[1, NaN], [0, 0]', [], "initial.nu0[0][1]"),
+    ('"dt": 0.001', '"dt": 0.001, "tolerances": {"closure": -1e-5}', [],
+     "run.tolerances.closure"),
+    ('"dt": 0.001', '"dt": 0.001, "tolerances": {"closure": NaN}', [],
+     "run.tolerances.closure"),
+    ("", "", ["--tol", "nan"], "run.tolerances.oracle_deviation"),
+    ("", "", ["--tol", "-1"], "run.tolerances.oracle_deviation"),
+])
+def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
+    assert old in GOOD
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD.replace(old, new))
+    assert main(["invariants", "--config", str(cfg_path), *flags]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_main_missing_config_exit_2():
     assert main(["invariants"]) == 2
 
@@ -159,6 +186,24 @@ def test_main_sweep_runs(tmp_path):
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"sweep-{i:03d}.csv").exists()
+
+
+def test_main_evolve_matches_evolve_state(tmp_path):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD.replace('"initial": {', '"initial": {"state": [[0.6, 0], [0, 0.8]], '))
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    cfg = parse_config(cfg_path.read_text())
+    _, psi = evolve_state(cfg.spec, [0.6, 0.8j], cfg.t_final, PropagatorConfig(dt=cfg.dt))
+    assert np.max(np.abs(table[:, 1] + 1j * table[:, 2] - psi[:, 0])) < 1e-14
+    assert np.max(np.abs(table[:, 3] + 1j * table[:, 4] - psi[:, 1])) < 1e-14
+    assert np.max(np.abs(table[:, 5] - 1.0)) < 1e-12
+
+
+def test_main_coherence_sweep_passes():
+    # free sweep specs need a fourth-order oracle to meet zeta_ratio at dt=1e-3
+    assert main(["coherence", "--sweep", "8", "--seed", "0", "--t-final", "10"]) == 0
 
 
 def test_flag_overrides():
