@@ -13,8 +13,7 @@ from ffo.propagator import PropagatorConfig
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid, constant_spec
 from ffo.states import (EvolvedVacuum, coherence_check, cs_eigen_residual,
-                        geometric_phase, lr_phases, schrodinger_residual_max,
-                        vacuum_trajectory)
+                        lr_phases, schrodinger_residual_max, vacuum_trajectory)
 
 cfg = PropagatorConfig(dt=1e-3)
 spec = HamiltonianSpec(
@@ -68,7 +67,7 @@ s_traj = integrate_nu(s_spec, (1, 0, 0), 5.0, cfg)
 s_ph = lr_phases(s_traj, s_spec)
 print(f"\nstationary: phi0(5) = {s_ph.phi0[-1]:.6f} (expect {-g0 * 5.0})")
 print(f"stationary: phi1(5) = {s_ph.phi1[-1]:.6f} (expect {-(g0 + w0) * 5.0})")
-print("stationary: phi_G(5) =", geometric_phase(s_traj, s_spec, 5.0)[0])
+print("stationary: phi_G(5) =", s_ph.phi_geometric[-1])
 
 ph = lr_phases(traj, spec)
 print(f"forced:     phi_G(5) = {ph.phi_geometric[-1]:.6f}, "

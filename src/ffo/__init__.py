@@ -12,12 +12,12 @@ from .errors import (ConfigError, ContractError, FfoError, IntegrationError,
 from .grassmann import (GrassmannElement, GrassmannKet, GrassmannOperator,
                         apply_fermion_op, berezin_integrate, coherent_ket,
                         completeness_check, g_mul)
-from .grid import time_grid
+from .grid import linear_rk4, time_grid
 from .invariants import (MotionConstants, NuTrajectory, NuVector, build_B,
                          build_B_dagger, build_B_so, free_oscillator_nu,
                          hermitian_invariant, integrate_nu,
                          invariance_residual, ladder_conditions_check,
-                         motion_constants, nu_rhs)
+                         motion_constants, nu_generator, nu_rhs)
 from .propagator import (PropagatorConfig, UnitaryTrajectory, evolve_state,
                          evolve_unitary, exp2x2, heisenberg_oracle)
 from .reduction import (EpsilonState, EpsilonTrajectory, big_omega,
@@ -30,8 +30,8 @@ from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated, constant_spec)
 from .states import (CoherenceReport, EvolvedVacuum, PhaseRecord,
                      PhaseTrajectory, coherence_check, coherent_state,
-                     cs_eigen_residual, geometric_phase, lr_frame, lr_phases,
-                     schrodinger_residual_max, vacuum_from_nu,
-                     vacuum_nullspace_fallback, vacuum_trajectory)
+                     cs_eigen_residual, lr_frame, lr_phases,
+                     schrodinger_residual_max, vacuum_nullspace_fallback,
+                     vacuum_trajectory)
 
 __version__ = "0.1.0"

@@ -68,6 +68,10 @@ CHECK_TOLERANCES = {
     "algebraic": 1e-12,
 }
 
+# largest grid a scenario may ask for; larger t_final/dt is a config error
+# rather than an unbounded allocation
+MAX_GRID_POINTS = 10**6
+
 MODES = ("evolve", "invariants", "reduce", "coherence", "phases",
          "grassmann-selftest", "all")
 
@@ -160,6 +164,9 @@ class ScenarioConfig:
             raise ConfigError("run.dt", "must be positive")
         if self.t_final < self.dt:
             raise ConfigError("run.t_final", "must be at least run.dt")
+        if self.t_final / self.dt >= MAX_GRID_POINTS - 0.5:
+            raise ConfigError("run.t_final",
+                              f"t_final/dt gives more than {MAX_GRID_POINTS} grid points")
         if self.mode not in MODES:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
@@ -419,8 +426,7 @@ def _run_reduce(cfg: ScenarioConfig, tols: dict):
     lam1 = np.abs(nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2)
     lam2_nu = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
                + 0.5 * np.abs(nus[:, 2]) ** 2).real
-    lam2_eps = np.array([lambda2_from_epsilon(cfg.spec, float(t), et.at(k))
-                         for k, t in enumerate(et.times)])
+    lam2_eps = lambda2_from_epsilon(cfg.spec, et.times, (et.eps, et.eps_dot))
     direct = integrate_nu(cfg.spec, tuple(nus[0]), cfg.t_final, PropagatorConfig(dt=cfg.dt))
     closure = np.max(np.abs(direct.nu - nus), axis=1)
     checks: list = []
@@ -596,11 +602,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.sweep is not None and args.sweep < 1:
+            raise ConfigError("--sweep", "must be at least 1")
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
         else:
-            if args.mode not in ("grassmann-selftest",) and not args.sweep:
+            if args.mode not in ("grassmann-selftest",) and args.sweep is None:
                 print("error: --config is required for this mode", file=sys.stderr)
                 return 2
             cfg = ScenarioConfig(spec=HamiltonianSpec(
@@ -618,7 +626,7 @@ def main(argv=None) -> int:
             cfg.tolerances[PRIMARY_CHECK[args.mode]] = args.tol
         cfg.validate()
 
-        if args.sweep:
+        if args.sweep is not None:
             rng = np.random.default_rng(args.seed)
             mode = args.mode if args.mode != "all" else "invariants"
             scenarios = [_sweep_config(cfg, rng, mode) for _ in range(args.sweep)]

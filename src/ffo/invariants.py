@@ -33,7 +33,7 @@ from scipy.integrate import simpson
 from .algebra import I2, hamiltonian_entries, hamiltonian_matrix, max_abs
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError, IntegrationError
-from .grid import cumsimpson_grid, time_grid
+from .grid import cumsimpson_grid, linear_rk4, time_grid
 from .propagator import PropagatorConfig
 from .signals import HamiltonianSpec, Signal
 
@@ -70,14 +70,24 @@ class NuTrajectory:
         return MotionConstants(complex(self.lambda1[k]), float(self.lambda2[k]))
 
 
+def nu_generator(spec: HamiltonianSpec, ts) -> np.ndarray:
+    """Matrix A(t) of the coefficient system d(nu)/dt = A(t) nu.
+
+    nu is ordered (nu_minus, nu_plus, nu_3); the result has shape
+    (len(ts), 3, 3), or (3, 3) for a scalar t.
+    """
+    w = np.asarray(spec.omega.value(ts), dtype=float)
+    f = np.asarray(spec.f.value(ts), dtype=complex)
+    fc, z = np.conj(f), np.zeros_like(f)
+    return np.moveaxis(np.array([[1j * w, z, -1j * fc],
+                                 [z, -1j * w, 1j * f],
+                                 [-2j * f, 2j * fc, z]]), (0, 1), (-2, -1))
+
+
 def nu_rhs(spec: HamiltonianSpec, t: float, nu: NuVector) -> NuVector:
     """Time derivative of (nu_minus, nu_plus, nu_3) at time t."""
-    w = float(spec.omega.value(t))
-    f = complex(spec.f.value(t))
-    vm, vp, v3 = nu
-    return NuVector(1j * (vm * w - v3 * f.conjugate()),
-                    1j * (v3 * f - vp * w),
-                    2j * (vp * f.conjugate() - vm * f))
+    d = nu_generator(spec, t) @ np.asarray(nu, dtype=complex)
+    return NuVector(*(complex(x) for x in d))
 
 
 def motion_constants(nu: NuVector) -> MotionConstants:
@@ -102,38 +112,8 @@ def integrate_nu(spec: HamiltonianSpec, nu0, t_final: float,
     The grid matches the propagator grid for the same (t_final, dt), so
     oracle comparisons need no interpolation.
     """
-    dt = cfg.dt
-    times = time_grid(t_final, dt)
-    nsteps = len(times) - 1
-    tm = times[:-1] + 0.5 * dt
-
-    w0 = np.asarray(spec.omega.value(times), dtype=float).tolist()
-    f0 = np.asarray(spec.f.value(times), dtype=complex).tolist()
-    wm = np.asarray(spec.omega.value(tm), dtype=float).tolist()
-    fm = np.asarray(spec.f.value(tm), dtype=complex).tolist()
-
-    vm, vp, v3 = (complex(x) for x in nu0)
-    out = np.empty((nsteps + 1, 3), dtype=complex)
-    out[0] = (vm, vp, v3)
-
-    def rhs(w, f, m, p, z):
-        fc = f.conjugate()
-        return (1j * (m * w - z * fc), 1j * (z * f - p * w), 2j * (p * fc - m * f))
-
-    for k in range(nsteps):
-        wa, fa = w0[k], f0[k]
-        wb, fb = wm[k], fm[k]
-        wc, fc_ = w0[k + 1], f0[k + 1]
-        k1 = rhs(wa, fa, vm, vp, v3)
-        k2 = rhs(wb, fb, vm + 0.5 * dt * k1[0], vp + 0.5 * dt * k1[1], v3 + 0.5 * dt * k1[2])
-        k3 = rhs(wb, fb, vm + 0.5 * dt * k2[0], vp + 0.5 * dt * k2[1], v3 + 0.5 * dt * k2[2])
-        k4 = rhs(wc, fc_, vm + dt * k3[0], vp + dt * k3[1], v3 + dt * k3[2])
-        h = dt / 6.0
-        vm += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        vp += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        v3 += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        out[k + 1] = (vm, vp, v3)
-
+    times = time_grid(t_final, cfg.dt)
+    out = linear_rk4(lambda ts: nu_generator(spec, ts), times, nu0)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))

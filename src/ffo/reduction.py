@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import IntegrationError, SingularReductionError
-from .grid import cumsimpson_grid, time_grid
+from .grid import cumsimpson_grid, linear_rk4, time_grid
 from .invariants import NuVector, build_B
 from .propagator import PropagatorConfig
 from .signals import HamiltonianSpec
@@ -58,9 +58,6 @@ class EpsilonTrajectory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def at(self, k: int) -> EpsilonState:
-        return EpsilonState(complex(self.eps[k]), complex(self.eps_dot[k]))
 
 
 def _require_f(f: complex, f_min: float) -> complex:
@@ -90,13 +87,20 @@ def nu_minus_from_nu_plus_2nd(spec: HamiltonianSpec, t: float, nu_plus: complex,
             + (2.0 * f * f.conjugate() + 1j * wd - 1j * (w / f) * fd) * nu_plus) / (2.0 * f * f)
 
 
+def _gamma_omega(spec: HamiltonianSpec, ts):
+    """gamma = f'/f and Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega gamma/2."""
+    f = np.asarray(spec.f.value(ts), dtype=complex)
+    fd = np.asarray(spec.f.d1(ts), dtype=complex)
+    w = np.asarray(spec.omega.value(ts), dtype=float)
+    wd = np.asarray(spec.omega.d1(ts), dtype=float)
+    gamma = fd / f
+    return gamma, np.abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * gamma
+
+
 def big_omega(spec: HamiltonianSpec, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Omega(t) = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f)."""
-    f = _require_f(complex(spec.f.value(t)), tol.f_min)
-    fd = complex(spec.f.d1(t))
-    w = float(spec.omega.value(t))
-    wd = float(spec.omega.d1(t))
-    return abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * fd / f
+    _require_f(complex(spec.f.value(t)), tol.f_min)
+    return complex(_gamma_omega(spec, t)[1])
 
 
 def _big_omega_dot(spec: HamiltonianSpec, t: float) -> complex:
@@ -191,10 +195,9 @@ def build_B_normalized(spec: HamiltonianSpec, t: float, nu_plus: complex,
 def epsilon_rhs(spec: HamiltonianSpec, t: float, e: EpsilonState,
                 tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonState:
     """Derivative of (eps, eps') for eps'' - (f'/f) eps' + Omega eps = 0."""
-    f = _require_f(complex(spec.f.value(t)), tol.f_min)
-    fd = complex(spec.f.d1(t))
-    q = big_omega(spec, t, tol)
-    return EpsilonState(e.eps_dot, (fd / f) * e.eps_dot - q * e.eps)
+    _require_f(complex(spec.f.value(t)), tol.f_min)
+    gamma, q = _gamma_omega(spec, t)
+    return EpsilonState(e.eps_dot, complex(gamma * e.eps_dot - q * e.eps))
 
 
 def integrate_epsilon(spec: HamiltonianSpec, e0, t_final: float,
@@ -203,54 +206,27 @@ def integrate_epsilon(spec: HamiltonianSpec, e0, t_final: float,
     """RK4 integration of the eps equation on the shared grid.
 
     Requires |f| >= f_min on the whole interval (checked sample-wise on the
-    stage grid before stepping).
+    grid nodes, then on the step midpoints, before stepping).
     """
     dt = cfg.dt
     times = time_grid(t_final, dt)
-    nsteps = len(times) - 1
-    tm = times[:-1] + 0.5 * dt
-
-    def coeffs(ts):
-        f = np.asarray(spec.f.value(ts), dtype=complex)
-        if np.min(np.abs(f)) < tol.f_min:
-            k = int(np.argmin(np.abs(f)))
+    for ts in (times, times[:-1] + 0.5 * dt):
+        absf = np.abs(np.asarray(spec.f.value(ts), dtype=complex))
+        if np.min(absf) < tol.f_min:
             raise SingularReductionError(
-                f"epsilon equation needs |f| >= {tol.f_min}; violated at t={float(np.asarray(ts).ravel()[k])}")
-        fd = np.asarray(spec.f.d1(ts), dtype=complex)
-        w = np.asarray(spec.omega.value(ts), dtype=float)
-        wd = np.asarray(spec.omega.d1(ts), dtype=float)
-        gamma = fd / f
-        q = np.abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * gamma
-        return gamma.tolist(), q.tolist()
+                f"epsilon equation needs |f| >= {tol.f_min}; "
+                f"violated at t={float(ts[np.argmin(absf)])}")
 
-    gam0, q0 = coeffs(times)
-    gamm, qm = coeffs(tm)
+    def generator(ts):
+        gamma, q = _gamma_omega(spec, ts)
+        z = np.zeros_like(gamma)
+        return np.moveaxis(np.array([[z, z + 1.0], [-q, gamma]]), (0, 1), (-2, -1))
 
-    e, ed = complex(e0[0]), complex(e0[1])
-    eps = np.empty(nsteps + 1, dtype=complex)
-    epsd = np.empty(nsteps + 1, dtype=complex)
-    eps[0], epsd[0] = e, ed
-
-    for k in range(nsteps):
-        ga, qa = gam0[k], q0[k]
-        gb, qb = gamm[k], qm[k]
-        gc, qc = gam0[k + 1], q0[k + 1]
-        k1 = (ed, ga * ed - qa * e)
-        e2, ed2 = e + 0.5 * dt * k1[0], ed + 0.5 * dt * k1[1]
-        k2 = (ed2, gb * ed2 - qb * e2)
-        e3, ed3 = e + 0.5 * dt * k2[0], ed + 0.5 * dt * k2[1]
-        k3 = (ed3, gb * ed3 - qb * e3)
-        e4, ed4 = e + dt * k3[0], ed + dt * k3[1]
-        k4 = (ed4, gc * ed4 - qc * e4)
-        h = dt / 6.0
-        e += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        ed += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        eps[k + 1], epsd[k + 1] = e, ed
-
-    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(epsd))):
-        bad = int(np.argmax(~(np.isfinite(eps) & np.isfinite(epsd))))
+    y = linear_rk4(generator, times, e0)
+    if not np.all(np.isfinite(y)):
+        bad = int(np.argmax(~np.all(np.isfinite(y), axis=1)))
         raise IntegrationError(f"nonfinite epsilon state at t={times[bad]}", t=float(times[bad]))
-    return EpsilonTrajectory(times=times, eps=eps, eps_dot=epsd)
+    return EpsilonTrajectory(times=times, eps=y[:, 0], eps_dot=y[:, 1])
 
 
 def nu_from_epsilon(spec: HamiltonianSpec, t: float, e: EpsilonState,
@@ -283,20 +259,23 @@ def nu_from_epsilon_arrays(spec: HamiltonianSpec, times: np.ndarray,
     return out
 
 
-def lambda2_from_epsilon(spec: HamiltonianSpec, t: float, e: EpsilonState,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def lambda2_from_epsilon(spec: HamiltonianSpec, t, e,
+                         tol: ToleranceConfig = DEFAULT_TOL):
     """lambda2 along the eps parametrization:
 
     lambda2 = (1/4) (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2,
 
     which matches motion_constants(nu_from_epsilon(...)) identically and is
-    a first integral of the eps equation.
+    a first integral of the eps equation.  ``t`` and ``e = (eps, eps')``
+    may be grid arrays; a scalar call returns a float.
     """
-    f = _require_f(complex(spec.f.value(t)), tol.f_min)
-    w = float(spec.omega.value(t))
-    eps, epsd = complex(e[0]), complex(e[1])
-    u = abs(0.5 * w * eps - 1j * epsd) ** 2 / abs(f) ** 2
-    return 0.25 * (abs(eps) ** 2 + u) ** 2
+    f = np.asarray(spec.f.value(t), dtype=complex)
+    _require_f(np.min(np.abs(f)), tol.f_min)
+    w = spec.omega.value(t)
+    eps, epsd = e[0], e[1]
+    u = np.abs(0.5 * w * eps - 1j * epsd) ** 2 / np.abs(f) ** 2
+    out = 0.25 * (np.abs(eps) ** 2 + u) ** 2
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
@@ -311,12 +290,8 @@ def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
     f = np.asarray(spec.f.value(times), dtype=complex)
     if np.min(np.abs(f)) < tol.f_min:
         raise SingularReductionError("epsilon_prime_transform needs |f| >= f_min on the grid")
-    fd = np.asarray(spec.f.d1(times), dtype=complex)
+    gamma, omega_big = _gamma_omega(spec, times)
     fdd = np.asarray(spec.f.d2(times), dtype=complex)
-    w = np.asarray(spec.omega.value(times), dtype=float)
-    wd = np.asarray(spec.omega.d1(times), dtype=float)
-    gamma = fd / f
-    omega_big = np.abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * gamma
     omega_prime = omega_big + 0.5 * fdd / f - 0.75 * gamma * gamma
     dt = float(times[1] - times[0])
     gauge = np.exp(0.5 * cumsimpson_grid(gamma, dt))

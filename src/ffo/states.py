@@ -28,7 +28,8 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import cumsimpson_grid, cumtrapz_grid
-from .invariants import NuTrajectory, build_B, build_B_array, build_B_dagger
+from .invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
+                         nu_generator)
 from .propagator import PropagatorConfig, evolve_unitary
 from .signals import HamiltonianSpec
 
@@ -128,18 +129,6 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
             s_prev = None
             phase_off = 1.0 + 0j
     return psi, mask
-
-
-def vacuum_from_nu(traj: NuTrajectory, spec: HamiltonianSpec, t_index: int,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> EvolvedVacuum:
-    """Evolved vacuum at one grid index; see :func:`vacuum_trajectory`.
-
-    The ``used_fallback`` flag records whether the closed form was
-    inapplicable at this index (|nu_minus| below the floor).
-    """
-    psi, mask = vacuum_trajectory(traj, spec, tol)
-    return EvolvedVacuum(complex(psi[t_index, 0]), complex(psi[t_index, 1]),
-                         bool(mask[t_index]))
 
 
 def vacuum_nullspace_fallback(b_matrix: np.ndarray, previous: EvolvedVacuum | None,
@@ -350,11 +339,7 @@ def _frame_connections(traj: NuTrajectory, spec: HamiltonianSpec, frame: LRFrame
     is involved.  Returns (a0, a1) with a_n = Im<e_n|e_n'> as real arrays.
     """
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
-    w = np.asarray(spec.omega.value(traj.times), dtype=float)
-    f = np.asarray(spec.f.value(traj.times), dtype=complex)
-    vmd = 1j * (vm * w - v3 * np.conj(f))
-    vpd = 1j * (v3 * f - vp * w)
-    v3d = 2j * (vp * np.conj(f) - vm * f)
+    vmd, vpd, v3d = np.einsum("kij,kj->ik", nu_generator(spec, traj.times), traj.nu)
     if frame.key == "plus":
         chid = np.imag(vpd / vp)
         r2 = 0.25 * np.abs(v3) ** 2 + np.abs(vp) ** 2
@@ -416,17 +401,6 @@ def lr_phases(traj: NuTrajectory, spec: HamiltonianSpec,
     return PhaseTrajectory(times=traj.times, phi0=phi0, phi1=phi1,
                            phi_geometric=phi_g, phi_dynamical=phi_d,
                            consistency_residual=consistency, frame=frame)
-
-
-def geometric_phase(traj: NuTrajectory, spec: HamiltonianSpec, t: float,
-                    tol: ToleranceConfig = DEFAULT_TOL):
-    """(phi_G, phi_D) at grid time t, from the declared fixed gauge."""
-    phases = lr_phases(traj, spec, tol)
-    dt = traj.dt
-    k = int(round(t / dt))
-    if k < 0 or k >= len(traj.times) or abs(traj.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not on the trajectory grid")
-    return float(phases.phi_geometric[k]), float(phases.phi_dynamical[k])
 
 
 def lr_ladder_fit(phases: PhaseTrajectory, traj: NuTrajectory):

@@ -1,12 +1,14 @@
 """Shared fixtures: reference specs and calibrated trajectory builders."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from ffo.invariants import NuTrajectory
 from ffo.propagator import PropagatorConfig
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
-from ffo.signals import ComplexSignal, HamiltonianSpec, Sinusoid
+from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +20,28 @@ def forced_spec():
                         Sinusoid(0.2, 1.1, 0.2, offset=-0.1)),
         g=Sinusoid(0.3, 0.5, 0.0, offset=0.4),
     )
+
+
+@dataclass(frozen=True)
+class _NanFrom(Signal):
+    """0.5 before t_bad, NaN from t_bad on."""
+
+    t_bad: float
+
+    def value(self, t):
+        return np.where(np.asarray(t) >= self.t_bad, np.nan, 0.5)
+
+    def d1(self, t):
+        return 0.0 * np.asarray(t)
+
+    d2 = d1
+
+
+@pytest.fixture(scope="session")
+def nan_forcing_spec():
+    """Forcing that turns NaN at t = 1.2504, between grid nodes for dt = 1e-3."""
+    return HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(_NanFrom(1.2504)),
+                           g=Constant(0.0))
 
 
 def calibrated_epsilon_trajectory(spec, e0, t_final, dt=1e-3):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ffo.cli import (ScenarioConfig, main, parse_config, run,
+from ffo.cli import (MAX_GRID_POINTS, ScenarioConfig, main, parse_config, run,
                      serialize_config)
 from ffo.errors import ConfigError
 from ffo.propagator import PropagatorConfig, evolve_state
@@ -186,6 +186,36 @@ def test_main_sweep_runs(tmp_path):
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"sweep-{i:03d}.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_main_sweep_count_below_one_exit_2(tmp_path, capsys, count):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD)
+    assert main(["invariants", "--sweep", count]) == 2
+    assert main(["invariants", "--config", str(cfg_path), "--sweep", count]) == 2
+    captured = capsys.readouterr()
+    assert "--sweep" in captured.err
+    assert "scenarios" not in captured.out
+
+
+def test_grid_bound_rejected_before_allocation(monkeypatch, capsys):
+    import ffo.cli
+    import ffo.invariants
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built for an oversized scenario")
+
+    monkeypatch.setattr(ffo.cli, "time_grid", no_grid)
+    monkeypatch.setattr(ffo.invariants, "time_grid", no_grid)
+    assert main(["invariants", "--sweep", "1", "--t-final", "1e13", "--dt", "1e-3"]) == 2
+    assert "run.t_final" in capsys.readouterr().err
+    cfg = parse_config(GOOD)
+    cfg.t_final = MAX_GRID_POINTS * cfg.dt
+    with pytest.raises(ConfigError, match="run.t_final"):
+        cfg.validate()
+    cfg.t_final = (MAX_GRID_POINTS - 1) * cfg.dt
+    cfg.validate()
 
 
 def test_main_evolve_matches_evolve_state(tmp_path):

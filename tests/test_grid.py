@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from ffo.grid import cumsimpson_grid, cumtrapz_grid, time_grid
+from ffo.grid import cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
 
 
 def test_time_grid_basic():
@@ -61,3 +61,62 @@ def test_cumsimpson_short_arrays():
     assert np.allclose(cumsimpson_grid(np.array([1.0, 1.0]), 0.1), [0.0, 0.1])
     got = cumsimpson_grid(np.array([0.0, 1.0, 2.0]), 1.0)
     assert got[-1] == pytest.approx(2.0)  # exact for linear data
+
+
+# -- linear RK4 kernel ----------------------------------------------------------
+
+def _generator(n, seed):
+    """A(t) = -i H(t) - 0.1 D(t): a smooth, non-normal, time-dependent matrix."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    h = m + np.conj(np.transpose(m, (0, 2, 1)))
+    d = rng.normal(size=(n, n))
+
+    def generator(ts):
+        ts = np.asarray(ts)[:, None, None]
+        return (-1j * (h[0] + h[1] * np.sin(1.3 * ts) + h[2] * np.cos(0.4 * ts))
+                - 0.1 * d * np.cos(ts))
+
+    return generator
+
+
+def _rk4_reference(generator, times, y0):
+    """State-by-state classical RK4, one scalar step at a time."""
+    dt = times[1] - times[0]
+    out = [np.asarray(y0, dtype=complex)]
+    for t in times[:-1]:
+        a0, am, a1 = generator(np.array([t, t + 0.5 * dt, t + dt]))
+        y = out[-1]
+        k1 = a0 @ y
+        k2 = am @ (y + 0.5 * dt * k1)
+        k3 = am @ (y + 0.5 * dt * k2)
+        k4 = a1 @ (y + dt * k3)
+        out.append(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2053])
+def test_linear_rk4_matches_stepwise_rk4(n, steps):
+    # step counts straddle the 1024-step chunks and the sqrt-sized blocks
+    gen = _generator(n, seed=steps + n)
+    times = np.arange(steps + 1) * 0.01
+    y0 = np.linspace(1.0, 0.2, n) + 0.3j
+    got = linear_rk4(gen, times, y0)
+    want = _rk4_reference(gen, times, y0)
+    assert got.shape == (steps + 1, n)
+    assert got[0].tolist() == want[0].tolist()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_linear_rk4_fourth_order():
+    # y' = i t y has y = exp(i t^2 / 2); halving dt cuts the error 16-fold
+    def gen(ts):
+        return (1j * np.asarray(ts))[:, None, None]
+
+    errors = []
+    for dt in (0.02, 0.01):
+        times = time_grid(4.0, dt)
+        y = linear_rk4(gen, times, [1.0])[:, 0]
+        errors.append(np.max(np.abs(y - np.exp(0.5j * times ** 2))))
+    assert errors[0] / errors[1] == pytest.approx(16.0, abs=1.0)

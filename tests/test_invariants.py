@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffo.algebra import I2, ladder_operators, max_abs
-from ffo.errors import ContractError
+from ffo.errors import ContractError, IntegrationError
 from ffo.invariants import (NuVector, build_B, build_B_array, build_B_dagger,
                             build_B_so, free_oscillator_nu,
                             free_oscillator_trajectory, hermitian_invariant,
@@ -74,6 +74,14 @@ def test_canonical_start_conserves_ladder_shell():
     traj = integrate_nu(spec, (1, 0, 0), 10.0, CFG)
     assert np.max(np.abs(traj.lambda1)) <= 1e-8
     assert np.max(np.abs(traj.lambda2 - 1.0)) <= 1e-8
+
+
+def test_nonfinite_signal_names_grid_time(nan_forcing_spec):
+    # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
+    with pytest.raises(IntegrationError) as err:
+        integrate_nu(nan_forcing_spec, (1, 0, 0), 2.0, CFG)
+    assert err.value.t == pytest.approx(1.251)
+    assert "t=1.251" in str(err.value)
 
 
 def test_random_spec_constants_drift():

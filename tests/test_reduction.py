@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffo.algebra import I2, hamiltonian_matrix, max_abs
-from ffo.errors import SingularReductionError
+from ffo.errors import IntegrationError, SingularReductionError
 from ffo.invariants import (NuVector, build_B, integrate_nu, motion_constants,
                             nu_rhs)
 from ffo.propagator import PropagatorConfig
@@ -238,8 +238,26 @@ def test_epsilon_requires_forcing_floor():
     spec = HamiltonianSpec(omega=Constant(1.0),
                            f=ComplexSignal(Sinusoid(0.5, 1.0)),  # crosses zero
                            g=Constant(0.0))
-    with pytest.raises(SingularReductionError):
+    with pytest.raises(SingularReductionError, match="violated at t=0.0$"):
         integrate_epsilon(spec, (1.0, 0.0), 5.0, CFG)
+
+
+def test_epsilon_forcing_floor_checked_on_midpoints():
+    # f = t - 0.0015 clears the floor on every grid node but vanishes at the
+    # RK4 stage midpoint between t = 0.001 and t = 0.002
+    spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.0015, 1.0))),
+                           g=Constant(0.0))
+    with pytest.raises(SingularReductionError, match="violated at t=0.0015$"):
+        integrate_epsilon(spec, (1.0, 0.0), 1.0, CFG)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_epsilon_nonfinite_signal_names_grid_time(nan_forcing_spec):
+    # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
+    with pytest.raises(IntegrationError) as err:
+        integrate_epsilon(nan_forcing_spec, (1.0, 0.3j), 2.0, CFG)
+    assert err.value.t == pytest.approx(1.251)
+    assert "t=1.251" in str(err.value)
 
 
 def test_lambda2_first_integral_along_epsilon(forced_spec, calibrated_trajectory):
@@ -288,19 +306,34 @@ def test_closure_against_direct_integration(forced_spec, calibrated_trajectory):
 
 def test_lambda2_two_routes_agree(forced_spec, calibrated_trajectory):
     traj, eps, eps_dot = calibrated_trajectory
+    grid = lambda2_from_epsilon(forced_spec, traj.times, (eps, eps_dot))
+    assert grid.shape == traj.times.shape
     worst = 0.0
     for k in range(0, len(traj.times), 250):
         t = float(traj.times[k])
         got = lambda2_from_epsilon(forced_spec, t,
                                    EpsilonState(complex(eps[k]), complex(eps_dot[k])))
+        assert isinstance(got, float)
+        assert got == pytest.approx(grid[k], rel=1e-15)
         want = motion_constants(traj.nu_at(k)).lambda2
         worst = max(worst, abs(got - want))
     assert worst <= 1e-10
 
 
 def test_lambda2_from_epsilon_zero():
-    assert lambda2_from_epsilon(constant_spec(omega=1.0, f=0.5), 0.0,
-                                EpsilonState(0.0, 0.0)) == 0.0
+    spec = constant_spec(omega=1.0, f=0.5)
+    assert lambda2_from_epsilon(spec, 0.0, EpsilonState(0.0, 0.0)) == 0.0
+    zeros = np.zeros(3, dtype=complex)
+    assert lambda2_from_epsilon(spec, np.arange(3) * 0.1, (zeros, zeros)).tolist() == [0.0] * 3
+
+
+def test_lambda2_from_epsilon_array_guard():
+    # one grid point below the forcing floor rejects the whole array call
+    spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.1, 1.0))),
+                           g=Constant(0.0))
+    ones = np.ones(3, dtype=complex)
+    with pytest.raises(SingularReductionError):
+        lambda2_from_epsilon(spec, np.array([0.0, 0.1, 0.2]), (ones, ones))
 
 
 # -- epsilon-prime transform --------------------------------------------------------------------

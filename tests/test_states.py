@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ffo.algebra import ladder_operators, max_abs
+from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
 from ffo.grid import cumtrapz_grid
@@ -10,9 +11,8 @@ from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Sinusoid,
                          constant_spec)
 from ffo.states import (EvolvedVacuum, coherence_check, coherent_state,
-                        cs_eigen_residual, geometric_phase, lr_frame,
-                        lr_ladder_fit, lr_phases, schrodinger_residual_max,
-                        vacuum_from_nu, vacuum_nullspace_fallback,
+                        cs_eigen_residual, lr_frame, lr_ladder_fit, lr_phases,
+                        schrodinger_residual_max, vacuum_nullspace_fallback,
                         vacuum_trajectory)
 
 CFG = PropagatorConfig(dt=1e-3)
@@ -30,22 +30,21 @@ def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
 
-def test_vacuum_from_nu_flags_and_values(forced_spec, calibrated_trajectory):
+def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
+    # the fallback flag marks exactly the points below the nu_minus floor
     traj, _, _ = calibrated_trajectory
-    vac = vacuum_from_nu(traj, forced_spec, 1234)
     psi, mask = vacuum_trajectory(traj, forced_spec)
-    assert vac.alpha0 == psi[1234, 0] and vac.alpha1 == psi[1234, 1]
-    assert vac.used_fallback == bool(mask[1234])
-    assert abs(abs(vac.alpha0) ** 2 + abs(vac.alpha1) ** 2 - 1.0) < 1e-12
+    assert np.array_equal(mask, np.abs(traj.nu[:, 0]) < DEFAULT_TOL.vacuum_nu_min)
+    assert abs(np.linalg.norm(psi[1234]) - 1.0) < 1e-12
 
 
 def test_vacuum_canonical_start_is_ground_state():
     spec = constant_spec(omega=1.0, f=0.4, g=0.2)
     traj = integrate_nu(spec, (1, 0, 0), 1.0, CFG)
-    vac = vacuum_from_nu(traj, spec, 0)
-    assert vac.alpha0 == pytest.approx(1.0)
-    assert vac.alpha1 == pytest.approx(0.0)
-    assert not vac.used_fallback
+    psi, mask = vacuum_trajectory(traj, spec)
+    assert psi[0, 0] == pytest.approx(1.0)
+    assert psi[0, 1] == pytest.approx(0.0)
+    assert not mask[0]
 
 
 def test_vacuum_tracks_true_evolution_through_pinch():
@@ -167,9 +166,8 @@ def test_lr_phases_stationary():
     assert np.max(np.abs(ph.phi1 + (g0 + w0) * t)) <= 1e-6
     assert np.max(np.abs(ph.phi_geometric)) <= 1e-6
     assert ph.consistency_residual <= 1e-10
-    g_, d_ = geometric_phase(traj, spec, 5.0)
-    assert g_ == pytest.approx(0.0, abs=1e-6)
-    assert d_ == pytest.approx(-w0 * 5.0, abs=1e-6)
+    assert ph.phi_geometric[-1] == pytest.approx(0.0, abs=1e-6)
+    assert ph.phi_dynamical[-1] == pytest.approx(-w0 * 5.0, abs=1e-6)
 
 
 def test_phased_states_solve_schrodinger(forced_spec, calibrated_trajectory):
@@ -252,8 +250,3 @@ def test_geometric_phase_gauge_independence(forced_spec, calibrated_trajectory):
     phi_g_mod = cumtrapz_grid(-np.imag(connection(e1) - connection(ph.frame.e0)), dt)
     assert abs(phi_g_mod[-1] - ph.phi_geometric[-1]) <= 1e-6
 
-
-def test_geometric_phase_requires_grid_time(forced_spec, calibrated_trajectory):
-    traj, _, _ = calibrated_trajectory
-    with pytest.raises(ValueError):
-        geometric_phase(traj, forced_spec, 2.00037)
