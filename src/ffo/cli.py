@@ -37,7 +37,6 @@ from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, coherent_ket, completeness_check,
                         g_mul, apply_fermion_op)
-from .grid import time_grid
 from .invariants import (NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max)
 from .propagator import PropagatorConfig, evolve_unitary
@@ -167,6 +166,10 @@ class ScenarioConfig:
         if self.t_final / self.dt >= MAX_GRID_POINTS - 0.5:
             raise ConfigError("run.t_final",
                               f"t_final/dt gives more than {MAX_GRID_POINTS} grid points")
+        steps = round(self.t_final / self.dt)
+        if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+            raise ConfigError("run.t_final",
+                              f"{self.t_final} is not an integer multiple of run.dt={self.dt}")
         if self.mode not in MODES:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
@@ -544,7 +547,7 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
             item["name"] = prefix + item["name"]
             checks.append(item)
     grid = {"t_final": cfg.t_final, "dt": cfg.dt,
-            "points": len(time_grid(cfg.t_final, cfg.dt))}
+            "points": int(round(cfg.t_final / cfg.dt)) + 1}
     report = RunReport(mode=mode, grid=grid, drifts=drifts, checks=checks,
                        wall_time_s=time.perf_counter() - t0)
     return report, tables

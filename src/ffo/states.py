@@ -75,59 +75,73 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
     """Evolved vacuum on the whole grid.
 
     Returns (psi, fallback_mask) with psi of shape (len(times), 2), unit
-    norm at every grid point.  The closed form is used wherever
-    |nu_minus| >= tol.vacuum_nu_min; elsewhere (and to re-anchor the phase
-    after such a gap) the null-space fallback steps the state with
-    Crank-Nicolson and projects onto the instantaneous null direction.
+    norm at every grid point.  The mask is |nu_minus| < tol.vacuum_nu_min;
+    it cuts the grid into stretches of closed-form points between gaps.
+
+    The closed form is evaluated on all unmasked points at once.  The
+    branch of sqrt(nu_minus) is kept continuous by a cumulative product of
+    sign flips (a flip wherever the principal root jumps closer to minus
+    the previous root than to it), restarted at the first point of every
+    stretch.  Only the gap points and the first point after each gap are
+    then visited one by one: a gap point steps the previous state with
+    Crank-Nicolson and projects it onto the instantaneous null direction
+    of B; a re-entry point takes the phase of that same prediction and
+    carries it over its whole stretch.
     """
-    times = traj.times
-    dt = traj.dt
-    n = len(times)
-    vm_arr, vp_arr, v3_arr = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
+    times, dt = traj.times, traj.dt
+    vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
+    mask = np.abs(vm) < tol.vacuum_nu_min
+    ok = np.flatnonzero(~mask)
+    start = np.ones(len(ok), dtype=bool)
+    start[1:] = np.diff(ok) > 1
+
+    s = np.sqrt(vm[ok])
+    away, toward = np.abs(s[1:] - s[:-1]), np.abs(s[1:] + s[:-1])
+    flips = np.zeros(len(ok), dtype=np.int64)
+    flips[1:] = away > toward
+    # the principal root is kept at a stretch start and on an exact tie
+    reset = start.copy()
+    reset[1:] |= away == toward
+    flips[reset] = 0
+    parity = np.cumsum(flips)
+    parity -= np.maximum.accumulate(np.where(reset, parity, 0))
     q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
                         + np.asarray(spec.omega.value(times), dtype=float), dt)
+    a0 = np.where(parity % 2 == 1, -s, s) * np.exp(-0.5j * q[ok])
+    a1 = a0 * v3[ok] / (2.0 * vm[ok])
+    norm = np.sqrt(np.abs(a0) ** 2 + np.abs(a1) ** 2)
+    psi = np.empty((len(times), 2), dtype=complex)
+    psi[ok, 0] = a0 / norm
+    psi[ok, 1] = a1 / norm
+    if not mask.any():
+        return psi, mask
+
     h00, h01, h10, h11 = hamiltonian_entries(spec, times)
-
-    psi = np.empty((n, 2), dtype=complex)
-    mask = np.zeros(n, dtype=bool)
-    s_prev = None       # running branch of sqrt(nu_minus)
-    phase_off = 1.0 + 0j  # constant phase picked up while re-anchoring
-
-    for k in range(n):
-        vm, vp, v3 = vm_arr[k], vp_arr[k], v3_arr[k]
-        h_now = (h00[k], h01[k], h10[k], h11[k])
+    gaps = np.flatnonzero(mask)
+    reentries = ok[start]
+    for k in np.union1d(gaps, reentries[reentries > 0]).tolist():
         pred = None
         if k > 0:
-            h_prev = (h00[k - 1], h01[k - 1], h10[k - 1], h11[k - 1])
-            pred = _cn_step(h_prev, h_now, psi[k - 1], dt)
-
-        if abs(vm) >= tol.vacuum_nu_min:
-            s = complex(np.sqrt(vm))
-            if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
-                s = -s
-            a0 = s * np.exp(-0.5j * q[k])
-            v = np.array([a0, a0 * v3 / (2.0 * vm)], dtype=complex)
-            v /= np.linalg.norm(v)
-            if s_prev is None and pred is not None:
-                # re-entry after a fallback gap: re-anchor the global phase
-                ov = np.vdot(v, pred)
-                phase_off = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0j
-            psi[k] = v * phase_off
-            s_prev = s
+            pred = _cn_step((h00[k - 1], h01[k - 1], h10[k - 1], h11[k - 1]),
+                            (h00[k], h01[k], h10[k], h11[k]), psi[k - 1], dt)
+        if not mask[k]:
+            # re-entry after a gap: re-anchor the phase of the whole stretch
+            nxt = np.searchsorted(gaps, k)
+            end = gaps[nxt] if nxt < len(gaps) else len(times)
+            ov = np.vdot(psi[k], pred)
+            if abs(ov) > 0:
+                psi[k:end] *= ov / abs(ov)
+            continue
+        d = _null_direction(vm[k], vp[k], v3[k])
+        if pred is None:
+            # fix the free phase by making the largest component real
+            j = int(np.argmax(np.abs(d)))
+            d = d * np.exp(-1j * np.angle(d[j]))
         else:
-            d = _null_direction(vm, vp, v3)
-            if pred is None:
-                # fix the free phase by making the largest component real
-                j = int(np.argmax(np.abs(d)))
-                d = d * np.exp(-1j * np.angle(d[j]))
-            else:
-                ov = np.vdot(d, pred)
-                if abs(ov) > 0:
-                    d = d * ov / abs(ov)
-            psi[k] = d
-            mask[k] = True
-            s_prev = None
-            phase_off = 1.0 + 0j
+            ov = np.vdot(d, pred)
+            if abs(ov) > 0:
+                d = d * ov / abs(ov)
+        psi[k] = d
     return psi, mask
 
 

@@ -160,6 +160,31 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, config_t_final, flags", [
+    ("invariants", "2.0005", []),
+    ("invariants", "2.0", ["--t-final", "2.0005"]),
+    ("grassmann-selftest", None, ["--t-final", "1.0005", "--dt", "0.001"]),
+])
+def test_t_final_off_the_grid_exit_2(tmp_path, capsys, mode, config_t_final, flags):
+    # rejected with its path before any mode runs
+    argv = [mode, *flags]
+    if config_t_final is not None:
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(GOOD.replace('"t_final": 2.0', f'"t_final": {config_t_final}'))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "run.t_final" in err and "integer multiple" in err
+    assert out == ""
+
+
+def test_reported_points_count_the_grid():
+    cfg = parse_config(GOOD)
+    cfg.t_final = 3.142
+    report, _ = run("grassmann-selftest", cfg)
+    assert report.grid["points"] == 3143
+
+
 def test_main_missing_config_exit_2():
     assert main(["invariants"]) == 2
 
@@ -200,13 +225,11 @@ def test_main_sweep_count_below_one_exit_2(tmp_path, capsys, count):
 
 
 def test_grid_bound_rejected_before_allocation(monkeypatch, capsys):
-    import ffo.cli
     import ffo.invariants
 
     def no_grid(*args):
         raise AssertionError("a grid was built for an oversized scenario")
 
-    monkeypatch.setattr(ffo.cli, "time_grid", no_grid)
     monkeypatch.setattr(ffo.invariants, "time_grid", no_grid)
     assert main(["invariants", "--sweep", "1", "--t-final", "1e13", "--dt", "1e-3"]) == 2
     assert "run.t_final" in capsys.readouterr().err

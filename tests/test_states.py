@@ -1,24 +1,141 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffo.algebra import ladder_operators, max_abs
+from ffo.algebra import hamiltonian_entries, ladder_operators, max_abs
 from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
-from ffo.grid import cumtrapz_grid
-from ffo.invariants import build_B, build_B_array, build_B_dagger, integrate_nu
+from ffo.grid import cumsimpson_grid, cumtrapz_grid
+from ffo.invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
+                            integrate_nu)
 from ffo.propagator import PropagatorConfig, evolve_unitary
-from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Sinusoid,
-                         constant_spec)
-from ffo.states import (EvolvedVacuum, coherence_check, coherent_state,
-                        cs_eigen_residual, lr_frame, lr_ladder_fit, lr_phases,
-                        schrodinger_residual_max, vacuum_nullspace_fallback,
-                        vacuum_trajectory)
+from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
+                         Sinusoid, constant_spec)
+from ffo.states import (EvolvedVacuum, _cn_step, _null_direction, coherence_check,
+                        coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
+                        lr_phases, schrodinger_residual_max,
+                        vacuum_nullspace_fallback, vacuum_trajectory)
+from ffo.sweeps import random_spec
 
 CFG = PropagatorConfig(dt=1e-3)
+README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
+                              f=ComplexSignal(Constant(0.5), Constant(0.1)),
+                              g=Polynomial((0.2, 0.01)))
 
 
 # -- evolved vacuum ------------------------------------------------------------
+
+def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
+    """Point-by-point evolved vacuum: closed form, or fallback below the floor.
+
+    Every point takes a Crank-Nicolson prediction from the previous one; the
+    sqrt(nu_minus) branch is tracked point to point and restarts after a gap,
+    whose end re-anchors the phase of all later closed-form points.
+    """
+    times, dt, n = traj.times, traj.dt, len(traj.times)
+    q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
+                        + np.asarray(spec.omega.value(times), dtype=float), dt)
+    h00, h01, h10, h11 = hamiltonian_entries(spec, times)
+    psi = np.empty((n, 2), dtype=complex)
+    mask = np.zeros(n, dtype=bool)
+    s_prev = None
+    phase_off = 1.0 + 0j
+    for k in range(n):
+        vm, vp, v3 = traj.nu[k]
+        pred = None
+        if k > 0:
+            pred = _cn_step((h00[k - 1], h01[k - 1], h10[k - 1], h11[k - 1]),
+                            (h00[k], h01[k], h10[k], h11[k]), psi[k - 1], dt)
+        if abs(vm) >= tol.vacuum_nu_min:
+            s = complex(np.sqrt(vm))
+            if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
+                s = -s
+            a0 = s * np.exp(-0.5j * q[k])
+            v = np.array([a0, a0 * v3 / (2.0 * vm)], dtype=complex)
+            v /= np.linalg.norm(v)
+            if s_prev is None and pred is not None:
+                ov = np.vdot(v, pred)
+                phase_off = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0j
+            psi[k] = v * phase_off
+            s_prev = s
+        else:
+            d = _null_direction(vm, vp, v3)
+            if pred is None:
+                j = int(np.argmax(np.abs(d)))
+                d = d * np.exp(-1j * np.angle(d[j]))
+            else:
+                ov = np.vdot(d, pred)
+                if abs(ov) > 0:
+                    d = d * ov / abs(ov)
+            psi[k] = d
+            mask[k] = True
+            s_prev = None
+            phase_off = 1.0 + 0j
+    return psi, mask
+
+
+# (spec, nu0, t_final, number of fallback gaps)
+VACUUM_CASES = {
+    "readme": (README_SPEC, (1, 0, 0), 10.0, 0),
+    "one_pinch": (constant_spec(f=0.5), (1, 0, 0), 8.0, 1),
+    "three_gaps": (constant_spec(f=1.0), (1, 0, 0), 10.0, 3),
+    "starts_in_gap": (constant_spec(f=0.5), (0, 1, 0), 4.0, 1),
+    "ends_in_gap": (constant_spec(f=0.5), (1, 0, 0), 3.142, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VACUUM_CASES))
+def test_vacuum_trajectory_matches_reference(case):
+    spec, nu0, t_final, gaps = VACUUM_CASES[case]
+    traj = integrate_nu(spec, nu0, t_final, CFG)
+    psi, mask = vacuum_trajectory(traj, spec)
+    want_psi, want_mask = _vacuum_reference(traj, spec)
+    assert np.array_equal(mask, want_mask)
+    assert np.count_nonzero(np.diff(mask.astype(int)) == 1) + int(mask[0]) == gaps
+    assert np.max(np.abs(psi - want_psi)) <= 1e-14
+
+
+def test_vacuum_branch_keeps_principal_root_on_exact_tie():
+    # sqrt(-1 + 0j) = i, sqrt(-1 - 0j) = -i: the branch flips to +i; the next
+    # root 1 is then exactly as far from +i as from -i and stays principal
+    nu = np.zeros((4, 3), dtype=complex)
+    nu[:, 0] = [complex(-1.0, 0.0), complex(-1.0, -0.0), 1.0, 1.0]
+    traj = NuTrajectory(times=np.arange(4) * 1e-3, nu=nu, lambda1=np.zeros(4),
+                        lambda2=np.ones(4))
+    spec = constant_spec(omega=0.0)
+    psi, mask = vacuum_trajectory(traj, spec)
+    want_psi, _ = _vacuum_reference(traj, spec)
+    assert not mask.any()
+    assert np.array_equal(psi, want_psi)
+    assert psi[1, 0] == 1j and psi[2, 0] == 1.0
+
+
+def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
+    # nu_minus is exactly 0 at t = 0; the closed form must not be evaluated there
+    spec, nu0, t_final, _ = VACUUM_CASES["starts_in_gap"]
+    traj = integrate_nu(spec, nu0, t_final, CFG)
+    assert traj.nu[0, 0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, mask = vacuum_trajectory(traj, spec)
+    assert mask[0] and np.all(np.isfinite(psi))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_vacuum_trajectory_random_specs(seed):
+    spec = random_spec(np.random.default_rng(seed))
+    traj = integrate_nu(spec, (1, 0, 0), 2.0, CFG)
+    psi, _ = vacuum_trajectory(traj, spec)
+    bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
+    assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
+    assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-10
+    assert np.max(np.abs(psi - _vacuum_reference(traj, spec)[0])) <= 1e-14
+
 
 def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
