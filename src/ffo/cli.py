@@ -37,7 +37,7 @@ from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, coherent_ket, completeness_check,
                         g_mul, apply_fermion_op)
-from .invariants import (NuTrajectory, build_B_array, integrate_nu,
+from .invariants import (NuTrajectory, build_B, build_B_array, integrate_nu,
                          invariance_residual_max)
 from .propagator import PropagatorConfig, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
@@ -98,6 +98,8 @@ _SIGNAL_KEYS = {
 def _finite(x, path: str) -> float:
     try:
         x = float(x)
+    except OverflowError:
+        raise ConfigError(path, "must be finite") from None
     except (TypeError, ValueError):
         raise ConfigError(path, "expected a number") from None
     if not math.isfinite(x):
@@ -109,7 +111,7 @@ def _parse_signal(node, path: str) -> Signal:
     if not isinstance(node, dict):
         raise ConfigError(path, "signal descriptor must be an object")
     kind = node.get("type")
-    if kind not in _SIGNAL_KEYS:
+    if not (isinstance(kind, str) and kind in _SIGNAL_KEYS):
         raise ConfigError(f"{path}.type", f"unknown signal type {kind!r}")
     extra = set(node) - _SIGNAL_KEYS[kind] - {"type"}
     if extra:
@@ -192,6 +194,14 @@ def _check_keys(node, allowed, path):
         raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
 
 
+def _section(doc: dict, key: str, allowed) -> dict:
+    node = doc.get(key, {})
+    if not isinstance(node, dict):
+        raise ConfigError(key, "must be an object")
+    _check_keys(node, allowed, key)
+    return node
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document (strict JSON schema)."""
     try:
@@ -202,8 +212,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("<document>", "top level must be an object")
     _check_keys(doc, {"hamiltonian", "run", "initial", "output"}, "<document>")
 
-    ham = doc.get("hamiltonian", {})
-    _check_keys(ham, {"omega", "f_re", "f_im", "g"}, "hamiltonian")
+    ham = _section(doc, "hamiltonian", {"omega", "f_re", "f_im", "g"})
     spec = HamiltonianSpec(
         omega=_parse_signal(ham.get("omega", {"type": "constant", "value": 1.0}),
                             "hamiltonian.omega"),
@@ -217,8 +226,7 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
     cfg = ScenarioConfig(spec=spec)
-    run = doc.get("run", {})
-    _check_keys(run, {"mode", "t_final", "dt", "tolerances"}, "run")
+    run = _section(doc, "run", {"mode", "t_final", "dt", "tolerances"})
     if "mode" in run:
         cfg.mode = str(run["mode"])
     if "t_final" in run:
@@ -230,8 +238,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("run.tolerances", "must be an object")
     cfg.tolerances = {str(k): _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
 
-    init = doc.get("initial", {})
-    _check_keys(init, {"nu0", "epsilon0", "state"}, "initial")
+    init = _section(doc, "initial", {"nu0", "epsilon0", "state"})
     if "nu0" in init:
         node = init["nu0"]
         if not (isinstance(node, list) and len(node) == 3):
@@ -251,8 +258,7 @@ def parse_config(text: str) -> ScenarioConfig:
         cfg.state0 = tuple(_parse_complex_pair(p, f"initial.state[{i}]")
                            for i, p in enumerate(node))
 
-    out = doc.get("output", {})
-    _check_keys(out, {"format", "path", "fields"}, "output")
+    out = _section(doc, "output", {"format", "path", "fields"})
     if "format" in out:
         cfg.out_format = str(out["format"])
     if "path" in out:
@@ -327,15 +333,19 @@ def _fmt(x) -> str:
 
 
 def emit_csv(path: str, header: list, columns: list) -> None:
-    """Write columns (parallel 1-d arrays) as CSV; atomic replace."""
-    rows = len(columns[0])
+    """Write columns (parallel 1-d arrays) as CSV; atomic replace.
+
+    A float array column is formatted in one pass, ``repr`` of each element
+    as ``_fmt`` would give; other columns (str, bool) go through ``_fmt``.
+    """
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+             else map(_fmt, col) for col in columns]
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for i in range(rows):
-                fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -403,8 +413,8 @@ def _run_evolve(cfg: ScenarioConfig, tols: dict):
 def _run_invariants(cfg: ScenarioConfig, tols: dict):
     traj = integrate_nu(cfg.spec, cfg.nu0, cfg.t_final, PropagatorConfig(dt=cfg.dt))
     u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
-    b0 = build_B_array(np.tile(np.asarray(cfg.nu0, dtype=complex), (len(traj.times), 1)))
-    oracle = u.U @ b0 @ np.conj(np.transpose(u.U, (0, 2, 1)))
+    ub0 = np.einsum("kij,jl->kil", u.U, build_B(cfg.nu0))
+    oracle = np.einsum("kil,kml->kim", ub0, np.conj(u.U))
     dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
     lam1_drift = np.abs(traj.lambda1 - traj.lambda1[0])
     lam2_drift = np.abs(traj.lambda2 - traj.lambda2[0])

@@ -28,45 +28,59 @@ def linear_rk4(generator, times: np.ndarray, y0) -> np.ndarray:
     with A_mid = A(t_k + dt/2), so y_{k+1} = R_k y_k reproduces the stage
     arithmetic of the state-by-state loop up to rounding.  The R_k are built
     vectorised, CHUNK_STEPS at a time, and applied as a blocked product.
-    Returns the states on the whole grid, shape (len(times), n).
+    Internally every matrix stack is held grid-last, (n, n, K), so that each
+    product of tiny matrices runs over one contiguous grid axis.  A
+    generator that builds its (n, n, K) array and returns a moveaxis view of
+    it is used without a copy; a C-contiguous (K, n, n) array gives the same
+    states through strided products.  Returns the states on the whole grid,
+    shape (len(times), n).
     """
     times = np.asarray(times, dtype=float)
     dt = float(times[1] - times[0])
     y0 = np.asarray(y0, dtype=complex)
-    eye = np.eye(len(y0))
+    eye = np.eye(len(y0))[:, :, None]
     out = np.empty((len(times), len(y0)), dtype=complex)
     out[0] = y0
     for start in range(0, len(times) - 1, CHUNK_STEPS):
         ts = times[start:start + CHUNK_STEPS + 1]
-        a = generator(ts)
-        a_mid = generator(ts[:-1] + 0.5 * dt)
-        k1 = a[:-1]
-        k2 = a_mid + 0.5 * dt * (a_mid @ k1)
-        k3 = a_mid + 0.5 * dt * (a_mid @ k2)
-        k4 = a[1:] + dt * (a[1:] @ k3)
+        a = np.moveaxis(generator(ts), 0, -1)
+        a_mid = np.moveaxis(generator(ts[:-1] + 0.5 * dt), 0, -1)
+        k1 = a[..., :-1]
+        k2 = a_mid + 0.5 * dt * _mul(a_mid, k1)
+        k3 = a_mid + 0.5 * dt * _mul(a_mid, k2)
+        k4 = a[..., 1:] + dt * _mul(a[..., 1:], k3)
         steps = eye + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[start + 1:start + len(ts)] = _blocked_product(steps, out[start])
     return out
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...)."""
+    return np.einsum("ij...,jl...->il...", a, b)
+
+
 def _blocked_product(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """y_1..y_m of y_{k+1} = steps[k] y_k.
+    """y_1..y_m of y_{k+1} = steps[:, :, k] y_k, returned as (m, n).
 
     The m steps are cut into blocks of about sqrt(m); prefix products run
     inside all blocks at once, then the state is carried block to block.
+    The prefix array is (n, n, size, blocks), so each of the size - 1
+    prefix products runs over a contiguous axis of blocks.
     """
-    m, n = steps.shape[0], steps.shape[1]
+    n, m = steps.shape[0], steps.shape[2]
     size = math.isqrt(m - 1) + 1
     blocks = -(-m // size)
-    pad = np.broadcast_to(np.eye(n), (blocks * size - m, n, n))
-    prefix = np.concatenate([steps, pad]).reshape(blocks, size, n, n)
+    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * size - m))
+    prefix = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, size)
+    prefix = prefix.swapaxes(2, 3).copy()
     for i in range(1, size):
-        prefix[:, i] = prefix[:, i] @ prefix[:, i - 1]
-    starts = np.empty((blocks, n), dtype=complex)
-    starts[0] = y0
+        prefix[:, :, i] = _mul(prefix[:, :, i], prefix[:, :, i - 1])
+    starts = np.empty((n, blocks), dtype=complex)
+    starts[:, 0] = y0
     for j in range(1, blocks):
-        starts[j] = prefix[j - 1, -1] @ starts[j - 1]
-    return (prefix @ starts[:, None, :, None]).reshape(blocks * size, n)[:m]
+        starts[:, j] = prefix[:, :, -1, j - 1] @ starts[:, j - 1]
+    states = _mul(prefix, starts[:, None, None])[:, 0]
+    return states.transpose(2, 1, 0).reshape(blocks * size, n)[:m]
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:

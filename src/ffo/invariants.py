@@ -189,18 +189,21 @@ def invariance_residual(spec: HamiltonianSpec, traj: NuTrajectory, t_index: int)
 
 
 def invariance_residual_max(spec: HamiltonianSpec, traj: NuTrajectory) -> float:
-    """Max invariance residual over all interior grid points (vectorized)."""
-    dt = traj.dt
-    b = build_B_array(traj.nu)
-    db = (b[2:] - b[:-2]) / (2.0 * dt)
+    """Max invariance residual over all interior grid points (vectorized).
+
+    The commutator is written entrywise.  With B = [[-nu_3/2, nu_minus],
+    [nu_plus, nu_3/2]], [B, H] has the diagonal +-(nu_minus h10 - h01 nu_plus)
+    and the off-diagonal entries nu_minus (h11 - h00) - nu_3 h01 and
+    nu_plus (h00 - h11) + nu_3 h10; the (1, 1) residual is minus the (0, 0)
+    one, so three entries give the max.
+    """
+    d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
+    vm, vp, v3 = traj.nu[1:-1].T
     h00, h01, h10, h11 = hamiltonian_entries(spec, traj.times[1:-1])
-    h = np.empty_like(b[1:-1])
-    h[:, 0, 0] = h00
-    h[:, 0, 1] = h01
-    h[:, 1, 0] = h10
-    h[:, 1, 1] = h11
-    comm = b[1:-1] @ h - h @ b[1:-1]
-    return float(np.max(np.abs(db - 1j * comm)))
+    residuals = (-0.5 * d[:, 2] - 1j * (vm * h10 - h01 * vp),
+                 d[:, 0] - 1j * (vm * (h11 - h00) - v3 * h01),
+                 d[:, 1] - 1j * (vp * (h00 - h11) + v3 * h10))
+    return float(max(np.max(np.abs(r)) for r in residuals))
 
 
 # -- free oscillator closed forms ---------------------------------------------

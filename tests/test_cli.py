@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffo.cli import (MAX_GRID_POINTS, ScenarioConfig, main, parse_config, run,
-                     serialize_config)
+from ffo.cli import (MAX_GRID_POINTS, ScenarioConfig, _table_select, emit_csv, main,
+                     parse_config, run, serialize_config)
 from ffo.errors import ConfigError
 from ffo.propagator import PropagatorConfig, evolve_state
 
@@ -105,6 +107,41 @@ def test_main_writes_deterministic_csv(tmp_path):
     assert float(row[0]) == 0.001
 
 
+def _csv_reference(path, header, columns):
+    """Per-cell CSV writer: every cell formatted on its own, row by row."""
+
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
+
+
+def test_emit_csv_matches_per_cell_reference(tmp_path):
+    doc = json.loads(GOOD)
+    doc["output"]["fields"] = ["lambda2", "t", "oracle_dev"]
+    cfg = parse_config(json.dumps(doc))
+    _, tables = run("all", cfg)
+    edge = np.array([0.0, -0.0, np.nan, -np.inf, 5e-324, 0.1, 1e22, -1.5e-7])
+    cases = {
+        "invariants": tables["invariants"],
+        "fields": _table_select(cfg, *tables["invariants"]),
+        "grassmann": tables["grassmann-selftest"],
+        "edge": (["x", "x32", "label"], [edge, edge.astype(np.float32),
+                                         [str(v) for v in edge]]),
+    }
+    assert cases["fields"][0] == ["lambda2", "t", "oracle_dev"]
+    for name, (header, cols) in cases.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        emit_csv(str(got), header, cols)
+        _csv_reference(str(want), header, cols)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
 def test_main_json_report(tmp_path):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(GOOD)
@@ -139,6 +176,10 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"initial": {', '"initial": {"epsilon0": [[0, 0], [0, 0]], ', [], "initial.epsilon0"),
     ('"t_final": 2.0', '"t_final": Infinity', [], "run.t_final"),
     ('"t_final": 2.0', '"t_final": 1e400', [], "run.t_final"),
+    ('"t_final": 2.0', '"t_final": 1' + "0" * 400, [], "run.t_final"),
+    ('"type": "constant", "value": 0.5', '"type": [], "value": 0.5', [],
+     "hamiltonian.f_re.type"),
+    ('"output": {"format": "csv"}', '"output": null', [], "output"),
     ("", "", ["--t-final", "inf"], "run.t_final"),
     ('"dt": 0.001', '"dt": NaN', [], "run.dt"),
     ("", "", ["--dt", "nan"], "run.dt"),
@@ -158,6 +199,60 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     cfg_path.write_text(GOOD.replace(old, new))
     assert main(["invariants", "--config", str(cfg_path), *flags]) == 2
     assert path in capsys.readouterr().err
+
+
+# documents shaped like the schema, where any node may instead be arbitrary
+# JSON: numbers include non-finite floats and integers too large for a float
+_NUMBERS = st.integers(-10**400, 10**400) | st.floats()
+_JUNK = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _or_junk(strategy):
+    return strategy | _JUNK
+
+
+def _object(**fields):
+    return _or_junk(st.fixed_dictionaries({}, optional=fields))
+
+
+def _pairs(count):
+    pair = _or_junk(st.lists(_or_junk(_NUMBERS), min_size=2, max_size=2))
+    return _or_junk(st.lists(pair, min_size=count, max_size=count))
+
+
+_SIGNAL = _object(
+    type=_or_junk(st.sampled_from(["constant", "sinusoid", "polynomial", "tabulated"])),
+    **{key: _or_junk(_NUMBERS) for key in ("value", "amplitude", "frequency", "phase",
+                                            "offset")},
+    **{key: _or_junk(st.lists(_or_junk(_NUMBERS), max_size=4))
+       for key in ("coeffs", "times", "values")},
+    stray=_JUNK)
+_DOCUMENTS = _object(
+    hamiltonian=_object(omega=_SIGNAL, f_re=_SIGNAL, f_im=_SIGNAL, g=_SIGNAL),
+    run=_object(mode=_or_junk(st.sampled_from(["invariants", "reduce", "bogus"])),
+                t_final=_or_junk(_NUMBERS), dt=_or_junk(_NUMBERS),
+                tolerances=_or_junk(st.dictionaries(st.sampled_from(["closure", "bogus"]),
+                                                    _or_junk(_NUMBERS)))),
+    initial=_object(nu0=_pairs(3), epsilon0=_pairs(2), state=_pairs(2)),
+    output=_object(format=_or_junk(st.sampled_from(["csv", "json"])),
+                   path=_or_junk(st.text(max_size=3)),
+                   fields=_or_junk(st.lists(_or_junk(st.sampled_from(["t", "lambda2"]))))),
+    stray=_JUNK)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=_DOCUMENTS)
+def test_any_json_document_parses_or_names_a_path(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        assert exc.path
+    else:
+        assert isinstance(cfg, ScenarioConfig)
 
 
 @pytest.mark.parametrize("mode, config_t_final, flags", [

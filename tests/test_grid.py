@@ -120,3 +120,25 @@ def test_linear_rk4_fourth_order():
         y = linear_rk4(gen, times, [1.0])[:, 0]
         errors.append(np.max(np.abs(y - np.exp(0.5j * times ** 2))))
     assert errors[0] / errors[1] == pytest.approx(16.0, abs=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, 1024, 1025, 2053])
+def test_linear_rk4_same_result_for_either_generator_layout(n, steps):
+    # the kernel works grid-last; a generator returning a C-contiguous
+    # (K, n, n) array and one returning a view of an (n, n, K) array
+    # must give the same states
+    gen = _generator(n, seed=steps + n)
+
+    def grid_last(ts):
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(gen(ts), 0, -1)), -1, 0)
+
+    def grid_first(ts):
+        return np.ascontiguousarray(gen(ts))
+
+    times = np.arange(steps + 1) * 0.01
+    y0 = np.linspace(1.0, 0.2, n) + 0.3j
+    assert grid_first(times[:2]).flags.c_contiguous
+    assert not grid_last(times[:2]).flags.c_contiguous
+    np.testing.assert_array_equal(linear_rk4(grid_first, times, y0),
+                                  linear_rk4(grid_last, times, y0))

@@ -3,7 +3,7 @@ import pytest
 
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.invariants import (NuVector, build_B, build_B_array, build_B_dagger,
+from ffo.invariants import (NuTrajectory, NuVector, build_B, build_B_array, build_B_dagger,
                             build_B_so, free_oscillator_nu,
                             free_oscillator_trajectory, hermitian_invariant,
                             integrate_nu, invariance_residual,
@@ -190,6 +190,19 @@ def test_invariance_residual_on_random_spec():
     spec = random_spec(rng)
     traj = integrate_nu(spec, (1, 0, 0), 10.0, CFG)
     assert invariance_residual_max(spec, traj) <= 1e-5
+
+
+def test_invariance_residual_max_matches_matrix_form():
+    # arbitrary coefficients on three-point grids, so that each entry of
+    # dB/dt - i[B, H] is the largest one in some draw
+    rng = np.random.default_rng(5)
+    spec = random_spec(rng)
+    times = np.array([0.3, 0.4, 0.5])
+    for _ in range(40):
+        nu = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        traj = NuTrajectory(times=times, nu=nu, lambda1=np.zeros(3), lambda2=np.zeros(3))
+        assert invariance_residual_max(spec, traj) == pytest.approx(
+            invariance_residual(spec, traj, 1), rel=1e-14)
 
 
 def test_invariance_residual_detects_wrong_forcing_sign():
