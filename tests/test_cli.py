@@ -176,10 +176,6 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"initial": {', '"initial": {"epsilon0": [[0, 0], [0, 0]], ', [], "initial.epsilon0"),
     ('"t_final": 2.0', '"t_final": Infinity', [], "run.t_final"),
     ('"t_final": 2.0', '"t_final": 1e400', [], "run.t_final"),
-    ('"t_final": 2.0', '"t_final": 1' + "0" * 400, [], "run.t_final"),
-    ('"type": "constant", "value": 0.5', '"type": [], "value": 0.5', [],
-     "hamiltonian.f_re.type"),
-    ('"output": {"format": "csv"}', '"output": null', [], "output"),
     ("", "", ["--t-final", "inf"], "run.t_final"),
     ('"dt": 0.001', '"dt": NaN', [], "run.dt"),
     ("", "", ["--dt", "nan"], "run.dt"),
@@ -192,6 +188,10 @@ def test_main_bad_config_exit_2(tmp_path):
      "run.tolerances.closure"),
     ("", "", ["--tol", "nan"], "run.tolerances.oracle_deviation"),
     ("", "", ["--tol", "-1"], "run.tolerances.oracle_deviation"),
+    ('"t_final": 2.0', '"t_final": 1' + "0" * 400, [], "run.t_final"),
+    ('"type": "constant", "value": 0.5', '"type": [], "value": 0.5', [],
+     "hamiltonian.f_re.type"),
+    ('"output": {"format": "csv"}', '"output": null', [], "output"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
