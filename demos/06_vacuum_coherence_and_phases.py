@@ -9,7 +9,7 @@ the phase split into geometric and dynamical parts.
 import numpy as np
 
 from ffo.invariants import NuTrajectory, build_B_array, integrate_nu
-from ffo.propagator import PropagatorConfig
+from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid, constant_spec
 from ffo.states import (EvolvedVacuum, coherence_check, cs_eigen_residual,
@@ -51,11 +51,12 @@ print("grassmann eigen residual:", cs_eigen_residual(traj.nu_at(k), vac, 0.7 - 0
 # coherence theorem: no forcing keeps the canonical CS an eigenstate of b
 free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                        f=ComplexSignal(Constant(0.0)), g=Constant(0.3))
-rep = coherence_check(free, 5.0, cfg)
+rep = coherence_check(free, evolve_unitary(free, 5.0, cfg))
 print("\nfree spec:  max eigen residual =", np.max(rep.eigen_residual))
 print("            zeta(t)/zeta tracks exp(-i int omega):",
       np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))))
-rep2 = coherence_check(constant_spec(f=0.5), 5.0, cfg)
+forced = constant_spec(f=0.5)
+rep2 = coherence_check(forced, evolve_unitary(forced, 5.0, cfg))
 print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
       "(coherence visibly broken)")
 

@@ -22,6 +22,7 @@ only).  Exit code 0 means every check passed, 1 means a check failed
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,17 +30,17 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import ladder_operators
 from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
-from .grassmann import (ZETA, ZETA_STAR, coherent_ket, completeness_check,
-                        g_mul, apply_fermion_op)
+from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
+                        completeness_check, g_mul)
 from .invariants import (NuTrajectory, build_B, build_B_array, integrate_nu,
                          invariance_residual_max)
-from .propagator import PropagatorConfig, evolve_unitary
+from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
@@ -131,7 +132,10 @@ def _parse_signal(node, path: str) -> Signal:
             return Sinusoid(amplitude=num("amplitude", 1.0), frequency=num("frequency", 1.0),
                             phase=num("phase", 0.0), offset=num("offset", 0.0))
         if kind == "polynomial":
-            return Polynomial(seq("coeffs", [0.0]))
+            coeffs = seq("coeffs", [0.0])
+            if not coeffs:
+                raise ConfigError(f"{path}.coeffs", "must not be empty")
+            return Polynomial(coeffs)
         return Tabulated(seq("times", []), seq("values", []))
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
@@ -163,8 +167,8 @@ class ScenarioConfig:
                 raise ConfigError(path, "must be finite")
         if self.dt <= 0:
             raise ConfigError("run.dt", "must be positive")
-        if self.t_final < self.dt:
-            raise ConfigError("run.t_final", "must be at least run.dt")
+        if self.t_final < 2 * self.dt:  # difference-based checks need an interior point
+            raise ConfigError("run.t_final", "must be at least 2 * run.dt")
         if self.t_final / self.dt >= MAX_GRID_POINTS - 0.5:
             raise ConfigError("run.t_final",
                               f"t_final/dt gives more than {MAX_GRID_POINTS} grid points")
@@ -332,6 +336,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _atomic_write(path: str, lines) -> None:
+    """Write an iterable of str to ``path`` (UTF-8) through a temporary file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_csv(path: str, header: list, columns: list) -> None:
     """Write columns (parallel 1-d arrays) as CSV; atomic replace.
 
@@ -340,31 +358,12 @@ def emit_csv(path: str, header: list, columns: list) -> None:
     """
     cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
              else map(_fmt, col) for col in columns]
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    rows = (",".join(row) + "\n" for row in zip(*cells))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
 def emit_json(path: str, report: RunReport) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, [json.dumps(report.to_json_obj(), indent=2, sort_keys=True), "\n"])
 
 
 def _table_select(cfg: ScenarioConfig, header: list, columns: list):
@@ -396,8 +395,23 @@ def _spec_is_free(cfg: ScenarioConfig) -> bool:
     return float(np.max(np.abs(cfg.spec.f.value(probe)))) <= DEFAULT_TOL.f_min
 
 
-def _run_evolve(cfg: ScenarioConfig, tols: dict):
-    traj = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+class _Scenario:
+    """A scenario's config, and the U and nu(nu0) its modes share, each built once."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg, self.step = cfg, PropagatorConfig(dt=cfg.dt)
+
+    @cached_property
+    def unitary(self) -> UnitaryTrajectory:
+        return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.step)
+
+    @cached_property
+    def nu(self) -> NuTrajectory:
+        return integrate_nu(self.cfg.spec, self.cfg.nu0, self.cfg.t_final, self.step)
+
+
+def _run_evolve(sc: _Scenario, tols: dict):
+    cfg, traj = sc.cfg, sc.unitary
     times, psi = traj.times, traj.U @ np.asarray(cfg.state0, dtype=complex)
     unit = np.max(np.abs(np.conj(np.transpose(traj.U, (0, 2, 1))) @ traj.U - np.eye(2)))
     norms = np.linalg.norm(psi, axis=1)
@@ -410,9 +424,8 @@ def _run_evolve(cfg: ScenarioConfig, tols: dict):
     return header, cols, drifts, checks
 
 
-def _run_invariants(cfg: ScenarioConfig, tols: dict):
-    traj = integrate_nu(cfg.spec, cfg.nu0, cfg.t_final, PropagatorConfig(dt=cfg.dt))
-    u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+def _run_invariants(sc: _Scenario, tols: dict):
+    cfg, traj, u = sc.cfg, sc.nu, sc.unitary
     ub0 = np.einsum("kij,jl->kil", u.U, build_B(cfg.nu0))
     oracle = np.einsum("kil,kml->kim", ub0, np.conj(u.U))
     dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
@@ -433,14 +446,15 @@ def _run_invariants(cfg: ScenarioConfig, tols: dict):
     return header, cols, drifts, checks
 
 
-def _run_reduce(cfg: ScenarioConfig, tols: dict):
-    et = integrate_epsilon(cfg.spec, cfg.epsilon0, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+def _run_reduce(sc: _Scenario, tols: dict):
+    cfg = sc.cfg
+    et = integrate_epsilon(cfg.spec, cfg.epsilon0, cfg.t_final, sc.step)
     nus = nu_from_epsilon_arrays(cfg.spec, et.times, et.eps, et.eps_dot)
     lam1 = np.abs(nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2)
     lam2_nu = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
                + 0.5 * np.abs(nus[:, 2]) ** 2).real
     lam2_eps = lambda2_from_epsilon(cfg.spec, et.times, (et.eps, et.eps_dot))
-    direct = integrate_nu(cfg.spec, tuple(nus[0]), cfg.t_final, PropagatorConfig(dt=cfg.dt))
+    direct = integrate_nu(cfg.spec, tuple(nus[0]), cfg.t_final, sc.step)
     closure = np.max(np.abs(direct.nu - nus), axis=1)
     checks: list = []
     _check(checks, "lambda1_epsilon", float(np.max(lam1)), tols["lambda1_epsilon"])
@@ -459,10 +473,10 @@ def _run_reduce(cfg: ScenarioConfig, tols: dict):
     return header, cols, drifts, checks
 
 
-def _run_coherence(cfg: ScenarioConfig, tols: dict):
-    rep = coherence_check(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+def _run_coherence(sc: _Scenario, tols: dict):
+    rep = coherence_check(sc.cfg.spec, sc.unitary)
     checks: list = []
-    if _spec_is_free(cfg):
+    if _spec_is_free(sc.cfg):
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
                tols["coherence_eigen"])
         ratio_dev = np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))
@@ -478,8 +492,8 @@ def _run_coherence(cfg: ScenarioConfig, tols: dict):
     return header, cols, drifts, checks
 
 
-def _run_phases(cfg: ScenarioConfig, tols: dict):
-    traj = integrate_nu(cfg.spec, cfg.nu0, cfg.t_final, PropagatorConfig(dt=cfg.dt))
+def _run_phases(sc: _Scenario, tols: dict):
+    cfg, traj = sc.cfg, sc.nu
     ph = lr_phases(traj, cfg.spec)
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
@@ -496,9 +510,7 @@ def _run_phases(cfg: ScenarioConfig, tols: dict):
     return header, cols, drifts, checks
 
 
-def _run_grassmann(cfg: ScenarioConfig, tols: dict):
-    from .grassmann import GrassmannElement
-
+def _run_grassmann(sc: _Scenario, tols: dict):
     checks: list = []
     _check(checks, "completeness", completeness_check(), tols["completeness"])
     _check(checks, "completeness_flip_detector", completeness_check(commuting=True),
@@ -547,8 +559,9 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
             probe = np.linspace(0.0, cfg.t_final, 65)
             if float(np.min(np.abs(cfg.spec.f.value(probe)))) >= 0.1:
                 submodes.append("reduce")
+    sc = _Scenario(cfg)
     for sub in submodes:
-        header, cols, d, c = _MODE_RUNNERS[sub](cfg, tols)
+        header, cols, d, c = _MODE_RUNNERS[sub](sc, tols)
         prefix = "" if mode != "all" else sub + "."
         tables[sub] = (header, cols)
         drifts.update({prefix + k: v for k, v in d.items()})
@@ -590,11 +603,10 @@ def _emit(cfg: ScenarioConfig, report: RunReport, tables: dict, path: str | None
 def _sweep_config(base: ScenarioConfig, rng: np.random.Generator, mode: str) -> ScenarioConfig:
     spec = random_spec(rng, f_zero=(mode == "coherence" and rng.uniform() < 0.5),
                        f_floor=(mode == "reduce"))
-    out = ScenarioConfig(spec=spec, mode=mode, t_final=base.t_final, dt=base.dt,
-                         tolerances=dict(base.tolerances), nu0=base.nu0,
-                         epsilon0=base.epsilon0, state0=base.state0,
-                         out_format=base.out_format)
-    return out
+    return ScenarioConfig(spec=spec, mode=mode, t_final=base.t_final, dt=base.dt,
+                          tolerances=dict(base.tolerances), nu0=base.nu0,
+                          epsilon0=base.epsilon0, state0=base.state0,
+                          out_format=base.out_format)
 
 
 def main(argv=None) -> int:
@@ -668,7 +680,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FfoError, OSError, ValueError) as exc:
+    # not ValueError: one from numpy or scipy means validation missed a config path
+    except (FfoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

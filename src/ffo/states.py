@@ -30,7 +30,8 @@ from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import cumsimpson_grid, cumtrapz_grid
 from .invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
                          nu_generator)
-from .propagator import PropagatorConfig, evolve_unitary
+# evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
+from .propagator import UnitaryTrajectory, evolve_unitary
 from .signals import HamiltonianSpec
 
 
@@ -238,8 +239,7 @@ class CoherenceReport:
     eigen_residual: np.ndarray
 
 
-def coherence_check(spec: HamiltonianSpec, t_final: float,
-                    cfg: PropagatorConfig = PropagatorConfig()) -> CoherenceReport:
+def coherence_check(spec: HamiltonianSpec, unitary: UnitaryTrajectory) -> CoherenceReport:
     """Evolve the canonical CS through U(t) and measure b-eigenstate-ness.
 
     The CS is assembled Grassmann-symbolically from the evolved |0> and |1>
@@ -247,9 +247,9 @@ def coherence_check(spec: HamiltonianSpec, t_final: float,
     then zeta(t)/zeta = u11/u00.  The residual collects the coefficients
     that violate it (all proportional to u10 once the ratio is fitted).
     """
-    traj = evolve_unitary(spec, t_final, cfg)
-    u00, u01 = traj.U[:, 0, 0], traj.U[:, 0, 1]
-    u10, u11 = traj.U[:, 1, 0], traj.U[:, 1, 1]
+    times, U = unitary.times, unitary.U
+    u00, u01 = U[:, 0, 0], U[:, 0, 1]
+    u10, u11 = U[:, 1, 0], U[:, 1, 1]
     safe = np.abs(u00) > 1e-12
     ratio = np.where(safe, u11 / np.where(safe, u00, 1.0), 0.0)
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
@@ -257,10 +257,10 @@ def coherence_check(spec: HamiltonianSpec, t_final: float,
     fit_gap = np.abs(u11 - ratio * u00)
     residual = np.maximum.reduce([np.abs(u10), 0.5 * np.abs(u10),
                                   np.abs(ratio * u10), fit_gap])
-    dt = float(traj.times[1] - traj.times[0])
-    w = np.asarray(spec.omega.value(traj.times), dtype=float)
+    dt = float(times[1] - times[0])
+    w = np.asarray(spec.omega.value(times), dtype=float)
     beta = np.exp(1j * cumsimpson_grid(w, dt))
-    return CoherenceReport(times=traj.times, beta=beta, zeta_ratio=ratio,
+    return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,
                            eigen_residual=residual)
 
 

@@ -171,7 +171,7 @@ def test_criterion_05_coherence_theorem():
     worst_eig = worst_ratio = 0.0
     for _ in range(N_FAMILY):
         spec = random_spec(rng, f_zero=True)
-        rep = coherence_check(spec, t_free, PropagatorConfig(dt=dt_free))
+        rep = coherence_check(spec, evolve_unitary(spec, t_free, PropagatorConfig(dt=dt_free)))
         worst_eig = max(worst_eig, float(np.max(rep.eigen_residual)))
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))))
@@ -179,7 +179,7 @@ def test_criterion_05_coherence_theorem():
     min_witness = np.inf
     for _ in range(N_FAMILY):
         spec = random_forced_spec(rng, min_peak=0.1)
-        rep = coherence_check(spec, T_FINAL, PropagatorConfig(dt=DT))
+        rep = coherence_check(spec, evolve_unitary(spec, T_FINAL, PropagatorConfig(dt=DT)))
         min_witness = min(min_witness, float(np.max(rep.eigen_residual)))
     ok = worst_eig <= 1e-7 and worst_ratio <= 1e-8 and min_witness >= 1e-3
     _report(5, "coherence theorem both ways", ok,

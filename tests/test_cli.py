@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffo.cli import (MAX_GRID_POINTS, ScenarioConfig, _table_select, emit_csv, main,
-                     parse_config, run, serialize_config)
+from ffo.cli import (CHECK_TOLERANCES, MAX_GRID_POINTS, MODES, ScenarioConfig, _table_select,
+                     emit_csv, main, parse_config, run, serialize_config)
 from ffo.errors import ConfigError
 from ffo.propagator import PropagatorConfig, evolve_state
 
@@ -192,6 +192,8 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"type": "constant", "value": 0.5', '"type": [], "value": 0.5', [],
      "hamiltonian.f_re.type"),
     ('"output": {"format": "csv"}', '"output": null', [], "output"),
+    ('"coeffs": [0.2, 0.01]', '"coeffs": []', [], "hamiltonian.g.coeffs"),
+    ('"t_final": 2.0', '"t_final": 0.001', [], "run.t_final"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -253,6 +255,79 @@ def test_any_json_document_parses_or_names_a_path(doc):
         assert exc.path
     else:
         assert isinstance(cfg, ScenarioConfig)
+
+
+# small documents that mostly parse, on grids of at most 51 points, so that
+# main() runs every mode on them; edge values include empty lists, zeros,
+# huge magnitudes and tabulated ranges shorter than the grid
+_VALUE = st.floats(-3, 3) | st.sampled_from([0.0, 1e-300, 1e150, -1e150])
+_RUN_SIGNAL = st.one_of(
+    st.fixed_dictionaries({"type": st.just("constant")}, optional={"value": _VALUE}),
+    st.fixed_dictionaries({"type": st.just("sinusoid")},
+                          optional={key: _VALUE for key in ("amplitude", "frequency",
+                                                            "phase", "offset")}),
+    st.fixed_dictionaries({"type": st.just("polynomial")},
+                          optional={"coeffs": st.lists(_VALUE, max_size=3)}),
+    st.integers(0, 4).flatmap(lambda n: st.fixed_dictionaries({
+        "type": st.just("tabulated"),
+        "times": st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n,
+                          unique=True).map(sorted),
+        "values": st.lists(_VALUE, min_size=n, max_size=n)})),
+)
+_RUN_PAIRS = {n: st.lists(st.lists(_VALUE, min_size=2, max_size=2), min_size=n, max_size=n)
+              for n in (2, 3)}
+_RUN_DOCUMENTS = st.fixed_dictionaries({
+    "hamiltonian": st.fixed_dictionaries(
+        {}, optional={name: _RUN_SIGNAL for name in ("omega", "f_re", "f_im", "g")}),
+    "run": st.fixed_dictionaries(
+        {"t_final": st.integers(2, 50).map(lambda n: n * 0.001) | st.floats(0.0, 0.05),
+         "dt": st.just(0.001)},
+        optional={"tolerances": st.dictionaries(
+            st.sampled_from(sorted(CHECK_TOLERANCES)), st.sampled_from([0.0, 1e-6, 1.0]),
+            max_size=2)}),
+    "initial": st.fixed_dictionaries(
+        {}, optional={"nu0": _RUN_PAIRS[3], "epsilon0": _RUN_PAIRS[2],
+                      "state": _RUN_PAIRS[2]}),
+    "output": st.fixed_dictionaries(
+        {}, optional={"format": st.sampled_from(["csv", "json"]),
+                      "fields": st.lists(st.sampled_from(["t", "lambda2", "phi0", "x"]),
+                                         min_size=1, max_size=2)}),
+})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(doc=_RUN_DOCUMENTS, mode=st.sampled_from(MODES),
+       flags=st.sampled_from([[], ["--sweep", "1"]]))
+def test_main_runs_any_small_document_without_a_traceback(tmp_path_factory, doc, mode, flags):
+    work = tmp_path_factory.mktemp("run")
+    cfg_path = work / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = [mode, "--config", str(cfg_path), "--out", str(work / "out"), *flags]
+    assert main(argv) in (0, 1, 2)
+
+
+def test_all_mode_builds_u_once_and_nu_once_plus_the_closure(monkeypatch, tmp_path):
+    import ffo.cli
+
+    calls = {"evolve_unitary": 0, "integrate_nu": 0}
+
+    def counting(name):
+        original = getattr(ffo.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ffo.cli, name, counting(name))
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD.replace('"t_final": 2.0', '"t_final": 10.0'))
+    assert main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
+    # U feeds invariants, coherence; nu feeds invariants, phases; reduce's
+    # closure integrates nu from nu(epsilon)[0]
+    assert calls == {"evolve_unitary": 1, "integrate_nu": 2}
 
 
 @pytest.mark.parametrize("mode, config_t_final, flags", [

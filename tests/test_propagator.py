@@ -6,7 +6,8 @@ from scipy.linalg import expm
 
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.propagator import (PropagatorConfig, evolve_state, evolve_unitary,
+from ffo.grid import time_grid
+from ffo.propagator import (PropagatorConfig, _magnus_factors, evolve_state, evolve_unitary,
                             exp2x2, heisenberg_oracle)
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal,
                          Sinusoid, constant_spec)
@@ -126,6 +127,33 @@ def test_composition_property():
     head = evolve_unitary(spec, t1, PropagatorConfig(dt=1e-3))
     tail = evolve_unitary(shift_spec(spec, t1), t2 - t1, PropagatorConfig(dt=1e-3))
     assert max_abs(tail.U[-1] @ head.U[-1] - full.U[-1]) < 1e-10
+
+
+def _stepwise_reference(spec, t_final, dt):
+    """U by the earlier per-step loop: U_{k+1} = E_k U_k, one 2x2 product a step."""
+    times = time_grid(t_final, dt)
+    e00, e01, e10, e11 = (e.tolist() for e in _magnus_factors(spec, times, dt))
+    U = np.empty((len(times), 2, 2), dtype=complex)
+    u00, u01, u10, u11 = 1 + 0j, 0j, 0j, 1 + 0j
+    U[0] = I2
+    for k in range(len(times) - 1):
+        a00, a01, a10, a11 = e00[k], e01[k], e10[k], e11[k]
+        u00, u01, u10, u11 = (a00 * u00 + a01 * u10, a00 * u01 + a01 * u11,
+                              a10 * u00 + a11 * u10, a10 * u01 + a11 * u11)
+        U[k + 1] = [[u00, u01], [u10, u11]]
+    return U
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2053])
+def test_scan_matches_stepwise_reference(steps):
+    # a time-dependent spec: with a constant H the factors commute, so a
+    # reversed product order would go unseen
+    spec = random_spec(np.random.default_rng(31))
+    dt = 1e-2
+    got = evolve_unitary(spec, steps * dt, PropagatorConfig(dt=dt)).U
+    want = _stepwise_reference(spec, steps * dt, dt)
+    assert got.shape == (steps + 1, 2, 2)
+    assert max_abs(got - want) <= 1e-13
 
 
 def test_invalid_config():

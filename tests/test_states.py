@@ -247,7 +247,8 @@ def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
 
 def test_coherence_stationary_family():
     w0, g0 = 1.2, 0.4
-    rep = coherence_check(constant_spec(omega=w0, g=g0), 5.0, CFG)
+    spec = constant_spec(omega=w0, g=g0)
+    rep = coherence_check(spec, evolve_unitary(spec, 5.0, CFG))
     assert np.max(rep.eigen_residual) <= 1e-8
     want = np.exp(-1j * w0 * rep.times)
     assert np.max(np.abs(rep.zeta_ratio - want)) <= 1e-8
@@ -258,14 +259,15 @@ def test_coherence_sinusoidal_frequency():
     spec = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                            f=ComplexSignal(Constant(0.0)),
                            g=Sinusoid(0.3, 0.4))
-    rep = coherence_check(spec, 5.0, CFG)
+    rep = coherence_check(spec, evolve_unitary(spec, 5.0, CFG))
     assert np.max(rep.eigen_residual) <= 1e-7
     # zeta(t)/zeta must match conj(beta) = exp(-i int omega)
     assert np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))) <= 1e-7
 
 
 def test_coherence_broken_by_forcing():
-    rep = coherence_check(constant_spec(f=1.0), 2.0, CFG)
+    spec = constant_spec(f=1.0)
+    rep = coherence_check(spec, evolve_unitary(spec, 2.0, CFG))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
     assert np.max(rep.eigen_residual) >= 1e-3
