@@ -39,12 +39,12 @@ from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
 from .invariants import (NuTrajectory, build_B, build_B_array, integrate_nu,
-                         invariance_residual_max)
+                         invariance_residual_max, motion_constants)
 from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
-from .states import (coherence_check, lr_phases, schrodinger_residual_max,
+from .states import (coherence_check, lr_phases, off_ladder_shell, schrodinger_residual_max,
                      vacuum_trajectory)
 from .sweeps import random_spec
 
@@ -176,6 +176,11 @@ class ScenarioConfig:
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigError("run.t_final",
                               f"{self.t_final} is not an integer multiple of run.dt={self.dt}")
+        t_end = max(self.t_final, steps * self.dt)  # the last grid point may pass t_final
+        for name, sig in (("omega", self.spec.omega), ("f_re", self.spec.f.re),
+                          ("f_im", self.spec.f.im), ("g", self.spec.g)):
+            if isinstance(sig, Tabulated) and not (sig.times[0] <= 0.0 and t_end <= sig.times[-1]):
+                raise ConfigError(f"hamiltonian.{name}.times", f"must cover the grid [0, {t_end}]")
         if self.mode not in MODES:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
@@ -190,6 +195,8 @@ class ScenarioConfig:
         for path, vec in (("initial.nu0", self.nu0), ("initial.epsilon0", self.epsilon0)):
             if not any(vec):
                 raise ConfigError(path, "must not be all zero")
+        if self.mode in ("phases", "all") and off_ladder_shell(*motion_constants(self.nu0)):
+            raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
 
 
 def _check_keys(node, allowed, path):

@@ -15,11 +15,13 @@ from scipy.integrate import cumulative_trapezoid
 CHUNK_STEPS = 1024
 
 
-def linear_rk4(generator, times: np.ndarray, y0) -> np.ndarray:
+def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
     """Classical RK4 for the linear system y' = A(t) y on a uniform grid.
 
-    ``generator(ts)`` returns A at the times ``ts`` with shape
-    (len(ts), n, n).  For a linear system one RK4 step is the matrix
+    ``nodes`` holds each coefficient of A sampled at the K grid times,
+    ``mids`` at the K - 1 step midpoints; ``assemble(*coeffs)`` builds A
+    grid-last, (n, n, m), from one chunk's m samples of each.  For a linear
+    system one RK4 step is the matrix
 
         R_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4),
         K1 = A(t_k),  K2 = A_mid (I + dt/2 K1),  K3 = A_mid (I + dt/2 K2),
@@ -27,30 +29,25 @@ def linear_rk4(generator, times: np.ndarray, y0) -> np.ndarray:
 
     with A_mid = A(t_k + dt/2), so y_{k+1} = R_k y_k reproduces the stage
     arithmetic of the state-by-state loop up to rounding.  The R_k are built
-    vectorised, CHUNK_STEPS at a time, and applied as a blocked product.
-    Internally every matrix stack is held grid-last, (n, n, K), so that each
-    product of tiny matrices runs over one contiguous grid axis.  A
-    generator that builds its (n, n, K) array and returns a moveaxis view of
-    it is used without a copy; a C-contiguous (K, n, n) array gives the same
-    states through strided products.  Returns the states on the whole grid,
-    shape (len(times), n).
+    vectorised, CHUNK_STEPS at a time, and applied as a blocked product (real
+    if A is).  A C-contiguous A runs each product of tiny matrices over one
+    contiguous grid axis; a strided one gives the same states.  Returns the
+    states on the whole grid, shape (K, n).
     """
-    times = np.asarray(times, dtype=float)
-    dt = float(times[1] - times[0])
     y0 = np.asarray(y0, dtype=complex)
     eye = np.eye(len(y0))[:, :, None]
-    out = np.empty((len(times), len(y0)), dtype=complex)
+    out = np.empty((len(nodes[0]), len(y0)), dtype=complex)
     out[0] = y0
-    for start in range(0, len(times) - 1, CHUNK_STEPS):
-        ts = times[start:start + CHUNK_STEPS + 1]
-        a = np.moveaxis(generator(ts), 0, -1)
-        a_mid = np.moveaxis(generator(ts[:-1] + 0.5 * dt), 0, -1)
+    for start in range(0, len(out) - 1, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, len(out) - 1)
+        a = assemble(*(c[start:stop + 1] for c in nodes))
+        a_mid = assemble(*(c[start:stop] for c in mids))
         k1 = a[..., :-1]
         k2 = a_mid + 0.5 * dt * _mul(a_mid, k1)
         k3 = a_mid + 0.5 * dt * _mul(a_mid, k2)
         k4 = a[..., 1:] + dt * _mul(a[..., 1:], k3)
         steps = eye + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[start + 1:start + len(ts)] = _blocked_product(steps, out[start])
+        out[start + 1:stop + 1] = _blocked_product(steps, out[start])
     return out
 
 

@@ -105,15 +105,28 @@ def _constants_arrays(nu: np.ndarray):
     return lam1, lam2.real
 
 
+def _bloch_generator(w, f) -> np.ndarray:
+    """db/dt = 2 n x b, n = (Re f, Im f, -omega/2), for B = b . sigma: real, (3, 3, len(w))."""
+    z, fr, fi = np.zeros_like(w), 2.0 * f.real, 2.0 * f.imag
+    return np.array([[z, w, fi], [-w, z, -fr], [-fi, fr, z]])
+
+
 def integrate_nu(spec: HamiltonianSpec, nu0, t_final: float,
                  cfg: PropagatorConfig = PropagatorConfig()) -> NuTrajectory:
     """Integrate the coefficient system with classical fixed-step RK4.
 
+    It is stepped in the real Bloch basis b of ``_bloch_generator``, with
+    omega and f sampled once on the grid nodes and step midpoints.
     The grid matches the propagator grid for the same (t_final, dt), so
     oracle comparisons need no interpolation.
     """
     times = time_grid(t_final, cfg.dt)
-    out = linear_rk4(lambda ts: nu_generator(spec, ts), times, nu0)
+    nodes, mids = ((spec.omega.value(ts), spec.f.value(ts))
+                   for ts in (times, times[:-1] + 0.5 * cfg.dt))
+    vm, vp, v3 = (complex(x) for x in nu0)
+    b0 = (0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3)
+    b = linear_rk4(_bloch_generator, nodes, mids, cfg.dt, b0)
+    out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=1)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))

@@ -87,12 +87,15 @@ def nu_minus_from_nu_plus_2nd(spec: HamiltonianSpec, t: float, nu_plus: complex,
             + (2.0 * f * f.conjugate() + 1j * wd - 1j * (w / f) * fd) * nu_plus) / (2.0 * f * f)
 
 
-def _gamma_omega(spec: HamiltonianSpec, ts):
+def _epsilon_coefficients(spec: HamiltonianSpec, ts):
+    """f, f', omega and omega' at ts."""
+    return (np.asarray(spec.f.value(ts), dtype=complex), np.asarray(spec.f.d1(ts), dtype=complex),
+            np.asarray(spec.omega.value(ts), dtype=float),
+            np.asarray(spec.omega.d1(ts), dtype=float))
+
+
+def _gamma_omega(f, fd, w, wd):
     """gamma = f'/f and Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega gamma/2."""
-    f = np.asarray(spec.f.value(ts), dtype=complex)
-    fd = np.asarray(spec.f.d1(ts), dtype=complex)
-    w = np.asarray(spec.omega.value(ts), dtype=float)
-    wd = np.asarray(spec.omega.d1(ts), dtype=float)
     gamma = fd / f
     return gamma, np.abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * gamma
 
@@ -100,7 +103,7 @@ def _gamma_omega(spec: HamiltonianSpec, ts):
 def big_omega(spec: HamiltonianSpec, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Omega(t) = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f)."""
     _require_f(complex(spec.f.value(t)), tol.f_min)
-    return complex(_gamma_omega(spec, t)[1])
+    return complex(_gamma_omega(*_epsilon_coefficients(spec, t))[1])
 
 
 def _big_omega_dot(spec: HamiltonianSpec, t: float) -> complex:
@@ -196,8 +199,13 @@ def epsilon_rhs(spec: HamiltonianSpec, t: float, e: EpsilonState,
                 tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonState:
     """Derivative of (eps, eps') for eps'' - (f'/f) eps' + Omega eps = 0."""
     _require_f(complex(spec.f.value(t)), tol.f_min)
-    gamma, q = _gamma_omega(spec, t)
+    gamma, q = _gamma_omega(*_epsilon_coefficients(spec, t))
     return EpsilonState(e.eps_dot, complex(gamma * e.eps_dot - q * e.eps))
+
+
+def _epsilon_generator(gamma, q) -> np.ndarray:
+    """A of (eps, eps')' = A (eps, eps'), grid-last (2, 2, len(q))."""
+    return np.array([[np.zeros_like(q), np.ones_like(q)], [-q, gamma]])
 
 
 def integrate_epsilon(spec: HamiltonianSpec, e0, t_final: float,
@@ -206,23 +214,20 @@ def integrate_epsilon(spec: HamiltonianSpec, e0, t_final: float,
     """RK4 integration of the eps equation on the shared grid.
 
     Requires |f| >= f_min on the whole interval (checked sample-wise on the
-    grid nodes, then on the step midpoints, before stepping).
+    grid nodes, then on the step midpoints, before stepping).  f, f', omega
+    and omega' are sampled once on both.
     """
     dt = cfg.dt
     times = time_grid(t_final, dt)
-    for ts in (times, times[:-1] + 0.5 * dt):
-        absf = np.abs(np.asarray(spec.f.value(ts), dtype=complex))
+    grids = (times, times[:-1] + 0.5 * dt)
+    samples = [_epsilon_coefficients(spec, ts) for ts in grids]
+    for ts, (f, *_) in zip(grids, samples):
+        absf = np.abs(f)
         if np.min(absf) < tol.f_min:
             raise SingularReductionError(
                 f"epsilon equation needs |f| >= {tol.f_min}; "
                 f"violated at t={float(ts[np.argmin(absf)])}")
-
-    def generator(ts):
-        gamma, q = _gamma_omega(spec, ts)
-        z = np.zeros_like(gamma)
-        return np.moveaxis(np.array([[z, z + 1.0], [-q, gamma]]), (0, 1), (-2, -1))
-
-    y = linear_rk4(generator, times, e0)
+    y = linear_rk4(_epsilon_generator, *(_gamma_omega(*c) for c in samples), dt, e0)
     if not np.all(np.isfinite(y)):
         bad = int(np.argmax(~np.all(np.isfinite(y), axis=1)))
         raise IntegrationError(f"nonfinite epsilon state at t={times[bad]}", t=float(times[bad]))
@@ -287,10 +292,10 @@ def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
     eps'' + omega_prime eps' = 0 multiplied by the gauge solve the original
     equation.
     """
-    f = np.asarray(spec.f.value(times), dtype=complex)
+    f, fd, w, wd = _epsilon_coefficients(spec, times)
     if np.min(np.abs(f)) < tol.f_min:
         raise SingularReductionError("epsilon_prime_transform needs |f| >= f_min on the grid")
-    gamma, omega_big = _gamma_omega(spec, times)
+    gamma, omega_big = _gamma_omega(f, fd, w, wd)
     fdd = np.asarray(spec.f.d2(times), dtype=complex)
     omega_prime = omega_big + 0.5 * fdd / f - 0.75 * gamma * gamma
     dt = float(times[1] - times[0])

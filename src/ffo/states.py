@@ -294,10 +294,14 @@ class LRFrame:
     key: str        # "plus" or "minus"
 
 
+def off_ladder_shell(lambda1, lambda2) -> bool:
+    """Whether |lambda1| exceeds 1e-6 max(1, lambda2) anywhere: B is no ladder operator."""
+    return float(np.max(np.abs(lambda1))) > 1e-6 * max(1.0, float(np.max(lambda2)))
+
+
 def lr_frame(traj: NuTrajectory, tol: ToleranceConfig = DEFAULT_TOL) -> LRFrame:
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
-    lam2 = np.maximum(traj.lambda2, 1e-300)
-    if np.max(np.abs(traj.lambda1)) > 1e-6 * max(1.0, float(np.max(lam2))):
+    if off_ladder_shell(traj.lambda1, traj.lambda2):
         raise ContractError("lr_frame requires a ladder-calibrated trajectory (lambda1 = 0)")
     min_plus = float(np.min(np.abs(vp)))
     min_minus = float(np.min(np.abs(vm)))

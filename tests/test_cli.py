@@ -194,6 +194,12 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"output": {"format": "csv"}', '"output": null', [], "output"),
     ('"coeffs": [0.2, 0.01]', '"coeffs": []', [], "hamiltonian.g.coeffs"),
     ('"t_final": 2.0', '"t_final": 0.001', [], "run.t_final"),
+    ('"f_re": {"type": "constant", "value": 0.5}',
+     '"f_re": {"type": "tabulated", "times": [0, 0.5], "values": [1, 2]}', [],
+     "hamiltonian.f_re.times"),
+    ('"invariants", "t_final": 2.0, "dt": 0.001},\n  "initial": {"nu0": [[1, 0], [0, 0]',
+     '"phases", "t_final": 2.0, "dt": 0.001},\n  "initial": {"nu0": [[1, 0], [1, 0]', [],
+     "initial.nu0"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -201,6 +207,23 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     cfg_path.write_text(GOOD.replace(old, new))
     assert main(["invariants", "--config", str(cfg_path), *flags]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_main_checks_overrides_against_tabulated_range_and_ladder_shell(tmp_path, capsys):
+    # validate runs again after --t-final and the mode argument override the document
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD.replace(
+        '"f_re": {"type": "constant", "value": 0.5}',
+        '"f_re": {"type": "tabulated", "times": [-1, 2.0], "values": [0.5, 0.5]}'))
+    assert main(["invariants", "--config", str(cfg_path)]) == 0
+    assert main(["invariants", "--config", str(cfg_path), "--t-final", "2.5"]) == 2
+    assert "hamiltonian.f_re.times" in capsys.readouterr().err
+    cfg_path.write_text(GOOD.replace('"nu0": [[1, 0], [0, 0]', '"nu0": [[1, 0], [1, 0]'))
+    assert main(["invariants", "--config", str(cfg_path)]) == 0
+    for mode in ("phases", "all"):
+        capsys.readouterr()
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        assert "initial.nu0" in capsys.readouterr().err
 
 
 # documents shaped like the schema, where any node may instead be arbitrary

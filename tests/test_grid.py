@@ -65,19 +65,33 @@ def test_cumsimpson_short_arrays():
 
 # -- linear RK4 kernel ----------------------------------------------------------
 
-def _generator(n, seed):
-    """A(t) = -i H(t) - 0.1 D(t): a smooth, non-normal, time-dependent matrix."""
+def _system(n, seed):
+    """A(t) = -i H(t) - 0.1 D(t): a smooth, non-normal, time-dependent matrix.
+
+    Returns (sample, assemble, generator): ``sample(ts)`` gives the three
+    scalar coefficients of A at ts, ``assemble`` builds A grid-last from
+    them, as the kernel wants, and ``generator(ts)`` gives A as (K, n, n)
+    for the stepwise reference.
+    """
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
-    h = m + np.conj(np.transpose(m, (0, 2, 1)))
-    d = rng.normal(size=(n, n))
+    h = (m + np.conj(np.transpose(m, (0, 2, 1))))[..., None]
+    d = rng.normal(size=(n, n))[..., None]
 
-    def generator(ts):
-        ts = np.asarray(ts)[:, None, None]
-        return (-1j * (h[0] + h[1] * np.sin(1.3 * ts) + h[2] * np.cos(0.4 * ts))
-                - 0.1 * d * np.cos(ts))
+    def sample(ts):
+        ts = np.asarray(ts)
+        return np.sin(1.3 * ts), np.cos(0.4 * ts), np.cos(ts)
 
-    return generator
+    def assemble(s, c, c1):
+        return -1j * (h[0] + h[1] * s + h[2] * c) - 0.1 * d * c1
+
+    return sample, assemble, lambda ts: np.moveaxis(assemble(*sample(ts)), -1, 0)
+
+
+def _kernel(sample, assemble, times, y0):
+    """linear_rk4 with the coefficients sampled on the nodes and midpoints of times."""
+    dt = times[1] - times[0]
+    return linear_rk4(assemble, sample(times), sample(times[:-1] + 0.5 * dt), dt, y0)
 
 
 def _rk4_reference(generator, times, y0):
@@ -99,10 +113,10 @@ def _rk4_reference(generator, times, y0):
 @pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2053])
 def test_linear_rk4_matches_stepwise_rk4(n, steps):
     # step counts straddle the 1024-step chunks and the sqrt-sized blocks
-    gen = _generator(n, seed=steps + n)
+    sample, assemble, gen = _system(n, seed=steps + n)
     times = np.arange(steps + 1) * 0.01
     y0 = np.linspace(1.0, 0.2, n) + 0.3j
-    got = linear_rk4(gen, times, y0)
+    got = _kernel(sample, assemble, times, y0)
     want = _rk4_reference(gen, times, y0)
     assert got.shape == (steps + 1, n)
     assert got[0].tolist() == want[0].tolist()
@@ -111,13 +125,13 @@ def test_linear_rk4_matches_stepwise_rk4(n, steps):
 
 def test_linear_rk4_fourth_order():
     # y' = i t y has y = exp(i t^2 / 2); halving dt cuts the error 16-fold
-    def gen(ts):
-        return (1j * np.asarray(ts))[:, None, None]
+    def assemble(t):
+        return (1j * t)[None, None]
 
     errors = []
     for dt in (0.02, 0.01):
         times = time_grid(4.0, dt)
-        y = linear_rk4(gen, times, [1.0])[:, 0]
+        y = _kernel(lambda ts: (ts,), assemble, times, [1.0])[:, 0]
         errors.append(np.max(np.abs(y - np.exp(0.5j * times ** 2))))
     assert errors[0] / errors[1] == pytest.approx(16.0, abs=1.0)
 
@@ -125,20 +139,20 @@ def test_linear_rk4_fourth_order():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("steps", [1, 1024, 1025, 2053])
 def test_linear_rk4_same_result_for_either_generator_layout(n, steps):
-    # the kernel works grid-last; a generator returning a C-contiguous
-    # (K, n, n) array and one returning a view of an (n, n, K) array
-    # must give the same states
-    gen = _generator(n, seed=steps + n)
+    # the kernel works grid-last; an assemble returning a C-contiguous
+    # (n, n, m) array and one returning a view of a (m, n, n) array must
+    # give the same states
+    sample, assemble, _ = _system(n, seed=steps + n)
 
-    def grid_last(ts):
-        return np.moveaxis(np.ascontiguousarray(np.moveaxis(gen(ts), 0, -1)), -1, 0)
+    def grid_last(*coeffs):
+        return np.ascontiguousarray(assemble(*coeffs))
 
-    def grid_first(ts):
-        return np.ascontiguousarray(gen(ts))
+    def grid_first(*coeffs):
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(assemble(*coeffs), -1, 0)), 0, -1)
 
     times = np.arange(steps + 1) * 0.01
     y0 = np.linspace(1.0, 0.2, n) + 0.3j
-    assert grid_first(times[:2]).flags.c_contiguous
-    assert not grid_last(times[:2]).flags.c_contiguous
-    np.testing.assert_array_equal(linear_rk4(grid_first, times, y0),
-                                  linear_rk4(grid_last, times, y0))
+    assert grid_last(*sample(times[:2])).flags.c_contiguous
+    assert not grid_first(*sample(times[:2])).flags.c_contiguous
+    np.testing.assert_array_equal(_kernel(sample, grid_first, times, y0),
+                                  _kernel(sample, grid_last, times, y0))

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.invariants import (NuTrajectory, NuVector, build_B, build_B_array, build_B_dagger,
-                            build_B_so, free_oscillator_nu,
+from ffo.grid import linear_rk4, time_grid
+from ffo.invariants import (NuTrajectory, NuVector, _bloch_generator, build_B, build_B_array,
+                            build_B_dagger, build_B_so, free_oscillator_nu,
                             free_oscillator_trajectory, hermitian_invariant,
                             integrate_nu, invariance_residual,
                             invariance_residual_max, ladder_conditions_check,
-                            motion_constants, nu_rhs)
+                            motion_constants, nu_generator, nu_rhs)
 from ffo.propagator import PropagatorConfig, evolve_unitary, heisenberg_oracle
-from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Sinusoid,
+from ffo.reduction import integrate_epsilon
+from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid,
                          constant_spec)
 from ffo.sweeps import random_nu0, random_spec
 
@@ -90,6 +94,87 @@ def test_random_spec_constants_drift():
     traj = integrate_nu(spec, random_nu0(rng), 10.0, CFG)
     assert np.max(np.abs(traj.lambda1 - traj.lambda1[0])) <= 1e-7
     assert np.max(np.abs(traj.lambda2 - traj.lambda2[0])) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 2000),
+       family=st.sampled_from(["generic", "f_zero", "f_floor"]))
+def test_constants_of_motion_conserved_over_random_specs(seed, steps, family):
+    # every family random_spec documents, nu0 from random_nu0, t_final <= 2
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, f_zero=family == "f_zero", f_floor=family == "f_floor")
+    traj = integrate_nu(spec, random_nu0(rng), steps * CFG.dt, CFG)
+    for lam in (traj.lambda1, traj.lambda2):
+        assert np.max(np.abs(lam - lam[0])) <= 1e-12 * max(1.0, abs(lam[0]))
+
+
+# -- the Bloch basis and the sampled coefficients --------------------------------
+
+# nu = S b: nu_minus = b_x - i b_y, nu_plus = b_x + i b_y, nu_3 = -2 b_z
+_S = np.array([[1, -1j, 0], [1, 1j, 0], [0, 0, -2]])
+_S_INV = np.array([[0.5, 0.5, 0], [0.5j, -0.5j, 0], [0, 0, -0.5]])
+
+
+def test_bloch_generator_is_nu_generator_in_bloch_basis():
+    spec = random_spec(np.random.default_rng(11))
+    ts = np.linspace(0.0, 10.0, 41)
+    assert np.ptp(spec.omega.value(ts)) > 0.1 and np.ptp(np.abs(spec.f.value(ts))) > 0.1
+    got = np.moveaxis(_bloch_generator(spec.omega.value(ts), spec.f.value(ts)), -1, 0)
+    assert got.dtype == float
+    assert np.max(np.abs(_S_INV @ nu_generator(spec, ts) @ _S - got)) <= 1e-15
+
+
+def _complex_basis_nu(spec, nu0, times):
+    """RK4 on nu_generator's complex paper-basis matrix, sampled at the times themselves."""
+    dt = times[1] - times[0]
+    return linear_rk4(lambda ts: np.moveaxis(nu_generator(spec, ts), 0, -1),
+                      (times,), (times[:-1] + 0.5 * dt,), dt, nu0)
+
+
+@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2053])
+def test_integrate_nu_matches_complex_basis_reference(steps):
+    # step counts straddle the kernel's 1024-step chunks
+    rng = np.random.default_rng(steps)
+    spec, nu0 = random_spec(rng), random_nu0(rng)
+    traj = integrate_nu(spec, nu0, steps * CFG.dt, CFG)
+    want = _complex_basis_nu(spec, nu0, time_grid(steps * CFG.dt, CFG.dt))
+    assert traj.nu.shape == want.shape == (steps + 1, 3)
+    assert np.max(np.abs(traj.nu - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _Counted(Signal):
+    """Wraps a signal and records every evaluation in ``calls``."""
+
+    def __init__(self, inner: Signal, calls: list):
+        self.inner, self.calls = inner, calls
+
+    def value(self, t):
+        self.calls.append("value")
+        return self.inner.value(t)
+
+    def d1(self, t):
+        self.calls.append("d1")
+        return self.inner.d1(t)
+
+    def d2(self, t):
+        self.calls.append("d2")
+        return self.inner.d2(t)
+
+
+@pytest.mark.parametrize("integrate, y0", [(integrate_nu, (1, 0, 0)),
+                                           (integrate_epsilon, (1.0, 0.3j))])
+def test_integrators_sample_each_signal_once_per_integration(integrate, y0):
+    # evaluations do not grow with the number of 1024-step chunks
+    counts = []
+    for t_final in (1.024, 10.0):
+        calls: list = []
+        spec = HamiltonianSpec(
+            omega=_Counted(Sinusoid(0.3, 1.0, offset=1.0), calls),
+            f=ComplexSignal(_Counted(Sinusoid(0.1, 0.7, offset=0.8), calls),
+                            _Counted(Sinusoid(0.2, 0.5), calls)))
+        assert len(integrate(spec, y0, t_final, CFG).times) == round(t_final / CFG.dt) + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_trajectory_accessors():

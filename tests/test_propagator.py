@@ -1,9 +1,12 @@
+import ast
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import ffo
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
 from ffo.grid import time_grid
@@ -228,3 +231,16 @@ def test_state_norm_preserved_on_random_specs():
         _, psi = evolve_state(spec, [0.6, 0.8j], 10.0, PropagatorConfig(dt=1e-3))
         norms = np.linalg.norm(psi, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-8
+
+
+def test_integrators_take_only_the_config_from_the_oracle_module():
+    # the oracle must not share its time stepping with the machinery it checks
+    taken = set()
+    for name in ("grid.py", "invariants.py", "reduction.py"):
+        tree = ast.parse((Path(ffo.__file__).parent / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("propagator"):
+                taken |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert not any(alias.name.endswith("propagator") for alias in node.names), name
+    assert taken == {"PropagatorConfig"}
