@@ -31,7 +31,6 @@ from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
 from .states import (CoherenceReport, EvolvedVacuum, PhaseRecord,
                      PhaseTrajectory, coherence_check, coherent_state,
                      cs_eigen_residual, lr_frame, lr_phases,
-                     schrodinger_residual_max, vacuum_nullspace_fallback,
-                     vacuum_trajectory)
+                     schrodinger_residual_max, vacuum_trajectory)
 
 __version__ = "0.1.0"

@@ -176,11 +176,12 @@ class ScenarioConfig:
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigError("run.t_final",
                               f"{self.t_final} is not an integer multiple of run.dt={self.dt}")
-        t_end = max(self.t_final, steps * self.dt)  # the last grid point may pass t_final
         for name, sig in (("omega", self.spec.omega), ("f_re", self.spec.f.re),
                           ("f_im", self.spec.f.im), ("g", self.spec.g)):
-            if isinstance(sig, Tabulated) and not (sig.times[0] <= 0.0 and t_end <= sig.times[-1]):
-                raise ConfigError(f"hamiltonian.{name}.times", f"must cover the grid [0, {t_end}]")
+            if isinstance(sig, Tabulated) and not (sig.times[0] <= 0.0
+                                                   and self.t_final <= sig.times[-1]):
+                raise ConfigError(f"hamiltonian.{name}.times",
+                                  f"must cover the grid [0, {self.t_final}]")
         if self.mode not in MODES:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):

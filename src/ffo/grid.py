@@ -6,13 +6,13 @@ can be compared index-by-index without interpolation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 # steps whose RK4 step matrices are held in memory at once
-CHUNK_STEPS = 1024
+CHUNK_STEPS = 4096
+# steps per block of _blocked_product: a chunk is three levels of blocks
+BLOCK_STEPS = round(CHUNK_STEPS ** (1 / 3))
 
 
 def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
@@ -29,10 +29,12 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
 
     with A_mid = A(t_k + dt/2), so y_{k+1} = R_k y_k reproduces the stage
     arithmetic of the state-by-state loop up to rounding.  The R_k are built
-    vectorised, CHUNK_STEPS at a time, and applied as a blocked product (real
-    if A is).  A C-contiguous A runs each product of tiny matrices over one
-    contiguous grid axis; a strided one gives the same states.  Returns the
-    states on the whole grid, shape (K, n).
+    vectorised, CHUNK_STEPS at a time, and applied by ``_blocked_product``'s
+    recursive scan (real if A is), so a chunk costs a few dozen numpy calls
+    rather than one per step or per block.  A C-contiguous A runs each
+    product of tiny matrices over one contiguous grid axis; a strided one
+    gives the same states.  Returns the states on the whole grid, shape
+    (K, n).
     """
     y0 = np.asarray(y0, dtype=complex)
     eye = np.eye(len(y0))[:, :, None]
@@ -43,10 +45,13 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
         a = assemble(*(c[start:stop + 1] for c in nodes))
         a_mid = assemble(*(c[start:stop] for c in mids))
         k1 = a[..., :-1]
-        k2 = a_mid + 0.5 * dt * _mul(a_mid, k1)
-        k3 = a_mid + 0.5 * dt * _mul(a_mid, k2)
-        k4 = a[..., 1:] + dt * _mul(a[..., 1:], k3)
-        steps = eye + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = _stage(a_mid, k1, 0.5 * dt)
+        k3 = _stage(a_mid, k2, 0.5 * dt)
+        steps = k1 + 2.0 * k2
+        steps += 2.0 * k3
+        steps += _stage(a[..., 1:], k3, dt)
+        steps *= dt / 6.0
+        steps += eye
         out[start + 1:stop + 1] = _blocked_product(steps, out[start])
     return out
 
@@ -56,32 +61,45 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,jl...->il...", a, b)
 
 
+def _stage(a: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 stage a + h a k, built in place on the product a k."""
+    out = _mul(a, k)
+    out *= h
+    out += a
+    return out
+
+
 def _blocked_product(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """y_1..y_m of y_{k+1} = steps[:, :, k] y_k, returned as (m, n).
 
-    The m steps are cut into blocks of about sqrt(m); prefix products run
-    inside all blocks at once, then the state is carried block to block.
-    The prefix array is (n, n, size, blocks), so each of the size - 1
-    prefix products runs over a contiguous axis of blocks.
+    The m steps are cut into blocks of BLOCK_STEPS (the last padded with
+    identities); prefix products run inside all blocks at once, over a
+    contiguous axis of blocks.  The state at each block start comes from the
+    block totals, scanned by this same function until one block is left, so
+    a chunk of CHUNK_STEPS takes three levels of BLOCK_STEPS products each.
+    Every state is then one product of an in-block prefix with its block
+    start.
     """
     n, m = steps.shape[0], steps.shape[2]
-    size = math.isqrt(m - 1) + 1
-    blocks = -(-m // size)
-    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * size - m))
-    prefix = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, size)
+    blocks = -(-m // BLOCK_STEPS)
+    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * BLOCK_STEPS - m))
+    prefix = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, BLOCK_STEPS)
     prefix = prefix.swapaxes(2, 3).copy()
-    for i in range(1, size):
+    for i in range(1, BLOCK_STEPS):
         prefix[:, :, i] = _mul(prefix[:, :, i], prefix[:, :, i - 1])
-    starts = np.empty((n, blocks), dtype=complex)
-    starts[:, 0] = y0
-    for j in range(1, blocks):
-        starts[:, j] = prefix[:, :, -1, j - 1] @ starts[:, j - 1]
-    states = _mul(prefix, starts[:, None, None])[:, 0]
-    return states.transpose(2, 1, 0).reshape(blocks * size, n)[:m]
+    starts = np.empty((blocks, n), dtype=complex)
+    starts[0] = y0
+    if blocks > 1:
+        starts[1:] = _blocked_product(prefix[:, :, -1, :-1], y0)
+    states = _mul(prefix, starts.T[:, None, None])[:, 0]
+    return states.transpose(2, 1, 0).reshape(blocks * BLOCK_STEPS, n)[:m]
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., t_final; t_final must be a multiple of dt."""
+    """Uniform grid 0, dt, ..., t_final; t_final must be a multiple of dt.
+
+    The last point is t_final itself, never a rounding step past it.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_final < dt:
@@ -89,7 +107,9 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"t_final={t_final} is not an integer multiple of dt={dt}")
-    return np.arange(steps + 1) * dt
+    times = np.arange(steps + 1) * dt
+    times[-1] = t_final
+    return times
 
 
 def cumtrapz_grid(y: np.ndarray, dt: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import hamiltonian_entries, max_abs
+from .algebra import hamiltonian_entries
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
@@ -144,43 +144,6 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
                 d = d * ov / abs(ov)
         psi[k] = d
     return psi, mask
-
-
-def vacuum_nullspace_fallback(b_matrix: np.ndarray, previous: EvolvedVacuum | None,
-                              spec: HamiltonianSpec, t: float, dt: float) -> EvolvedVacuum:
-    """Unit null vector of B with phase fixed by continuity.
-
-    With ``previous`` given, the phase comes from one implicit
-    (Crank-Nicolson) Schrodinger step of the previous state; without it,
-    the largest component is made real positive.  Raises if B has no null
-    space (ladder conditions violated).
-    """
-    b = np.asarray(b_matrix, dtype=complex)
-    if abs(np.linalg.det(b)) > 1e-8 * max(1.0, max_abs(b) ** 2):
-        raise ContractError("matrix has trivial null space; not a ladder operator")
-    # null direction from the adjugate structure: B (b01, -b00)^T = (0, det)^T
-    d1 = np.array([b[0, 1], -b[0, 0]], dtype=complex)
-    d2 = np.array([b[1, 1], -b[1, 0]], dtype=complex)
-    d = d1 if np.linalg.norm(d1) >= np.linalg.norm(d2) else d2
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        raise ContractError("zero matrix has no preferred vacuum")
-    d /= nrm
-    if previous is None:
-        j = int(np.argmax(np.abs(d)))
-        d = d * np.exp(-1j * np.angle(d[j]))
-        return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
-    from .algebra import hamiltonian_matrix
-
-    h_prev = hamiltonian_matrix(spec, t - dt)
-    h_now = hamiltonian_matrix(spec, t)
-    pred = _cn_step((h_prev[0, 0], h_prev[0, 1], h_prev[1, 0], h_prev[1, 1]),
-                    (h_now[0, 0], h_now[0, 1], h_now[1, 0], h_now[1, 1]),
-                    previous.vector(), dt)
-    ov = np.vdot(d, pred)
-    if abs(ov) > 0:
-        d = d * ov / abs(ov)
-    return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
 
 
 def schrodinger_residual_max(spec: HamiltonianSpec, times: np.ndarray,

@@ -226,6 +226,18 @@ def test_main_checks_overrides_against_tabulated_range_and_ladder_shell(tmp_path
         assert "initial.nu0" in capsys.readouterr().err
 
 
+def test_main_accepts_tabulated_signal_ending_at_t_final(tmp_path, capsys):
+    # 3 * 0.1 is 0.30000000000000004; the grid must still end at t_final = 0.3
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({
+        "hamiltonian": {"f_re": {"type": "tabulated", "times": [0, 0.3], "values": [1, 2]}},
+        "run": {"t_final": 0.3, "dt": 0.1}}))
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    # invariants runs too; its checks may fail at this coarse dt, its config may not
+    assert main(["invariants", "--config", str(cfg_path)]) != 2
+    assert "config error" not in capsys.readouterr().err
+
+
 # documents shaped like the schema, where any node may instead be arbitrary
 # JSON: numbers include non-finite floats and integers too large for a float
 _NUMBERS = st.integers(-10**400, 10**400) | st.floats()

@@ -1,13 +1,29 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from ffo import grid
 from ffo.grid import cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
+
+# step counts at the kernel's block, block-of-blocks and chunk boundaries
+_B, _C = grid.BLOCK_STEPS, grid.CHUNK_STEPS
+BOUNDARY_STEPS = [_B - 1, _B + 1, _B * _B - 1, _B * _B + 1, _C - 1, _C + 1, 2 * _C + 5]
 
 
 def test_time_grid_basic():
     g = time_grid(1.0, 0.25)
     assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_time_grid_ends_at_t_final():
+    # 3 * 0.1 is 0.30000000000000004 in floating point
+    g = time_grid(0.3, 0.1)
+    assert len(g) == 4 and g[-1] == 0.3
+    assert time_grid(10.0, 1e-3).tolist() == (np.arange(10001) * 1e-3).tolist()
 
 
 def test_time_grid_validation():
@@ -109,10 +125,7 @@ def _rk4_reference(generator, times, y0):
     return np.array(out)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2053])
-def test_linear_rk4_matches_stepwise_rk4(n, steps):
-    # step counts straddle the 1024-step chunks and the sqrt-sized blocks
+def _check_against_stepwise(n, steps):
     sample, assemble, gen = _system(n, seed=steps + n)
     times = np.arange(steps + 1) * 0.01
     y0 = np.linspace(1.0, 0.2, n) + 0.3j
@@ -121,6 +134,18 @@ def test_linear_rk4_matches_stepwise_rk4(n, steps):
     assert got.shape == (steps + 1, n)
     assert got[0].tolist() == want[0].tolist()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, 2, 3, 1023, 1024, 1025, 2053])
+def test_linear_rk4_matches_stepwise_rk4(n, steps):
+    _check_against_stepwise(n, steps)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", BOUNDARY_STEPS)
+def test_linear_rk4_matches_stepwise_rk4_at_block_boundaries(n, steps):
+    _check_against_stepwise(n, steps)
 
 
 def test_linear_rk4_fourth_order():
@@ -156,3 +181,66 @@ def test_linear_rk4_same_result_for_either_generator_layout(n, steps):
     assert not grid_first(*sample(times[:2])).flags.c_contiguous
     np.testing.assert_array_equal(_kernel(sample, grid_first, times, y0),
                                   _kernel(sample, grid_last, times, y0))
+
+
+def _sequential_product(steps, y0):
+    out, y = [], y0
+    for k in range(steps.shape[2]):
+        y = steps[:, :, k] @ y
+        out.append(y)
+    return np.array(out)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(m=st.integers(1, 3 * grid.CHUNK_STEPS), n=st.sampled_from([2, 3]),
+       complex_steps=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_product_matches_sequential_loop(m, n, complex_steps, seed):
+    # steps I + O(1e-2), the size of an RK4 step matrix; the product grows
+    # by a few-fold at most over 3 chunks
+    rng = np.random.default_rng(seed)
+    steps = np.eye(n)[:, :, None] + 0.01 * rng.normal(size=(n, n, m))
+    if complex_steps:
+        steps = steps + 0.01j * rng.normal(size=(n, n, m))
+    y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = grid._blocked_product(steps, y0)
+    want = _sequential_product(steps, y0)
+    assert got.shape == (m, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_linear_rk4_makes_no_per_block_python_loop(monkeypatch):
+    # On 10,001 points (3 chunks) the kernel makes 3 stage products per chunk
+    # and 3 scan levels of BLOCK_STEPS products each: 3 * (3 + 3 * 16) = 153
+    # calls of _mul.  Carrying the state block to block by one matvec each
+    # takes ~650 small products on this grid and runs ~1,900 lines of
+    # grid.py; counting executed lines catches such a loop whatever it uses
+    # to multiply.
+    calls, mul = [], grid._mul
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return mul(a, b)
+
+    monkeypatch.setattr(grid, "_mul", counted)
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != grid.__file__:
+            return None
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return count
+        return count
+
+    sample, assemble, _ = _system(3, seed=0)
+    times = np.arange(10001) * 1e-3
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _kernel(sample, assemble, times, [1.0, 0.0, 0.0])
+    finally:
+        sys.settrace(previous)
+    assert len(calls) <= 200
+    assert len(lines) <= 1000

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.grid import linear_rk4, time_grid
+from ffo.grid import BLOCK_STEPS, CHUNK_STEPS, linear_rk4, time_grid
 from ffo.invariants import (NuTrajectory, NuVector, _bloch_generator, build_B, build_B_array,
                             build_B_dagger, build_B_so, free_oscillator_nu,
                             free_oscillator_trajectory, hermitian_invariant,
@@ -131,15 +131,25 @@ def _complex_basis_nu(spec, nu0, times):
                       (times,), (times[:-1] + 0.5 * dt,), dt, nu0)
 
 
-@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2053])
-def test_integrate_nu_matches_complex_basis_reference(steps):
-    # step counts straddle the kernel's 1024-step chunks
+def _check_complex_basis(steps):
     rng = np.random.default_rng(steps)
     spec, nu0 = random_spec(rng), random_nu0(rng)
     traj = integrate_nu(spec, nu0, steps * CFG.dt, CFG)
     want = _complex_basis_nu(spec, nu0, time_grid(steps * CFG.dt, CFG.dt))
     assert traj.nu.shape == want.shape == (steps + 1, 3)
     assert np.max(np.abs(traj.nu - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [1, 1023, 1024, 1025, 2053])
+def test_integrate_nu_matches_complex_basis_reference(steps):
+    _check_complex_basis(steps)
+
+
+@pytest.mark.parametrize("steps", [BLOCK_STEPS - 1, BLOCK_STEPS + 1, BLOCK_STEPS ** 2 - 1,
+                                   BLOCK_STEPS ** 2 + 1, CHUNK_STEPS - 1, CHUNK_STEPS + 1,
+                                   2 * CHUNK_STEPS + 5])
+def test_integrate_nu_matches_complex_basis_reference_at_block_boundaries(steps):
+    _check_complex_basis(steps)
 
 
 class _Counted(Signal):

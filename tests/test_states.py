@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffo.algebra import hamiltonian_entries, ladder_operators, max_abs
+from ffo.algebra import hamiltonian_entries, hamiltonian_matrix, ladder_operators, max_abs
 from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
@@ -17,8 +17,7 @@ from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
 from ffo.states import (EvolvedVacuum, _cn_step, _null_direction, coherence_check,
                         coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
-                        lr_phases, schrodinger_residual_max,
-                        vacuum_nullspace_fallback, vacuum_trajectory)
+                        lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
 
 CFG = PropagatorConfig(dt=1e-3)
@@ -76,6 +75,42 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
             s_prev = None
             phase_off = 1.0 + 0j
     return psi, mask
+
+
+def _nullspace_fallback(b_matrix: np.ndarray, previous: EvolvedVacuum | None,
+                        spec: HamiltonianSpec, t: float, dt: float) -> EvolvedVacuum:
+    """Unit null vector of one B matrix with phase fixed by continuity.
+
+    An independent one-point route to the vacuum, cross-checked against
+    ``vacuum_trajectory`` below.  With ``previous`` given, the phase comes
+    from one implicit (Crank-Nicolson) Schrodinger step of the previous
+    state; without it, the largest component is made real positive.  Raises
+    if B has no null space (ladder conditions violated).
+    """
+    b = np.asarray(b_matrix, dtype=complex)
+    if abs(np.linalg.det(b)) > 1e-8 * max(1.0, max_abs(b) ** 2):
+        raise ContractError("matrix has trivial null space; not a ladder operator")
+    # null direction from the adjugate structure: B (b01, -b00)^T = (0, det)^T
+    d1 = np.array([b[0, 1], -b[0, 0]], dtype=complex)
+    d2 = np.array([b[1, 1], -b[1, 0]], dtype=complex)
+    d = d1 if np.linalg.norm(d1) >= np.linalg.norm(d2) else d2
+    nrm = np.linalg.norm(d)
+    if nrm == 0.0:
+        raise ContractError("zero matrix has no preferred vacuum")
+    d /= nrm
+    if previous is None:
+        j = int(np.argmax(np.abs(d)))
+        d = d * np.exp(-1j * np.angle(d[j]))
+        return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
+    h_prev = hamiltonian_matrix(spec, t - dt)
+    h_now = hamiltonian_matrix(spec, t)
+    pred = _cn_step((h_prev[0, 0], h_prev[0, 1], h_prev[1, 0], h_prev[1, 1]),
+                    (h_now[0, 0], h_now[0, 1], h_now[1, 0], h_now[1, 1]),
+                    previous.vector(), dt)
+    ov = np.vdot(d, pred)
+    if abs(ov) > 0:
+        d = d * ov / abs(ov)
+    return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
 
 
 # (spec, nu0, t_final, number of fallback gaps)
@@ -184,11 +219,11 @@ def test_vacuum_tracks_true_evolution_through_pinch():
 
 def test_nullspace_fallback_examples():
     b, _, _ = ladder_operators()
-    vac = vacuum_nullspace_fallback(b, None, constant_spec(omega=1.0), 0.0, 1e-3)
+    vac = _nullspace_fallback(b, None, constant_spec(omega=1.0), 0.0, 1e-3)
     assert vac.alpha0 == pytest.approx(1.0) and vac.alpha1 == pytest.approx(0.0)
     assert vac.used_fallback
     with pytest.raises(ContractError):
-        vacuum_nullspace_fallback(np.eye(2), None, constant_spec(), 0.0, 1e-3)
+        _nullspace_fallback(np.eye(2), None, constant_spec(), 0.0, 1e-3)
 
 
 def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
@@ -199,8 +234,8 @@ def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
         if mask[k] or abs(traj.nu[k, 0]) < 1e-3:
             continue
         prev = EvolvedVacuum(psi[k - 1, 0], psi[k - 1, 1])
-        fb = vacuum_nullspace_fallback(build_B(traj.nu_at(k)), prev, forced_spec,
-                                       float(traj.times[k]), traj.dt)
+        fb = _nullspace_fallback(build_B(traj.nu_at(k)), prev, forced_spec,
+                                 float(traj.times[k]), traj.dt)
         overlap = abs(np.conj(fb.vector()) @ psi[k])
         assert overlap >= 1.0 - 1e-8
 
