@@ -22,7 +22,6 @@ only).  Exit code 0 means every check passed, 1 means a check failed
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -358,16 +357,39 @@ def _atomic_write(path: str, lines) -> None:
         raise
 
 
+# rows handed to the file as one string: few writes, and a writer peak
+# memory of one slab's text rather than the whole table's
+CSV_SLAB_ROWS = 4096
+
+
+def _cells(col) -> list:
+    """The text of each element of ``col``, as ``_fmt`` gives it.
+
+    A float array is cast to float64, as ``repr(float(x))`` does, and each
+    distinct bit pattern is formatted once; bit patterns rather than values,
+    so 0.0 and -0.0 keep their own text.
+    """
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        return list(map(_fmt, col))
+    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def emit_csv(path: str, header: list, columns: list) -> None:
     """Write columns (parallel 1-d arrays) as CSV; atomic replace.
 
-    A float array column is formatted in one pass, ``repr`` of each element
-    as ``_fmt`` would give; other columns (str, bool) go through ``_fmt``.
+    The rows are written in slabs of ``CSV_SLAB_ROWS``, each one string.
     """
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f"
-             else map(_fmt, col) for col in columns]
-    rows = (",".join(row) + "\n" for row in zip(*cells))
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
+
+    def slabs():
+        yield ",".join(header) + "\n"
+        for lo in range(0, min(map(len, columns), default=0), CSV_SLAB_ROWS):
+            cells = [_cells(col[lo:lo + CSV_SLAB_ROWS]) for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _atomic_write(path, slabs())
 
 
 def emit_json(path: str, report: RunReport) -> None:
@@ -502,6 +524,9 @@ def _run_coherence(sc: _Scenario, tols: dict):
 
 def _run_phases(sc: _Scenario, tols: dict):
     cfg, traj = sc.cfg, sc.nu
+    if off_ladder_shell(traj.lambda1, traj.lambda2):  # validate tests only nu0's lambda1
+        raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
+                                    f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
     ph = lr_phases(traj, cfg.spec)
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
@@ -614,7 +639,7 @@ def _sweep_config(base: ScenarioConfig, rng: np.random.Generator, mode: str) -> 
     return ScenarioConfig(spec=spec, mode=mode, t_final=base.t_final, dt=base.dt,
                           tolerances=dict(base.tolerances), nu0=base.nu0,
                           epsilon0=base.epsilon0, state0=base.state0,
-                          out_format=base.out_format)
+                          out_format=base.out_format, fields=base.fields)
 
 
 def main(argv=None) -> int:
@@ -655,7 +680,10 @@ def main(argv=None) -> int:
             cfg.out_format = args.fmt
         if args.out is not None:
             cfg.out_path = args.out
-        if args.tol is not None and args.mode in PRIMARY_CHECK:
+        if args.tol is not None:
+            if args.mode not in PRIMARY_CHECK:
+                raise ConfigError("--tol", f"{args.mode} mode has no primary check; "
+                                           "set run.tolerances")
             cfg.tolerances[PRIMARY_CHECK[args.mode]] = args.tol
         cfg.validate()
 

@@ -30,3 +30,20 @@ def test_every_perfbench_hook_resolves(monkeypatch):
     modules = {m.__name__: m for m in (ffo.cli, ffo.states, ffo.grassmann)}
     for owner, attr in hooks:
         assert callable(getattr(modules[owner], attr)), (owner, attr)
+
+
+def test_traced_emit_csv_counts_the_written_bytes(monkeypatch, tmp_path):
+    # the span's work is os.path.getsize of emit_csv's first positional argument
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    layers.instrument(tracer)
+    out = tmp_path / "out.csv"
+    argv = ["all", "--config", os.path.join(PERFBENCH, "readme_scenario.json"),
+            "--t-final", "0.5", "--out", str(out)]
+    assert tracer.run_request(1, ffo.cli.main, argv) == 0
+    recorded = tracer.take()
+    assert [s.name for s in recorded].count("cli.emit_csv") == 1
+    assert layers.request_metrics(recorded, 1.0)["cli.emit_csv.bytes"] == out.stat().st_size > 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffo.cli import (CHECK_TOLERANCES, MAX_GRID_POINTS, MODES, ScenarioConfig, _table_select,
-                     emit_csv, main, parse_config, run, serialize_config)
+from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MODES, ScenarioConfig,
+                     _table_select, emit_csv, main, parse_config, run, serialize_config)
 from ffo.errors import ConfigError
 from ffo.propagator import PropagatorConfig, evolve_state
 
@@ -127,19 +127,56 @@ def test_emit_csv_matches_per_cell_reference(tmp_path):
     cfg = parse_config(json.dumps(doc))
     _, tables = run("all", cfg)
     edge = np.array([0.0, -0.0, np.nan, -np.inf, 5e-324, 0.1, 1e22, -1.5e-7])
+    signed_zeros = np.tile([0.0, -0.0, 0.0, 2.5, -0.0], 7)
+    # quiet and signalling NaNs with distinct payloads, either sign, next to 1.0
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000123,
+                     0x7FF0000000000001, 0x3FF0000000000000], dtype=np.uint64).view(np.float64)
     cases = {
         "invariants": tables["invariants"],
         "fields": _table_select(cfg, *tables["invariants"]),
         "grassmann": tables["grassmann-selftest"],
         "edge": (["x", "x32", "label"], [edge, edge.astype(np.float32),
                                          [str(v) for v in edge]]),
+        "signed_zeros": (["z", "z32"], [signed_zeros, signed_zeros.astype(np.float32)]),
+        "nans": (["n", "n32"], [np.tile(nans, 3), np.tile(nans, 3).astype(np.float32)]),
     }
+    # row counts either side of the slab boundaries, with repeated values
+    t = tables["invariants"][1][0]
+    for rows in (CSV_SLAB_ROWS - 1, CSV_SLAB_ROWS, CSV_SLAB_ROWS + 1, 2 * CSV_SLAB_ROWS + 1):
+        times = np.resize(t, rows)
+        cases[f"rows{rows}"] = (["t", "repeat", "label"],
+                                [times, np.round(times, 1), [f"r{i}" for i in range(rows)]])
     assert cases["fields"][0] == ["lambda2", "t", "oracle_dev"]
     for name, (header, cols) in cases.items():
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
         emit_csv(str(got), header, cols)
         _csv_reference(str(want), header, cols)
         assert got.read_bytes() == want.read_bytes(), name
+
+
+# bit patterns worth drawing on their own: signed zeros, infinities, the
+# extreme subnormals and normals, and a quiet NaN
+_SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 1, 0x000FFFFFFFFFFFFF,
+                 0x8000000000000001, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0x7FF8000000000000]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(pool=st.lists(st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+                     min_size=1, max_size=6),
+       pool32=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       rows=st.integers(0, 2 * CSV_SLAB_ROWS + 1), seed=st.integers(0, 2**32 - 1))
+def test_emit_csv_matches_reference_on_repeated_bit_patterns(tmp_path_factory, pool, pool32,
+                                                             rows, seed):
+    # a small pool of arbitrary bit patterns, so that values repeat across rows
+    rng = np.random.default_rng(seed)
+    bits, bits32 = np.array(pool, dtype=np.uint64), np.array(pool32, dtype=np.uint32)
+    cols = [bits[rng.integers(len(bits), size=rows)].view(np.float64),
+            bits32[rng.integers(len(bits32), size=rows)].view(np.float32),
+            bits[rng.integers(len(bits), size=rows)].view(np.float64)]
+    work = tmp_path_factory.mktemp("csv")
+    emit_csv(str(work / "got.csv"), ["a", "b32", "c"], cols)
+    _csv_reference(str(work / "want.csv"), ["a", "b32", "c"], cols)
+    assert (work / "got.csv").read_bytes() == (work / "want.csv").read_bytes()
 
 
 def test_main_json_report(tmp_path):
@@ -200,12 +237,15 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"invariants", "t_final": 2.0, "dt": 0.001},\n  "initial": {"nu0": [[1, 0], [0, 0]',
      '"phases", "t_final": 2.0, "dt": 0.001},\n  "initial": {"nu0": [[1, 0], [1, 0]', [],
      "initial.nu0"),
+    # a leading mode in flags replaces invariants: all has no primary check for --tol
+    ("", "", ["all", "--tol", "1e-3"], "--tol"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(GOOD.replace(old, new))
-    assert main(["invariants", "--config", str(cfg_path), *flags]) == 2
+    mode, *flags = flags if flags and flags[0] in MODES else ["invariants", *flags]
+    assert main([mode, "--config", str(cfg_path), *flags]) == 2
     assert path in capsys.readouterr().err
 
 
@@ -236,6 +276,18 @@ def test_main_accepts_tabulated_signal_ending_at_t_final(tmp_path, capsys):
     # invariants runs too; its checks may fail at this coarse dt, its config may not
     assert main(["invariants", "--config", str(cfg_path)]) != 2
     assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["phases", "all"])
+def test_coarse_grid_off_the_ladder_shell_names_run_dt(tmp_path, capsys, mode):
+    # nu0 is on the shell, but RK4 at dt = 0.1 lets lambda1 drift to ~2e-5
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({
+        "hamiltonian": {"f_re": {"type": "tabulated", "times": [0, 0.3], "values": [1, 2]}},
+        "run": {"t_final": 0.3, "dt": 0.1}}))
+    assert main([mode, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: run.dt" in err and "lambda1" in err
 
 
 # documents shaped like the schema, where any node may instead be arbitrary
@@ -416,6 +468,24 @@ def test_main_sweep_runs(tmp_path):
     assert code == 0
     for i in range(3):
         assert (tmp_path / f"sweep-{i:03d}.csv").exists()
+
+
+def test_main_sweep_honours_output_fields(tmp_path, capsys):
+    doc = json.loads(GOOD)
+    doc["output"]["fields"] = ["t", "lambda2"]
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "s.csv"
+    assert main(["invariants", "--config", str(cfg_path), "--sweep", "2",
+                 "--t-final", "0.5", "--out", str(out)]) == 0
+    for i in range(2):
+        assert (tmp_path / f"s-{i:03d}.csv").read_text().splitlines()[0] == "t,lambda2"
+    doc["output"]["fields"] = ["t", "bogus"]
+    cfg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["invariants", "--config", str(cfg_path), "--sweep", "2",
+                 "--t-final", "0.5", "--out", str(out)]) == 2
+    assert "output.fields" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
