@@ -11,6 +11,7 @@ system.
 import numpy as np
 
 from ffo.algebra import ladder_operators
+from ffo.grid import GridSamples
 from ffo.invariants import (build_B_array, build_B_so, free_oscillator_trajectory,
                             integrate_nu, invariance_residual_max,
                             ladder_conditions_check)
@@ -26,7 +27,9 @@ spec = HamiltonianSpec(
 cfg = PropagatorConfig(dt=1e-3)
 t_final = 10.0
 
-traj = integrate_nu(spec, (1, 0, 0), t_final, cfg)
+# omega, f and g are sampled once on the grid and shared by every check below
+samples = GridSamples(spec, t_final, cfg.dt)
+traj = integrate_nu(samples, (1, 0, 0))
 print("lambda1 drift:", np.max(np.abs(traj.lambda1 - traj.lambda1[0])))
 print("lambda2 drift:", np.max(np.abs(traj.lambda2 - traj.lambda2[0])))
 
@@ -42,14 +45,14 @@ oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
 print("\nmax |B(t) - U b U'| :", np.max(np.abs(build_B_array(traj.nu) - oracle)))
 
 # the defining invariance equation, via central differences on the grid
-print("invariance residual :", invariance_residual_max(spec, traj))
+print("invariance residual :", invariance_residual_max(samples, traj))
 
 # free oscillator: closed form against the integrator, and the explicit
 # ladder operator it assembles
 free = HamiltonianSpec(omega=spec.omega, f=ComplexSignal(Sinusoid(0.0, 1.0)),
                        g=spec.g)
 nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
-ftraj = integrate_nu(free, nu0, 5.0, cfg)
+ftraj = integrate_nu(GridSamples(free, 5.0, cfg.dt), nu0)
 closed = free_oscillator_trajectory(nu0, free.omega, ftraj.times)
 print("\nclosed form vs integrated (f = 0):", np.max(np.abs(closed - ftraj.nu)))
 mat = build_B_so(0.6, 0.4j, free.omega, 2.5)

@@ -10,6 +10,7 @@ first-derivative term.
 
 import numpy as np
 
+from ffo.grid import GridSamples, Samples
 from ffo.invariants import integrate_nu, motion_constants
 from ffo.propagator import PropagatorConfig
 from ffo.reduction import (EpsilonState, big_omega, epsilon_prime_transform,
@@ -30,20 +31,21 @@ t_final = 10.0
 
 print("Omega(0) =", big_omega(spec, 0.0))
 
-et = integrate_epsilon(spec, (1.0 + 0.2j, 0.1 - 0.3j), t_final, cfg)
-nus = nu_from_epsilon_arrays(spec, et.times, et.eps, et.eps_dot)
+samples = GridSamples(spec, t_final, cfg.dt)
+et = integrate_epsilon(samples, (1.0 + 0.2j, 0.1 - 0.3j))
+nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
 print("max |lambda1| along the eps route:", np.max(np.abs(lam1)), "(identically zero)")
 
 # closure: direct integration from the matched start reproduces the map
-direct = integrate_nu(spec, tuple(nus[0]), t_final, cfg)
+direct = integrate_nu(samples, tuple(nus[0]))
 print("closure vs direct system:", np.max(np.abs(direct.nu - nus)))
 
 # both first integrals, pointwise
 k = 5000
 t = float(et.times[k])
 e = EpsilonState(complex(et.eps[k]), complex(et.eps_dot[k]))
-lam2_eps = lambda2_from_epsilon(spec, t, e)
+lam2_eps = lambda2_from_epsilon(Samples(spec, t), e)
 lam2_nu = motion_constants(nu_from_epsilon(spec, t, e)).lambda2
 print(f"lambda2 two routes at t={t}: {lam2_eps:.12f} vs {lam2_nu:.12f}")
 

@@ -8,6 +8,7 @@ the phase split into geometric and dynamical parts.
 
 import numpy as np
 
+from ffo.grid import GridSamples
 from ffo.invariants import NuTrajectory, build_B_array, integrate_nu
 from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
@@ -26,21 +27,22 @@ spec = HamiltonianSpec(
 # build a ladder-calibrated trajectory from the epsilon route, rescaled so
 # lambda2 = 1 exactly (nu scales as eps^2, hence the quarter power); the
 # initial pair is chosen so the eigenframe gauge never pinches
-et = integrate_epsilon(spec, (0.833 + 0.895j, -0.375 + 0.454j), 5.0, cfg)
-nus = nu_from_epsilon_arrays(spec, et.times, et.eps, et.eps_dot)
+samples = GridSamples(spec, 5.0, cfg.dt)
+et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
+nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
                 + 0.5 * np.abs(nus[0, 2]) ** 2).real)
 scale = lam2_0 ** (-0.25)
-nus = nu_from_epsilon_arrays(spec, et.times, et.eps * scale, et.eps_dot * scale)
+nus = nu_from_epsilon_arrays(samples, et.eps * scale, et.eps_dot * scale)
 lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
 lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2 + 0.5 * np.abs(nus[:, 2]) ** 2).real
 traj = NuTrajectory(times=et.times, nu=nus, lambda1=lam1, lambda2=lam2)
 
 # the evolved vacuum: annihilated by B(t) and solving the Schrodinger equation
-psi, mask = vacuum_trajectory(traj, spec)
+psi, mask = vacuum_trajectory(traj, samples)
 bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
 print("max ||B(t)|0;t>||      :", np.max(np.linalg.norm(bpsi, axis=1)))
-print("schrodinger residual   :", schrodinger_residual_max(spec, traj.times, psi))
+print("schrodinger residual   :", schrodinger_residual_max(samples, psi))
 print("fallback points used   :", int(mask.sum()))
 
 # the coherent state built on it is an exact eigenstate in the algebra
@@ -51,12 +53,12 @@ print("grassmann eigen residual:", cs_eigen_residual(traj.nu_at(k), vac, 0.7 - 0
 # coherence theorem: no forcing keeps the canonical CS an eigenstate of b
 free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                        f=ComplexSignal(Constant(0.0)), g=Constant(0.3))
-rep = coherence_check(free, evolve_unitary(free, 5.0, cfg))
+rep = coherence_check(GridSamples(free, 5.0, cfg.dt), evolve_unitary(free, 5.0, cfg))
 print("\nfree spec:  max eigen residual =", np.max(rep.eigen_residual))
 print("            zeta(t)/zeta tracks exp(-i int omega):",
       np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))))
 forced = constant_spec(f=0.5)
-rep2 = coherence_check(forced, evolve_unitary(forced, 5.0, cfg))
+rep2 = coherence_check(GridSamples(forced, 5.0, cfg.dt), evolve_unitary(forced, 5.0, cfg))
 print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
       "(coherence visibly broken)")
 
@@ -64,13 +66,14 @@ print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
 # geometric part; the forced trajectory splits nontrivially
 w0, g0 = 1.3, 0.7
 s_spec = constant_spec(omega=w0, g=g0)
-s_traj = integrate_nu(s_spec, (1, 0, 0), 5.0, cfg)
-s_ph = lr_phases(s_traj, s_spec)
+s_samples = GridSamples(s_spec, 5.0, cfg.dt)
+s_traj = integrate_nu(s_samples, (1, 0, 0))
+s_ph = lr_phases(s_traj, s_samples)
 print(f"\nstationary: phi0(5) = {s_ph.phi0[-1]:.6f} (expect {-g0 * 5.0})")
 print(f"stationary: phi1(5) = {s_ph.phi1[-1]:.6f} (expect {-(g0 + w0) * 5.0})")
 print("stationary: phi_G(5) =", s_ph.phi_geometric[-1])
 
-ph = lr_phases(traj, spec)
+ph = lr_phases(traj, samples)
 print(f"forced:     phi_G(5) = {ph.phi_geometric[-1]:.6f}, "
       f"phi_D(5) = {ph.phi_dynamical[-1]:.6f}")
 print("forced:     two-route consistency =", ph.consistency_residual)

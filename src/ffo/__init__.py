@@ -12,7 +12,7 @@ from .errors import (ConfigError, ContractError, FfoError, IntegrationError,
 from .grassmann import (GrassmannElement, GrassmannKet, GrassmannOperator,
                         apply_fermion_op, berezin_integrate, coherent_ket,
                         completeness_check, g_mul)
-from .grid import linear_rk4, time_grid
+from .grid import GridSamples, Samples, linear_rk4, time_grid
 from .invariants import (MotionConstants, NuTrajectory, NuVector, build_B,
                          build_B_dagger, build_B_so, free_oscillator_nu,
                          hermitian_invariant, integrate_nu,

@@ -46,11 +46,9 @@ def hamiltonian_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
     return np.array([[g, np.conj(f)], [f, w + g]], dtype=complex)
 
 
-def hamiltonian_entries(spec: HamiltonianSpec, times: np.ndarray):
-    """Vectorized Hamiltonian entries (h00, h01, h10, h11) over a time grid."""
-    w = np.asarray(spec.omega.value(times), dtype=float)
-    g = np.asarray(spec.g.value(times), dtype=float)
-    f = np.asarray(spec.f.value(times), dtype=complex)
+def hamiltonian_entries(samples):
+    """Hamiltonian entries (h00, h01, h10, h11) from the omega, f and g of a ``grid.Samples``."""
+    w, f, g = samples.omega, samples.f, samples.g
     return g.astype(complex), np.conj(f), f, (w + g).astype(complex)
 
 

@@ -37,6 +37,7 @@ from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
+from .grid import GridSamples
 from .invariants import (NuTrajectory, build_B, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
 from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
@@ -83,6 +84,26 @@ PRIMARY_CHECK = {
     "phases": "phase_consistency",
     "grassmann-selftest": "completeness",
 }
+
+
+# the header of each mode's CSV table
+CSV_HEADERS = {
+    "evolve": ("t", "re_amp0", "im_amp0", "re_amp1", "im_amp1", "norm"),
+    "invariants": ("t", "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
+                   "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "oracle_dev"),
+    "reduce": ("t", "re_eps", "im_eps", "re_eps_dot", "im_eps_dot",
+               "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
+               "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "closure_dev"),
+    "coherence": ("t", "eigen_residual", "re_zeta_ratio", "im_zeta_ratio",
+                  "re_beta", "im_beta"),
+    "phases": ("t", "phi0", "phi1", "phi_geometric", "phi_dynamical"),
+    "grassmann-selftest": ("check", "value", "tolerance", "passed"),
+}
+
+
+def _csv_table(mode: str) -> str:
+    """The mode whose table a CSV output of ``mode`` holds: "all" writes the invariants one."""
+    return "invariants" if mode == "all" else mode
 
 
 # -- configuration ------------------------------------------------------------
@@ -185,6 +206,10 @@ class ScenarioConfig:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("output.format", f"unknown format {self.out_format!r}")
+        if self.out_format == "csv" and self.out_path is not None:
+            # selecting from the header itself rejects an unknown field before any work
+            header = CSV_HEADERS[_csv_table(self.mode)]
+            _table_select(self, header, header)
         for name, tol in self.tolerances.items():
             if name not in CHECK_TOLERANCES:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
@@ -426,18 +451,22 @@ def _spec_is_free(cfg: ScenarioConfig) -> bool:
 
 
 class _Scenario:
-    """A scenario's config, and the U and nu(nu0) its modes share, each built once."""
+    """A scenario's config, and the samples, U and nu(nu0) its modes share, each built once."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.cfg, self.step = cfg, PropagatorConfig(dt=cfg.dt)
+        self.cfg = cfg
+
+    @cached_property
+    def samples(self) -> GridSamples:
+        return GridSamples(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
 
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
-        return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.step)
+        return evolve_unitary(self.cfg.spec, self.cfg.t_final, PropagatorConfig(dt=self.cfg.dt))
 
     @cached_property
     def nu(self) -> NuTrajectory:
-        return integrate_nu(self.cfg.spec, self.cfg.nu0, self.cfg.t_final, self.step)
+        return integrate_nu(self.samples, self.cfg.nu0)
 
 
 def _run_evolve(sc: _Scenario, tols: dict):
@@ -448,10 +477,8 @@ def _run_evolve(sc: _Scenario, tols: dict):
     checks: list = []
     _check(checks, "unitarity_drift", float(unit), tols["unitarity_drift"])
     _check(checks, "norm_drift", float(np.max(np.abs(norms - norms[0]))), tols["norm_drift"])
-    header = ["t", "re_amp0", "im_amp0", "re_amp1", "im_amp1", "norm"]
     cols = [times, psi[:, 0].real, psi[:, 0].imag, psi[:, 1].real, psi[:, 1].imag, norms]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 def _run_invariants(sc: _Scenario, tols: dict):
@@ -461,30 +488,26 @@ def _run_invariants(sc: _Scenario, tols: dict):
     dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
     lam1_drift = np.abs(traj.lambda1 - traj.lambda1[0])
     lam2_drift = np.abs(traj.lambda2 - traj.lambda2[0])
-    inv_res = invariance_residual_max(cfg.spec, traj)
+    inv_res = invariance_residual_max(sc.samples, traj)
     checks: list = []
     _check(checks, "lambda1_drift", float(np.max(lam1_drift)), tols["lambda1_drift"])
     _check(checks, "lambda2_drift", float(np.max(lam2_drift)), tols["lambda2_drift"])
     _check(checks, "oracle_deviation", float(np.max(dev)), tols["oracle_deviation"])
     _check(checks, "invariance_residual", float(inv_res), tols["invariance_residual"])
-    header = ["t", "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
-              "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "oracle_dev"]
     n = traj.nu
     cols = [traj.times, n[:, 0].real, n[:, 0].imag, n[:, 1].real, n[:, 1].imag,
             n[:, 2].real, n[:, 2].imag, np.abs(traj.lambda1), traj.lambda2, dev]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 def _run_reduce(sc: _Scenario, tols: dict):
-    cfg = sc.cfg
-    et = integrate_epsilon(cfg.spec, cfg.epsilon0, cfg.t_final, sc.step)
-    nus = nu_from_epsilon_arrays(cfg.spec, et.times, et.eps, et.eps_dot)
+    et = integrate_epsilon(sc.samples, sc.cfg.epsilon0)
+    nus = nu_from_epsilon_arrays(sc.samples, et.eps, et.eps_dot)
     lam1 = np.abs(nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2)
     lam2_nu = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
                + 0.5 * np.abs(nus[:, 2]) ** 2).real
-    lam2_eps = lambda2_from_epsilon(cfg.spec, et.times, (et.eps, et.eps_dot))
-    direct = integrate_nu(cfg.spec, tuple(nus[0]), cfg.t_final, sc.step)
+    lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
+    direct = integrate_nu(sc.samples, tuple(nus[0]))
     closure = np.max(np.abs(direct.nu - nus), axis=1)
     checks: list = []
     _check(checks, "lambda1_epsilon", float(np.max(lam1)), tols["lambda1_epsilon"])
@@ -493,18 +516,14 @@ def _run_reduce(sc: _Scenario, tols: dict):
     _check(checks, "lambda2_pair", float(np.max(np.abs(lam2_nu - lam2_eps))),
            tols["lambda2_pair"])
     _check(checks, "closure", float(np.max(closure)), tols["closure"])
-    header = ["t", "re_eps", "im_eps", "re_eps_dot", "im_eps_dot",
-              "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
-              "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "closure_dev"]
     cols = [et.times, et.eps.real, et.eps.imag, et.eps_dot.real, et.eps_dot.imag,
             nus[:, 0].real, nus[:, 0].imag, nus[:, 1].real, nus[:, 1].imag,
             nus[:, 2].real, nus[:, 2].imag, lam1, lam2_nu, closure]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 def _run_coherence(sc: _Scenario, tols: dict):
-    rep = coherence_check(sc.cfg.spec, sc.unitary)
+    rep = coherence_check(sc.samples, sc.unitary)
     checks: list = []
     if _spec_is_free(sc.cfg):
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
@@ -514,33 +533,27 @@ def _run_coherence(sc: _Scenario, tols: dict):
     else:
         _check(checks, "forcing_witness", float(np.max(rep.eigen_residual)),
                tols["forcing_witness"], invert=True)
-    header = ["t", "eigen_residual", "re_zeta_ratio", "im_zeta_ratio",
-              "re_beta", "im_beta"]
     cols = [rep.times, rep.eigen_residual, rep.zeta_ratio.real, rep.zeta_ratio.imag,
             rep.beta.real, rep.beta.imag]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 def _run_phases(sc: _Scenario, tols: dict):
-    cfg, traj = sc.cfg, sc.nu
+    samples, traj = sc.samples, sc.nu
     if off_ladder_shell(traj.lambda1, traj.lambda2):  # validate tests only nu0's lambda1
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
-    ph = lr_phases(traj, cfg.spec)
+    ph = lr_phases(traj, samples)
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-    res = max(schrodinger_residual_max(cfg.spec, traj.times, psi0),
-              schrodinger_residual_max(cfg.spec, traj.times, psi1))
-    vac, _ = vacuum_trajectory(traj, cfg.spec)
-    vres = schrodinger_residual_max(cfg.spec, traj.times, vac)
+    res = max(schrodinger_residual_max(samples, psi0), schrodinger_residual_max(samples, psi1))
+    vac, _ = vacuum_trajectory(traj, samples)
+    vres = schrodinger_residual_max(samples, vac)
     checks: list = []
     _check(checks, "phase_consistency", ph.consistency_residual, tols["phase_consistency"])
     _check(checks, "schrodinger", float(max(res, vres)), tols["schrodinger"])
-    header = ["t", "phi0", "phi1", "phi_geometric", "phi_dynamical"]
     cols = [traj.times, ph.phi0, ph.phi1, ph.phi_geometric, ph.phi_dynamical]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 def _run_grassmann(sc: _Scenario, tols: dict):
@@ -560,11 +573,9 @@ def _run_grassmann(sc: _Scenario, tols: dict):
                    for _ in range(3))
         assoc = max(assoc, (g_mul(g_mul(x, y), z) - g_mul(x, g_mul(y, z))).max_abs())
     _check(checks, "associativity", assoc, tols["algebraic"])
-    header = ["check", "value", "tolerance", "passed"]
     cols = [[c["name"] for c in checks], [c["value"] for c in checks],
             [c["tolerance"] for c in checks], [c["passed"] for c in checks]]
-    drifts = {c["name"]: c["value"] for c in checks}
-    return header, cols, drifts, checks
+    return cols, checks
 
 
 _MODE_RUNNERS = {
@@ -594,14 +605,13 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
                 submodes.append("reduce")
     sc = _Scenario(cfg)
     for sub in submodes:
-        header, cols, d, c = _MODE_RUNNERS[sub](sc, tols)
+        cols, c = _MODE_RUNNERS[sub](sc, tols)
         prefix = "" if mode != "all" else sub + "."
-        tables[sub] = (header, cols)
-        drifts.update({prefix + k: v for k, v in d.items()})
+        tables[sub] = (CSV_HEADERS[sub], cols)
         for item in c:
-            item = dict(item)
-            item["name"] = prefix + item["name"]
+            item = dict(item, name=prefix + item["name"])
             checks.append(item)
+            drifts[item["name"]] = item["value"]
     grid = {"t_final": cfg.t_final, "dt": cfg.dt,
             "points": int(round(cfg.t_final / cfg.dt)) + 1}
     report = RunReport(mode=mode, grid=grid, drifts=drifts, checks=checks,
@@ -626,9 +636,7 @@ def _emit(cfg: ScenarioConfig, report: RunReport, tables: dict, path: str | None
     if cfg.out_format == "json":
         emit_json(path, report)
         return
-    # csv: single-mode runs emit their table; "all" emits the invariants table
-    key = report.mode if report.mode != "all" else "invariants"
-    header, cols = tables[key]
+    header, cols = tables[_csv_table(report.mode)]
     header, cols = _table_select(cfg, header, cols)
     emit_csv(path, header, cols)
 
@@ -662,6 +670,8 @@ def main(argv=None) -> int:
     try:
         if args.sweep is not None and args.sweep < 1:
             raise ConfigError("--sweep", "must be at least 1")
+        if args.sweep is not None and args.seed < 0:
+            raise ConfigError("--seed", "must be non-negative")
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())

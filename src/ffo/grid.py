@@ -1,4 +1,5 @@
-"""Shared uniform time grid, quadrature helpers and the linear RK4 kernel.
+"""Shared uniform time grid, its coefficient samples, quadrature helpers and
+the linear RK4 kernel.
 
 All integrators in the toolkit run on one fixed-step grid so trajectories
 can be compared index-by-index without interpolation.
@@ -6,8 +7,12 @@ can be compared index-by-index without interpolation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+
+from .signals import HamiltonianSpec
 
 # steps whose RK4 step matrices are held in memory at once
 CHUNK_STEPS = 4096
@@ -110,6 +115,46 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
     times = np.arange(steps + 1) * dt
     times[-1] = t_final
     return times
+
+
+class Samples:
+    """omega, omega', f, f' and g of ``spec`` at ``times``, each evaluated on first use.
+
+    ``times`` may be a grid or a scalar; the samples keep its shape.
+    """
+
+    def __init__(self, spec: HamiltonianSpec, times):
+        self.spec, self.times = spec, times
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return np.asarray(self.spec.omega.value(self.times), dtype=float)
+
+    @cached_property
+    def omega_d1(self) -> np.ndarray:
+        return np.asarray(self.spec.omega.d1(self.times), dtype=float)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return np.asarray(self.spec.f.value(self.times), dtype=complex)
+
+    @cached_property
+    def f_d1(self) -> np.ndarray:
+        return np.asarray(self.spec.f.d1(self.times), dtype=complex)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.asarray(self.spec.g.value(self.times), dtype=float)
+
+
+class GridSamples(Samples):
+    """One scenario's samples: on the nodes of ``time_grid(t_final, dt)`` and,
+    as ``mids``, on the step midpoints, so no consumer samples a signal again."""
+
+    def __init__(self, spec: HamiltonianSpec, t_final: float, dt: float):
+        super().__init__(spec, time_grid(t_final, dt))
+        self.dt = dt
+        self.mids = Samples(spec, self.times[:-1] + 0.5 * dt)
 
 
 def cumtrapz_grid(y: np.ndarray, dt: float) -> np.ndarray:

@@ -33,8 +33,7 @@ from scipy.integrate import simpson
 from .algebra import I2, hamiltonian_entries, hamiltonian_matrix, max_abs
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError, IntegrationError
-from .grid import cumsimpson_grid, linear_rk4, time_grid
-from .propagator import PropagatorConfig
+from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
 from .signals import HamiltonianSpec, Signal
 
 
@@ -70,14 +69,13 @@ class NuTrajectory:
         return MotionConstants(complex(self.lambda1[k]), float(self.lambda2[k]))
 
 
-def nu_generator(spec: HamiltonianSpec, ts) -> np.ndarray:
-    """Matrix A(t) of the coefficient system d(nu)/dt = A(t) nu.
+def nu_generator(samples: Samples) -> np.ndarray:
+    """Matrix A(t) of the coefficient system d(nu)/dt = A(t) nu at ``samples.times``.
 
     nu is ordered (nu_minus, nu_plus, nu_3); the result has shape
-    (len(ts), 3, 3), or (3, 3) for a scalar t.
+    (len(times), 3, 3), or (3, 3) at a scalar time.
     """
-    w = np.asarray(spec.omega.value(ts), dtype=float)
-    f = np.asarray(spec.f.value(ts), dtype=complex)
+    w, f = samples.omega, samples.f
     fc, z = np.conj(f), np.zeros_like(f)
     return np.moveaxis(np.array([[1j * w, z, -1j * fc],
                                  [z, -1j * w, 1j * f],
@@ -86,7 +84,7 @@ def nu_generator(spec: HamiltonianSpec, ts) -> np.ndarray:
 
 def nu_rhs(spec: HamiltonianSpec, t: float, nu: NuVector) -> NuVector:
     """Time derivative of (nu_minus, nu_plus, nu_3) at time t."""
-    d = nu_generator(spec, t) @ np.asarray(nu, dtype=complex)
+    d = nu_generator(Samples(spec, t)) @ np.asarray(nu, dtype=complex)
     return NuVector(*(complex(x) for x in d))
 
 
@@ -111,21 +109,19 @@ def _bloch_generator(w, f) -> np.ndarray:
     return np.array([[z, w, fi], [-w, z, -fr], [-fi, fr, z]])
 
 
-def integrate_nu(spec: HamiltonianSpec, nu0, t_final: float,
-                 cfg: PropagatorConfig = PropagatorConfig()) -> NuTrajectory:
+def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
     """Integrate the coefficient system with classical fixed-step RK4.
 
-    It is stepped in the real Bloch basis b of ``_bloch_generator``, with
-    omega and f sampled once on the grid nodes and step midpoints.
+    It is stepped in the real Bloch basis b of ``_bloch_generator``, on
+    the omega and f samples of the grid nodes and step midpoints.
     The grid matches the propagator grid for the same (t_final, dt), so
     oracle comparisons need no interpolation.
     """
-    times = time_grid(t_final, cfg.dt)
-    nodes, mids = ((spec.omega.value(ts), spec.f.value(ts))
-                   for ts in (times, times[:-1] + 0.5 * cfg.dt))
+    times = samples.times
+    nodes, mids = ((s.omega, s.f) for s in (samples, samples.mids))
     vm, vp, v3 = (complex(x) for x in nu0)
     b0 = (0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3)
-    b = linear_rk4(_bloch_generator, nodes, mids, cfg.dt, b0)
+    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, b0)
     out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=1)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
@@ -201,8 +197,8 @@ def invariance_residual(spec: HamiltonianSpec, traj: NuTrajectory, t_index: int)
     return max_abs(db - 1j * (b @ h - h @ b))
 
 
-def invariance_residual_max(spec: HamiltonianSpec, traj: NuTrajectory) -> float:
-    """Max invariance residual over all interior grid points (vectorized).
+def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
+    """Max invariance residual over all interior points of ``samples.times`` (vectorized).
 
     The commutator is written entrywise.  With B = [[-nu_3/2, nu_minus],
     [nu_plus, nu_3/2]], [B, H] has the diagonal +-(nu_minus h10 - h01 nu_plus)
@@ -212,7 +208,7 @@ def invariance_residual_max(spec: HamiltonianSpec, traj: NuTrajectory) -> float:
     """
     d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
     vm, vp, v3 = traj.nu[1:-1].T
-    h00, h01, h10, h11 = hamiltonian_entries(spec, traj.times[1:-1])
+    h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))
     residuals = (-0.5 * d[:, 2] - 1j * (vm * h10 - h01 * vp),
                  d[:, 0] - 1j * (vm * (h11 - h00) - v3 * h01),
                  d[:, 1] - 1j * (vp * (h00 - h11) + v3 * h10))

@@ -38,9 +38,8 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import IntegrationError, SingularReductionError
-from .grid import cumsimpson_grid, linear_rk4, time_grid
+from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
 from .invariants import NuVector, build_B
-from .propagator import PropagatorConfig
 from .signals import HamiltonianSpec
 
 
@@ -87,23 +86,16 @@ def nu_minus_from_nu_plus_2nd(spec: HamiltonianSpec, t: float, nu_plus: complex,
             + (2.0 * f * f.conjugate() + 1j * wd - 1j * (w / f) * fd) * nu_plus) / (2.0 * f * f)
 
 
-def _epsilon_coefficients(spec: HamiltonianSpec, ts):
-    """f, f', omega and omega' at ts."""
-    return (np.asarray(spec.f.value(ts), dtype=complex), np.asarray(spec.f.d1(ts), dtype=complex),
-            np.asarray(spec.omega.value(ts), dtype=float),
-            np.asarray(spec.omega.d1(ts), dtype=float))
-
-
-def _gamma_omega(f, fd, w, wd):
+def _gamma_omega(s: Samples):
     """gamma = f'/f and Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega gamma/2."""
-    gamma = fd / f
-    return gamma, np.abs(f) ** 2 + 0.25 * w * w + 0.5j * wd - 0.5j * w * gamma
+    gamma, w = s.f_d1 / s.f, s.omega
+    return gamma, np.abs(s.f) ** 2 + 0.25 * w * w + 0.5j * s.omega_d1 - 0.5j * w * gamma
 
 
 def big_omega(spec: HamiltonianSpec, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
     """Omega(t) = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f)."""
     _require_f(complex(spec.f.value(t)), tol.f_min)
-    return complex(_gamma_omega(*_epsilon_coefficients(spec, t))[1])
+    return complex(_gamma_omega(Samples(spec, t))[1])
 
 
 def _big_omega_dot(spec: HamiltonianSpec, t: float) -> complex:
@@ -199,7 +191,7 @@ def epsilon_rhs(spec: HamiltonianSpec, t: float, e: EpsilonState,
                 tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonState:
     """Derivative of (eps, eps') for eps'' - (f'/f) eps' + Omega eps = 0."""
     _require_f(complex(spec.f.value(t)), tol.f_min)
-    gamma, q = _gamma_omega(*_epsilon_coefficients(spec, t))
+    gamma, q = _gamma_omega(Samples(spec, t))
     return EpsilonState(e.eps_dot, complex(gamma * e.eps_dot - q * e.eps))
 
 
@@ -208,26 +200,23 @@ def _epsilon_generator(gamma, q) -> np.ndarray:
     return np.array([[np.zeros_like(q), np.ones_like(q)], [-q, gamma]])
 
 
-def integrate_epsilon(spec: HamiltonianSpec, e0, t_final: float,
-                      cfg: PropagatorConfig = PropagatorConfig(),
+def integrate_epsilon(samples: GridSamples, e0,
                       tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonTrajectory:
     """RK4 integration of the eps equation on the shared grid.
 
     Requires |f| >= f_min on the whole interval (checked sample-wise on the
-    grid nodes, then on the step midpoints, before stepping).  f, f', omega
-    and omega' are sampled once on both.
+    grid nodes, then on the step midpoints, before stepping).  Reads f, f',
+    omega and omega' on both from ``samples``.
     """
-    dt = cfg.dt
-    times = time_grid(t_final, dt)
-    grids = (times, times[:-1] + 0.5 * dt)
-    samples = [_epsilon_coefficients(spec, ts) for ts in grids]
-    for ts, (f, *_) in zip(grids, samples):
-        absf = np.abs(f)
+    grids = (samples, samples.mids)
+    for s in grids:
+        absf = np.abs(s.f)
         if np.min(absf) < tol.f_min:
             raise SingularReductionError(
                 f"epsilon equation needs |f| >= {tol.f_min}; "
-                f"violated at t={float(ts[np.argmin(absf)])}")
-    y = linear_rk4(_epsilon_generator, *(_gamma_omega(*c) for c in samples), dt, e0)
+                f"violated at t={float(s.times[np.argmin(absf)])}")
+    y = linear_rk4(_epsilon_generator, *map(_gamma_omega, grids), samples.dt, e0)
+    times = samples.times
     if not np.all(np.isfinite(y)):
         bad = int(np.argmax(~np.all(np.isfinite(y), axis=1)))
         raise IntegrationError(f"nonfinite epsilon state at t={times[bad]}", t=float(times[bad]))
@@ -251,32 +240,29 @@ def nu_from_epsilon(spec: HamiltonianSpec, t: float, e: EpsilonState,
                     (0.5 * w * eps * eps - 1j * eps * epsd) / f)
 
 
-def nu_from_epsilon_arrays(spec: HamiltonianSpec, times: np.ndarray,
-                           eps: np.ndarray, eps_dot: np.ndarray) -> np.ndarray:
-    """Vectorized nu_from_epsilon over a trajectory; returns (K, 3)."""
-    f = np.asarray(spec.f.value(times), dtype=complex)
-    w = np.asarray(spec.omega.value(times), dtype=float)
+def nu_from_epsilon_arrays(samples: Samples, eps: np.ndarray,
+                           eps_dot: np.ndarray) -> np.ndarray:
+    """Vectorized nu_from_epsilon over a trajectory sampled at ``samples.times``; (K, 3)."""
+    f, w = samples.f, samples.omega
     core = 0.5 * w * eps - 1j * eps_dot
-    out = np.empty((len(times), 3), dtype=complex)
+    out = np.empty((len(eps), 3), dtype=complex)
     out[:, 0] = -core * core / (2.0 * f * f)
     out[:, 1] = 0.5 * eps * eps
     out[:, 2] = (0.5 * w * eps - 1j * eps_dot) * eps / f
     return out
 
 
-def lambda2_from_epsilon(spec: HamiltonianSpec, t, e,
-                         tol: ToleranceConfig = DEFAULT_TOL):
+def lambda2_from_epsilon(samples: Samples, e, tol: ToleranceConfig = DEFAULT_TOL):
     """lambda2 along the eps parametrization:
 
     lambda2 = (1/4) (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2,
 
     which matches motion_constants(nu_from_epsilon(...)) identically and is
-    a first integral of the eps equation.  ``t`` and ``e = (eps, eps')``
-    may be grid arrays; a scalar call returns a float.
+    a first integral of the eps equation.  ``samples.times`` and
+    ``e = (eps, eps')`` may be grid arrays; a scalar call returns a float.
     """
-    f = np.asarray(spec.f.value(t), dtype=complex)
+    f, w = samples.f, samples.omega
     _require_f(np.min(np.abs(f)), tol.f_min)
-    w = spec.omega.value(t)
     eps, epsd = e[0], e[1]
     u = np.abs(0.5 * w * eps - 1j * epsd) ** 2 / np.abs(f) ** 2
     out = 0.25 * (np.abs(eps) ** 2 + u) ** 2
@@ -292,10 +278,11 @@ def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
     eps'' + omega_prime eps' = 0 multiplied by the gauge solve the original
     equation.
     """
-    f, fd, w, wd = _epsilon_coefficients(spec, times)
+    s = Samples(spec, times)
+    f = s.f
     if np.min(np.abs(f)) < tol.f_min:
         raise SingularReductionError("epsilon_prime_transform needs |f| >= f_min on the grid")
-    gamma, omega_big = _gamma_omega(f, fd, w, wd)
+    gamma, omega_big = _gamma_omega(s)
     fdd = np.asarray(spec.f.d2(times), dtype=complex)
     omega_prime = omega_big + 0.5 * fdd / f - 0.75 * gamma * gamma
     dt = float(times[1] - times[0])

@@ -14,6 +14,7 @@ phase sign solves the same two equations for the B'(t)-null partner state,
 i.e. the evolved top state.  Where nu_minus pinches off, a null-space
 fallback with phase continuity and one implicit Schrodinger step takes
 over; both constructions are cross-validated on their common domain.
+Functions over a grid read omega, f and g from its ``grid.Samples``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .algebra import hamiltonian_entries
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
-from .grid import cumsimpson_grid, cumtrapz_grid
+from .grid import Samples, cumsimpson_grid, cumtrapz_grid
 from .invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
                          nu_generator)
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
-from .signals import HamiltonianSpec
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def _null_direction(vm, vp, v3):
     return d / n
 
 
-def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
+def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
                       tol: ToleranceConfig = DEFAULT_TOL):
     """Evolved vacuum on the whole grid.
 
@@ -106,8 +106,7 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
     flips[reset] = 0
     parity = np.cumsum(flips)
     parity -= np.maximum.accumulate(np.where(reset, parity, 0))
-    q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
-                        + np.asarray(spec.omega.value(times), dtype=float), dt)
+    q = cumsimpson_grid(2.0 * samples.g + samples.omega, dt)
     a0 = np.where(parity % 2 == 1, -s, s) * np.exp(-0.5j * q[ok])
     a1 = a0 * v3[ok] / (2.0 * vm[ok])
     norm = np.sqrt(np.abs(a0) ** 2 + np.abs(a1) ** 2)
@@ -117,7 +116,7 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
     if not mask.any():
         return psi, mask
 
-    h00, h01, h10, h11 = hamiltonian_entries(spec, times)
+    h00, h01, h10, h11 = hamiltonian_entries(samples)
     gaps = np.flatnonzero(mask)
     reentries = ok[start]
     for k in np.union1d(gaps, reentries[reentries > 0]).tolist():
@@ -146,11 +145,10 @@ def vacuum_trajectory(traj: NuTrajectory, spec: HamiltonianSpec,
     return psi, mask
 
 
-def schrodinger_residual_max(spec: HamiltonianSpec, times: np.ndarray,
-                             psi: np.ndarray) -> float:
+def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
     """Max central-difference residual of i d psi/dt = H psi over interior points."""
-    dt = float(times[1] - times[0])
-    h00, h01, h10, h11 = hamiltonian_entries(spec, times[1:-1])
+    dt = float(samples.times[1] - samples.times[0])
+    h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))
     dpsi = (psi[2:] - psi[:-2]) / (2.0 * dt)
     hpsi = np.empty_like(dpsi)
     hpsi[:, 0] = h00 * psi[1:-1, 0] + h01 * psi[1:-1, 1]
@@ -202,7 +200,7 @@ class CoherenceReport:
     eigen_residual: np.ndarray
 
 
-def coherence_check(spec: HamiltonianSpec, unitary: UnitaryTrajectory) -> CoherenceReport:
+def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceReport:
     """Evolve the canonical CS through U(t) and measure b-eigenstate-ness.
 
     The CS is assembled Grassmann-symbolically from the evolved |0> and |1>
@@ -221,8 +219,7 @@ def coherence_check(spec: HamiltonianSpec, unitary: UnitaryTrajectory) -> Cohere
     residual = np.maximum.reduce([np.abs(u10), 0.5 * np.abs(u10),
                                   np.abs(ratio * u10), fit_gap])
     dt = float(times[1] - times[0])
-    w = np.asarray(spec.omega.value(times), dtype=float)
-    beta = np.exp(1j * cumsimpson_grid(w, dt))
+    beta = np.exp(1j * cumsimpson_grid(samples.omega, dt))
     return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,
                            eigen_residual=residual)
 
@@ -312,7 +309,7 @@ class PhaseTrajectory:
                            float(self.phi_geometric[k]), float(self.phi_dynamical[k]))
 
 
-def _frame_connections(traj: NuTrajectory, spec: HamiltonianSpec, frame: LRFrame):
+def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
     """Analytic Berry connections Im<e_n|d e_n> of the gauge-fixed frame.
 
     The frame vectors are closed forms in nu, so their derivatives follow
@@ -320,7 +317,7 @@ def _frame_connections(traj: NuTrajectory, spec: HamiltonianSpec, frame: LRFrame
     is involved.  Returns (a0, a1) with a_n = Im<e_n|e_n'> as real arrays.
     """
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
-    vmd, vpd, v3d = np.einsum("kij,kj->ik", nu_generator(spec, traj.times), traj.nu)
+    vmd, vpd, v3d = np.einsum("kij,kj->ik", nu_generator(samples), traj.nu)
     if frame.key == "plus":
         chid = np.imag(vpd / vp)
         r2 = 0.25 * np.abs(v3) ** 2 + np.abs(vp) ** 2
@@ -336,9 +333,8 @@ def _frame_connections(traj: NuTrajectory, spec: HamiltonianSpec, frame: LRFrame
     return a0, a1
 
 
-def _h_expectations(spec: HamiltonianSpec, times: np.ndarray, e0: np.ndarray,
-                    e1: np.ndarray):
-    h00, h01, h10, h11 = hamiltonian_entries(spec, times)
+def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):
+    h00, h01, h10, h11 = hamiltonian_entries(samples)
 
     def h_exp(e):
         he0 = h00 * e[:, 0] + h01 * e[:, 1]
@@ -348,7 +344,7 @@ def _h_expectations(spec: HamiltonianSpec, times: np.ndarray, e0: np.ndarray,
     return h_exp(e0), h_exp(e1)
 
 
-def lr_phases(traj: NuTrajectory, spec: HamiltonianSpec,
+def lr_phases(traj: NuTrajectory, samples: Samples,
               tol: ToleranceConfig = DEFAULT_TOL) -> PhaseTrajectory:
     """Lewis-Riesenfeld phases phi_n and the geometric/dynamical split.
 
@@ -362,8 +358,8 @@ def lr_phases(traj: NuTrajectory, spec: HamiltonianSpec,
     """
     frame = lr_frame(traj, tol)
     dt = traj.dt
-    a0, a1 = _frame_connections(traj, spec, frame)
-    en0, en1 = _h_expectations(spec, traj.times, frame.e0, frame.e1)
+    a0, a1 = _frame_connections(traj, samples, frame)
+    en0, en1 = _h_expectations(samples, frame.e0, frame.e1)
     phi0 = cumsimpson_grid(-a0 - en0, dt)
     phi1 = cumsimpson_grid(-a1 - en1, dt)
     phi = phi1 - phi0

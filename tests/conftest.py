@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ffo.grid import GridSamples
 from ffo.invariants import NuTrajectory
-from ffo.propagator import PropagatorConfig
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid
 
@@ -50,13 +50,14 @@ def calibrated_epsilon_trajectory(spec, e0, t_final, dt=1e-3):
     nu scales as eps^2, so lambda2 scales as |scale|^4; the quarter-power
     rescale lands the trajectory exactly on the ladder shell.
     """
-    et = integrate_epsilon(spec, e0, t_final, PropagatorConfig(dt=dt))
-    nus = nu_from_epsilon_arrays(spec, et.times, et.eps, et.eps_dot)
+    samples = GridSamples(spec, t_final, dt)
+    et = integrate_epsilon(samples, e0)
+    nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
     lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
                     + 0.5 * np.abs(nus[0, 2]) ** 2).real)
     scale = lam2_0 ** (-0.25)
     eps, eps_dot = et.eps * scale, et.eps_dot * scale
-    nus = nu_from_epsilon_arrays(spec, et.times, eps, eps_dot)
+    nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
     lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
     lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
             + 0.5 * np.abs(nus[:, 2]) ** 2).real

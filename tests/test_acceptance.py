@@ -19,7 +19,7 @@ from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.grassmann import (ONE, ZETA, ZETA_STAR, GrassmannElement,
                            apply_fermion_op, berezin_integrate, coherent_ket,
                            completeness_check, g_mul)
-from ffo.grid import time_grid
+from ffo.grid import GridSamples, Samples, time_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_so,
                             free_oscillator_trajectory, integrate_nu,
                             invariance_residual_max, motion_constants)
@@ -57,15 +57,16 @@ def sweep():
     for _ in range(N_SWEEP):
         spec = random_spec(rng)
         # criterion 1: random initial coefficients
-        traj_r = integrate_nu(spec, random_nu0(rng), T_FINAL, cfg)
+        samples = GridSamples(spec, T_FINAL, cfg.dt)
+        traj_r = integrate_nu(samples, random_nu0(rng))
         out["lam1"].append(float(np.max(np.abs(traj_r.lambda1 - traj_r.lambda1[0]))))
         out["lam2"].append(float(np.max(np.abs(traj_r.lambda2 - traj_r.lambda2[0]))))
         # criteria 2-3: canonical start, oracle comparison
-        traj_c = integrate_nu(spec, (1, 0, 0), T_FINAL, cfg)
+        traj_c = integrate_nu(samples, (1, 0, 0))
         u = evolve_unitary(spec, T_FINAL, cfg)
         oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
         out["oracle"].append(float(np.max(np.abs(build_B_array(traj_c.nu) - oracle))))
-        out["invariance"].append(invariance_residual_max(spec, traj_c))
+        out["invariance"].append(invariance_residual_max(samples, traj_c))
     return {k: np.array(v) for k, v in out.items()}
 
 
@@ -77,13 +78,14 @@ def _calibrated_family(seed: int, n: int, t_final: float = T_FINAL):
     while len(family) < n:
         spec = random_spec(rng, f_floor=True)
         e0 = random_epsilon0(rng)
-        et = integrate_epsilon(spec, e0, t_final, cfg)
-        nus = nu_from_epsilon_arrays(spec, et.times, et.eps, et.eps_dot)
+        samples = GridSamples(spec, t_final, cfg.dt)
+        et = integrate_epsilon(samples, e0)
+        nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
         lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
                         + 0.5 * np.abs(nus[0, 2]) ** 2).real)
         scale = lam2_0 ** (-0.25)
         eps, eps_dot = et.eps * scale, et.eps_dot * scale
-        nus = nu_from_epsilon_arrays(spec, et.times, eps, eps_dot)
+        nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
         lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
         lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
                 + 0.5 * np.abs(nus[:, 2]) ** 2).real
@@ -142,7 +144,7 @@ def test_criterion_04_free_oscillator_closed_forms():
         vm0 = r * np.exp(2j * np.pi * rng.uniform())
         vp0 = (1 - r) * np.exp(2j * np.pi * rng.uniform())
         v30 = 2.0 * np.sqrt(-vm0 * vp0)
-        traj = integrate_nu(spec, (vm0, vp0, v30), t_final, PropagatorConfig(dt=dt))
+        traj = integrate_nu(GridSamples(spec, t_final, dt), (vm0, vp0, v30))
         closed = free_oscillator_trajectory((vm0, vp0, v30), spec.omega, times)
         worst_closed = max(worst_closed, float(np.max(np.abs(closed - traj.nu))))
         # the closed-form operator family passes ladder and invariance checks
@@ -153,7 +155,7 @@ def test_criterion_04_free_oscillator_closed_forms():
         worst_ladder = max(worst_ladder, float(np.max(np.abs(lam1))),
                            float(np.max(np.abs(lam2 - 1.0))))
         ctraj = NuTrajectory(times=times, nu=closed, lambda1=lam1, lambda2=lam2)
-        worst_inv = max(worst_inv, invariance_residual_max(spec, ctraj))
+        worst_inv = max(worst_inv, invariance_residual_max(Samples(spec, ctraj.times), ctraj))
         # spot-check that build_B_so agrees with the closed-form trajectory
         for k in (0, len(times) // 2, len(times) - 1):
             mat = build_B_so(vm0, vp0, spec.omega, float(times[k]))
@@ -171,7 +173,8 @@ def test_criterion_05_coherence_theorem():
     worst_eig = worst_ratio = 0.0
     for _ in range(N_FAMILY):
         spec = random_spec(rng, f_zero=True)
-        rep = coherence_check(spec, evolve_unitary(spec, t_free, PropagatorConfig(dt=dt_free)))
+        rep = coherence_check(GridSamples(spec, t_free, dt_free),
+                              evolve_unitary(spec, t_free, PropagatorConfig(dt=dt_free)))
         worst_eig = max(worst_eig, float(np.max(rep.eigen_residual)))
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))))
@@ -179,7 +182,8 @@ def test_criterion_05_coherence_theorem():
     min_witness = np.inf
     for _ in range(N_FAMILY):
         spec = random_forced_spec(rng, min_peak=0.1)
-        rep = coherence_check(spec, evolve_unitary(spec, T_FINAL, PropagatorConfig(dt=DT)))
+        rep = coherence_check(GridSamples(spec, T_FINAL, DT),
+                              evolve_unitary(spec, T_FINAL, PropagatorConfig(dt=DT)))
         min_witness = min(min_witness, float(np.max(rep.eigen_residual)))
     ok = worst_eig <= 1e-7 and worst_ratio <= 1e-8 and min_witness >= 1e-3
     _report(5, "coherence theorem both ways", ok,
@@ -191,7 +195,7 @@ def test_criterion_06_epsilon_reduction_closure(eps_family):
     cfg = PropagatorConfig(dt=DT)
     worst_closure = worst_lam1 = worst_lam2_drift = worst_pair = 0.0
     for spec, traj, eps, eps_dot in eps_family:
-        direct = integrate_nu(spec, tuple(traj.nu[0]), T_FINAL, cfg)
+        direct = integrate_nu(GridSamples(spec, T_FINAL, cfg.dt), tuple(traj.nu[0]))
         worst_closure = max(worst_closure, float(np.max(np.abs(direct.nu - traj.nu))))
         worst_lam1 = max(worst_lam1, float(np.max(np.abs(traj.lambda1))))
         worst_lam2_drift = max(worst_lam2_drift,
@@ -204,7 +208,7 @@ def test_criterion_06_epsilon_reduction_closure(eps_family):
         worst_pair = max(worst_pair, float(np.max(np.abs(lam2_eps - traj.lambda2))))
         # the scalar operation agrees with the vectorized route
         k = len(traj.times) // 3
-        got = lambda2_from_epsilon(spec, float(traj.times[k]),
+        got = lambda2_from_epsilon(Samples(spec, float(traj.times[k])),
                                    EpsilonState(complex(eps[k]), complex(eps_dot[k])))
         assert abs(got - lam2_eps[k]) <= 1e-12
     ok = (worst_closure <= 1e-5 and worst_lam1 <= 1e-12
@@ -237,7 +241,7 @@ def test_criterion_07_first_integral(eps_family):
     worst_drift = worst_link = worst_zero = 0.0
     for spec, traj, eps, eps_dot in eps_family[:5]:
         # general trajectory: random initial coefficients, lambda generically != 0
-        gen = integrate_nu(spec, random_nu0(rng), T_FINAL, cfg)
+        gen = integrate_nu(GridSamples(spec, T_FINAL, cfg.dt), random_nu0(rng))
         lam = _lambda_arrays(spec, gen)
         worst_drift = max(worst_drift, float(np.max(np.abs(lam - lam[0]))))
         worst_link = max(worst_link,
@@ -259,11 +263,12 @@ def test_criterion_07_first_integral(eps_family):
 def test_criterion_08_vacuum_and_coherent_states(eps_family):
     worst_ann = worst_schro = worst_norm = worst_cs = 0.0
     for spec, traj, eps, eps_dot in eps_family:
-        psi, mask = vacuum_trajectory(traj, spec)
+        samples = Samples(spec, traj.times)
+        psi, mask = vacuum_trajectory(traj, samples)
         bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
         worst_ann = max(worst_ann, float(np.max(np.linalg.norm(bpsi, axis=1))))
         worst_schro = max(worst_schro,
-                          schrodinger_residual_max(spec, traj.times, psi))
+                          schrodinger_residual_max(samples, psi))
         worst_norm = max(worst_norm,
                          float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))))
         for k in range(0, len(traj.times), 2000):
@@ -300,8 +305,9 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
     # stationary closed forms
     w0, g0 = 1.3, 0.7
     spec0 = constant_spec(omega=w0, g=g0)
-    traj0 = integrate_nu(spec0, (1, 0, 0), 5.0, PropagatorConfig(dt=DT))
-    ph0 = lr_phases(traj0, spec0)
+    samples0 = GridSamples(spec0, 5.0, DT)
+    traj0 = integrate_nu(samples0, (1, 0, 0))
+    ph0 = lr_phases(traj0, samples0)
     t = traj0.times
     stationary_dev = max(float(np.max(np.abs(ph0.phi0 + g0 * t))),
                          float(np.max(np.abs(ph0.phi1 + (g0 + w0) * t))),
@@ -315,13 +321,13 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
     worst_schro = 0.0
     worst_fit = worst_theta = 0.0
     for spec, traj in tame:
-        ph = lr_phases(traj, spec)
+        samples = Samples(spec, traj.times)
+        ph = lr_phases(traj, samples)
         worst_consistency = max(worst_consistency, ph.consistency_residual)
         p0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
         p1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-        worst_schro = max(worst_schro,
-                          schrodinger_residual_max(spec, traj.times, p0),
-                          schrodinger_residual_max(spec, traj.times, p1))
+        worst_schro = max(worst_schro, schrodinger_residual_max(samples, p0),
+                          schrodinger_residual_max(samples, p1))
         theta, fit = lr_ladder_fit(ph, traj)
         worst_fit = max(worst_fit, fit)
         dphi = ph.phi1 - ph.phi0

@@ -47,3 +47,18 @@ def test_traced_emit_csv_counts_the_written_bytes(monkeypatch, tmp_path):
     recorded = tracer.take()
     assert [s.name for s in recorded].count("cli.emit_csv") == 1
     assert layers.request_metrics(recorded, 1.0)["cli.emit_csv.bytes"] == out.stat().st_size > 0
+
+
+def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
+    # f, f', omega and omega' on the grid nodes and the step midpoints; each
+    # complex evaluation counts with its real and imaginary legs: 2 x (3 + 3 + 1 + 1)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import spans
+
+    tracer = spans.Tracer()
+    layers.instrument(tracer)
+    argv = ["reduce", "--sweep", "1", "--seed", "0", "--t-final", "0.5",
+            "--format", "json", "--out", str(tmp_path / "r.json")]
+    assert tracer.run_request(1, ffo.cli.main, argv) == 0
+    assert layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"] == 16

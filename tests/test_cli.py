@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MODES, ScenarioConfig,
                      _table_select, emit_csv, main, parse_config, run, serialize_config)
 from ffo.errors import ConfigError
+from ffo.grid import GridSamples, time_grid
 from ffo.propagator import PropagatorConfig, evolve_state
+from ffo.signals import ComplexSignal, HamiltonianSpec, Polynomial, Sinusoid
 
 GOOD = """
 {
@@ -239,6 +241,7 @@ def test_main_bad_config_exit_2(tmp_path):
      "initial.nu0"),
     # a leading mode in flags replaces invariants: all has no primary check for --tol
     ("", "", ["all", "--tol", "1e-3"], "--tol"),
+    ("", "", ["--sweep", "2", "--seed", "-1"], "--seed"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -470,6 +473,27 @@ def test_main_sweep_runs(tmp_path):
         assert (tmp_path / f"sweep-{i:03d}.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--sweep", "8"]])
+def test_unknown_output_field_rejected_before_any_scenario_runs(monkeypatch, tmp_path, capsys,
+                                                                 flags):
+    import ffo.cli
+
+    def no_scenario(*args):
+        raise AssertionError("a scenario ran before output.fields was checked")
+
+    doc = json.loads(GOOD)
+    doc["output"]["fields"] = ["t", "bogus"]
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    argv = ["invariants", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv"), *flags]
+    with monkeypatch.context() as patch:
+        patch.setattr(ffo.cli, "integrate_nu", no_scenario)
+        assert main(argv) == 2
+    assert "output.fields: unknown column 'bogus'" in capsys.readouterr().err
+    # a JSON report has no columns to select, so the fields are not checked
+    assert main([*argv, "--format", "json"]) == 0
+
+
 def test_main_sweep_honours_output_fields(tmp_path, capsys):
     doc = json.loads(GOOD)
     doc["output"]["fields"] = ["t", "lambda2"]
@@ -500,12 +524,13 @@ def test_main_sweep_count_below_one_exit_2(tmp_path, capsys, count):
 
 
 def test_grid_bound_rejected_before_allocation(monkeypatch, capsys):
-    import ffo.invariants
+    import ffo.grid
 
     def no_grid(*args):
         raise AssertionError("a grid was built for an oversized scenario")
 
-    monkeypatch.setattr(ffo.invariants, "time_grid", no_grid)
+    # every scenario grid is built by GridSamples
+    monkeypatch.setattr(ffo.grid, "time_grid", no_grid)
     assert main(["invariants", "--sweep", "1", "--t-final", "1e13", "--dt", "1e-3"]) == 2
     assert "run.t_final" in capsys.readouterr().err
     cfg = parse_config(GOOD)
@@ -585,3 +610,67 @@ def test_coherence_free_spec_passes(tmp_path):
     t = float(last[0])
     assert complex(float(last[i_ratio]), float(last[i_ratio + 1])) == pytest.approx(
         np.exp(-1.2j * t), abs=1e-8)
+
+
+def _counted_spec(calls):
+    from test_invariants import _Counted
+
+    return HamiltonianSpec(
+        omega=_Counted(Sinusoid(0.3, 1.0, offset=1.0), calls, "omega"),
+        f=ComplexSignal(_Counted(Sinusoid(0.1, 0.7, offset=0.5), calls, "f_re"),
+                        _Counted(Sinusoid(0.2, 0.5), calls, "f_im")),
+        g=_Counted(Polynomial((0.2, 0.01)), calls, "g"))
+
+
+def _grid_names(t_final, dt):
+    times = time_grid(t_final, dt)
+    return {times.tobytes(): "nodes", (times[:-1] + 0.5 * dt).tobytes(): "mids"}
+
+
+def test_reduce_samples_what_integrate_epsilon_needs_once():
+    calls: list = []
+    cfg = ScenarioConfig(spec=_counted_spec(calls), mode="reduce", t_final=1.0)
+    report, _ = run("reduce", cfg)
+    assert report.passed
+    grids = _grid_names(cfg.t_final, cfg.dt)
+    got = sorted((name, method, grids.get(grid, "other")) for name, method, grid in calls)
+    # integrate_epsilon reads f, f', omega and omega' on both grids; every
+    # other consumer (nu(eps), lambda2(eps), the closure's integrate_nu) shares them
+    assert got == sorted((name, method, grid) for name in ("omega", "f_re", "f_im")
+                         for method in ("value", "d1") for grid in ("nodes", "mids"))
+
+
+def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
+    import weakref
+
+    import ffo.cli
+
+    calls: list = []
+    oracle, sample_sets = ffo.cli.evolve_unitary, []
+
+    def own_nodes(*args):
+        # the propagator samples H at its own Gauss nodes, never the sample set
+        start = len(calls)
+        out = oracle(*args)
+        del calls[start:]
+        return out
+
+    class Tracked(GridSamples):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sample_sets.append(weakref.ref(self))
+
+    monkeypatch.setattr(ffo.cli, "evolve_unitary", own_nodes)
+    monkeypatch.setattr(ffo.cli, "GridSamples", Tracked)
+    cfg = ScenarioConfig(spec=_counted_spec(calls), mode="all", t_final=1.0)
+    report, tables = run("all", cfg)
+    assert report.passed and "reduce" in tables
+    grids = _grid_names(cfg.t_final, cfg.dt)
+    on_grid = [call for call in calls if call[2] in grids]
+    assert len(on_grid) == len(set(on_grid))
+    assert {(name, grids[grid]) for name, _, grid in on_grid} >= {
+        ("omega", "nodes"), ("omega", "mids"), ("g", "nodes"), ("f_re", "mids")}
+    # the rest is the 65-point forcing probe of _spec_is_free and of run itself
+    assert {len(grid) for _, _, grid in calls if grid not in grids} == {65 * 8}
+    # one sample set per scenario, gone once run() has returned
+    assert len(sample_sets) == 1 and sample_sets[0]() is None

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ffo.algebra import I2, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.grid import BLOCK_STEPS, CHUNK_STEPS, linear_rk4, time_grid
+from ffo.grid import BLOCK_STEPS, CHUNK_STEPS, GridSamples, Samples, linear_rk4, time_grid
 from ffo.invariants import (NuTrajectory, NuVector, _bloch_generator, build_B, build_B_array,
                             build_B_dagger, build_B_so, free_oscillator_nu,
                             free_oscillator_trajectory, hermitian_invariant,
@@ -67,7 +67,7 @@ def test_ladder_link_lambda1_zero():
 
 def test_free_oscillator_phase():
     w0 = 1.1
-    traj = integrate_nu(constant_spec(omega=w0), (1, 0, 0), 5.0, CFG)
+    traj = integrate_nu(GridSamples(constant_spec(omega=w0), 5.0, CFG.dt), (1, 0, 0))
     want = np.exp(1j * w0 * traj.times)
     assert np.max(np.abs(traj.nu[:, 0] - want)) < 1e-8
     assert np.max(np.abs(traj.nu[:, 1:])) == 0.0
@@ -75,7 +75,7 @@ def test_free_oscillator_phase():
 
 def test_canonical_start_conserves_ladder_shell():
     spec = random_spec(np.random.default_rng(3))
-    traj = integrate_nu(spec, (1, 0, 0), 10.0, CFG)
+    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), (1, 0, 0))
     assert np.max(np.abs(traj.lambda1)) <= 1e-8
     assert np.max(np.abs(traj.lambda2 - 1.0)) <= 1e-8
 
@@ -83,7 +83,7 @@ def test_canonical_start_conserves_ladder_shell():
 def test_nonfinite_signal_names_grid_time(nan_forcing_spec):
     # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
     with pytest.raises(IntegrationError) as err:
-        integrate_nu(nan_forcing_spec, (1, 0, 0), 2.0, CFG)
+        integrate_nu(GridSamples(nan_forcing_spec, 2.0, CFG.dt), (1, 0, 0))
     assert err.value.t == pytest.approx(1.251)
     assert "t=1.251" in str(err.value)
 
@@ -91,7 +91,7 @@ def test_nonfinite_signal_names_grid_time(nan_forcing_spec):
 def test_random_spec_constants_drift():
     rng = np.random.default_rng(4)
     spec = random_spec(rng)
-    traj = integrate_nu(spec, random_nu0(rng), 10.0, CFG)
+    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), random_nu0(rng))
     assert np.max(np.abs(traj.lambda1 - traj.lambda1[0])) <= 1e-7
     assert np.max(np.abs(traj.lambda2 - traj.lambda2[0])) <= 1e-7
 
@@ -103,7 +103,7 @@ def test_constants_of_motion_conserved_over_random_specs(seed, steps, family):
     # every family random_spec documents, nu0 from random_nu0, t_final <= 2
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, f_zero=family == "f_zero", f_floor=family == "f_floor")
-    traj = integrate_nu(spec, random_nu0(rng), steps * CFG.dt, CFG)
+    traj = integrate_nu(GridSamples(spec, steps * CFG.dt, CFG.dt), random_nu0(rng))
     for lam in (traj.lambda1, traj.lambda2):
         assert np.max(np.abs(lam - lam[0])) <= 1e-12 * max(1.0, abs(lam[0]))
 
@@ -121,20 +121,20 @@ def test_bloch_generator_is_nu_generator_in_bloch_basis():
     assert np.ptp(spec.omega.value(ts)) > 0.1 and np.ptp(np.abs(spec.f.value(ts))) > 0.1
     got = np.moveaxis(_bloch_generator(spec.omega.value(ts), spec.f.value(ts)), -1, 0)
     assert got.dtype == float
-    assert np.max(np.abs(_S_INV @ nu_generator(spec, ts) @ _S - got)) <= 1e-15
+    assert np.max(np.abs(_S_INV @ nu_generator(Samples(spec, ts)) @ _S - got)) <= 1e-15
 
 
 def _complex_basis_nu(spec, nu0, times):
     """RK4 on nu_generator's complex paper-basis matrix, sampled at the times themselves."""
     dt = times[1] - times[0]
-    return linear_rk4(lambda ts: np.moveaxis(nu_generator(spec, ts), 0, -1),
+    return linear_rk4(lambda ts: np.moveaxis(nu_generator(Samples(spec, ts)), 0, -1),
                       (times,), (times[:-1] + 0.5 * dt,), dt, nu0)
 
 
 def _check_complex_basis(steps):
     rng = np.random.default_rng(steps)
     spec, nu0 = random_spec(rng), random_nu0(rng)
-    traj = integrate_nu(spec, nu0, steps * CFG.dt, CFG)
+    traj = integrate_nu(GridSamples(spec, steps * CFG.dt, CFG.dt), nu0)
     want = _complex_basis_nu(spec, nu0, time_grid(steps * CFG.dt, CFG.dt))
     assert traj.nu.shape == want.shape == (steps + 1, 3)
     assert np.max(np.abs(traj.nu - want)) <= 1e-12 * np.max(np.abs(want))
@@ -153,22 +153,27 @@ def test_integrate_nu_matches_complex_basis_reference_at_block_boundaries(steps)
 
 
 class _Counted(Signal):
-    """Wraps a signal and records every evaluation in ``calls``."""
+    """Wraps a signal and records every evaluation in ``calls``.
 
-    def __init__(self, inner: Signal, calls: list):
-        self.inner, self.calls = inner, calls
+    A record is (name, method, grid), the grid being the bytes of the
+    evaluation times, so evaluations on equal grids compare equal.
+    """
+
+    def __init__(self, inner: Signal, calls: list, name: str = ""):
+        self.inner, self.calls, self.name = inner, calls, name
+
+    def _record(self, method: str, t):
+        self.calls.append((self.name, method, np.asarray(t, dtype=float).tobytes()))
+        return getattr(self.inner, method)(t)
 
     def value(self, t):
-        self.calls.append("value")
-        return self.inner.value(t)
+        return self._record("value", t)
 
     def d1(self, t):
-        self.calls.append("d1")
-        return self.inner.d1(t)
+        return self._record("d1", t)
 
     def d2(self, t):
-        self.calls.append("d2")
-        return self.inner.d2(t)
+        return self._record("d2", t)
 
 
 @pytest.mark.parametrize("integrate, y0", [(integrate_nu, (1, 0, 0)),
@@ -182,13 +187,14 @@ def test_integrators_sample_each_signal_once_per_integration(integrate, y0):
             omega=_Counted(Sinusoid(0.3, 1.0, offset=1.0), calls),
             f=ComplexSignal(_Counted(Sinusoid(0.1, 0.7, offset=0.8), calls),
                             _Counted(Sinusoid(0.2, 0.5), calls)))
-        assert len(integrate(spec, y0, t_final, CFG).times) == round(t_final / CFG.dt) + 1
+        assert len(integrate(GridSamples(spec, t_final, CFG.dt), y0).times) == \
+            round(t_final / CFG.dt) + 1
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
 
 def test_trajectory_accessors():
-    traj = integrate_nu(constant_spec(omega=1.0), (1, 0, 0), 1.0, CFG)
+    traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, CFG.dt), (1, 0, 0))
     assert traj.nu_at(0) == NuVector(1, 0, 0)
     assert traj.constants_at(0) == (0, 1)
     assert traj.dt == pytest.approx(1e-3)
@@ -206,7 +212,7 @@ def test_build_B_reproduces_bare_operators():
 def test_build_B_matches_heisenberg_oracle_free_case():
     w0 = 0.9
     spec = constant_spec(omega=w0)
-    traj = integrate_nu(spec, (1, 0, 0), 3.0, CFG)
+    traj = integrate_nu(GridSamples(spec, 3.0, CFG.dt), (1, 0, 0))
     u = evolve_unitary(spec, 3.0, CFG)
     b, _, _ = ladder_operators()
     k = 3000
@@ -277,14 +283,14 @@ def test_invariance_residual_free_closed_form():
     traj = NuTrajectory(times=np.arange(0, 5001) * 1e-3, nu=nus,
                         lambda1=lam1, lambda2=lam2)
     assert invariance_residual(spec, traj, 2500) <= 1e-6
-    assert invariance_residual_max(spec, traj) <= 1e-6
+    assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-6
 
 
 def test_invariance_residual_on_random_spec():
     rng = np.random.default_rng(13)
     spec = random_spec(rng)
-    traj = integrate_nu(spec, (1, 0, 0), 10.0, CFG)
-    assert invariance_residual_max(spec, traj) <= 1e-5
+    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), (1, 0, 0))
+    assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-5
 
 
 def test_invariance_residual_max_matches_matrix_form():
@@ -296,19 +302,19 @@ def test_invariance_residual_max_matches_matrix_form():
     for _ in range(40):
         nu = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         traj = NuTrajectory(times=times, nu=nu, lambda1=np.zeros(3), lambda2=np.zeros(3))
-        assert invariance_residual_max(spec, traj) == pytest.approx(
+        assert invariance_residual_max(Samples(spec, traj.times), traj) == pytest.approx(
             invariance_residual(spec, traj, 1), rel=1e-14)
 
 
 def test_invariance_residual_detects_wrong_forcing_sign():
     spec = constant_spec(omega=0.8, f=0.5)
     flipped = constant_spec(omega=0.8, f=-0.5)
-    bad = integrate_nu(flipped, (1, 0, 0), 2.0, CFG)
-    assert invariance_residual_max(spec, bad) >= 1e-2
+    bad = integrate_nu(GridSamples(flipped, 2.0, CFG.dt), (1, 0, 0))
+    assert invariance_residual_max(Samples(spec, bad.times), bad) >= 1e-2
 
 
 def test_invariance_residual_boundary_raises():
-    traj = integrate_nu(constant_spec(omega=1.0), (1, 0, 0), 1.0, CFG)
+    traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, CFG.dt), (1, 0, 0))
     with pytest.raises(IndexError):
         invariance_residual(constant_spec(omega=1.0), traj, 0)
     with pytest.raises(IndexError):
@@ -329,7 +335,7 @@ def test_free_oscillator_nu_matches_integrator_sinusoid():
     omega = Sinusoid(0.8, 1.1, 0.4, offset=1.0)
     spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
-    traj = integrate_nu(spec, nu0, 5.0, CFG)
+    traj = integrate_nu(GridSamples(spec, 5.0, CFG.dt), nu0)
     closed = free_oscillator_trajectory(nu0, omega, traj.times)
     assert np.max(np.abs(closed - traj.nu)) <= 1e-8
 

@@ -5,6 +5,7 @@ import pytest
 
 from ffo.algebra import I2, hamiltonian_matrix, max_abs
 from ffo.errors import IntegrationError, SingularReductionError
+from ffo.grid import GridSamples, Samples
 from ffo.invariants import (NuVector, build_B, integrate_nu, motion_constants,
                             nu_rhs)
 from ffo.propagator import PropagatorConfig
@@ -22,7 +23,7 @@ CFG = PropagatorConfig(dt=1e-3)
 
 
 def _jets_traj(spec, t_final=5.0, nu0=(0.3 + 0.1j, 0.2 - 0.4j, 0.5 + 0.2j)):
-    return integrate_nu(spec, nu0, t_final, CFG)
+    return integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
 
 
 # -- first reduction formulas ----------------------------------------------------
@@ -215,13 +216,14 @@ def test_epsilon_constant_coefficients_closed_form():
     w0, f0 = 0.8, 0.6
     spec = constant_spec(omega=w0, f=f0)
     mu = np.sqrt(f0 ** 2 + 0.25 * w0 * w0)
-    et = integrate_epsilon(spec, (1.0, 1j * mu), 5.0, CFG)
+    et = integrate_epsilon(GridSamples(spec, 5.0, CFG.dt), (1.0, 1j * mu))
     want = np.exp(1j * mu * et.times)
     assert np.max(np.abs(et.eps - want)) <= 1e-8
 
 
 def test_epsilon_zero_solution():
-    et = integrate_epsilon(constant_spec(omega=1.0, f=0.5), (0.0, 0.0), 1.0, CFG)
+    et = integrate_epsilon(GridSamples(constant_spec(omega=1.0, f=0.5), 1.0, CFG.dt),
+                           (0.0, 0.0))
     assert np.max(np.abs(et.eps)) == 0.0
     assert np.max(np.abs(et.eps_dot)) == 0.0
 
@@ -239,7 +241,7 @@ def test_epsilon_requires_forcing_floor():
                            f=ComplexSignal(Sinusoid(0.5, 1.0)),  # crosses zero
                            g=Constant(0.0))
     with pytest.raises(SingularReductionError, match="violated at t=0.0$"):
-        integrate_epsilon(spec, (1.0, 0.0), 5.0, CFG)
+        integrate_epsilon(GridSamples(spec, 5.0, CFG.dt), (1.0, 0.0))
 
 
 def test_epsilon_forcing_floor_checked_on_midpoints():
@@ -248,14 +250,14 @@ def test_epsilon_forcing_floor_checked_on_midpoints():
     spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.0015, 1.0))),
                            g=Constant(0.0))
     with pytest.raises(SingularReductionError, match="violated at t=0.0015$"):
-        integrate_epsilon(spec, (1.0, 0.0), 1.0, CFG)
+        integrate_epsilon(GridSamples(spec, 1.0, CFG.dt), (1.0, 0.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_epsilon_nonfinite_signal_names_grid_time(nan_forcing_spec):
     # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
     with pytest.raises(IntegrationError) as err:
-        integrate_epsilon(nan_forcing_spec, (1.0, 0.3j), 2.0, CFG)
+        integrate_epsilon(GridSamples(nan_forcing_spec, 2.0, CFG.dt), (1.0, 0.3j))
     assert err.value.t == pytest.approx(1.251)
     assert "t=1.251" in str(err.value)
 
@@ -298,7 +300,7 @@ def test_nu_from_epsilon_zero():
 
 def test_closure_against_direct_integration(forced_spec, calibrated_trajectory):
     traj, eps, eps_dot = calibrated_trajectory
-    direct = integrate_nu(forced_spec, tuple(traj.nu[0]), 5.0, CFG)
+    direct = integrate_nu(GridSamples(forced_spec, 5.0, CFG.dt), tuple(traj.nu[0]))
     assert np.max(np.abs(direct.nu - traj.nu)) <= 1e-5
 
 
@@ -306,12 +308,12 @@ def test_closure_against_direct_integration(forced_spec, calibrated_trajectory):
 
 def test_lambda2_two_routes_agree(forced_spec, calibrated_trajectory):
     traj, eps, eps_dot = calibrated_trajectory
-    grid = lambda2_from_epsilon(forced_spec, traj.times, (eps, eps_dot))
+    grid = lambda2_from_epsilon(Samples(forced_spec, traj.times), (eps, eps_dot))
     assert grid.shape == traj.times.shape
     worst = 0.0
     for k in range(0, len(traj.times), 250):
         t = float(traj.times[k])
-        got = lambda2_from_epsilon(forced_spec, t,
+        got = lambda2_from_epsilon(Samples(forced_spec, t),
                                    EpsilonState(complex(eps[k]), complex(eps_dot[k])))
         assert isinstance(got, float)
         assert got == pytest.approx(grid[k], rel=1e-15)
@@ -322,9 +324,10 @@ def test_lambda2_two_routes_agree(forced_spec, calibrated_trajectory):
 
 def test_lambda2_from_epsilon_zero():
     spec = constant_spec(omega=1.0, f=0.5)
-    assert lambda2_from_epsilon(spec, 0.0, EpsilonState(0.0, 0.0)) == 0.0
+    assert lambda2_from_epsilon(Samples(spec, 0.0), EpsilonState(0.0, 0.0)) == 0.0
     zeros = np.zeros(3, dtype=complex)
-    assert lambda2_from_epsilon(spec, np.arange(3) * 0.1, (zeros, zeros)).tolist() == [0.0] * 3
+    grid = Samples(spec, np.arange(3) * 0.1)
+    assert lambda2_from_epsilon(grid, (zeros, zeros)).tolist() == [0.0] * 3
 
 
 def test_lambda2_from_epsilon_array_guard():
@@ -333,7 +336,7 @@ def test_lambda2_from_epsilon_array_guard():
                            g=Constant(0.0))
     ones = np.ones(3, dtype=complex)
     with pytest.raises(SingularReductionError):
-        lambda2_from_epsilon(spec, np.array([0.0, 0.1, 0.2]), (ones, ones))
+        lambda2_from_epsilon(Samples(spec, np.array([0.0, 0.1, 0.2])), (ones, ones))
 
 
 # -- epsilon-prime transform --------------------------------------------------------------------
@@ -362,7 +365,7 @@ def test_epsilon_prime_exponential_forcing():
 
 def test_epsilon_prime_round_trip(forced_spec):
     dt = 1e-3
-    et = integrate_epsilon(forced_spec, (1.0 + 0.2j, 0.1 - 0.3j), 5.0, CFG)
+    et = integrate_epsilon(GridSamples(forced_spec, 5.0, CFG.dt), (1.0 + 0.2j, 0.1 - 0.3j))
     om_p, gauge = epsilon_prime_transform(forced_spec, et.times)
     # integrate the primed equation with matched initial conditions
     f0 = complex(forced_spec.f.value(0.0))

@@ -9,7 +9,7 @@ from ffo.algebra import hamiltonian_entries, hamiltonian_matrix, ladder_operator
 from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
-from ffo.grid import cumsimpson_grid, cumtrapz_grid
+from ffo.grid import GridSamples, Samples, cumsimpson_grid, cumtrapz_grid
 from ffo.invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
                             integrate_nu)
 from ffo.propagator import PropagatorConfig, evolve_unitary
@@ -38,7 +38,7 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
     times, dt, n = traj.times, traj.dt, len(traj.times)
     q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
                         + np.asarray(spec.omega.value(times), dtype=float), dt)
-    h00, h01, h10, h11 = hamiltonian_entries(spec, times)
+    h00, h01, h10, h11 = hamiltonian_entries(Samples(spec, times))
     psi = np.empty((n, 2), dtype=complex)
     mask = np.zeros(n, dtype=bool)
     s_prev = None
@@ -126,8 +126,8 @@ VACUUM_CASES = {
 @pytest.mark.parametrize("case", sorted(VACUUM_CASES))
 def test_vacuum_trajectory_matches_reference(case):
     spec, nu0, t_final, gaps = VACUUM_CASES[case]
-    traj = integrate_nu(spec, nu0, t_final, CFG)
-    psi, mask = vacuum_trajectory(traj, spec)
+    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
+    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     want_psi, want_mask = _vacuum_reference(traj, spec)
     assert np.array_equal(mask, want_mask)
     assert np.count_nonzero(np.diff(mask.astype(int)) == 1) + int(mask[0]) == gaps
@@ -142,7 +142,7 @@ def test_vacuum_branch_keeps_principal_root_on_exact_tie():
     traj = NuTrajectory(times=np.arange(4) * 1e-3, nu=nu, lambda1=np.zeros(4),
                         lambda2=np.ones(4))
     spec = constant_spec(omega=0.0)
-    psi, mask = vacuum_trajectory(traj, spec)
+    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     want_psi, _ = _vacuum_reference(traj, spec)
     assert not mask.any()
     assert np.array_equal(psi, want_psi)
@@ -152,11 +152,11 @@ def test_vacuum_branch_keeps_principal_root_on_exact_tie():
 def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
     # nu_minus is exactly 0 at t = 0; the closed form must not be evaluated there
     spec, nu0, t_final, _ = VACUUM_CASES["starts_in_gap"]
-    traj = integrate_nu(spec, nu0, t_final, CFG)
+    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
     assert traj.nu[0, 0] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psi, mask = vacuum_trajectory(traj, spec)
+        psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     assert mask[0] and np.all(np.isfinite(psi))
 
 
@@ -164,8 +164,8 @@ def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_vacuum_trajectory_random_specs(seed):
     spec = random_spec(np.random.default_rng(seed))
-    traj = integrate_nu(spec, (1, 0, 0), 2.0, CFG)
-    psi, _ = vacuum_trajectory(traj, spec)
+    traj = integrate_nu(GridSamples(spec, 2.0, CFG.dt), (1, 0, 0))
+    psi, _ = vacuum_trajectory(traj, Samples(spec, traj.times))
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
     assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-10
@@ -174,10 +174,10 @@ def test_vacuum_trajectory_random_specs(seed):
 
 def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, forced_spec)
+    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
-    assert schrodinger_residual_max(forced_spec, traj.times, psi) <= 1e-5
+    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi) <= 1e-5
     norms = np.linalg.norm(psi, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
@@ -185,15 +185,15 @@ def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
 def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
     # the fallback flag marks exactly the points below the nu_minus floor
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, forced_spec)
+    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     assert np.array_equal(mask, np.abs(traj.nu[:, 0]) < DEFAULT_TOL.vacuum_nu_min)
     assert abs(np.linalg.norm(psi[1234]) - 1.0) < 1e-12
 
 
 def test_vacuum_canonical_start_is_ground_state():
     spec = constant_spec(omega=1.0, f=0.4, g=0.2)
-    traj = integrate_nu(spec, (1, 0, 0), 1.0, CFG)
-    psi, mask = vacuum_trajectory(traj, spec)
+    traj = integrate_nu(GridSamples(spec, 1.0, CFG.dt), (1, 0, 0))
+    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     assert psi[0, 0] == pytest.approx(1.0)
     assert psi[0, 1] == pytest.approx(0.0)
     assert not mask[0]
@@ -205,14 +205,14 @@ def test_vacuum_tracks_true_evolution_through_pinch():
     f0 = 0.5
     spec = constant_spec(f=f0)
     t_final = 8.0
-    traj = integrate_nu(spec, (1, 0, 0), t_final, CFG)
-    psi, mask = vacuum_trajectory(traj, spec)
+    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), (1, 0, 0))
+    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     assert mask.any()  # the pinch at t = pi/(2 f0) activates the fallback
     u = evolve_unitary(spec, t_final, CFG)
     true_vac = u.U[:, :, 0]  # U |0>
     overlap = np.abs(np.sum(np.conj(true_vac) * psi, axis=1))
     assert np.min(overlap) >= 1.0 - 1e-8
-    assert schrodinger_residual_max(spec, traj.times, psi) <= 1e-5
+    assert schrodinger_residual_max(Samples(spec, traj.times), psi) <= 1e-5
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
 
@@ -229,7 +229,7 @@ def test_nullspace_fallback_examples():
 def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
                                                          calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, forced_spec)
+    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     for k in (800, 2400, 4000):
         if mask[k] or abs(traj.nu[k, 0]) < 1e-3:
             continue
@@ -259,7 +259,7 @@ def test_coherent_state_canonical_at_t0():
 
 def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, forced_spec)
+    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     for k in (0, 1111, 3210, 5000):
         vac = EvolvedVacuum(psi[k, 0], psi[k, 1], bool(mask[k]))
         for scale in (1.0, 0.4 - 0.6j):
@@ -269,7 +269,7 @@ def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
 def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
     # {|0;t>, B'(t)|0;t>} is an orthonormal moving frame
     traj, _, _ = calibrated_trajectory
-    psi, _ = vacuum_trajectory(traj, forced_spec)
+    psi, _ = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     for k in (123, 2500, 4999):
         v = psi[k]
         w = build_B_dagger(traj.nu_at(k)) @ v
@@ -283,7 +283,7 @@ def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
 def test_coherence_stationary_family():
     w0, g0 = 1.2, 0.4
     spec = constant_spec(omega=w0, g=g0)
-    rep = coherence_check(spec, evolve_unitary(spec, 5.0, CFG))
+    rep = coherence_check(GridSamples(spec, 5.0, CFG.dt), evolve_unitary(spec, 5.0, CFG))
     assert np.max(rep.eigen_residual) <= 1e-8
     want = np.exp(-1j * w0 * rep.times)
     assert np.max(np.abs(rep.zeta_ratio - want)) <= 1e-8
@@ -294,7 +294,7 @@ def test_coherence_sinusoidal_frequency():
     spec = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                            f=ComplexSignal(Constant(0.0)),
                            g=Sinusoid(0.3, 0.4))
-    rep = coherence_check(spec, evolve_unitary(spec, 5.0, CFG))
+    rep = coherence_check(GridSamples(spec, 5.0, CFG.dt), evolve_unitary(spec, 5.0, CFG))
     assert np.max(rep.eigen_residual) <= 1e-7
     # zeta(t)/zeta must match conj(beta) = exp(-i int omega)
     assert np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))) <= 1e-7
@@ -302,7 +302,7 @@ def test_coherence_sinusoidal_frequency():
 
 def test_coherence_broken_by_forcing():
     spec = constant_spec(f=1.0)
-    rep = coherence_check(spec, evolve_unitary(spec, 2.0, CFG))
+    rep = coherence_check(GridSamples(spec, 2.0, CFG.dt), evolve_unitary(spec, 2.0, CFG))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
     assert np.max(rep.eigen_residual) >= 1e-3
@@ -313,8 +313,8 @@ def test_coherence_broken_by_forcing():
 def test_lr_phases_stationary():
     w0, g0 = 1.3, 0.7
     spec = constant_spec(omega=w0, g=g0)
-    traj = integrate_nu(spec, (1, 0, 0), 5.0, CFG)
-    ph = lr_phases(traj, spec)
+    traj = integrate_nu(GridSamples(spec, 5.0, CFG.dt), (1, 0, 0))
+    ph = lr_phases(traj, Samples(spec, traj.times))
     t = traj.times
     assert np.max(np.abs(ph.phi0 + g0 * t)) <= 1e-6
     assert np.max(np.abs(ph.phi1 + (g0 + w0) * t)) <= 1e-6
@@ -326,16 +326,16 @@ def test_lr_phases_stationary():
 
 def test_phased_states_solve_schrodinger(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, forced_spec)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-    assert schrodinger_residual_max(forced_spec, traj.times, psi0) <= 1e-5
-    assert schrodinger_residual_max(forced_spec, traj.times, psi1) <= 1e-5
+    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi0) <= 1e-5
+    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi1) <= 1e-5
 
 
 def test_phase_split_is_additive(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, forced_spec)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
     assert np.max(np.abs((ph.phi_geometric + ph.phi_dynamical)
                          - (ph.phi1 - ph.phi0))) <= 1e-12
     rec = ph.record_at(100)
@@ -351,7 +351,7 @@ def test_lr_frame_orthonormal(forced_spec, calibrated_trajectory):
 
 
 def test_lr_frame_requires_calibration(forced_spec):
-    traj = integrate_nu(forced_spec, (0.9, 0.7, 0.1), 1.0, CFG)  # lambda1 != 0
+    traj = integrate_nu(GridSamples(forced_spec, 1.0, CFG.dt), (0.9, 0.7, 0.1))  # lambda1 != 0
     with pytest.raises(ContractError):
         lr_frame(traj)
 
@@ -359,7 +359,7 @@ def test_lr_frame_requires_calibration(forced_spec):
 def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory):
     # the normalized-frame CS carries eigenvalue zeta * exp(i phi(t))
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, forced_spec)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
     k = 2048
     x = np.exp(1j * ph.phi0[k]) * ph.frame.e0[k]
     y = np.exp(1j * ph.phi1[k]) * ph.frame.e1[k]
@@ -376,7 +376,7 @@ def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory
 
 def test_lr_ladder_phase_fit(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, forced_spec)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
     theta, fit_residual = lr_ladder_fit(ph, traj)
     assert fit_residual <= 1e-7
     dphi = ph.phi1 - ph.phi0
@@ -388,7 +388,7 @@ def test_geometric_phase_gauge_independence(forced_spec, calibrated_trajectory):
     # multiplying the frame by a smooth test phase with chi(0) = chi(T) = 0
     # must leave the endpoint geometric phase unchanged
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, forced_spec)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
     t = traj.times
     chi = 0.1 * np.sin(np.pi * t / t[-1]) ** 2
     e1 = np.exp(1j * chi)[:, None] * ph.frame.e1
