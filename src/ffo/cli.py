@@ -206,10 +206,6 @@ class ScenarioConfig:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("output.format", f"unknown format {self.out_format!r}")
-        if self.out_format == "csv" and self.out_path is not None:
-            # selecting from the header itself rejects an unknown field before any work
-            header = CSV_HEADERS[_csv_table(self.mode)]
-            _table_select(self, header, header)
         for name, tol in self.tolerances.items():
             if name not in CHECK_TOLERANCES:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
@@ -455,10 +451,7 @@ class _Scenario:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-
-    @cached_property
-    def samples(self) -> GridSamples:
-        return GridSamples(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
+        self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
 
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
@@ -696,6 +689,8 @@ def main(argv=None) -> int:
                                            "set run.tolerances")
             cfg.tolerances[PRIMARY_CHECK[args.mode]] = args.tol
         cfg.validate()
+        if cfg.out_format == "csv" and cfg.out_path is not None:  # before any scenario runs
+            _table_select(cfg, *[CSV_HEADERS[_csv_table(args.mode)]] * 2)
 
         if args.sweep is not None:
             rng = np.random.default_rng(args.seed)

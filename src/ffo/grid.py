@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .errors import ContractError
 from .signals import HamiltonianSpec
 
 # steps whose RK4 step matrices are held in memory at once
@@ -125,6 +126,11 @@ class Samples:
 
     def __init__(self, spec: HamiltonianSpec, times):
         self.spec, self.times = spec, times
+
+    def check_grid(self, times) -> None:
+        """Raise ContractError unless ``times`` is the grid these samples were taken on."""
+        if not np.array_equal(self.times, times):
+            raise ContractError("the samples and the trajectory are on different time grids")
 
     @cached_property
     def omega(self) -> np.ndarray:

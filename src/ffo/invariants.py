@@ -206,6 +206,7 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
     nu_plus (h00 - h11) + nu_3 h10; the (1, 1) residual is minus the (0, 0)
     one, so three entries give the max.
     """
+    samples.check_grid(traj.times)
     d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
     vm, vp, v3 = traj.nu[1:-1].T
     h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))

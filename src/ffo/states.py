@@ -89,6 +89,7 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
     of B; a re-entry point takes the phase of that same prediction and
     carries it over its whole stretch.
     """
+    samples.check_grid(traj.times)
     times, dt = traj.times, traj.dt
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
     mask = np.abs(vm) < tol.vacuum_nu_min
@@ -147,6 +148,8 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
 
 def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
     """Max central-difference residual of i d psi/dt = H psi over interior points."""
+    if len(psi) != len(samples.times):
+        raise ContractError("psi and the samples are on different time grids")
     dt = float(samples.times[1] - samples.times[0])
     h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))
     dpsi = (psi[2:] - psi[:-2]) / (2.0 * dt)
@@ -208,6 +211,7 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
     then zeta(t)/zeta = u11/u00.  The residual collects the coefficients
     that violate it (all proportional to u10 once the ratio is fitted).
     """
+    samples.check_grid(unitary.times)
     times, U = unitary.times, unitary.U
     u00, u01 = U[:, 0, 0], U[:, 0, 1]
     u10, u11 = U[:, 1, 0], U[:, 1, 1]
@@ -356,6 +360,7 @@ def lr_phases(traj: NuTrajectory, samples: Samples,
     central-difference/trapezoid recipe; its two-route identity is checked
     on those same samples and reported as ``consistency_residual``.
     """
+    samples.check_grid(traj.times)
     frame = lr_frame(traj, tol)
     dt = traj.dt
     a0, a1 = _frame_connections(traj, samples, frame)

@@ -494,6 +494,19 @@ def test_unknown_output_field_rejected_before_any_scenario_runs(monkeypatch, tmp
     assert main([*argv, "--format", "json"]) == 0
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_output_fields_are_checked_against_the_mode_run(tmp_path, capsys, fmt):
+    # no run.mode in the document: its fields name columns of the phases table
+    doc = json.loads(GOOD)
+    del doc["run"]["mode"]
+    doc["output"].update(path=str(tmp_path / "p.csv"), fields=["t", "phi0"])
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["phases", "--config", str(cfg_path), "--t-final", "0.5", *fmt]) == 0
+    if not fmt:
+        assert (tmp_path / "p.csv").read_text().splitlines()[0] == "t,phi0"
+
+
 def test_main_sweep_honours_output_fields(tmp_path, capsys):
     doc = json.loads(GOOD)
     doc["output"]["fields"] = ["t", "lambda2"]

@@ -11,7 +11,7 @@ from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
 from ffo.grid import GridSamples, Samples, cumsimpson_grid, cumtrapz_grid
 from ffo.invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
-                            integrate_nu)
+                            integrate_nu, invariance_residual_max)
 from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
@@ -180,6 +180,24 @@ def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi) <= 1e-5
     norms = np.linalg.norm(psi, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
+
+
+def test_samples_on_another_grid_are_rejected(forced_spec, calibrated_trajectory):
+    # the same length with another dt, and one point fewer: neither pairs with traj
+    traj, _, _ = calibrated_trajectory
+    t_final, dt = float(traj.times[-1]), traj.dt
+    unitary = evolve_unitary(forced_spec, t_final, PropagatorConfig(dt=dt))
+    psi, _ = vacuum_trajectory(traj, GridSamples(forced_spec, t_final, dt))
+    for samples in (GridSamples(forced_spec, 2.0 * t_final, 2.0 * dt),
+                    GridSamples(forced_spec, t_final - dt, dt)):
+        for call in (lambda: vacuum_trajectory(traj, samples),
+                     lambda: lr_phases(traj, samples),
+                     lambda: coherence_check(samples, unitary),
+                     lambda: invariance_residual_max(samples, traj)):
+            with pytest.raises(ContractError, match="different time grids"):
+                call()
+    with pytest.raises(ContractError, match="different time grids"):
+        schrodinger_residual_max(GridSamples(forced_spec, t_final - dt, dt), psi)
 
 
 def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
