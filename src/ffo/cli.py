@@ -441,17 +441,21 @@ def _check(checks: list, name: str, value: float, tolerance: float, invert=False
                    "tolerance": float(tolerance), "passed": bool(passed)})
 
 
-def _spec_is_free(cfg: ScenarioConfig) -> bool:
-    probe = np.linspace(0.0, cfg.t_final, 65)
-    return float(np.max(np.abs(cfg.spec.f.value(probe)))) <= DEFAULT_TOL.f_min
-
-
 class _Scenario:
     """A scenario's config, and the samples, U and nu(nu0) its modes share, each built once."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
+
+    @cached_property
+    def forcing(self) -> np.ndarray:
+        """|f| on 65 points of [0, t_final]: the probe the mode gates read."""
+        return np.abs(self.cfg.spec.f.value(np.linspace(0.0, self.cfg.t_final, 65)))
+
+    @property
+    def is_free(self) -> bool:
+        return float(np.max(self.forcing)) <= DEFAULT_TOL.f_min
 
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
@@ -518,7 +522,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
 def _run_coherence(sc: _Scenario, tols: dict):
     rep = coherence_check(sc.samples, sc.unitary)
     checks: list = []
-    if _spec_is_free(sc.cfg):
+    if sc.is_free:
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
                tols["coherence_eigen"])
         ratio_dev = np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))
@@ -589,14 +593,12 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
     tables: dict = {}
     checks: list = []
     drifts: dict = {}
+    sc = _Scenario(cfg)
     submodes = [mode]
     if mode == "all":
         submodes = ["grassmann-selftest", "invariants", "coherence", "phases"]
-        if not _spec_is_free(cfg):
-            probe = np.linspace(0.0, cfg.t_final, 65)
-            if float(np.min(np.abs(cfg.spec.f.value(probe)))) >= 0.1:
-                submodes.append("reduce")
-    sc = _Scenario(cfg)
+        if not sc.is_free and float(np.min(sc.forcing)) >= 0.1:
+            submodes.append("reduce")
     for sub in submodes:
         cols, c = _MODE_RUNNERS[sub](sc, tols)
         prefix = "" if mode != "all" else sub + "."

@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ContractError
 from .signals import HamiltonianSpec
@@ -164,8 +163,16 @@ class GridSamples(Samples):
 
 
 def cumtrapz_grid(y: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid integral of samples y on a uniform grid, F(0)=0."""
-    return cumulative_trapezoid(y, dx=dt, initial=0.0)
+    """Cumulative trapezoid integral of samples y on a uniform grid, F(0)=0.
+
+    Plain numpy in scipy's order of operations, so the result is bit for
+    bit ``scipy.integrate.cumulative_trapezoid(y, dx=dt, initial=0.0)``
+    without importing scipy.
+    """
+    y = np.asarray(y)
+    out = np.zeros(y.shape[0], dtype=np.result_type(y.dtype, float))
+    out[1:] = np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)
+    return out
 
 
 def cumsimpson_grid(y: np.ndarray, dt: float) -> np.ndarray:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .algebra import I2, hamiltonian_entries, hamiltonian_matrix, max_abs
 from .config import DEFAULT_TOL, ToleranceConfig
@@ -229,7 +228,7 @@ def _omega_integral(omega: Signal, t: float) -> float:
         return 0.0
     n = 2 * max(32, int(np.ceil(abs(t) / 2e-3)))
     ts = np.linspace(0.0, t, n + 1)
-    return float(simpson(np.asarray(omega.value(ts), dtype=float), x=ts))
+    return float(cumsimpson_grid(np.asarray(omega.value(ts), dtype=float), t / n)[-1])
 
 
 def free_oscillator_nu(nu0, omega: Signal, t: float, f=None,

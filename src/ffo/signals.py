@@ -14,11 +14,14 @@ declared approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import SignalRangeError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 class Signal:
@@ -98,7 +101,9 @@ class Polynomial(Signal):
 class Tabulated(Signal):
     """Cubic-spline interpolant through (times, values); strictly in-range.
 
-    Derivatives come from the spline, not from the underlying data.
+    Derivatives come from the spline, not from the underlying data.  The
+    spline is scipy's ``CubicSpline``, imported here on construction, so a
+    run without tabulated signals never imports scipy.
     """
 
     times: tuple[float, ...]
@@ -112,6 +117,8 @@ class Tabulated(Signal):
             raise ValueError("tabulated signal needs matching 1-d times/values, len >= 2")
         if not np.all(np.diff(t) > 0):
             raise ValueError("tabulated signal times must be strictly increasing")
+        from scipy.interpolate import CubicSpline
+
         object.__setattr__(self, "_spline", CubicSpline(t, v))
 
     def _check_range(self, t):

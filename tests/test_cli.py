@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffo
 from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MODES, ScenarioConfig,
                      _table_select, emit_csv, main, parse_config, run, serialize_config)
 from ffo.errors import ConfigError
@@ -279,6 +283,35 @@ def test_main_accepts_tabulated_signal_ending_at_t_final(tmp_path, capsys):
     # invariants runs too; its checks may fail at this coarse dt, its config may not
     assert main(["invariants", "--config", str(cfg_path)]) != 2
     assert "config error" not in capsys.readouterr().err
+
+
+# the README scenario, and one whose f_re is tabulated
+_README_DOC = dict(json.loads(GOOD), run={"mode": "invariants", "t_final": 10.0, "dt": 0.001},
+                   output={"format": "csv", "fields": ["t", "lambda2", "oracle_dev"]})
+_TABULATED_DOC = {
+    "hamiltonian": {"omega": {"type": "constant", "value": 1.0},
+                    "f_re": {"type": "tabulated", "times": [0, 0.5, 1.0, 1.5, 2.0],
+                             "values": [0.5, 0.6, 0.55, 0.45, 0.5]},
+                    "f_im": {"type": "constant", "value": 0.1}},
+    "run": {"t_final": 2.0, "dt": 0.001}}
+
+
+@pytest.mark.parametrize("doc, loads_scipy", [(_README_DOC, False), (_TABULATED_DOC, True)],
+                         ids=["readme", "tabulated"])
+def test_fresh_run_imports_scipy_only_for_a_tabulated_signal(tmp_path, doc, loads_scipy):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    script = ("import sys\n"
+              "from ffo.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ffo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, "all", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
 
 @pytest.mark.parametrize("mode", ["phases", "all"])
@@ -679,11 +712,12 @@ def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
     report, tables = run("all", cfg)
     assert report.passed and "reduce" in tables
     grids = _grid_names(cfg.t_final, cfg.dt)
-    on_grid = [call for call in calls if call[2] in grids]
-    assert len(on_grid) == len(set(on_grid))
-    assert {(name, grids[grid]) for name, _, grid in on_grid} >= {
+    assert len(calls) == len(set(calls))
+    assert {(name, grids[grid]) for name, _, grid in calls if grid in grids} >= {
         ("omega", "nodes"), ("omega", "mids"), ("g", "nodes"), ("f_re", "mids")}
-    # the rest is the 65-point forcing probe of _spec_is_free and of run itself
-    assert {len(grid) for _, _, grid in calls if grid not in grids} == {65 * 8}
+    # the rest is the 65-point forcing probe, |f| taken once for every mode gate
+    probe = np.linspace(0.0, cfg.t_final, 65).tobytes()
+    assert sorted(call for call in calls if call[2] not in grids) == [
+        ("f_im", "value", probe), ("f_re", "value", probe)]
     # one sample set per scenario, gone once run() has returned
     assert len(sample_sets) == 1 and sample_sets[0]() is None

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from ffo import grid
 from ffo.grid import cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
+from ffo.invariants import build_B_so, free_oscillator_nu
+from ffo.signals import Sinusoid
 
 # step counts at the kernel's block, block-of-blocks and chunk boundaries
 _B, _C = grid.BLOCK_STEPS, grid.CHUNK_STEPS
@@ -70,6 +72,34 @@ def test_cumtrapz_second_order():
     ts = time_grid(1.0, 1e-3)
     got = cumtrapz_grid(np.cos(ts), 1e-3)
     assert np.max(np.abs(got - np.sin(ts))) < 1e-7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 2001, 10001])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_cumtrapz_is_scipy_bit_for_bit(n, kind):
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=n)
+    if kind == "complex":
+        y = y + 1j * rng.normal(size=n)
+    for dt in (1e-3, 0.1, 0.37):
+        got, ref = cumtrapz_grid(y, dt), cumulative_trapezoid(y, dx=dt, initial=0.0)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.8, 2.0, 7.3])
+def test_free_oscillator_phase_matches_scipy_simpson(t):
+    omega = Sinusoid(0.3, 1.0, offset=1.0)
+    n = 2 * max(32, int(np.ceil(t / 2e-3)))
+    ts = np.linspace(0.0, t, n + 1)
+    phi = simpson(omega.value(ts), x=ts)
+    vm, vp = 0.6, 0.4
+    got = free_oscillator_nu((vm, vp, 0.3), omega, t)
+    assert abs(got.nu_minus - vm * np.exp(1j * phi)) <= 1e-12
+    assert abs(got.nu_plus - vp * np.exp(-1j * phi)) <= 1e-12
+    # phi sits in the off-diagonal entries, nu_minus and nu_plus
+    mat = build_B_so(vm, vp, omega, t)
+    assert abs(mat[0, 1] - vm * np.exp(1j * phi)) <= 1e-12
+    assert abs(mat[1, 0] - vp * np.exp(-1j * phi)) <= 1e-12
 
 
 def test_cumsimpson_short_arrays():
