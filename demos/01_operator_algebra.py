@@ -10,6 +10,7 @@ import numpy as np
 
 from ffo.algebra import (I2, anticommutator, commutator, hamiltonian_matrix,
                          ladder_operators, max_abs, spin_operators)
+from ffo.grid import Samples
 from ffo.signals import constant_spec
 
 b, b_dag, n = ladder_operators()
@@ -33,7 +34,7 @@ print("[J+, J-] - 2 J3   :", max_abs(commutator(jp, jm) - 2 * j3))
 
 # the Hamiltonian in ladder form equals its J-basis form entrywise
 spec = constant_spec(omega=1.0, f=0.4 + 0.3j, g=0.2)
-h = hamiltonian_matrix(spec, 0.0)
+h = hamiltonian_matrix(Samples(spec, 0.0))
 w, f, g = 1.0, 0.4 + 0.3j, 0.2
 h_j = w * j3 + f * jp + np.conj(f) * jm + (g + 0.5 * w) * I2
 print("\nH =\n", h)

@@ -12,9 +12,8 @@ import numpy as np
 
 from ffo.algebra import ladder_operators
 from ffo.grid import GridSamples
-from ffo.invariants import (build_B_array, build_B_so, free_oscillator_trajectory,
-                            integrate_nu, invariance_residual_max,
-                            ladder_conditions_check)
+from ffo.invariants import (build_B_array, build_B_so, free_oscillator_nu, integrate_nu,
+                            invariance_residual_max, ladder_conditions_check)
 from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.signals import ComplexSignal, HamiltonianSpec, Sinusoid
 
@@ -34,8 +33,8 @@ print("lambda1 drift:", np.max(np.abs(traj.lambda1 - traj.lambda1[0])))
 print("lambda2 drift:", np.max(np.abs(traj.lambda2 - traj.lambda2[0])))
 
 # ladder conditions at a few times, from the matrix itself
-for k in (0, 5000, 10000):
-    rb2, ranti = ladder_conditions_check(traj.nu_at(k))
+ks = [0, 5000, 10000]
+for k, rb2, ranti in zip(ks, *ladder_conditions_check(traj.nu[ks])):
     print(f"t={traj.times[k]:5.2f}  ||B^2||={rb2:.2e}  |{{B,B'}}-1|={ranti:.2e}")
 
 # oracle equivalence: B(t) = U b U' with the independent Magnus propagator
@@ -53,7 +52,7 @@ free = HamiltonianSpec(omega=spec.omega, f=ComplexSignal(Sinusoid(0.0, 1.0)),
                        g=spec.g)
 nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
 ftraj = integrate_nu(GridSamples(free, 5.0, cfg.dt), nu0)
-closed = free_oscillator_trajectory(nu0, free.omega, ftraj.times)
+closed = free_oscillator_nu(nu0, free.omega, ftraj.times)
 print("\nclosed form vs integrated (f = 0):", np.max(np.abs(closed - ftraj.nu)))
 mat = build_B_so(0.6, 0.4j, free.omega, 2.5)
 print("B_so(2.5) =\n", mat)

@@ -9,11 +9,11 @@ the phase split into geometric and dynamical parts.
 import numpy as np
 
 from ffo.grid import GridSamples
-from ffo.invariants import NuTrajectory, build_B_array, integrate_nu
+from ffo.invariants import NuTrajectory, build_B_array, integrate_nu, motion_constants
 from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid, constant_spec
-from ffo.states import (EvolvedVacuum, coherence_check, cs_eigen_residual,
+from ffo.states import (coherence_check, cs_eigen_residual,
                         lr_phases, schrodinger_residual_max, vacuum_trajectory)
 
 cfg = PropagatorConfig(dt=1e-3)
@@ -30,13 +30,9 @@ spec = HamiltonianSpec(
 samples = GridSamples(spec, 5.0, cfg.dt)
 et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
-lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
-                + 0.5 * np.abs(nus[0, 2]) ** 2).real)
-scale = lam2_0 ** (-0.25)
+scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
 nus = nu_from_epsilon_arrays(samples, et.eps * scale, et.eps_dot * scale)
-lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
-lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2 + 0.5 * np.abs(nus[:, 2]) ** 2).real
-traj = NuTrajectory(times=et.times, nu=nus, lambda1=lam1, lambda2=lam2)
+traj = NuTrajectory(et.times, nus, *motion_constants(nus))
 
 # the evolved vacuum: annihilated by B(t) and solving the Schrodinger equation
 psi, mask = vacuum_trajectory(traj, samples)
@@ -47,8 +43,7 @@ print("fallback points used   :", int(mask.sum()))
 
 # the coherent state built on it is an exact eigenstate in the algebra
 k = 2500
-vac = EvolvedVacuum(psi[k, 0], psi[k, 1], bool(mask[k]))
-print("grassmann eigen residual:", cs_eigen_residual(traj.nu_at(k), vac, 0.7 - 0.2j))
+print("grassmann eigen residual:", cs_eigen_residual(traj.nu[k], psi[k], 0.7 - 0.2j))
 
 # coherence theorem: no forcing keeps the canonical CS an eigenstate of b
 free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),

@@ -13,22 +13,22 @@ from .grassmann import (GrassmannElement, GrassmannKet, GrassmannOperator,
                         apply_fermion_op, berezin_integrate, coherent_ket,
                         completeness_check, g_mul)
 from .grid import GridSamples, Samples, linear_rk4, time_grid
-from .invariants import (MotionConstants, NuTrajectory, NuVector, build_B,
+from .invariants import (MotionConstants, NuTrajectory, build_B_array,
                          build_B_dagger, build_B_so, free_oscillator_nu,
                          hermitian_invariant, integrate_nu,
-                         invariance_residual, ladder_conditions_check,
-                         motion_constants, nu_generator, nu_rhs)
+                         invariance_residual_max, ladder_conditions_check,
+                         motion_constants, nu_generator)
 from .propagator import (PropagatorConfig, UnitaryTrajectory, evolve_state,
                          evolve_unitary, exp2x2, heisenberg_oracle)
-from .reduction import (EpsilonState, EpsilonTrajectory, big_omega,
-                        build_B_normalized, epsilon_prime_transform,
-                        epsilon_rhs, first_integral_lambda, integrate_epsilon,
-                        lambda2_from_epsilon, nu3_from_nu_plus,
-                        nu_from_epsilon, nu_minus_compact,
-                        nu_minus_from_nu_plus_2nd, third_order_residual)
+from .reduction import (EpsilonTrajectory, build_B_normalized,
+                        epsilon_prime_transform, first_integral_lambda,
+                        integrate_epsilon, lambda2_from_epsilon,
+                        nu3_from_nu_plus, nu_from_epsilon_arrays,
+                        nu_minus_compact, nu_minus_from_nu_plus_2nd,
+                        nu_plus_jets, third_order_residual)
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated, constant_spec)
-from .states import (CoherenceReport, EvolvedVacuum, PhaseRecord,
+from .states import (CoherenceReport, PhaseRecord,
                      PhaseTrajectory, coherence_check, coherent_state,
                      cs_eigen_residual, lr_frame, lr_phases,
                      schrodinger_residual_max, vacuum_trajectory)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import HamiltonianSpec
-
 I2 = np.eye(2, dtype=complex)
 
 
@@ -34,22 +32,16 @@ def spin_operators():
     return j1, j2, j3, b_dag, b
 
 
-def hamiltonian_matrix(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Hamiltonian omega*b'b + f*b' + conj(f)*b + g as a 2x2 matrix.
+def hamiltonian_matrix(samples) -> np.ndarray:
+    """Hamiltonian omega*b'b + f*b' + conj(f)*b + g from the omega, f and g of a ``grid.Samples``.
 
-    Hermitian for every spec and t; equals the J-basis form
+    Returns (..., 2, 2) over the shape of ``samples.times``, a view of a
+    (2, 2, ...) array so each entry is contiguous over the grid.  Hermitian
+    for every spec and t; equals the J-basis form
     omega*J3 + f*J+ + conj(f)*J- + (g + omega/2) entrywise.
     """
-    w = float(spec.omega.value(t))
-    g = float(spec.g.value(t))
-    f = complex(spec.f.value(t))
-    return np.array([[g, np.conj(f)], [f, w + g]], dtype=complex)
-
-
-def hamiltonian_entries(samples):
-    """Hamiltonian entries (h00, h01, h10, h11) from the omega, f and g of a ``grid.Samples``."""
     w, f, g = samples.omega, samples.f, samples.g
-    return g.astype(complex), np.conj(f), f, (w + g).astype(complex)
+    return np.moveaxis(np.array([[g, np.conj(f)], [f, w + g]]), (0, 1), (-2, -1))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,8 +38,8 @@ from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
 from .grid import GridSamples
-from .invariants import (NuTrajectory, build_B, build_B_array, integrate_nu,
-                         invariance_residual_max, motion_constants)
+from .invariants import (NuTrajectory, build_B_array, integrate_nu, invariance_residual_max,
+                         motion_constants)
 from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
@@ -480,7 +480,7 @@ def _run_evolve(sc: _Scenario, tols: dict):
 
 def _run_invariants(sc: _Scenario, tols: dict):
     cfg, traj, u = sc.cfg, sc.nu, sc.unitary
-    ub0 = np.einsum("kij,jl->kil", u.U, build_B(cfg.nu0))
+    ub0 = np.einsum("kij,jl->kil", u.U, build_B_array(cfg.nu0))
     oracle = np.einsum("kil,kml->kim", ub0, np.conj(u.U))
     dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
     lam1_drift = np.abs(traj.lambda1 - traj.lambda1[0])
@@ -500,9 +500,8 @@ def _run_invariants(sc: _Scenario, tols: dict):
 def _run_reduce(sc: _Scenario, tols: dict):
     et = integrate_epsilon(sc.samples, sc.cfg.epsilon0)
     nus = nu_from_epsilon_arrays(sc.samples, et.eps, et.eps_dot)
-    lam1 = np.abs(nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2)
-    lam2_nu = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
-               + 0.5 * np.abs(nus[:, 2]) ** 2).real
+    lam1, lam2_nu = motion_constants(nus)
+    lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
     direct = integrate_nu(sc.samples, tuple(nus[0]))
     closure = np.max(np.abs(direct.nu - nus), axis=1)

@@ -29,22 +29,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import I2, hamiltonian_entries, hamiltonian_matrix, max_abs
+from .algebra import I2, hamiltonian_matrix
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError, IntegrationError
 from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
-from .signals import HamiltonianSpec, Signal
-
-
-class NuVector(NamedTuple):
-    nu_minus: complex
-    nu_plus: complex
-    nu_3: complex
+from .signals import Signal
 
 
 class MotionConstants(NamedTuple):
-    lambda1: complex
-    lambda2: float
+    lambda1: np.ndarray   # complex
+    lambda2: np.ndarray   # real
 
 
 @dataclass
@@ -60,13 +54,6 @@ class NuTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def nu_at(self, k: int) -> NuVector:
-        vm, vp, v3 = self.nu[k]
-        return NuVector(vm, vp, v3)
-
-    def constants_at(self, k: int) -> MotionConstants:
-        return MotionConstants(complex(self.lambda1[k]), float(self.lambda2[k]))
-
 
 def nu_generator(samples: Samples) -> np.ndarray:
     """Matrix A(t) of the coefficient system d(nu)/dt = A(t) nu at ``samples.times``.
@@ -81,25 +68,17 @@ def nu_generator(samples: Samples) -> np.ndarray:
                                  [-2j * f, 2j * fc, z]]), (0, 1), (-2, -1))
 
 
-def nu_rhs(spec: HamiltonianSpec, t: float, nu: NuVector) -> NuVector:
-    """Time derivative of (nu_minus, nu_plus, nu_3) at time t."""
-    d = nu_generator(Samples(spec, t)) @ np.asarray(nu, dtype=complex)
-    return NuVector(*(complex(x) for x in d))
+def motion_constants(nu) -> MotionConstants:
+    """lambda1 = nu_plus nu_minus + nu_3^2/4 and lambda2 = the norm bilinear.
 
-
-def motion_constants(nu: NuVector) -> MotionConstants:
-    """lambda1 = nu_plus nu_minus + nu_3^2/4; lambda2 = the norm bilinear."""
-    vm, vp, v3 = (complex(x) for x in nu)
-    lam1 = vp * vm + 0.25 * v3 * v3
-    lam2 = abs(vm) ** 2 + abs(vp) ** 2 + 0.5 * abs(v3) ** 2
-    return MotionConstants(lam1, lam2)
-
-
-def _constants_arrays(nu: np.ndarray):
-    vm, vp, v3 = nu[:, 0], nu[:, 1], nu[:, 2]
+    ``nu`` is (..., 3), columns nu_minus, nu_plus, nu_3; both constants have
+    shape (...).
+    """
+    nu = np.asarray(nu, dtype=complex)
+    vm, vp, v3 = nu[..., 0], nu[..., 1], nu[..., 2]
     lam1 = vp * vm + 0.25 * v3 * v3
     lam2 = np.abs(vm) ** 2 + np.abs(vp) ** 2 + 0.5 * np.abs(v3) ** 2
-    return lam1, lam2.real
+    return MotionConstants(lam1, lam2)
 
 
 def _bloch_generator(w, f) -> np.ndarray:
@@ -126,89 +105,67 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
         bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))
 
-    lam1, lam2 = _constants_arrays(out)
+    lam1, lam2 = motion_constants(out)
     return NuTrajectory(times=times, nu=out, lambda1=lam1, lambda2=lam2)
 
 
 # -- operator assembly -------------------------------------------------------
 
-def build_B(nu) -> np.ndarray:
-    """B = nu_minus J- + nu_plus J+ + nu_3 J3 as a 2x2 matrix."""
-    vm, vp, v3 = (complex(x) for x in nu)
-    return np.array([[-0.5 * v3, vm], [vp, 0.5 * v3]], dtype=complex)
-
-
-def build_B_dagger(nu) -> np.ndarray:
-    return build_B(nu).conj().T
-
-
-def build_B_array(nu: np.ndarray) -> np.ndarray:
-    """Vectorized build_B over a trajectory array of shape (K, 3)."""
-    out = np.empty((nu.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = -0.5 * nu[:, 2]
-    out[:, 0, 1] = nu[:, 0]
-    out[:, 1, 0] = nu[:, 1]
-    out[:, 1, 1] = 0.5 * nu[:, 2]
+def build_B_array(nu) -> np.ndarray:
+    """B = nu_minus J- + nu_plus J+ + nu_3 J3 as 2x2 matrices: (..., 3) -> (..., 2, 2)."""
+    nu = np.asarray(nu, dtype=complex)
+    out = np.empty(nu.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = -0.5 * nu[..., 2]
+    out[..., 0, 1] = nu[..., 0]
+    out[..., 1, 0] = nu[..., 1]
+    out[..., 1, 1] = 0.5 * nu[..., 2]
     return out
 
 
-def ladder_conditions_check(nu):
-    """Residuals of the fermion ladder conditions for B(nu).
+def build_B_dagger(nu) -> np.ndarray:
+    return np.conj(build_B_array(nu)).swapaxes(-1, -2)
 
-    Returns (||B^2||_max, |{B, B'} - 1|) computed by matrix arithmetic.
-    These equal |lambda1| and |lambda2 - 1| identically; tests assert the
-    two routes agree to rounding.
+
+def ladder_conditions_check(nu):
+    """Residuals of the fermion ladder conditions for B(nu), nu of shape (..., 3).
+
+    Returns (||B^2||_max, ||{B, B'} - 1||_max), each of shape (...),
+    computed by matrix arithmetic.  These equal |lambda1| and |lambda2 - 1|
+    identically; tests assert the two routes agree to rounding.
     """
-    b = build_B(nu)
-    bd = b.conj().T
-    res_b2 = max_abs(b @ b)
-    anti = b @ bd + bd @ b
-    res_anti = max_abs(anti - I2)
+    b, bd = build_B_array(nu), build_B_dagger(nu)
+    res_b2 = np.max(np.abs(b @ b), axis=(-2, -1))
+    res_anti = np.max(np.abs(b @ bd + bd @ b - I2), axis=(-2, -1))
     return res_b2, res_anti
 
 
 def hermitian_invariant(nu) -> np.ndarray:
-    """The quadratic Hermitian invariant B'B - 1/2.
+    """The quadratic Hermitian invariant B'B - 1/2, (..., 3) -> (..., 2, 2).
 
     Its eigenvalues are {-1/2, +1/2} whenever the ladder conditions hold,
     and they stay put in time because the spectrum of an invariant is
     constant.
     """
-    b = build_B(nu)
-    return b.conj().T @ b - 0.5 * I2
+    return build_B_dagger(nu) @ build_B_array(nu) - 0.5 * I2
 
 
 # -- invariance equation ------------------------------------------------------
 
-def invariance_residual(spec: HamiltonianSpec, traj: NuTrajectory, t_index: int) -> float:
-    """||dB/dt - i[B, H]||_max at an interior grid point.
+def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
+    """Max of ||dB/dt - i[B, H]||_max over the interior points of ``samples.times``.
 
     dB/dt uses the central difference of the stored trajectory, so the
-    result is bounded by C*dt^2 plus the integration error.
-    """
-    k = t_index
-    if k < 1 or k > len(traj.times) - 2:
-        raise IndexError("invariance_residual needs an interior grid index")
-    dt = traj.dt
-    db = (build_B(traj.nu[k + 1]) - build_B(traj.nu[k - 1])) / (2.0 * dt)
-    b = build_B(traj.nu[k])
-    h = hamiltonian_matrix(spec, float(traj.times[k]))
-    return max_abs(db - 1j * (b @ h - h @ b))
-
-
-def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
-    """Max invariance residual over all interior points of ``samples.times`` (vectorized).
-
-    The commutator is written entrywise.  With B = [[-nu_3/2, nu_minus],
-    [nu_plus, nu_3/2]], [B, H] has the diagonal +-(nu_minus h10 - h01 nu_plus)
-    and the off-diagonal entries nu_minus (h11 - h00) - nu_3 h01 and
+    result is bounded by C*dt^2 plus the integration error.  The commutator
+    is written entrywise.  With B = [[-nu_3/2, nu_minus], [nu_plus, nu_3/2]],
+    [B, H] has the diagonal +-(nu_minus h10 - h01 nu_plus) and the
+    off-diagonal entries nu_minus (h11 - h00) - nu_3 h01 and
     nu_plus (h00 - h11) + nu_3 h10; the (1, 1) residual is minus the (0, 0)
     one, so three entries give the max.
     """
     samples.check_grid(traj.times)
     d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
     vm, vp, v3 = traj.nu[1:-1].T
-    h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))
+    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples)[1:-1], 0, -1)
     residuals = (-0.5 * d[:, 2] - 1j * (vm * h10 - h01 * vp),
                  d[:, 0] - 1j * (vm * (h11 - h00) - v3 * h01),
                  d[:, 1] - 1j * (vp * (h00 - h11) + v3 * h10))
@@ -223,32 +180,17 @@ def _f_probe(f_signal, t_final: float, f_min: float) -> None:
         raise ContractError("free-oscillator closed form requires f = 0")
 
 
-def _omega_integral(omega: Signal, t: float) -> float:
-    if t == 0:
-        return 0.0
-    n = 2 * max(32, int(np.ceil(abs(t) / 2e-3)))
-    ts = np.linspace(0.0, t, n + 1)
-    return float(cumsimpson_grid(np.asarray(omega.value(ts), dtype=float), t / n)[-1])
-
-
-def free_oscillator_nu(nu0, omega: Signal, t: float, f=None,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> NuVector:
-    """Closed-form coefficients for f = 0.
+def free_oscillator_nu(nu0, omega: Signal, times: np.ndarray, f=None,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Closed-form coefficients for f = 0 on a uniform grid from 0, shape (len(times), 3).
 
     nu_minus(t) = nu0_minus exp(+i phi), nu_plus(t) = nu0_plus exp(-i phi),
-    nu_3 constant, with phi = int_0^t omega by composite Simpson.  The sign
+    nu_3 constant, with phi = int_0^t omega by cumulative Simpson.  The sign
     pairing is the one the differential system produces.  Passing the
     spec's f signal enables the f = 0 guard.
     """
     if f is not None:
-        _f_probe(f, t, tol.f_min)
-    vm, vp, v3 = (complex(x) for x in nu0)
-    phi = _omega_integral(omega, t)
-    return NuVector(vm * np.exp(1j * phi), vp * np.exp(-1j * phi), v3)
-
-
-def free_oscillator_trajectory(nu0, omega: Signal, times: np.ndarray) -> np.ndarray:
-    """Vectorized closed form on a uniform grid (cumulative Simpson phase)."""
+        _f_probe(f, float(times[-1]), tol.f_min)
     vm, vp, v3 = (complex(x) for x in nu0)
     dt = float(times[1] - times[0])
     phi = cumsimpson_grid(np.asarray(omega.value(times), dtype=float), dt)
@@ -272,11 +214,10 @@ def build_B_so(nu0_minus: complex, nu0_plus: complex, omega: Signal, t: float,
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    if f is not None:
-        _f_probe(f, t, tol.f_min)
     vm0, vp0 = complex(nu0_minus), complex(nu0_plus)
     if abs(abs(vm0) + abs(vp0) - 1.0) > 1e-9:
         raise ContractError("build_B_so requires |nu0_minus| + |nu0_plus| = 1")
     v3 = branch * 2.0 * np.sqrt(complex(-vm0 * vp0))
-    phi = _omega_integral(omega, t)
-    return build_B(NuVector(vm0 * np.exp(1j * phi), vp0 * np.exp(-1j * phi), v3))
+    # phi by cumulative Simpson on an even number of intervals of at most 2e-3
+    times = np.linspace(0.0, t, 2 * max(32, int(np.ceil(abs(t) / 2e-3))) + 1)
+    return build_B_array(free_oscillator_nu((vm0, vp0, v3), omega, times, f, tol)[-1])

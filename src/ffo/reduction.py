@@ -32,20 +32,14 @@ the default computational path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import IntegrationError, SingularReductionError
 from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
-from .invariants import NuVector, build_B
+from .invariants import build_B_array, motion_constants
 from .signals import HamiltonianSpec
-
-
-class EpsilonState(NamedTuple):
-    eps: complex
-    eps_dot: complex
 
 
 @dataclass
@@ -92,12 +86,6 @@ def _gamma_omega(s: Samples):
     return gamma, np.abs(s.f) ** 2 + 0.25 * w * w + 0.5j * s.omega_d1 - 0.5j * w * gamma
 
 
-def big_omega(spec: HamiltonianSpec, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> complex:
-    """Omega(t) = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f)."""
-    _require_f(complex(spec.f.value(t)), tol.f_min)
-    return complex(_gamma_omega(Samples(spec, t))[1])
-
-
 def _big_omega_dot(spec: HamiltonianSpec, t: float) -> complex:
     f = complex(spec.f.value(t))
     fd = complex(spec.f.d1(t))
@@ -127,7 +115,7 @@ def third_order_residual(spec: HamiltonianSpec, t: float, nu_plus_jet,
     f = _require_f(complex(spec.f.value(t)), tol.f_min)
     fd = complex(spec.f.d1(t))
     fdd = complex(spec.f.d2(t))
-    q = big_omega(spec, t, tol)
+    q = complex(_gamma_omega(Samples(spec, t))[1])
     qd = _big_omega_dot(spec, t)
     rhs = ((3.0 * fd / f) * vpdd
            + (fdd / f - 3.0 * (fd / f) ** 2 - 4.0 * q) * vpd
@@ -141,7 +129,7 @@ def first_integral_lambda(spec: HamiltonianSpec, t: float, nu_plus: complex,
     """First integral lam of the third-order equation; lam = 16*lambda1."""
     f = _require_f(complex(spec.f.value(t)), tol.f_min)
     fd = complex(spec.f.d1(t))
-    q = big_omega(spec, t, tol)
+    q = complex(_gamma_omega(Samples(spec, t))[1])
     vp, vpd, vpdd = nu_plus, nu_plus_dot, nu_plus_ddot
     return 4.0 / (f * f) * (2.0 * vp * vpdd - vpd * vpd
                             - 2.0 * vp * vpd * fd / f + 4.0 * vp * vp * q)
@@ -178,25 +166,18 @@ def build_B_normalized(spec: HamiltonianSpec, t: float, nu_plus: complex,
     w = float(spec.omega.value(t))
     core = w * nu_plus - 1j * nu_plus_dot
     v3 = core / f
-    vm = -core * core / (4.0 * f * f * nu_plus)
-    lam2 = abs(vm) ** 2 + abs(nu_plus) ** 2 + 0.5 * abs(v3) ** 2
+    nu = (-core * core / (4.0 * f * f * nu_plus), nu_plus, v3)
+    lam2 = motion_constants(nu).lambda2
     if lam2 <= 0.0:
         raise SingularReductionError("build_B_normalized needs lambda2 > 0")
-    return build_B(NuVector(vm, nu_plus, v3)) / np.sqrt(lam2)
+    return build_B_array(nu) / np.sqrt(lam2)
 
 
 # -- epsilon machinery --------------------------------------------------------
 
-def epsilon_rhs(spec: HamiltonianSpec, t: float, e: EpsilonState,
-                tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonState:
-    """Derivative of (eps, eps') for eps'' - (f'/f) eps' + Omega eps = 0."""
-    _require_f(complex(spec.f.value(t)), tol.f_min)
-    gamma, q = _gamma_omega(Samples(spec, t))
-    return EpsilonState(e.eps_dot, complex(gamma * e.eps_dot - q * e.eps))
-
-
 def _epsilon_generator(gamma, q) -> np.ndarray:
-    """A of (eps, eps')' = A (eps, eps'), grid-last (2, 2, len(q))."""
+    """A of (eps, eps')' = A (eps, eps') for eps'' - (f'/f) eps' + Omega eps = 0,
+    grid-last (2, 2, len(q))."""
     return np.array([[np.zeros_like(q), np.ones_like(q)], [-q, gamma]])
 
 
@@ -223,33 +204,20 @@ def integrate_epsilon(samples: GridSamples, e0,
     return EpsilonTrajectory(times=times, eps=y[:, 0], eps_dot=y[:, 1])
 
 
-def nu_from_epsilon(spec: HamiltonianSpec, t: float, e: EpsilonState,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> NuVector:
-    """Map (eps, eps') to invariant coefficients on the lambda1 = 0 branch.
+def nu_from_epsilon_arrays(samples: Samples, eps, eps_dot,
+                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Map (eps, eps') at ``samples.times`` to invariant coefficients on the lambda1 = 0 branch.
 
     nu_plus = eps^2/2, nu_minus = -(omega eps/2 - i eps')^2/(2 f^2),
-    nu_3 = (omega eps^2/2 - i eps eps')/f.  The identity nu_plus nu_minus +
-    nu_3^2/4 = 0 holds exactly by construction.
+    nu_3 = (omega eps/2 - i eps') eps/f.  The identity nu_plus nu_minus +
+    nu_3^2/4 = 0 holds exactly by construction.  eps and eps' have the shape
+    of ``samples.times``, a scalar included; the result appends an axis of 3.
+    Raises SingularReductionError if |f| < f_min at any of the times.
     """
-    f = _require_f(complex(spec.f.value(t)), tol.f_min)
-    w = float(spec.omega.value(t))
-    eps, epsd = complex(e[0]), complex(e[1])
-    core = 0.5 * w * eps - 1j * epsd
-    return NuVector(-core * core / (2.0 * f * f),
-                    0.5 * eps * eps,
-                    (0.5 * w * eps * eps - 1j * eps * epsd) / f)
-
-
-def nu_from_epsilon_arrays(samples: Samples, eps: np.ndarray,
-                           eps_dot: np.ndarray) -> np.ndarray:
-    """Vectorized nu_from_epsilon over a trajectory sampled at ``samples.times``; (K, 3)."""
     f, w = samples.f, samples.omega
+    _require_f(np.min(np.abs(f)), tol.f_min)
     core = 0.5 * w * eps - 1j * eps_dot
-    out = np.empty((len(eps), 3), dtype=complex)
-    out[:, 0] = -core * core / (2.0 * f * f)
-    out[:, 1] = 0.5 * eps * eps
-    out[:, 2] = (0.5 * w * eps - 1j * eps_dot) * eps / f
-    return out
+    return np.stack([-core * core / (2.0 * f * f), 0.5 * eps * eps, core * eps / f], axis=-1)
 
 
 def lambda2_from_epsilon(samples: Samples, e, tol: ToleranceConfig = DEFAULT_TOL):
@@ -257,16 +225,15 @@ def lambda2_from_epsilon(samples: Samples, e, tol: ToleranceConfig = DEFAULT_TOL
 
     lambda2 = (1/4) (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2,
 
-    which matches motion_constants(nu_from_epsilon(...)) identically and is
-    a first integral of the eps equation.  ``samples.times`` and
-    ``e = (eps, eps')`` may be grid arrays; a scalar call returns a float.
+    which matches motion_constants(nu_from_epsilon_arrays(...)) identically
+    and is a first integral of the eps equation.  ``e = (eps, eps')`` has
+    the shape of ``samples.times``, a scalar included, and so has the result.
     """
     f, w = samples.f, samples.omega
     _require_f(np.min(np.abs(f)), tol.f_min)
     eps, epsd = e[0], e[1]
     u = np.abs(0.5 * w * eps - 1j * epsd) ** 2 / np.abs(f) ** 2
-    out = 0.25 * (np.abs(eps) ** 2 + u) ** 2
-    return float(out) if np.ndim(out) == 0 else out
+    return 0.25 * (np.abs(eps) ** 2 + u) ** 2
 
 
 def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
@@ -292,7 +259,7 @@ def epsilon_prime_transform(spec: HamiltonianSpec, times: np.ndarray,
 
 # -- analytic jets along direct trajectories -----------------------------------
 
-def nu_plus_jets(spec: HamiltonianSpec, t: float, nu: NuVector):
+def nu_plus_jets(spec: HamiltonianSpec, t: float, nu):
     """(nu_plus, nu_plus', nu_plus'', nu_plus''') from the system RHS.
 
     Derivatives are obtained by differentiating the first-order system

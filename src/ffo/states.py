@@ -24,35 +24,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import hamiltonian_entries
+from .algebra import hamiltonian_matrix
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import Samples, cumsimpson_grid, cumtrapz_grid
-from .invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
-                         nu_generator)
+from .invariants import NuTrajectory, build_B_array, build_B_dagger, nu_generator
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
-
-
-@dataclass(frozen=True)
-class EvolvedVacuum:
-    alpha0: complex
-    alpha1: complex
-    used_fallback: bool = False
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha0, self.alpha1], dtype=complex)
 
 
 # -- vacuum construction ------------------------------------------------------
 
 def _cn_step(h_prev, h_now, psi, dt):
-    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi."""
-    b00, b01, b10, b11 = (1.0 - 0.5j * dt * h_prev[0], -0.5j * dt * h_prev[1],
-                          -0.5j * dt * h_prev[2], 1.0 - 0.5j * dt * h_prev[3])
-    a00, a01, a10, a11 = (1.0 + 0.5j * dt * h_now[0], 0.5j * dt * h_now[1],
-                          0.5j * dt * h_now[2], 1.0 + 0.5j * dt * h_now[3])
+    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi, H 2x2."""
+    (p00, p01), (p10, p11) = h_prev
+    (n00, n01), (n10, n11) = h_now
+    b00, b01, b10, b11 = (1.0 - 0.5j * dt * p00, -0.5j * dt * p01,
+                          -0.5j * dt * p10, 1.0 - 0.5j * dt * p11)
+    a00, a01, a10, a11 = (1.0 + 0.5j * dt * n00, 0.5j * dt * n01,
+                          0.5j * dt * n10, 1.0 + 0.5j * dt * n11)
     r0 = b00 * psi[0] + b01 * psi[1]
     r1 = b10 * psi[0] + b11 * psi[1]
     det = a00 * a11 - a01 * a10
@@ -117,14 +108,13 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
     if not mask.any():
         return psi, mask
 
-    h00, h01, h10, h11 = hamiltonian_entries(samples)
+    h = hamiltonian_matrix(samples)
     gaps = np.flatnonzero(mask)
     reentries = ok[start]
     for k in np.union1d(gaps, reentries[reentries > 0]).tolist():
         pred = None
         if k > 0:
-            pred = _cn_step((h00[k - 1], h01[k - 1], h10[k - 1], h11[k - 1]),
-                            (h00[k], h01[k], h10[k], h11[k]), psi[k - 1], dt)
+            pred = _cn_step(h[k - 1], h[k], psi[k - 1], dt)
         if not mask[k]:
             # re-entry after a gap: re-anchor the phase of the whole stretch
             nxt = np.searchsorted(gaps, k)
@@ -151,7 +141,7 @@ def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
     if len(psi) != len(samples.times):
         raise ContractError("psi and the samples are on different time grids")
     dt = float(samples.times[1] - samples.times[0])
-    h00, h01, h10, h11 = (h[1:-1] for h in hamiltonian_entries(samples))
+    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples)[1:-1], 0, -1)
     dpsi = (psi[2:] - psi[:-2]) / (2.0 * dt)
     hpsi = np.empty_like(dpsi)
     hpsi[:, 0] = h00 * psi[1:-1, 0] + h01 * psi[1:-1, 1]
@@ -161,14 +151,16 @@ def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
 
 # -- coherent states ----------------------------------------------------------
 
-def coherent_state(zeta_scale: complex, vac: EvolvedVacuum, nu) -> GrassmannKet:
+def coherent_state(zeta_scale: complex, psi, nu) -> GrassmannKet:
     """|zeta;t> = exp(-|s|^2 zeta*zeta/2) (|0;t> - s zeta B'(t)|0;t>).
 
-    ``zeta_scale`` multiplies the symbolic generator, so the state is the
-    eigenstate of B(t) with eigenvalue zeta_scale * zeta.
+    ``psi`` is the vacuum |0;t> as a 2-vector (one row of
+    ``vacuum_trajectory``) and ``nu`` the coefficients (3,) at the same
+    time.  ``zeta_scale`` multiplies the symbolic generator, so the state is
+    the eigenstate of B(t) with eigenvalue zeta_scale * zeta.
     """
     s = complex(zeta_scale)
-    v = vac.vector()
+    v = np.asarray(psi, dtype=complex)
     w = build_B_dagger(nu) @ v
     half = 0.5 * (s.conjugate() * s)
     a0 = GrassmannElement([v[0], -s * w[0], 0.0, -half * v[0]])
@@ -176,10 +168,10 @@ def coherent_state(zeta_scale: complex, vac: EvolvedVacuum, nu) -> GrassmannKet:
     return GrassmannKet(a0, a1)
 
 
-def cs_eigen_residual(nu, vac: EvolvedVacuum, zeta_scale: complex = 1.0) -> float:
+def cs_eigen_residual(nu, psi, zeta_scale: complex = 1.0) -> float:
     """Max-abs coefficient of B|zeta;t> - (s zeta)|zeta;t> in the algebra."""
-    ket = coherent_state(zeta_scale, vac, nu)
-    lhs = GrassmannOperator(build_B(nu)).apply(ket)
+    ket = coherent_state(zeta_scale, psi, nu)
+    lhs = GrassmannOperator(build_B_array(nu)).apply(ket)
     rhs = ket.left_mul(GrassmannElement([0.0, complex(zeta_scale), 0.0, 0.0]))
     return (lhs - rhs).max_abs()
 
@@ -338,7 +330,7 @@ def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
 
 
 def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):
-    h00, h01, h10, h11 = hamiltonian_entries(samples)
+    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples), 0, -1)
 
     def h_exp(e):
         he0 = h00 * e[:, 0] + h01 * e[:, 1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffo.grid import GridSamples
-from ffo.invariants import NuTrajectory
+from ffo.invariants import NuTrajectory, motion_constants
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid
 
@@ -53,15 +53,10 @@ def calibrated_epsilon_trajectory(spec, e0, t_final, dt=1e-3):
     samples = GridSamples(spec, t_final, dt)
     et = integrate_epsilon(samples, e0)
     nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
-    lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
-                    + 0.5 * np.abs(nus[0, 2]) ** 2).real)
-    scale = lam2_0 ** (-0.25)
+    scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
     eps, eps_dot = et.eps * scale, et.eps_dot * scale
     nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
-    lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
-    lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
-            + 0.5 * np.abs(nus[:, 2]) ** 2).real
-    traj = NuTrajectory(times=et.times, nu=nus, lambda1=lam1, lambda2=lam2)
+    traj = NuTrajectory(et.times, nus, *motion_constants(nus))
     return traj, eps, eps_dot
 
 

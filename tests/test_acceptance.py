@@ -20,15 +20,13 @@ from ffo.grassmann import (ONE, ZETA, ZETA_STAR, GrassmannElement,
                            apply_fermion_op, berezin_integrate, coherent_ket,
                            completeness_check, g_mul)
 from ffo.grid import GridSamples, Samples, time_grid
-from ffo.invariants import (NuTrajectory, build_B_array, build_B_so,
-                            free_oscillator_trajectory, integrate_nu,
-                            invariance_residual_max, motion_constants)
+from ffo.invariants import (NuTrajectory, build_B_array, build_B_so, free_oscillator_nu,
+                            integrate_nu, invariance_residual_max, motion_constants)
 from ffo.propagator import PropagatorConfig, evolve_unitary
-from ffo.reduction import (EpsilonState, first_integral_lambda,
-                           integrate_epsilon, lambda2_from_epsilon,
+from ffo.reduction import (first_integral_lambda, integrate_epsilon, lambda2_from_epsilon,
                            nu_from_epsilon_arrays, nu_plus_jets)
 from ffo.signals import constant_spec
-from ffo.states import (EvolvedVacuum, coherence_check, cs_eigen_residual,
+from ffo.states import (coherence_check, cs_eigen_residual,
                         lr_ladder_fit, lr_phases, schrodinger_residual_max,
                         vacuum_trajectory)
 from ffo.sweeps import random_epsilon0, random_forced_spec, random_nu0, random_spec
@@ -81,15 +79,10 @@ def _calibrated_family(seed: int, n: int, t_final: float = T_FINAL):
         samples = GridSamples(spec, t_final, cfg.dt)
         et = integrate_epsilon(samples, e0)
         nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
-        lam2_0 = float((np.abs(nus[0, 0]) ** 2 + np.abs(nus[0, 1]) ** 2
-                        + 0.5 * np.abs(nus[0, 2]) ** 2).real)
-        scale = lam2_0 ** (-0.25)
+        scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
         eps, eps_dot = et.eps * scale, et.eps_dot * scale
         nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
-        lam1 = nus[:, 1] * nus[:, 0] + 0.25 * nus[:, 2] ** 2
-        lam2 = (np.abs(nus[:, 0]) ** 2 + np.abs(nus[:, 1]) ** 2
-                + 0.5 * np.abs(nus[:, 2]) ** 2).real
-        traj = NuTrajectory(times=et.times, nu=nus, lambda1=lam1, lambda2=lam2)
+        traj = NuTrajectory(et.times, nus, *motion_constants(nus))
         family.append((spec, traj, eps, eps_dot))
     return family
 
@@ -145,13 +138,11 @@ def test_criterion_04_free_oscillator_closed_forms():
         vp0 = (1 - r) * np.exp(2j * np.pi * rng.uniform())
         v30 = 2.0 * np.sqrt(-vm0 * vp0)
         traj = integrate_nu(GridSamples(spec, t_final, dt), (vm0, vp0, v30))
-        closed = free_oscillator_trajectory((vm0, vp0, v30), spec.omega, times)
+        closed = free_oscillator_nu((vm0, vp0, v30), spec.omega, times)
         worst_closed = max(worst_closed, float(np.max(np.abs(closed - traj.nu))))
         # the closed-form operator family passes ladder and invariance checks
         mats = build_B_array(closed)
-        lam1 = closed[:, 1] * closed[:, 0] + 0.25 * closed[:, 2] ** 2
-        lam2 = (np.abs(closed[:, 0]) ** 2 + np.abs(closed[:, 1]) ** 2
-                + 0.5 * np.abs(closed[:, 2]) ** 2).real
+        lam1, lam2 = motion_constants(closed)
         worst_ladder = max(worst_ladder, float(np.max(np.abs(lam1))),
                            float(np.max(np.abs(lam2 - 1.0))))
         ctraj = NuTrajectory(times=times, nu=closed, lambda1=lam1, lambda2=lam2)
@@ -206,10 +197,9 @@ def test_criterion_06_epsilon_reduction_closure(eps_family):
         u = np.abs(0.5 * w * eps - 1j * eps_dot) ** 2 / np.abs(f) ** 2
         lam2_eps = 0.25 * (np.abs(eps) ** 2 + u) ** 2
         worst_pair = max(worst_pair, float(np.max(np.abs(lam2_eps - traj.lambda2))))
-        # the scalar operation agrees with the vectorized route
+        # the library at one time agrees with the vectorized route
         k = len(traj.times) // 3
-        got = lambda2_from_epsilon(Samples(spec, float(traj.times[k])),
-                                   EpsilonState(complex(eps[k]), complex(eps_dot[k])))
+        got = lambda2_from_epsilon(Samples(spec, float(traj.times[k])), (eps[k], eps_dot[k]))
         assert abs(got - lam2_eps[k]) <= 1e-12
     ok = (worst_closure <= 1e-5 and worst_lam1 <= 1e-12
           and worst_lam2_drift <= 1e-7 and worst_pair <= 1e-10)
@@ -248,7 +238,7 @@ def test_criterion_07_first_integral(eps_family):
                          float(np.max(np.abs(lam - 16.0 * gen.lambda1))))
         # scalar operation agrees with the vectorized jets
         k = 4321
-        vpk, vpdk, vpddk, _ = nu_plus_jets(spec, float(gen.times[k]), gen.nu_at(k))
+        vpk, vpdk, vpddk, _ = nu_plus_jets(spec, float(gen.times[k]), gen.nu[k])
         got = first_integral_lambda(spec, float(gen.times[k]), vpk, vpdk, vpddk)
         assert abs(got - lam[k]) <= 1e-10 * max(1.0, abs(lam[k]))
         # ladder-calibrated trajectory: lambda must sit at zero
@@ -264,7 +254,7 @@ def test_criterion_08_vacuum_and_coherent_states(eps_family):
     worst_ann = worst_schro = worst_norm = worst_cs = 0.0
     for spec, traj, eps, eps_dot in eps_family:
         samples = Samples(spec, traj.times)
-        psi, mask = vacuum_trajectory(traj, samples)
+        psi, _ = vacuum_trajectory(traj, samples)
         bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
         worst_ann = max(worst_ann, float(np.max(np.linalg.norm(bpsi, axis=1))))
         worst_schro = max(worst_schro,
@@ -272,9 +262,8 @@ def test_criterion_08_vacuum_and_coherent_states(eps_family):
         worst_norm = max(worst_norm,
                          float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))))
         for k in range(0, len(traj.times), 2000):
-            vac = EvolvedVacuum(psi[k, 0], psi[k, 1], bool(mask[k]))
             for scale in (1.0, 0.5 - 0.3j):
-                worst_cs = max(worst_cs, cs_eigen_residual(traj.nu_at(k), vac, scale))
+                worst_cs = max(worst_cs, cs_eigen_residual(traj.nu[k], psi[k], scale))
     ok = (worst_ann <= 1e-6 and worst_schro <= 1e-5
           and worst_norm <= 1e-10 and worst_cs <= 1e-12)
     _report(8, "evolved vacuum and coherent states", ok,

@@ -4,6 +4,7 @@ import pytest
 from ffo.algebra import (I2, anticommutator, commutator, hamiltonian_matrix,
                          is_hermitian, is_unitary, ladder_operators, max_abs,
                          spin_operators)
+from ffo.grid import Samples
 from ffo.signals import constant_spec
 from ffo.sweeps import random_spec
 
@@ -48,16 +49,22 @@ def test_spin_operators():
 
 
 def test_hamiltonian_examples():
-    assert np.allclose(hamiltonian_matrix(constant_spec(omega=2.0), 0.3),
+    assert np.allclose(hamiltonian_matrix(Samples(constant_spec(omega=2.0), 0.3)),
                        np.diag([0.0, 2.0]))
-    h = hamiltonian_matrix(constant_spec(f=1.0), 1.7)
+    h = hamiltonian_matrix(Samples(constant_spec(f=1.0), 1.7))
     assert np.allclose(h, np.array([[0, 1], [1, 0]]))
-    h2 = hamiltonian_matrix(constant_spec(omega=1.0, f=1j, g=0.5), 0.0)
+    h2 = hamiltonian_matrix(Samples(constant_spec(omega=1.0, f=1j, g=0.5), 0.0))
     assert h2[1, 1] == pytest.approx(1.5)
     assert h2[0, 0] == pytest.approx(0.5)
     assert h2[1, 0] == pytest.approx(1j)
     assert h2[0, 1] == pytest.approx(-1j)
     assert is_hermitian(h2)
+    # on a grid: one matrix per time, each the matrix at that time
+    spec, ts = random_spec(np.random.default_rng(1)), np.array([0.0, 0.5, 1.5])
+    grid = hamiltonian_matrix(Samples(spec, ts))
+    assert grid.shape == (3, 2, 2)
+    for k, t in enumerate(ts):
+        assert max_abs(grid[k] - hamiltonian_matrix(Samples(spec, t))) <= 1e-15
 
 
 def test_hamiltonian_hermitian_and_j_form():
@@ -67,7 +74,7 @@ def test_hamiltonian_hermitian_and_j_form():
     for _ in range(100):
         spec = random_spec(rng)
         t = float(rng.uniform(0.0, 10.0))
-        h = hamiltonian_matrix(spec, t)
+        h = hamiltonian_matrix(Samples(spec, t))
         assert is_hermitian(h, tol=1e-14)
         w = float(spec.omega.value(t))
         f = complex(spec.f.value(t))
@@ -90,6 +97,6 @@ def test_hamiltonian_range_error_from_tabulated_signal():
     ts = np.linspace(0.0, 1.0, 11)
     spec = HamiltonianSpec(omega=Tabulated(tuple(ts), tuple(np.cos(ts))),
                            f=ComplexSignal(Constant(0.1)), g=Constant(0.0))
-    assert is_hermitian(hamiltonian_matrix(spec, 0.5))
+    assert is_hermitian(hamiltonian_matrix(Samples(spec, 0.5)))
     with pytest.raises(SignalRangeError):
-        hamiltonian_matrix(spec, 1.5)
+        hamiltonian_matrix(Samples(spec, 1.5))

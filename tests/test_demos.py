@@ -1,11 +1,13 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke tests: every demo script runs to completion and prints something,
+and so does the README's library quick start."""
 
 import pathlib
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -16,3 +18,13 @@ def test_demo_runs(path, capsys):
 
 def test_demos_found():
     assert len(DEMOS) >= 6
+
+
+def test_readme_quick_start_runs(capsys):
+    # the python block under "Library quick start", run as written
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start")[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {"__name__": "__main__"})
+    label, value = capsys.readouterr().out.strip().split(":")
+    assert label == "max oracle deviation"
+    assert float(value) <= 1e-10

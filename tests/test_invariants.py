@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffo.algebra import I2, ladder_operators, max_abs
+from ffo.algebra import I2, hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
 from ffo.grid import BLOCK_STEPS, CHUNK_STEPS, GridSamples, Samples, linear_rk4, time_grid
-from ffo.invariants import (NuTrajectory, NuVector, _bloch_generator, build_B, build_B_array,
-                            build_B_dagger, build_B_so, free_oscillator_nu,
-                            free_oscillator_trajectory, hermitian_invariant,
-                            integrate_nu, invariance_residual,
-                            invariance_residual_max, ladder_conditions_check,
-                            motion_constants, nu_generator, nu_rhs)
+from ffo.invariants import (NuTrajectory, _bloch_generator, build_B_array, build_B_dagger,
+                            build_B_so, free_oscillator_nu, hermitian_invariant,
+                            integrate_nu, invariance_residual_max,
+                            ladder_conditions_check, motion_constants, nu_generator)
 from ffo.propagator import PropagatorConfig, evolve_unitary, heisenberg_oracle
 from ffo.reduction import integrate_epsilon
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid,
@@ -23,30 +21,34 @@ CFG = PropagatorConfig(dt=1e-3)
 
 # -- right-hand side ----------------------------------------------------------
 
+def _rhs(spec, t, nu):
+    """d(nu_minus, nu_plus, nu_3)/dt at one time t."""
+    return nu_generator(Samples(spec, t)) @ np.asarray(nu, dtype=complex)
+
+
 def test_rhs_free_oscillator():
-    d = nu_rhs(constant_spec(omega=1.5), 0.0, NuVector(1, 0, 0))
-    assert d.nu_minus == pytest.approx(1.5j)
-    assert d.nu_plus == 0 and d.nu_3 == 0
+    vm, vp, v3 = _rhs(constant_spec(omega=1.5), 0.0, (1, 0, 0))
+    assert vm == pytest.approx(1.5j)
+    assert vp == 0 and v3 == 0
 
 
 def test_rhs_linear_homogeneous():
     spec = constant_spec(omega=0.7, f=0.3 + 0.1j, g=0.2)
-    d = nu_rhs(spec, 1.0, NuVector(0, 0, 0))
-    assert d == NuVector(0, 0, 0)
+    assert _rhs(spec, 1.0, (0, 0, 0)).tolist() == [0, 0, 0]
 
 
 def test_rhs_pure_forcing():
-    d = nu_rhs(constant_spec(f=1.0), 0.0, NuVector(0, 0, 1))
-    assert d.nu_plus == pytest.approx(1j)
-    assert d.nu_minus == pytest.approx(-1j)
-    assert d.nu_3 == 0
+    vm, vp, v3 = _rhs(constant_spec(f=1.0), 0.0, (0, 0, 1))
+    assert vp == pytest.approx(1j)
+    assert vm == pytest.approx(-1j)
+    assert v3 == 0
 
 
 # -- constants of motion --------------------------------------------------------
 
 def test_motion_constants_values():
-    assert motion_constants(NuVector(1, 0, 0)) == (0, 1)
-    lam1, lam2 = motion_constants(NuVector(0, 0, 2j))
+    assert motion_constants((1, 0, 0)) == (0, 1)
+    lam1, lam2 = motion_constants((0, 0, 2j))
     assert lam1 == pytest.approx(-1.0)
     assert lam2 == pytest.approx(2.0)
 
@@ -54,13 +56,44 @@ def test_motion_constants_values():
 def test_ladder_link_lambda1_zero():
     # lambda1 = 0 forces lambda2 = (|nu_minus| + |nu_plus|)^2
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        vm = rng.normal() + 1j * rng.normal()
-        vp = rng.normal() + 1j * rng.normal()
-        v3 = 2j * np.sqrt(vm * vp)
-        lam1, lam2 = motion_constants(NuVector(vm, vp, v3))
-        assert abs(lam1) < 1e-14
-        assert lam2 == pytest.approx((abs(vm) + abs(vp)) ** 2, abs=1e-12)
+    vm = rng.normal(size=20) + 1j * rng.normal(size=20)
+    vp = rng.normal(size=20) + 1j * rng.normal(size=20)
+    lam1, lam2 = motion_constants(np.stack([vm, vp, 2j * np.sqrt(vm * vp)], axis=-1))
+    assert np.max(np.abs(lam1)) < 1e-14
+    assert lam2 == pytest.approx((np.abs(vm) + np.abs(vp)) ** 2, abs=1e-12)
+
+
+def _nu_stacks(lead):
+    """Complex coefficient arrays of shape lead + (3,), entries up to 3 in modulus."""
+    n = 3 * int(np.prod(lead))
+    return st.lists(st.complex_numbers(max_magnitude=3.0, allow_subnormal=False),
+                    min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=complex).reshape(lead + (3,)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(nu=st.integers(1, 5).flatmap(lambda k: st.sampled_from([(), (k,), (2, k)]))
+       .flatmap(_nu_stacks))
+def test_array_first_operators_on_any_stack(nu):
+    # B^2 = lambda1 * 1 on any (..., 3) stack, and each slice is the
+    # function applied to that row alone
+    lead = nu.shape[:-1]
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(nu))) ** 2)
+    b = build_B_array(nu)
+    lam1, lam2 = motion_constants(nu)
+    rb2, ranti = ladder_conditions_check(nu)
+    herm = hermitian_invariant(nu)
+    assert b.shape == herm.shape == lead + (2, 2)
+    assert lam1.shape == lam2.shape == rb2.shape == ranti.shape == lead
+    assert np.max(np.abs(b @ b - lam1[..., None, None] * I2)) <= tol
+    for idx in np.ndindex(*lead):
+        row = nu[idx]
+        assert np.array_equal(b[idx], build_B_array(row))
+        for got, want in ((motion_constants(row), (lam1[idx], lam2[idx])),
+                          (ladder_conditions_check(row), (rb2[idx], ranti[idx])),
+                          ((hermitian_invariant(row),), (herm[idx],))):
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= tol
 
 
 # -- integration -----------------------------------------------------------------
@@ -195,8 +228,8 @@ def test_integrators_sample_each_signal_once_per_integration(integrate, y0):
 
 def test_trajectory_accessors():
     traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, CFG.dt), (1, 0, 0))
-    assert traj.nu_at(0) == NuVector(1, 0, 0)
-    assert traj.constants_at(0) == (0, 1)
+    assert traj.nu[0].tolist() == [1, 0, 0]
+    assert (traj.lambda1[0], traj.lambda2[0]) == (0, 1)
     assert traj.dt == pytest.approx(1e-3)
 
 
@@ -204,8 +237,8 @@ def test_trajectory_accessors():
 
 def test_build_B_reproduces_bare_operators():
     b, bd, _ = ladder_operators()
-    assert max_abs(build_B((1, 0, 0)) - b) == 0.0
-    assert max_abs(build_B((0, 1, 0)) - bd) == 0.0
+    assert max_abs(build_B_array((1, 0, 0)) - b) == 0.0
+    assert max_abs(build_B_array((0, 1, 0)) - bd) == 0.0
     assert max_abs(build_B_dagger((1, 0, 0)) - bd) == 0.0
 
 
@@ -216,7 +249,7 @@ def test_build_B_matches_heisenberg_oracle_free_case():
     u = evolve_unitary(spec, 3.0, CFG)
     b, _, _ = ladder_operators()
     k = 3000
-    got = build_B(traj.nu_at(k))
+    got = build_B_array(traj.nu[k])
     want = heisenberg_oracle(u.U[k], b)
     assert max_abs(got - want) < 1e-8
     assert max_abs(got - np.exp(1j * w0 * 3.0) * b) < 1e-8
@@ -228,19 +261,17 @@ def test_ladder_conditions_check_values():
     assert res_b2 == pytest.approx(1.0)
     # matrix residuals equal the |lambda| formulas identically
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        nu = NuVector(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
-        lam1, lam2 = motion_constants(nu)
-        rb2, ranti = ladder_conditions_check(nu)
-        assert rb2 == pytest.approx(abs(lam1), abs=1e-13)
-        assert ranti == pytest.approx(abs(lam2 - 1.0), abs=1e-13)
+    nu = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    lam1, lam2 = motion_constants(nu)
+    rb2, ranti = ladder_conditions_check(nu)
+    assert rb2 == pytest.approx(np.abs(lam1), abs=1e-13)
+    assert ranti == pytest.approx(np.abs(lam2 - 1.0), abs=1e-13)
 
 
 def test_ladder_residuals_small_on_calibrated_trajectory(calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    for k in range(0, len(traj.times), 500):
-        rb2, ranti = ladder_conditions_check(traj.nu_at(k))
-        assert rb2 <= 1e-8 and ranti <= 1e-8
+    rb2, ranti = ladder_conditions_check(traj.nu)
+    assert np.max(rb2) <= 1e-8 and np.max(ranti) <= 1e-8
 
 
 def test_hermitian_invariant():
@@ -251,24 +282,19 @@ def test_hermitian_invariant():
 
 def test_hermitian_invariant_spectrum_constancy(calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    for k in range(0, len(traj.times), 617):
-        ev = np.linalg.eigvalsh(hermitian_invariant(traj.nu_at(k)))
-        assert np.max(np.abs(np.sort(ev) - np.array([-0.5, 0.5]))) <= 1e-8
+    ev = np.linalg.eigvalsh(hermitian_invariant(traj.nu[::617]))
+    assert np.max(np.abs(np.sort(ev, axis=-1) - np.array([-0.5, 0.5]))) <= 1e-8
 
 
 def test_hermitian_invariant_satisfies_invariance_equation(forced_spec,
                                                            calibrated_trajectory):
     # Eq.-of-invariance residual applied to I = B'B - 1/2 via central FD
     traj, _, _ = calibrated_trajectory
-    dt = traj.dt
-    from ffo.algebra import hamiltonian_matrix
-    worst = 0.0
-    for k in range(1, len(traj.times) - 1, 499):
-        ik = [hermitian_invariant(traj.nu_at(k + s)) for s in (-1, 0, 1)]
-        di = (ik[2] - ik[0]) / (2 * dt)
-        h = hamiltonian_matrix(forced_spec, float(traj.times[k]))
-        worst = max(worst, max_abs(di - 1j * (ik[1] @ h - h @ ik[1])))
-    assert worst <= 1e-6
+    k = np.arange(1, len(traj.times) - 1, 499)
+    i_prev, i_now, i_next = (hermitian_invariant(traj.nu[k + s]) for s in (-1, 0, 1))
+    di = (i_next - i_prev) / (2 * traj.dt)
+    h = hamiltonian_matrix(Samples(forced_spec, traj.times[k]))
+    assert max_abs(di - 1j * (i_now @ h - h @ i_now)) <= 1e-6
 
 
 # -- invariance equation -------------------------------------------------------------
@@ -276,13 +302,10 @@ def test_hermitian_invariant_satisfies_invariance_equation(forced_spec,
 def test_invariance_residual_free_closed_form():
     spec = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
                            f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
-    nus = free_oscillator_trajectory((1, 0, 0), spec.omega,
-                                     np.arange(0, 5001) * 1e-3)
-    from ffo.invariants import NuTrajectory, _constants_arrays
-    lam1, lam2 = _constants_arrays(nus)
-    traj = NuTrajectory(times=np.arange(0, 5001) * 1e-3, nu=nus,
-                        lambda1=lam1, lambda2=lam2)
-    assert invariance_residual(spec, traj, 2500) <= 1e-6
+    times = np.arange(0, 5001) * 1e-3
+    nus = free_oscillator_nu((1, 0, 0), spec.omega, times)
+    traj = NuTrajectory(times, nus, *motion_constants(nus))
+    assert _matrix_residuals(spec, traj)[2499] <= 1e-6
     assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-6
 
 
@@ -291,6 +314,18 @@ def test_invariance_residual_on_random_spec():
     spec = random_spec(rng)
     traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), (1, 0, 0))
     assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-5
+
+
+def _matrix_residuals(spec, traj):
+    """||dB/dt - i[B, H]||_max at each interior point, by 2x2 matrix products.
+
+    An independent route to ``invariance_residual_max``: the commutator is
+    formed from the assembled B and H matrices, not entrywise.
+    """
+    b = build_B_array(traj.nu)
+    db = (b[2:] - b[:-2]) / (2.0 * traj.dt)
+    h = hamiltonian_matrix(Samples(spec, traj.times[1:-1]))
+    return np.max(np.abs(db - 1j * (b[1:-1] @ h - h @ b[1:-1])), axis=(1, 2))
 
 
 def test_invariance_residual_max_matches_matrix_form():
@@ -303,7 +338,7 @@ def test_invariance_residual_max_matches_matrix_form():
         nu = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         traj = NuTrajectory(times=times, nu=nu, lambda1=np.zeros(3), lambda2=np.zeros(3))
         assert invariance_residual_max(Samples(spec, traj.times), traj) == pytest.approx(
-            invariance_residual(spec, traj, 1), rel=1e-14)
+            float(_matrix_residuals(spec, traj)[0]), rel=1e-14)
 
 
 def test_invariance_residual_detects_wrong_forcing_sign():
@@ -313,22 +348,17 @@ def test_invariance_residual_detects_wrong_forcing_sign():
     assert invariance_residual_max(Samples(spec, bad.times), bad) >= 1e-2
 
 
-def test_invariance_residual_boundary_raises():
-    traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, CFG.dt), (1, 0, 0))
-    with pytest.raises(IndexError):
-        invariance_residual(constant_spec(omega=1.0), traj, 0)
-    with pytest.raises(IndexError):
-        invariance_residual(constant_spec(omega=1.0), traj, len(traj.times) - 1)
-
 
 # -- free-oscillator closed forms ------------------------------------------------------
 
 def test_free_oscillator_nu_examples():
     w0 = 1.3
-    got = free_oscillator_nu((1, 0, 0), Constant(w0), 2.0)
-    assert got.nu_minus == pytest.approx(np.exp(1j * w0 * 2.0), abs=1e-12)
-    got3 = free_oscillator_nu((0, 0, 1), Constant(w0), 2.0)
-    assert got3 == NuVector(0, 0, 1)
+    times = np.linspace(0.0, 2.0, 129)
+    got = free_oscillator_nu((1, 0, 0), Constant(w0), times)
+    assert got[:, 0] == pytest.approx(np.exp(1j * w0 * times), abs=1e-12)
+    assert np.max(np.abs(got[:, 1:])) == 0.0
+    got3 = free_oscillator_nu((0, 0, 1), Constant(w0), times)
+    assert (got3 == (0, 0, 1)).all()
 
 
 def test_free_oscillator_nu_matches_integrator_sinusoid():
@@ -336,13 +366,13 @@ def test_free_oscillator_nu_matches_integrator_sinusoid():
     spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
     traj = integrate_nu(GridSamples(spec, 5.0, CFG.dt), nu0)
-    closed = free_oscillator_trajectory(nu0, omega, traj.times)
+    closed = free_oscillator_nu(nu0, omega, traj.times)
     assert np.max(np.abs(closed - traj.nu)) <= 1e-8
 
 
 def test_free_oscillator_nu_guards_forcing():
     with pytest.raises(ContractError):
-        free_oscillator_nu((1, 0, 0), Constant(1.0), 1.0,
+        free_oscillator_nu((1, 0, 0), Constant(1.0), np.linspace(0.0, 1.0, 11),
                            f=ComplexSignal(Constant(0.5)))
 
 
@@ -377,11 +407,10 @@ def test_build_B_so_invariance():
     dt = 2e-4
     times = np.arange(0, int(round(2.0 / dt)) + 1) * dt
     mats = np.array([build_B_so(0.5, 0.5, omega, float(t)) for t in times[::1]])
-    from ffo.algebra import hamiltonian_matrix
     worst = 0.0
     for k in range(1, len(times) - 1, 173):
         db = (mats[k + 1] - mats[k - 1]) / (2 * dt)
-        h = hamiltonian_matrix(spec, float(times[k]))
+        h = hamiltonian_matrix(Samples(spec, float(times[k])))
         worst = max(worst, max_abs(db - 1j * (mats[k] @ h - h @ mats[k])))
     assert worst <= 1e-6
 

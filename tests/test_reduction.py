@@ -6,16 +6,13 @@ import pytest
 from ffo.algebra import I2, hamiltonian_matrix, max_abs
 from ffo.errors import IntegrationError, SingularReductionError
 from ffo.grid import GridSamples, Samples
-from ffo.invariants import (NuVector, build_B, integrate_nu, motion_constants,
-                            nu_rhs)
+from ffo.invariants import build_B_array, integrate_nu, motion_constants, nu_generator
 from ffo.propagator import PropagatorConfig
-from ffo.reduction import (EpsilonState, big_omega, build_B_normalized,
-                           epsilon_prime_transform, epsilon_rhs,
-                           first_integral_lambda, integrate_epsilon,
-                           lambda2_from_epsilon, nu3_from_nu_plus,
-                           nu_from_epsilon, nu_from_epsilon_arrays,
-                           nu_minus_compact, nu_minus_from_nu_plus_2nd,
-                           nu_plus_jets, third_order_residual)
+from ffo.reduction import (_epsilon_generator, _gamma_omega, build_B_normalized,
+                           epsilon_prime_transform, first_integral_lambda,
+                           integrate_epsilon, lambda2_from_epsilon, nu3_from_nu_plus,
+                           nu_from_epsilon_arrays, nu_minus_compact,
+                           nu_minus_from_nu_plus_2nd, nu_plus_jets, third_order_residual)
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
 
@@ -39,7 +36,7 @@ def test_nu3_consistency_along_trajectory(forced_spec):
     worst = 0.0
     for k in range(0, len(traj.times), 250):
         t = float(traj.times[k])
-        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         worst = max(worst, abs(nu3_from_nu_plus(forced_spec, t, vp, vpd)
                                - traj.nu[k, 2]))
     assert worst <= 1e-6
@@ -55,7 +52,7 @@ def test_nu_minus_second_derivative_route(forced_spec):
     worst = 0.0
     for k in range(0, len(traj.times), 250):
         t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         worst = max(worst, abs(nu_minus_from_nu_plus_2nd(forced_spec, t, vp, vpd, vpdd)
                                - traj.nu[k, 0]))
     assert worst <= 1e-5
@@ -74,7 +71,7 @@ def test_nu_minus_constant_coefficient_closed_form():
         vpd = eps * epsd
         vpdd = epsd * epsd + eps * (-mu * mu * eps)
         got = nu_minus_from_nu_plus_2nd(spec, t, vp, vpd, vpdd)
-        want = nu_from_epsilon(spec, t, EpsilonState(eps, epsd)).nu_minus
+        want = nu_from_epsilon_arrays(Samples(spec, t), eps, epsd)[0]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -90,7 +87,7 @@ def test_third_order_residual_vanishes_on_valid_jets(forced_spec):
     worst = 0.0
     for k in range(0, len(traj.times), 200):
         t = float(traj.times[k])
-        jet = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        jet = nu_plus_jets(forced_spec, t, traj.nu[k])
         worst = max(worst, third_order_residual(forced_spec, t, jet))
     assert worst <= 1e-4
 
@@ -103,7 +100,7 @@ def test_third_order_residual_detects_perturbation(forced_spec):
     traj = _jets_traj(forced_spec)
     k = 1700
     t = float(traj.times[k])
-    vp, vpd, vpdd, vpddd = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+    vp, vpd, vpdd, vpddd = nu_plus_jets(forced_spec, t, traj.nu[k])
     assert third_order_residual(forced_spec, t, (vp, vpd, 1.1 * vpdd, vpddd)) >= 1e-3
 
 
@@ -115,7 +112,7 @@ def test_lambda_constant_and_linked_to_lambda1(forced_spec):
     worst_link = 0.0
     for k in range(0, len(traj.times), 200):
         t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)
         lams.append(lam)
         worst_link = max(worst_link, abs(lam - 16.0 * traj.lambda1[k]))
@@ -129,7 +126,7 @@ def test_lambda_zero_on_ladder_calibrated(forced_spec, calibrated_trajectory):
     worst = 0.0
     for k in range(0, len(traj.times), 333):
         t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         worst = max(worst, abs(first_integral_lambda(forced_spec, t, vp, vpd, vpdd)))
     assert worst <= 1e-6
 
@@ -141,7 +138,7 @@ def test_nu_minus_compact_agrees_with_second_derivative_route(forced_spec):
     worst = 0.0
     for k in range(0, len(traj.times), 250):
         t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         if abs(vp) < 1e-3:
             continue
         lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)
@@ -174,12 +171,12 @@ def test_build_B_normalized_is_ladder_and_matches_direct(forced_spec,
     worst_l, worst_phase = 0.0, 0.0
     for k in range(1, len(traj.times), 444):
         t = float(traj.times[k])
-        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         bn = build_B_normalized(forced_spec, t, vp, vpd)
         worst_l = max(worst_l, max_abs(bn @ bn),
                       max_abs(bn @ bn.conj().T + bn.conj().T @ bn - I2))
         # agreement with the direct-route operator up to a unit phase
-        bd = build_B(traj.nu_at(k))
+        bd = build_B_array(traj.nu[k])
         inner = np.sum(np.conj(bd) * bn)
         worst_phase = max(worst_phase, max_abs(bn - (inner / abs(inner)) * bd))
     assert worst_l <= 1e-8
@@ -194,10 +191,10 @@ def test_build_B_normalized_invariance(forced_spec, calibrated_trajectory):
         mats = []
         for s in (-1, 0, 1):
             t = float(traj.times[k + s])
-            vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k + s))
+            vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k + s])
             mats.append(build_B_normalized(forced_spec, t, vp, vpd))
         db = (mats[2] - mats[0]) / (2 * dt)
-        h = hamiltonian_matrix(forced_spec, float(traj.times[k]))
+        h = hamiltonian_matrix(Samples(forced_spec, float(traj.times[k])))
         worst = max(worst, max_abs(db - 1j * (mats[1] @ h - h @ mats[1])))
     assert worst <= 1e-5
 
@@ -228,12 +225,24 @@ def test_epsilon_zero_solution():
     assert np.max(np.abs(et.eps_dot)) == 0.0
 
 
-def test_epsilon_rhs_definition():
+def _capital_omega(spec, times):
+    """Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f) at ``times``."""
+    return _gamma_omega(Samples(spec, times))[1]
+
+
+def _eps_derivative(spec, times, eps, eps_dot):
+    """(eps', eps'') at ``times`` from the generator of the eps equation."""
+    a = _epsilon_generator(*_gamma_omega(Samples(spec, times)))
+    return a[:, 0] * eps + a[:, 1] * eps_dot
+
+
+def test_epsilon_generator_definition():
     spec = constant_spec(omega=0.8, f=0.6)
-    d = epsilon_rhs(spec, 0.0, EpsilonState(1.0, 0.5j))
-    q = big_omega(spec, 0.0)
-    assert d.eps == 0.5j
-    assert d.eps_dot == pytest.approx(-q * 1.0)
+    d_eps, d_eps_dot = _eps_derivative(spec, 0.0, 1.0, 0.5j)
+    # Omega = f^2 + omega^2/4 for constant real omega and f
+    assert _capital_omega(spec, 0.0) == pytest.approx(0.6 ** 2 + 0.25 * 0.8 ** 2, abs=1e-15)
+    assert d_eps == 0.5j
+    assert d_eps_dot == pytest.approx(-_capital_omega(spec, 0.0) * 1.0)
 
 
 def test_epsilon_requires_forcing_floor():
@@ -279,23 +288,33 @@ def test_nu_from_epsilon_solves_direct_system(forced_spec, calibrated_trajectory
     # analytic t-derivative of nu(eps) must match the direct right-hand side
     traj, eps, eps_dot = calibrated_trajectory
     h = 1e-6
-    worst = 0.0
-    for k in range(0, len(traj.times), 500):
-        t = float(traj.times[k])
-        e = EpsilonState(complex(eps[k]), complex(eps_dot[k]))
-        d = epsilon_rhs(forced_spec, t, e)
-        e_plus = EpsilonState(e.eps + h * d.eps, e.eps_dot + h * d.eps_dot)
-        nu_now = nu_from_epsilon(forced_spec, t, e)
-        nu_next = nu_from_epsilon(forced_spec, t + h, e_plus)
-        dn = (np.array(nu_next) - np.array(nu_now)) / h
-        want = np.array(nu_rhs(forced_spec, t, nu_now))
-        worst = max(worst, np.max(np.abs(dn - want)))
-    assert worst <= 1e-5
+    ts, eps, eps_dot = traj.times[::500], eps[::500], eps_dot[::500]
+    d_eps, d_eps_dot = _eps_derivative(forced_spec, ts, eps, eps_dot)
+    nu_now = nu_from_epsilon_arrays(Samples(forced_spec, ts), eps, eps_dot)
+    nu_next = nu_from_epsilon_arrays(Samples(forced_spec, ts + h),
+                                     eps + h * d_eps, eps_dot + h * d_eps_dot)
+    want = (nu_generator(Samples(forced_spec, ts)) @ nu_now[:, :, None])[:, :, 0]
+    assert np.max(np.abs((nu_next - nu_now) / h - want)) <= 1e-5
 
 
 def test_nu_from_epsilon_zero():
     spec = constant_spec(omega=1.0, f=0.5)
-    assert nu_from_epsilon(spec, 0.0, EpsilonState(0.0, 0.0)) == NuVector(0, 0, 0)
+    assert nu_from_epsilon_arrays(Samples(spec, 0.0), 0.0, 0.0).tolist() == [0, 0, 0]
+    zeros = np.zeros((2, 3), dtype=complex)
+    assert (nu_from_epsilon_arrays(Samples(spec, np.zeros((2, 3))), zeros, zeros)
+            == np.zeros((2, 3, 3))).all()
+
+
+def test_nu_from_epsilon_array_guard():
+    # one grid point below the forcing floor rejects the whole array call,
+    # rather than dividing by ~0
+    spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.1, 1.0))),
+                           g=Constant(0.0))
+    ones = np.ones(3, dtype=complex)
+    with pytest.raises(SingularReductionError):
+        nu_from_epsilon_arrays(Samples(spec, np.array([0.0, 0.1, 0.2])), ones, ones)
+    with pytest.raises(SingularReductionError):
+        nu_from_epsilon_arrays(Samples(constant_spec(f=0.0), 0.0), 1.0, 0.0)
 
 
 def test_closure_against_direct_integration(forced_spec, calibrated_trajectory):
@@ -310,21 +329,17 @@ def test_lambda2_two_routes_agree(forced_spec, calibrated_trajectory):
     traj, eps, eps_dot = calibrated_trajectory
     grid = lambda2_from_epsilon(Samples(forced_spec, traj.times), (eps, eps_dot))
     assert grid.shape == traj.times.shape
-    worst = 0.0
     for k in range(0, len(traj.times), 250):
-        t = float(traj.times[k])
-        got = lambda2_from_epsilon(Samples(forced_spec, t),
-                                   EpsilonState(complex(eps[k]), complex(eps_dot[k])))
-        assert isinstance(got, float)
+        got = lambda2_from_epsilon(Samples(forced_spec, float(traj.times[k])),
+                                   (eps[k], eps_dot[k]))
+        assert np.ndim(got) == 0
         assert got == pytest.approx(grid[k], rel=1e-15)
-        want = motion_constants(traj.nu_at(k)).lambda2
-        worst = max(worst, abs(got - want))
-    assert worst <= 1e-10
+    assert np.max(np.abs(grid - motion_constants(traj.nu).lambda2)) <= 1e-10
 
 
 def test_lambda2_from_epsilon_zero():
     spec = constant_spec(omega=1.0, f=0.5)
-    assert lambda2_from_epsilon(Samples(spec, 0.0), EpsilonState(0.0, 0.0)) == 0.0
+    assert lambda2_from_epsilon(Samples(spec, 0.0), (0.0, 0.0)) == 0.0
     zeros = np.zeros(3, dtype=complex)
     grid = Samples(spec, np.arange(3) * 0.1)
     assert lambda2_from_epsilon(grid, (zeros, zeros)).tolist() == [0.0] * 3
@@ -346,8 +361,7 @@ def test_epsilon_prime_constant_forcing():
     times = np.arange(0, 1001) * 1e-3
     om_p, gauge = epsilon_prime_transform(spec, times)
     assert np.max(np.abs(gauge - 1.0)) <= 1e-12
-    q = big_omega(spec, 0.0)
-    assert np.max(np.abs(om_p - q)) <= 1e-12
+    assert np.max(np.abs(om_p - _capital_omega(spec, 0.0))) <= 1e-12
 
 
 def test_epsilon_prime_exponential_forcing():
@@ -357,7 +371,7 @@ def test_epsilon_prime_exponential_forcing():
     f_re = Polynomial(tuple(alpha ** k / math.factorial(k) for k in range(12)))
     spec = HamiltonianSpec(omega=Constant(0.9), f=ComplexSignal(f_re), g=Constant(0.0))
     om_p, gauge = epsilon_prime_transform(spec, times)
-    qs = np.array([big_omega(spec, float(t)) for t in times[::100]])
+    qs = _capital_omega(spec, times[::100])
     assert np.max(np.abs(om_p[::100] - (qs - alpha ** 2 / 4.0))) <= 1e-6
     # gauge = exp(alpha t / 2) for this forcing
     assert np.max(np.abs(gauge - np.exp(0.5 * alpha * times))) <= 1e-6
@@ -414,7 +428,7 @@ def test_nu_minus_compact_equals_second_written_form(forced_spec):
     traj = _jets_traj(forced_spec)
     for k in (500, 2100, 4400):
         t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu_at(k))
+        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
         if abs(vp) < 1e-3:
             continue
         lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffo.algebra import hamiltonian_entries, hamiltonian_matrix, ladder_operators, max_abs
+from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
 from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
 from ffo.grid import GridSamples, Samples, cumsimpson_grid, cumtrapz_grid
-from ffo.invariants import (NuTrajectory, build_B, build_B_array, build_B_dagger,
-                            integrate_nu, invariance_residual_max)
+from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integrate_nu,
+                            invariance_residual_max)
 from ffo.propagator import PropagatorConfig, evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
-from ffo.states import (EvolvedVacuum, _cn_step, _null_direction, coherence_check,
+from ffo.states import (_cn_step, _null_direction, coherence_check,
                         coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
                         lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
@@ -38,7 +38,7 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
     times, dt, n = traj.times, traj.dt, len(traj.times)
     q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
                         + np.asarray(spec.omega.value(times), dtype=float), dt)
-    h00, h01, h10, h11 = hamiltonian_entries(Samples(spec, times))
+    h = hamiltonian_matrix(Samples(spec, times))
     psi = np.empty((n, 2), dtype=complex)
     mask = np.zeros(n, dtype=bool)
     s_prev = None
@@ -47,8 +47,7 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
         vm, vp, v3 = traj.nu[k]
         pred = None
         if k > 0:
-            pred = _cn_step((h00[k - 1], h01[k - 1], h10[k - 1], h11[k - 1]),
-                            (h00[k], h01[k], h10[k], h11[k]), psi[k - 1], dt)
+            pred = _cn_step(h[k - 1], h[k], psi[k - 1], dt)
         if abs(vm) >= tol.vacuum_nu_min:
             s = complex(np.sqrt(vm))
             if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
@@ -77,8 +76,8 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
     return psi, mask
 
 
-def _nullspace_fallback(b_matrix: np.ndarray, previous: EvolvedVacuum | None,
-                        spec: HamiltonianSpec, t: float, dt: float) -> EvolvedVacuum:
+def _nullspace_fallback(b_matrix: np.ndarray, previous: np.ndarray | None,
+                        spec: HamiltonianSpec, t: float, dt: float) -> np.ndarray:
     """Unit null vector of one B matrix with phase fixed by continuity.
 
     An independent one-point route to the vacuum, cross-checked against
@@ -100,17 +99,13 @@ def _nullspace_fallback(b_matrix: np.ndarray, previous: EvolvedVacuum | None,
     d /= nrm
     if previous is None:
         j = int(np.argmax(np.abs(d)))
-        d = d * np.exp(-1j * np.angle(d[j]))
-        return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
-    h_prev = hamiltonian_matrix(spec, t - dt)
-    h_now = hamiltonian_matrix(spec, t)
-    pred = _cn_step((h_prev[0, 0], h_prev[0, 1], h_prev[1, 0], h_prev[1, 1]),
-                    (h_now[0, 0], h_now[0, 1], h_now[1, 0], h_now[1, 1]),
-                    previous.vector(), dt)
+        return d * np.exp(-1j * np.angle(d[j]))
+    h_prev, h_now = hamiltonian_matrix(Samples(spec, np.array([t - dt, t])))
+    pred = _cn_step(h_prev, h_now, previous, dt)
     ov = np.vdot(d, pred)
     if abs(ov) > 0:
         d = d * ov / abs(ov)
-    return EvolvedVacuum(complex(d[0]), complex(d[1]), True)
+    return d
 
 
 # (spec, nu0, t_final, number of fallback gaps)
@@ -238,8 +233,7 @@ def test_vacuum_tracks_true_evolution_through_pinch():
 def test_nullspace_fallback_examples():
     b, _, _ = ladder_operators()
     vac = _nullspace_fallback(b, None, constant_spec(omega=1.0), 0.0, 1e-3)
-    assert vac.alpha0 == pytest.approx(1.0) and vac.alpha1 == pytest.approx(0.0)
-    assert vac.used_fallback
+    assert vac[0] == pytest.approx(1.0) and vac[1] == pytest.approx(0.0)
     with pytest.raises(ContractError):
         _nullspace_fallback(np.eye(2), None, constant_spec(), 0.0, 1e-3)
 
@@ -251,37 +245,33 @@ def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
     for k in (800, 2400, 4000):
         if mask[k] or abs(traj.nu[k, 0]) < 1e-3:
             continue
-        prev = EvolvedVacuum(psi[k - 1, 0], psi[k - 1, 1])
-        fb = _nullspace_fallback(build_B(traj.nu_at(k)), prev, forced_spec,
+        fb = _nullspace_fallback(build_B_array(traj.nu[k]), psi[k - 1], forced_spec,
                                  float(traj.times[k]), traj.dt)
-        overlap = abs(np.conj(fb.vector()) @ psi[k])
+        overlap = abs(np.conj(fb) @ psi[k])
         assert overlap >= 1.0 - 1e-8
 
 
 # -- coherent states ---------------------------------------------------------------
 
 def test_coherent_state_reduces_to_vacuum_at_zero():
-    vac = EvolvedVacuum(0.6, 0.8j)
-    ket = coherent_state(0.0, vac, (1, 0, 0))
+    ket = coherent_state(0.0, (0.6, 0.8j), (1, 0, 0))
     assert ket.a0.c[0] == 0.6 and ket.a1.c[0] == 0.8j
     assert np.max(np.abs(ket.coeff_array()[:, 1:])) == 0.0
 
 
 def test_coherent_state_canonical_at_t0():
     from ffo.grassmann import coherent_ket
-    vac = EvolvedVacuum(1.0, 0.0)
-    ket = coherent_state(1.0, vac, (1, 0, 0))
+    ket = coherent_state(1.0, (1.0, 0.0), (1, 0, 0))
     want = coherent_ket(1.0)
     assert np.allclose(ket.coeff_array(), want.coeff_array())
 
 
 def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
+    psi, _ = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     for k in (0, 1111, 3210, 5000):
-        vac = EvolvedVacuum(psi[k, 0], psi[k, 1], bool(mask[k]))
         for scale in (1.0, 0.4 - 0.6j):
-            assert cs_eigen_residual(traj.nu_at(k), vac, scale) <= 1e-12
+            assert cs_eigen_residual(traj.nu[k], psi[k], scale) <= 1e-12
 
 
 def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
@@ -290,7 +280,7 @@ def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
     psi, _ = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
     for k in (123, 2500, 4999):
         v = psi[k]
-        w = build_B_dagger(traj.nu_at(k)) @ v
+        w = build_B_dagger(traj.nu[k]) @ v
         gram = np.array([[np.vdot(v, v), np.vdot(v, w)],
                          [np.vdot(w, v), np.vdot(w, w)]])
         assert max_abs(gram - np.eye(2)) <= 1e-8
