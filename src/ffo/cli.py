@@ -29,7 +29,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
-from .grid import GridSamples
+from .grid import GridSamples, abs2
 from .invariants import (NuTrajectory, build_B_array, integrate_nu, invariance_residual_max,
                          motion_constants)
 from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
@@ -71,6 +71,9 @@ CHECK_TOLERANCES = {
 # largest grid a scenario may ask for; larger t_final/dt is a config error
 # rather than an unbounded allocation
 MAX_GRID_POINTS = 10**6
+# largest modulus of an initial component: |eps0| <= 1e50 keeps lambda2 =
+# (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2 / 4 finite for |f| >= f_min
+MAX_INITIAL_ABS = 1e50
 
 MODES = ("evolve", "invariants", "reduce", "coherence", "phases",
          "grassmann-selftest", "all")
@@ -211,11 +214,15 @@ class ScenarioConfig:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
             if not (math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"run.tolerances.{name}", "must be finite and non-negative")
-        # an all-zero nu0 or epsilon0 gives the zero operator B = 0, on which
-        # every invariants or reduce check passes vacuously
-        for path, vec in (("initial.nu0", self.nu0), ("initial.epsilon0", self.epsilon0)):
+        # an all-zero nu0, epsilon0 or state gives the zero operator B = 0 or
+        # the zero state, on which every check passes vacuously; a huge one
+        # overflows the constants of motion or the norm
+        for path, vec in (("initial.nu0", self.nu0), ("initial.epsilon0", self.epsilon0),
+                          ("initial.state", self.state0)):
             if not any(vec):
                 raise ConfigError(path, "must not be all zero")
+            if max(map(abs, vec)) > MAX_INITIAL_ABS:
+                raise ConfigError(path, f"a component's modulus exceeds {MAX_INITIAL_ABS:g}")
         if self.mode in ("phases", "all") and off_ladder_shell(*motion_constants(self.nu0)):
             raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
 
@@ -467,22 +474,29 @@ class _Scenario:
 
 
 def _run_evolve(sc: _Scenario, tols: dict):
-    cfg, traj = sc.cfg, sc.unitary
-    times, psi = traj.times, traj.U @ np.asarray(cfg.state0, dtype=complex)
-    unit = np.max(np.abs(np.conj(np.transpose(traj.U, (0, 2, 1))) @ traj.U - np.eye(2)))
-    norms = np.linalg.norm(psi, axis=1)
+    (u00, u01), (u10, u11) = np.moveaxis(sc.unitary.U, 0, -1)
+    s0, s1 = sc.cfg.state0
+    a0, a1 = u00 * s0 + u01 * s1, u10 * s0 + u11 * s1
+    # U'U - 1 entrywise: its diagonal is real and its (1, 0) entry the conjugate of (0, 1)
+    unit = max(np.max(np.abs(abs2(u00) + abs2(u10) - 1.0)),
+               np.max(np.abs(np.conj(u00) * u01 + np.conj(u10) * u11)),
+               np.max(np.abs(abs2(u01) + abs2(u11) - 1.0)))
+    norms = np.sqrt(abs2(a0) + abs2(a1))
     checks: list = []
     _check(checks, "unitarity_drift", float(unit), tols["unitarity_drift"])
     _check(checks, "norm_drift", float(np.max(np.abs(norms - norms[0]))), tols["norm_drift"])
-    cols = [times, psi[:, 0].real, psi[:, 0].imag, psi[:, 1].real, psi[:, 1].imag, norms]
+    cols = [sc.unitary.times, a0.real, a0.imag, a1.real, a1.imag, norms]
     return cols, checks
 
 
 def _run_invariants(sc: _Scenario, tols: dict):
-    cfg, traj, u = sc.cfg, sc.nu, sc.unitary
-    ub0 = np.einsum("kij,jl->kil", u.U, build_B_array(cfg.nu0))
-    oracle = np.einsum("kil,kml->kim", ub0, np.conj(u.U))
-    dev = np.max(np.abs(build_B_array(traj.nu) - oracle), axis=(1, 2))
+    cfg, traj = sc.cfg, sc.nu
+    # the oracle U B0 U' entrywise, each entry one grid column: c = U B0, then c U'
+    u, b0 = np.moveaxis(sc.unitary.U, 0, -1), build_B_array(cfg.nu0)
+    c = [[u[i, 0] * b0[0, j] + u[i, 1] * b0[1, j] for j in (0, 1)] for i in (0, 1)]
+    ud, b = [[np.conj(x) for x in row] for row in u], np.moveaxis(build_B_array(traj.nu), 0, -1)
+    dev = reduce(np.maximum, (np.abs(b[i, j] - (c[i][0] * ud[j][0] + c[i][1] * ud[j][1]))
+                              for i in (0, 1) for j in (0, 1)))
     lam1_drift = np.abs(traj.lambda1 - traj.lambda1[0])
     lam2_drift = np.abs(traj.lambda2 - traj.lambda2[0])
     inv_res = invariance_residual_max(sc.samples, traj)
@@ -504,7 +518,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
     lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
     direct = integrate_nu(sc.samples, tuple(nus[0]))
-    closure = np.max(np.abs(direct.nu - nus), axis=1)
+    closure = reduce(np.maximum, np.abs(direct.nu - nus).T)
     checks: list = []
     _check(checks, "lambda1_epsilon", float(np.max(lam1)), tols["lambda1_epsilon"])
     _check(checks, "lambda2_drift", float(np.max(np.abs(lam2_nu - lam2_nu[0]))),

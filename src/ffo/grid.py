@@ -3,11 +3,24 @@ the linear RK4 kernel.
 
 All integrators in the toolkit run on one fixed-step grid so trajectories
 can be compared index-by-index without interpolation.
+
+Per-point algebra runs along the grid axis: a stack of tiny matrices or
+vectors is handled entrywise, each entry one grid column, never by a
+complex ``einsum`` or a max, sum or norm over an axis of length 2-4.
+Medians in us on one core (Intel Xeon, numpy 2.4), slow form -> entrywise:
+
+    np.max(x, axis=1), x real (10001, 3)                 511 -> 13
+    np.linalg.norm(e, axis=1), e complex (10001, 2)      244 -> 66
+    np.sum(conj(e) * d, axis=1), complex (10001, 2)      358 -> 63
+    _mul of complex 2x2 stacks, 2000 points               67 -> 37
+    U B0 U' by two complex einsum, 10,001 points        5260 -> 1140
+    _mul of real 3x3 stacks, 4096 points: einsum (113) stays faster
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -62,8 +75,20 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...)."""
+    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...).
+
+    With a complex operand, the sum over j of the broadcast products
+    a[:, j] b[j], accumulated in place into the first; real ones go
+    through ``einsum``, which is faster there.
+    """
+    if a.dtype.kind == "c" or b.dtype.kind == "c":
+        return reduce(operator.iadd, map(np.multiply, a.swapaxes(0, 1)[:, :, None], b[:, None]))
     return np.einsum("ij...,jl...->il...", a, b)
+
+
+def abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as (conj(z) z).real, bit for bit the square np.linalg.norm sums."""
+    return (np.conj(z) * z).real
 
 
 def _stage(a: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:

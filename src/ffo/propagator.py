@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class PropagatorConfig:
 @dataclass
 class UnitaryTrajectory:
     times: np.ndarray
-    U: np.ndarray  # shape (len(times), 2, 2)
+    U: np.ndarray  # (len(times), 2, 2), a view of a grid-last array: each entry is contiguous
 
 
 def exp2x2(a: np.ndarray) -> np.ndarray:
@@ -136,15 +137,15 @@ def evolve_unitary(spec: HamiltonianSpec, t_final: float,
     dt = cfg.dt
     times = time_grid(t_final, dt)
     factors = _magnus_factors(spec, times, dt)
-    bad = ~np.logical_and.reduce([np.isfinite(e) for e in factors])
+    bad = ~reduce(np.logical_and, map(np.isfinite, factors))
     if bad.any():
         t = float(times[np.argmax(bad)])
         raise IntegrationError(f"nonfinite propagator step at t={t}", t=t)
 
-    U = np.empty((len(times), 2, 2), dtype=complex)
-    U[0] = I2
-    U[1:] = np.moveaxis(_prefix_products(*factors), -1, 0)
-    return UnitaryTrajectory(times=times, U=U)
+    u = np.empty((2, 2, len(times)), dtype=complex)
+    u[..., 0] = I2
+    u[..., 1:] = _prefix_products(*factors)
+    return UnitaryTrajectory(times=times, U=np.moveaxis(u, -1, 0))
 
 
 def heisenberg_oracle(u: np.ndarray, x0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -163,6 +164,6 @@ def evolve_state(spec: HamiltonianSpec, psi0: np.ndarray, t_final: float,
     preserved within the propagator's unitarity tolerance.
     """
     traj = evolve_unitary(spec, t_final, cfg)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(2)
-    psi = np.einsum("kij,j->ki", traj.U, psi0)
-    return traj.times, psi
+    s0, s1 = np.asarray(psi0, dtype=complex).reshape(2)
+    (u00, u01), (u10, u11) = np.moveaxis(traj.U, 0, -1)
+    return traj.times, np.stack([u00 * s0 + u01 * s1, u10 * s0 + u11 * s1], axis=1)

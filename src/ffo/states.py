@@ -20,6 +20,7 @@ Functions over a grid read omega, f and g from its ``grid.Samples``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +29,8 @@ from .algebra import hamiltonian_matrix
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
-from .grid import Samples, cumsimpson_grid, cumtrapz_grid
-from .invariants import NuTrajectory, build_B_array, build_B_dagger, nu_generator
+from .grid import Samples, abs2, cumsimpson_grid, cumtrapz_grid
+from .invariants import NuTrajectory, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
 
@@ -212,8 +213,7 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
     # (u11 - c u00) (|0>, zeta) and -c u10 (|1>, zeta)
     fit_gap = np.abs(u11 - ratio * u00)
-    residual = np.maximum.reduce([np.abs(u10), 0.5 * np.abs(u10),
-                                  np.abs(ratio * u10), fit_gap])
+    residual = reduce(np.maximum, (np.abs(u10), 0.5 * np.abs(u10), np.abs(ratio * u10), fit_gap))
     dt = float(times[1] - times[0])
     beta = np.exp(1j * cumsimpson_grid(samples.omega, dt))
     return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,
@@ -264,20 +264,16 @@ def lr_frame(traj: NuTrajectory, tol: ToleranceConfig = DEFAULT_TOL) -> LRFrame:
     key = "plus" if min_plus >= min_minus else "minus"
     if max(min_plus, min_minus) < tol.gauge_min:
         raise ContractError("eigenframe gauge degenerate: nu_plus and nu_minus both vanish")
+    x = vp if key == "plus" else vm
+    ph = np.exp(1j * np.unwrap(np.angle(x)))
     if key == "plus":
-        chi = np.unwrap(np.angle(vp))
-        ph = np.exp(1j * chi)
-        root = np.sqrt(np.abs(vp))
-        e1 = np.stack([np.conj(vp) * ph, 0.5 * np.conj(v3) * ph], axis=1) / root[:, None]
-        e0 = np.stack([-0.5 * v3 / ph, vp / ph], axis=1) / root[:, None]
+        e0, e1 = (-0.5 * v3 / ph, vp / ph), (np.conj(vp) * ph, 0.5 * np.conj(v3) * ph)
     else:
-        chi = np.unwrap(np.angle(vm))
-        ph = np.exp(1j * chi)
-        root = np.sqrt(np.abs(vm))
-        e0 = np.stack([vm / ph, 0.5 * v3 / ph], axis=1) / root[:, None]
-        e1 = np.stack([-0.5 * np.conj(v3) * ph, np.conj(vm) * ph], axis=1) / root[:, None]
-    e0 /= np.linalg.norm(e0, axis=1)[:, None]
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e0, e1 = (vm / ph, 0.5 * v3 / ph), (-0.5 * np.conj(v3) * ph, np.conj(vm) * ph)
+    root = np.sqrt(np.abs(x))[:, None]
+    e0, e1 = (np.stack(e, axis=1) / root for e in (e0, e1))
+    for e in (e0, e1):
+        e /= np.sqrt(abs2(e[:, 0]) + abs2(e[:, 1]))[:, None]
     return LRFrame(times=traj.times, e0=e0, e1=e1, key=key)
 
 
@@ -312,21 +308,20 @@ def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
     from the coefficient system's right-hand side; no finite differencing
     is involved.  Returns (a0, a1) with a_n = Im<e_n|e_n'> as real arrays.
     """
-    vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
-    vmd, vpd, v3d = np.einsum("kij,kj->ik", nu_generator(samples), traj.nu)
-    if frame.key == "plus":
-        chid = np.imag(vpd / vp)
-        r2 = 0.25 * np.abs(v3) ** 2 + np.abs(vp) ** 2
-        core = np.imag(np.conj(vp) * vpd + 0.25 * np.conj(v3) * v3d)
-        a0 = (core - chid * r2) / r2
-        a1 = (-core + chid * r2) / r2
-    else:
-        chid = np.imag(vmd / vm)
-        r2 = np.abs(vm) ** 2 + 0.25 * np.abs(v3) ** 2
-        core = np.imag(np.conj(vm) * vmd + 0.25 * np.conj(v3) * v3d)
-        a0 = (core - chid * r2) / r2
-        a1 = (-core + chid * r2) / r2
-    return a0, a1
+    vm, vp, v3 = traj.nu.T
+    vmd, vpd, v3d = _nu_dot(samples, traj.nu)
+    x, xd = (vp, vpd) if frame.key == "plus" else (vm, vmd)
+    r2 = np.abs(x) ** 2 + 0.25 * np.abs(v3) ** 2
+    core = np.imag(np.conj(x) * xd + 0.25 * np.conj(v3) * v3d)
+    a0 = (core - np.imag(xd / x) * r2) / r2
+    return a0, -a0
+
+
+def _nu_dot(samples: Samples, nu: np.ndarray):
+    """The rows (nu_minus', nu_plus', nu_3') of nu_generator(samples) nu, nu of shape (K, 3)."""
+    (vm, vp, v3), w, f = nu.T, samples.omega, samples.f
+    fc = np.conj(f)
+    return 1j * (w * vm - fc * v3), 1j * (f * v3 - w * vp), 2j * (fc * vp - f * vm)
 
 
 def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):
@@ -364,8 +359,8 @@ def lr_phases(traj: NuTrajectory, samples: Samples,
     # geometric phase: central differences + trapezoid (declared recipe)
     de0 = _grid_derivative(frame.e0, dt)
     de1 = _grid_derivative(frame.e1, dt)
-    z0 = np.sum(np.conj(frame.e0) * de0, axis=1)
-    z1 = np.sum(np.conj(frame.e1) * de1, axis=1)
+    z0, z1 = (np.conj(e[:, 0]) * d[:, 0] + np.conj(e[:, 1]) * d[:, 1]
+              for e, d in ((frame.e0, de0), (frame.e1, de1)))
     phi_g = cumtrapz_grid(-np.imag(z1 - z0), dt)
     # second route: phi plus the energy-gap integral must reproduce phi_g
     phi_g_alt = phi + cumtrapz_grid(en1 - en0, dt)

@@ -1,7 +1,9 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffo
-from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MODES, ScenarioConfig,
-                     _table_select, emit_csv, main, parse_config, run, serialize_config)
+from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITIAL_ABS, MODES,
+                     ScenarioConfig, _table_select, emit_csv, main, parse_config, run,
+                     serialize_config)
 from ffo.errors import ConfigError
 from ffo.grid import GridSamples, time_grid
-from ffo.propagator import PropagatorConfig, evolve_state
+from ffo.invariants import build_B_array, integrate_nu, nu_generator
+from ffo.propagator import PropagatorConfig, evolve_state, evolve_unitary
+from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, HamiltonianSpec, Polynomial, Sinusoid
+from ffo.states import _nu_dot
+from ffo.sweeps import random_spec
 
 GOOD = """
 {
@@ -246,6 +253,7 @@ def test_main_bad_config_exit_2(tmp_path):
     # a leading mode in flags replaces invariants: all has no primary check for --tol
     ("", "", ["all", "--tol", "1e-3"], "--tol"),
     ("", "", ["--sweep", "2", "--seed", "-1"], "--seed"),
+    ('"initial": {', '"initial": {"state": [[0, 0], [0, 0]], ', ["evolve"], "initial.state"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -254,6 +262,26 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     mode, *flags = flags if flags and flags[0] in MODES else ["invariants", *flags]
     assert main([mode, "--config", str(cfg_path), *flags]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, key, vector", [
+    ("invariants", "nu0", [[1e200, 0], [0, 0], [0, 0]]),
+    ("reduce", "epsilon0", [[1e200, 0], [0, 0]]),
+    ("evolve", "state", [[0, 0], [0, -1e200]]),
+])
+def test_huge_initial_vector_rejected_with_path(tmp_path, capsys, mode, key, vector):
+    # finite, but lambda1, lambda2 or the norm would overflow; at the bound
+    # every mode still runs to a verdict without an overflow
+    doc = {"hamiltonian": {"f_re": {"type": "constant", "value": 0.5}},
+           "run": {"t_final": 0.01}, "initial": {key: vector}}
+    cfg_path = tmp_path / "scenario.json"
+    for modulus, codes in ((1e200, {2}), (MAX_INITIAL_ABS, {0, 1})):
+        doc["initial"][key] = [[x and np.copysign(modulus, x) for x in p] for p in vector]
+        cfg_path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([mode, "--config", str(cfg_path)]) in codes
+        assert (f"initial.{key}" in capsys.readouterr().err) == (codes == {2})
 
 
 def test_main_checks_overrides_against_tabulated_range_and_ladder_shell(tmp_path, capsys):
@@ -721,3 +749,85 @@ def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
         ("f_im", "value", probe), ("f_re", "value", probe)]
     # one sample set per scenario, gone once run() has returned
     assert len(sample_sets) == 1 and sample_sets[0]() is None
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_entrywise_runner_quantities_match_their_matrix_forms(seed):
+    # the runners' per-point algebra against stacked matrix products
+    rng = np.random.default_rng(seed)
+    nu0, eps0, state0 = (tuple(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (3, 2, 2))
+    cfg = ScenarioConfig(spec=random_spec(rng, f_floor=True), t_final=0.2, dt=1e-3, nu0=nu0,
+                         epsilon0=eps0, state0=state0)
+    samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
+    u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt)).U
+    ud = np.conj(np.swapaxes(u, 1, 2))
+
+    def runner(mode):
+        report, tables = run(mode, cfg)
+        return {c["name"]: c["value"] for c in report.checks}, dict(zip(*tables[mode]))
+
+    _, cols = runner("invariants")
+    traj = integrate_nu(samples, nu0)
+    want = np.max(np.abs(build_B_array(traj.nu) - u @ build_B_array(nu0) @ ud), axis=(1, 2))
+    assert np.max(np.abs(cols["oracle_dev"] - want)) <= 1e-14
+
+    checks, cols = runner("evolve")
+    psi = u @ np.asarray(state0)
+    assert np.max(np.abs(cols["re_amp0"] + 1j * cols["im_amp0"] - psi[:, 0])) <= 1e-14
+    assert np.max(np.abs(cols["re_amp1"] + 1j * cols["im_amp1"] - psi[:, 1])) <= 1e-14
+    assert np.max(np.abs(cols["norm"] - np.linalg.norm(psi, axis=1))) <= 1e-14
+    assert abs(checks["unitarity_drift"] - np.max(np.abs(ud @ u - np.eye(2)))) <= 1e-14
+
+    _, cols = runner("reduce")
+    et = integrate_epsilon(samples, eps0)
+    nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
+    want = np.max(np.abs(integrate_nu(samples, tuple(nus[0])).nu - nus), axis=1)
+    assert np.max(np.abs(cols["closure_dev"] - want)) <= 1e-14
+
+    want = (nu_generator(samples) @ traj.nu[:, :, None])[:, :, 0].T
+    assert np.max(np.abs(np.array(_nu_dot(samples, traj.nu)) - want)) <= 1e-14
+
+
+def _short_axis(a, axis=None) -> bool:
+    """Whether a reduction of ``a`` over ``axis`` runs along an axis of length <= 4."""
+    a = np.asarray(a)
+    axes = () if axis is None else np.atleast_1d(axis)
+    return a.size >= 100 and any(a.shape[i] <= 4 for i in axes)
+
+
+def _refusing(func, offends):
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        if offends(*args, **kwargs):
+            raise AssertionError(f"numpy.{func.__name__} across the grid axis")
+        return func(*args, **kwargs)
+    return guarded
+
+
+def test_runners_keep_per_point_algebra_along_the_grid_axis(monkeypatch, tmp_path):
+    """No complex einsum and no max, sum or norm over an axis of length <= 4 in any mode.
+
+    Every mode runs on the README scenario with numpy.einsum, numpy.max,
+    numpy.sum and numpy.linalg.norm wrapped to refuse such a call.  Only
+    calls through those names are seen: ndarray methods (``x.max(axis=1)``),
+    ufunc reductions and the ``@`` operator are not.
+    """
+    monkeypatch.setattr(np, "einsum", _refusing(
+        np.einsum, lambda spec, *ops, **kw: any(np.iscomplexobj(op) for op in ops)))
+    for name in ("max", "sum"):
+        monkeypatch.setattr(np, name, _refusing(
+            getattr(np, name), lambda a, axis=None, *args, **kw: _short_axis(a, axis)))
+    monkeypatch.setattr(np.linalg, "norm", _refusing(
+        np.linalg.norm, lambda x, ord=None, axis=None, *args, **kw: _short_axis(x, axis)))
+    with pytest.raises(AssertionError):
+        np.max(np.ones((50, 3)), axis=1)
+    with pytest.raises(AssertionError):
+        np.linalg.norm(np.ones((50, 2)), axis=1)
+    with pytest.raises(AssertionError):
+        np.einsum("ij,j->i", np.eye(2), np.ones(2, dtype=complex))
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD)
+    for mode in MODES:
+        out = tmp_path / f"{mode}.csv"
+        assert main([mode, "--config", str(cfg_path), "--t-final", "0.5", "--out", str(out)]) == 0

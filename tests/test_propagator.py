@@ -74,6 +74,14 @@ def test_exp2x2_antihermitian_gives_unitary():
 
 # -- evolve_unitary --------------------------------------------------------------
 
+def test_unitary_entries_are_contiguous_grid_columns():
+    # the mode runners read U entry by entry along the grid axis
+    traj = evolve_unitary(random_spec(np.random.default_rng(0)), 1.0, PropagatorConfig(dt=1e-2))
+    assert traj.U.shape == (101, 2, 2)
+    assert np.moveaxis(traj.U, 0, -1).flags.c_contiguous
+    assert traj.U[0].tolist() == I2.tolist()
+
+
 def test_zero_hamiltonian_is_identity():
     traj = evolve_unitary(constant_spec(), 1.0, PropagatorConfig(dt=1e-3))
     assert max_abs(traj.U[-1] - I2) < 1e-14
