@@ -40,7 +40,7 @@ from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coh
 from .grid import GridSamples, abs2
 from .invariants import (NuTrajectory, build_B_array, integrate_nu, invariance_residual_max,
                          motion_constants)
-from .propagator import PropagatorConfig, UnitaryTrajectory, evolve_unitary
+from .propagator import PropagatorConfig, UnitaryTrajectory, apply_unitary, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
@@ -71,7 +71,8 @@ CHECK_TOLERANCES = {
 # largest grid a scenario may ask for; larger t_final/dt is a config error
 # rather than an unbounded allocation
 MAX_GRID_POINTS = 10**6
-# largest modulus of an initial component: |eps0| <= 1e50 keeps lambda2 =
+# largest real or imaginary part of an initial component (the modulus itself
+# may overflow): |eps0| <= 1.5e50 keeps lambda2 =
 # (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2 / 4 finite for |f| >= f_min
 MAX_INITIAL_ABS = 1e50
 
@@ -221,8 +222,8 @@ class ScenarioConfig:
                           ("initial.state", self.state0)):
             if not any(vec):
                 raise ConfigError(path, "must not be all zero")
-            if max(map(abs, vec)) > MAX_INITIAL_ABS:
-                raise ConfigError(path, f"a component's modulus exceeds {MAX_INITIAL_ABS:g}")
+            if max(max(abs(z.real), abs(z.imag)) for z in vec) > MAX_INITIAL_ABS:
+                raise ConfigError(path, f"a real or imaginary part exceeds {MAX_INITIAL_ABS:g}")
         if self.mode in ("phases", "all") and off_ladder_shell(*motion_constants(self.nu0)):
             raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
 
@@ -475,8 +476,7 @@ class _Scenario:
 
 def _run_evolve(sc: _Scenario, tols: dict):
     (u00, u01), (u10, u11) = np.moveaxis(sc.unitary.U, 0, -1)
-    s0, s1 = sc.cfg.state0
-    a0, a1 = u00 * s0 + u01 * s1, u10 * s0 + u11 * s1
+    a0, a1 = apply_unitary(sc.unitary.U, sc.cfg.state0)
     # U'U - 1 entrywise: its diagonal is real and its (1, 0) entry the conjugate of (0, 1)
     unit = max(np.max(np.abs(abs2(u00) + abs2(u10) - 1.0)),
                np.max(np.abs(np.conj(u00) * u01 + np.conj(u10) * u11)),

@@ -12,15 +12,19 @@ Medians in us on one core (Intel Xeon, numpy 2.4), slow form -> entrywise:
     np.max(x, axis=1), x real (10001, 3)                 511 -> 13
     np.linalg.norm(e, axis=1), e complex (10001, 2)      244 -> 66
     np.sum(conj(e) * d, axis=1), complex (10001, 2)      358 -> 63
-    _mul of complex 2x2 stacks, 2000 points               67 -> 37
     U B0 U' by two complex einsum, 10,001 points        5260 -> 1140
-    _mul of real 3x3 stacks, 4096 points: einsum (113) stays faster
+
+The one exception is the RK4 kernel's ``_mul``, which keeps ``einsum`` for
+complex operands too.  Summing broadcast products over j is faster in
+isolation (67 -> 37 us for complex 2x2 stacks of 2000 points), but not
+inside the integrators: equal in ``integrate_epsilon`` and 5-10 % slower
+in ``integrate_nu``, whose block-start product then allocates n
+temporaries where ``einsum`` makes one.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +79,7 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...).
-
-    With a complex operand, the sum over j of the broadcast products
-    a[:, j] b[j], accumulated in place into the first; real ones go
-    through ``einsum``, which is faster there.
-    """
-    if a.dtype.kind == "c" or b.dtype.kind == "c":
-        return reduce(operator.iadd, map(np.multiply, a.swapaxes(0, 1)[:, :, None], b[:, None]))
+    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...)."""
     return np.einsum("ij...,jl...->il...", a, b)
 
 

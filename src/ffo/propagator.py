@@ -164,6 +164,11 @@ def evolve_state(spec: HamiltonianSpec, psi0: np.ndarray, t_final: float,
     preserved within the propagator's unitarity tolerance.
     """
     traj = evolve_unitary(spec, t_final, cfg)
+    return traj.times, np.stack(apply_unitary(traj.U, psi0), axis=1)
+
+
+def apply_unitary(u: np.ndarray, psi0) -> tuple[np.ndarray, np.ndarray]:
+    """The two amplitudes of U psi0 for a (K, 2, 2) stack U, entrywise over the grid."""
     s0, s1 = np.asarray(psi0, dtype=complex).reshape(2)
-    (u00, u01), (u10, u11) = np.moveaxis(traj.U, 0, -1)
-    return traj.times, np.stack([u00 * s0 + u01 * s1, u10 * s0 + u11 * s1], axis=1)
+    (u00, u01), (u10, u11) = np.moveaxis(u, 0, -1)
+    return u00 * s0 + u01 * s1, u10 * s0 + u11 * s1

@@ -15,7 +15,7 @@ from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITI
                      ScenarioConfig, _table_select, emit_csv, main, parse_config, run,
                      serialize_config)
 from ffo.errors import ConfigError
-from ffo.grid import GridSamples, time_grid
+from ffo.grid import GridSamples, _mul, time_grid
 from ffo.invariants import build_B_array, integrate_nu, nu_generator
 from ffo.propagator import PropagatorConfig, evolve_state, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
@@ -271,7 +271,7 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
 ])
 def test_huge_initial_vector_rejected_with_path(tmp_path, capsys, mode, key, vector):
     # finite, but lambda1, lambda2 or the norm would overflow; at the bound
-    # every mode still runs to a verdict without an overflow
+    # (on each part) every mode still runs to a verdict without an overflow
     doc = {"hamiltonian": {"f_re": {"type": "constant", "value": 0.5}},
            "run": {"t_final": 0.01}, "initial": {key: vector}}
     cfg_path = tmp_path / "scenario.json"
@@ -282,6 +282,13 @@ def test_huge_initial_vector_rejected_with_path(tmp_path, capsys, mode, key, vec
             warnings.simplefilter("error")
             assert main([mode, "--config", str(cfg_path)]) in codes
         assert (f"initial.{key}" in capsys.readouterr().err) == (codes == {2})
+    # both parts finite but the modulus not: still a config error, not an OverflowError
+    doc["initial"][key] = [[1.7e308, 1.7e308] if any(p) else p for p in vector]
+    cfg_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([mode, "--config", str(cfg_path)]) == 2
+    assert f"initial.{key}" in capsys.readouterr().err
 
 
 def test_main_checks_overrides_against_tabulated_range_and_ladder_shell(tmp_path, capsys):
@@ -805,16 +812,22 @@ def _refusing(func, offends):
     return guarded
 
 
+def _complex_einsum_outside_mul(spec, *ops, **kwargs) -> bool:
+    """A complex einsum from any caller but the RK4 kernel's ``_mul`` (see ``ffo.grid``)."""
+    return (any(np.iscomplexobj(op) for op in ops)
+            and sys._getframe(2).f_code is not _mul.__code__)
+
+
 def test_runners_keep_per_point_algebra_along_the_grid_axis(monkeypatch, tmp_path):
     """No complex einsum and no max, sum or norm over an axis of length <= 4 in any mode.
 
     Every mode runs on the README scenario with numpy.einsum, numpy.max,
-    numpy.sum and numpy.linalg.norm wrapped to refuse such a call.  Only
-    calls through those names are seen: ndarray methods (``x.max(axis=1)``),
-    ufunc reductions and the ``@`` operator are not.
+    numpy.sum and numpy.linalg.norm wrapped to refuse such a call; the RK4
+    kernel's ``_mul`` alone may call a complex einsum.  Only calls through
+    those names are seen: ndarray methods (``x.max(axis=1)``), ufunc
+    reductions and the ``@`` operator are not.
     """
-    monkeypatch.setattr(np, "einsum", _refusing(
-        np.einsum, lambda spec, *ops, **kw: any(np.iscomplexobj(op) for op in ops)))
+    monkeypatch.setattr(np, "einsum", _refusing(np.einsum, _complex_einsum_outside_mul))
     for name in ("max", "sum"):
         monkeypatch.setattr(np, name, _refusing(
             getattr(np, name), lambda a, axis=None, *args, **kw: _short_axis(a, axis)))

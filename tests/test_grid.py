@@ -238,29 +238,6 @@ def test_blocked_product_matches_sequential_loop(m, n, complex_steps, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(n=st.sampled_from([2, 3]), p=st.sampled_from([1, 2, 3]), m=st.integers(1, 300),
-       kinds=st.sampled_from(["cc", "rc", "cr"]), block_start=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_mul_complex_branch_matches_einsum(n, p, m, kinds, block_start, seed):
-    # the stage shapes (n, n, m) x (n, p, m) and the block-start product
-    # (n, n, 16, m) x (n, 1, 1, m); a real operand against a complex one is
-    # the same arithmetic as einsum's, bit for bit
-    rng = np.random.default_rng(seed)
-
-    def stack(shape, kind):
-        x = rng.normal(size=shape)
-        return x + 1j * rng.normal(size=shape) if kind == "c" else x
-
-    shapes = ((n, n, 16, m), (n, 1, 1, m)) if block_start else ((n, n, m), (n, p, m))
-    a, b = (stack(shape, kind) for shape, kind in zip(shapes, kinds))
-    got, want = grid._mul(a, b), np.einsum("ij...,jl...->il...", a, b)
-    assert got.shape == want.shape
-    if "r" in kinds:
-        assert np.array_equal(got, want)
-    assert np.max(np.abs(got - want)) <= 4e-16 * n * np.max(np.abs(want))
-
-
 def test_linear_rk4_makes_no_per_block_python_loop(monkeypatch):
     # On 10,001 points (3 chunks) the kernel makes 3 stage products per chunk
     # and 3 scan levels of BLOCK_STEPS products each: 3 * (3 + 3 * 16) = 153
