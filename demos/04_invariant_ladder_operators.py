@@ -50,9 +50,11 @@ print("invariance residual :", invariance_residual_max(samples, traj))
 # ladder operator it assembles
 free = HamiltonianSpec(omega=spec.omega, f=ComplexSignal(Sinusoid(0.0, 1.0)),
                        g=spec.g)
+free_samples = GridSamples(free, 5.0, cfg.dt)
 nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
-ftraj = integrate_nu(GridSamples(free, 5.0, cfg.dt), nu0)
-closed = free_oscillator_nu(nu0, free.omega, ftraj.times)
+ftraj = integrate_nu(free_samples, nu0)
+closed = free_oscillator_nu(nu0, free_samples)
 print("\nclosed form vs integrated (f = 0):", np.max(np.abs(closed - ftraj.nu)))
-mat = build_B_so(0.6, 0.4j, free.omega, 2.5)
-print("B_so(2.5) =\n", mat)
+mats = build_B_so(0.6, 0.4j, free_samples)
+print("B_so on the grid vs B(nu) integrated:", np.max(np.abs(mats - build_B_array(ftraj.nu))))
+print("B_so(2.5) =\n", mats[2500])

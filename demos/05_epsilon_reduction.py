@@ -45,16 +45,16 @@ print("closure vs direct system:", np.max(np.abs(direct.nu - nus)))
 lam2_eps = lambda2_from_epsilon(samples, (et.eps, et.eps_dot))
 print("lambda2 two routes, max difference:", np.max(np.abs(lam2_eps - lam2_nu)))
 
-# the first integral and the third-order equation, on the jet at one time
-k = 5000
-t = float(et.times[k])
-vp, vpd, vpdd, vpddd = nu_plus_jets(spec, t, direct.nu[k])
-lam = first_integral_lambda(spec, t, vp, vpd, vpdd)
-print("first integral lam (should be ~0 on this branch):", abs(lam))
-print("third-order equation residual on the jet:",
-      third_order_residual(spec, t, (vp, vpd, vpdd, vpddd)))
+# the nu_plus jets, the first integral and the third-order equation on the whole grid
+jets = nu_plus_jets(samples, direct.nu)
+print("max |nu_plus|, |nu_plus'|, |nu_plus''|, |nu_plus'''|:",
+      *(f"{np.max(np.abs(j)):.4f}" for j in jets))
+lam = first_integral_lambda(samples, *jets[:3])
+print("first integral max |lam| (should be ~0 on this branch):", np.max(np.abs(lam)))
+print("third-order equation residual, max over the grid:",
+      np.max(third_order_residual(samples, jets)))
 
 # removing the first-derivative term: eps = eps' * gauge
-om_p, gauge = epsilon_prime_transform(spec, et.times)
+om_p, gauge = epsilon_prime_transform(samples)
 print("\ngauge factor at t =", t_final, ":", gauge[-1])
 print("Omega'(0) - Omega(0) =", om_p[0] - omega_0)

@@ -28,9 +28,8 @@ from .reduction import (EpsilonTrajectory, build_B_normalized,
                         nu_plus_jets, third_order_residual)
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated, constant_spec)
-from .states import (CoherenceReport, PhaseRecord,
-                     PhaseTrajectory, coherence_check, coherent_state,
-                     cs_eigen_residual, lr_frame, lr_phases,
+from .states import (CoherenceReport, PhaseTrajectory, coherence_check,
+                     coherent_state, cs_eigen_residual, lr_frame, lr_phases,
                      schrodinger_residual_max, vacuum_trajectory)
 
 __version__ = "0.1.0"

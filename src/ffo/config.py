@@ -1,7 +1,8 @@
 """Shared tolerance configuration.
 
-All drift tolerances and singularity floors used across the toolkit live in
-one record so that tests, the CLI and library code agree on defaults.
+The singularity floors and fallback thresholds of the library live in one
+record, so that tests, the CLI and library code agree on defaults.  The
+CLI's check tolerances are ``cli.CHECK_TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # max-norm tolerance for exact operator identities (anticommutators,
-    # entrywise algebra, Berezin results)
-    algebraic: float = 1e-12
-    # tolerance for quantities limited by time integration accuracy
-    # (constants-of-motion drift, oracle deviations, unitarity)
-    dynamical: float = 1e-8
     # |f(t)| floor below which the nu_plus-reduction chain is declared singular
     f_min: float = 1e-9
     # |nu_plus| floor for the compact nu_minus expression

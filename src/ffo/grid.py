@@ -140,7 +140,7 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
 
 
 class Samples:
-    """omega, omega', f, f' and g of ``spec`` at ``times``, each evaluated on first use.
+    """omega, f, their first two derivatives and g of ``spec`` at ``times``, each on first use.
 
     ``times`` may be a grid or a scalar; the samples keep its shape.
     """
@@ -162,12 +162,20 @@ class Samples:
         return np.asarray(self.spec.omega.d1(self.times), dtype=float)
 
     @cached_property
+    def omega_d2(self) -> np.ndarray:
+        return np.asarray(self.spec.omega.d2(self.times), dtype=float)
+
+    @cached_property
     def f(self) -> np.ndarray:
         return np.asarray(self.spec.f.value(self.times), dtype=complex)
 
     @cached_property
     def f_d1(self) -> np.ndarray:
         return np.asarray(self.spec.f.d1(self.times), dtype=complex)
+
+    @cached_property
+    def f_d2(self) -> np.ndarray:
+        return np.asarray(self.spec.f.d2(self.times), dtype=complex)
 
     @cached_property
     def g(self) -> np.ndarray:

@@ -33,7 +33,6 @@ from .algebra import I2, hamiltonian_matrix
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError, IntegrationError
 from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
-from .signals import Signal
 
 
 class MotionConstants(NamedTuple):
@@ -66,6 +65,16 @@ def nu_generator(samples: Samples) -> np.ndarray:
     return np.moveaxis(np.array([[1j * w, z, -1j * fc],
                                  [z, -1j * w, 1j * f],
                                  [-2j * f, 2j * fc, z]]), (0, 1), (-2, -1))
+
+
+def _nu_dot(samples: Samples, nu):
+    """nu' as the rows (nu_minus', nu_plus', nu_3') of nu_generator(samples) nu.
+
+    ``nu`` is (K, 3) on a grid or (3,) at a scalar time.
+    """
+    (vm, vp, v3), w, f = nu.T, samples.omega, samples.f
+    fc = np.conj(f)
+    return 1j * (w * vm - fc * v3), 1j * (f * v3 - w * vp), 2j * (fc * vp - f * vm)
 
 
 def motion_constants(nu) -> MotionConstants:
@@ -174,39 +183,32 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
 
 # -- free oscillator closed forms ---------------------------------------------
 
-def _f_probe(f_signal, t_final: float, f_min: float) -> None:
-    probe = np.linspace(0.0, t_final, 33)
-    if np.max(np.abs(np.asarray(f_signal.value(probe)))) > f_min:
-        raise ContractError("free-oscillator closed form requires f = 0")
-
-
-def free_oscillator_nu(nu0, omega: Signal, times: np.ndarray, f=None,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def free_oscillator_nu(nu0, samples: Samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Closed-form coefficients for f = 0 on a uniform grid from 0, shape (len(times), 3).
 
     nu_minus(t) = nu0_minus exp(+i phi), nu_plus(t) = nu0_plus exp(-i phi),
-    nu_3 constant, with phi = int_0^t omega by cumulative Simpson.  The sign
-    pairing is the one the differential system produces.  Passing the
-    spec's f signal enables the f = 0 guard.
+    nu_3 constant, with phi = int_0^t omega by cumulative Simpson on
+    ``samples.times``.  The sign pairing is the one the differential system
+    produces.  Raises ContractError unless |f| <= f_min at every grid time.
     """
-    if f is not None:
-        _f_probe(f, float(times[-1]), tol.f_min)
+    if np.max(np.abs(samples.f)) > tol.f_min:
+        raise ContractError("free-oscillator closed form requires f = 0")
     vm, vp, v3 = (complex(x) for x in nu0)
-    dt = float(times[1] - times[0])
-    phi = cumsimpson_grid(np.asarray(omega.value(times), dtype=float), dt)
-    out = np.empty((len(times), 3), dtype=complex)
+    phi = cumsimpson_grid(samples.omega, float(samples.times[1] - samples.times[0]))
+    out = np.empty((len(phi), 3), dtype=complex)
     out[:, 0] = vm * np.exp(1j * phi)
     out[:, 1] = vp * np.exp(-1j * phi)
     out[:, 2] = v3
     return out
 
 
-def build_B_so(nu0_minus: complex, nu0_plus: complex, omega: Signal, t: float,
-               branch: int = +1, f=None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Free-oscillator invariant ladder operator at time t.
+def build_B_so(nu0_minus: complex, nu0_plus: complex, samples: Samples, branch: int = +1,
+               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Free-oscillator invariant ladder operator on a grid, shape (len(times), 2, 2).
 
     B_so = nu0_minus e^{+i phi} b + nu0_plus e^{-i phi} b' +
-    branch * 2 sqrt(-nu0_minus nu0_plus) (b'b - 1/2), phi = int_0^t omega.
+    branch * 2 sqrt(-nu0_minus nu0_plus) (b'b - 1/2), phi = int_0^t omega,
+    from ``free_oscillator_nu`` on ``samples``.
 
     The square root takes the principal branch; ``branch=-1`` selects the
     other sign, which is an equally valid invariant since only nu_3^2 is
@@ -218,6 +220,4 @@ def build_B_so(nu0_minus: complex, nu0_plus: complex, omega: Signal, t: float,
     if abs(abs(vm0) + abs(vp0) - 1.0) > 1e-9:
         raise ContractError("build_B_so requires |nu0_minus| + |nu0_plus| = 1")
     v3 = branch * 2.0 * np.sqrt(complex(-vm0 * vp0))
-    # phi by cumulative Simpson on an even number of intervals of at most 2e-3
-    times = np.linspace(0.0, t, 2 * max(32, int(np.ceil(abs(t) / 2e-3))) + 1)
-    return build_B_array(free_oscillator_nu((vm0, vp0, v3), omega, times, f, tol)[-1])
+    return build_B_array(free_oscillator_nu((vm0, vp0, v3), samples, tol))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import Samples, abs2, cumsimpson_grid, cumtrapz_grid
-from .invariants import NuTrajectory, build_B_array, build_B_dagger
+from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
 
@@ -222,17 +221,6 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
 
 # -- Lewis-Riesenfeld frame and phases ------------------------------------------
 
-class PhaseRecord(NamedTuple):
-    phi0: float
-    phi1: float
-    phi_geometric: float
-    phi_dynamical: float
-
-    @property
-    def phi(self) -> float:
-        return self.phi1 - self.phi0
-
-
 @dataclass
 class LRFrame:
     """Gauge-fixed eigenvectors of the Hermitian invariant on the grid.
@@ -296,10 +284,6 @@ class PhaseTrajectory:
     consistency_residual: float
     frame: LRFrame
 
-    def record_at(self, k: int) -> PhaseRecord:
-        return PhaseRecord(float(self.phi0[k]), float(self.phi1[k]),
-                           float(self.phi_geometric[k]), float(self.phi_dynamical[k]))
-
 
 def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
     """Analytic Berry connections Im<e_n|d e_n> of the gauge-fixed frame.
@@ -315,13 +299,6 @@ def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
     core = np.imag(np.conj(x) * xd + 0.25 * np.conj(v3) * v3d)
     a0 = (core - np.imag(xd / x) * r2) / r2
     return a0, -a0
-
-
-def _nu_dot(samples: Samples, nu: np.ndarray):
-    """The rows (nu_minus', nu_plus', nu_3') of nu_generator(samples) nu, nu of shape (K, 3)."""
-    (vm, vp, v3), w, f = nu.T, samples.omega, samples.f
-    fc = np.conj(f)
-    return 1j * (w * vm - fc * v3), 1j * (f * v3 - w * vp), 2j * (fc * vp - f * vm)
 
 
 def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):

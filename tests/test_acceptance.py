@@ -137,8 +137,9 @@ def test_criterion_04_free_oscillator_closed_forms():
         vm0 = r * np.exp(2j * np.pi * rng.uniform())
         vp0 = (1 - r) * np.exp(2j * np.pi * rng.uniform())
         v30 = 2.0 * np.sqrt(-vm0 * vp0)
-        traj = integrate_nu(GridSamples(spec, t_final, dt), (vm0, vp0, v30))
-        closed = free_oscillator_nu((vm0, vp0, v30), spec.omega, times)
+        samples = GridSamples(spec, t_final, dt)
+        traj = integrate_nu(samples, (vm0, vp0, v30))
+        closed = free_oscillator_nu((vm0, vp0, v30), samples)
         worst_closed = max(worst_closed, float(np.max(np.abs(closed - traj.nu))))
         # the closed-form operator family passes ladder and invariance checks
         mats = build_B_array(closed)
@@ -146,11 +147,11 @@ def test_criterion_04_free_oscillator_closed_forms():
         worst_ladder = max(worst_ladder, float(np.max(np.abs(lam1))),
                            float(np.max(np.abs(lam2 - 1.0))))
         ctraj = NuTrajectory(times=times, nu=closed, lambda1=lam1, lambda2=lam2)
-        worst_inv = max(worst_inv, invariance_residual_max(Samples(spec, ctraj.times), ctraj))
-        # spot-check that build_B_so agrees with the closed-form trajectory
-        for k in (0, len(times) // 2, len(times) - 1):
-            mat = build_B_so(vm0, vp0, spec.omega, float(times[k]))
-            worst_ladder = max(worst_ladder, max_abs(mat - mats[k]))
+        worst_inv = max(worst_inv, invariance_residual_max(samples, ctraj))
+        # build_B_so, its phase integrated on a grid of half the step, agrees
+        # with the closed-form trajectory at every grid time
+        fine = build_B_so(vm0, vp0, Samples(spec, time_grid(t_final, dt / 2)))
+        worst_ladder = max(worst_ladder, max_abs(fine[::2] - mats))
     ok = worst_closed <= 1e-8 and worst_ladder <= 1e-8 and worst_inv <= 1e-6
     _report(4, "free-oscillator closed forms", ok,
             f"closed-vs-integrated={worst_closed:.2e}, ladder={worst_ladder:.2e}, "
@@ -236,11 +237,10 @@ def test_criterion_07_first_integral(eps_family):
         worst_drift = max(worst_drift, float(np.max(np.abs(lam - lam[0]))))
         worst_link = max(worst_link,
                          float(np.max(np.abs(lam - 16.0 * gen.lambda1))))
-        # scalar operation agrees with the vectorized jets
-        k = 4321
-        vpk, vpdk, vpddk, _ = nu_plus_jets(spec, float(gen.times[k]), gen.nu[k])
-        got = first_integral_lambda(spec, float(gen.times[k]), vpk, vpdk, vpddk)
-        assert abs(got - lam[k]) <= 1e-10 * max(1.0, abs(lam[k]))
+        # the library's first integral agrees with the vectorized jets on the whole grid
+        samples = Samples(spec, gen.times)
+        got = first_integral_lambda(samples, *nu_plus_jets(samples, gen.nu)[:3])
+        assert np.all(np.abs(got - lam) <= 1e-10 * np.maximum(1.0, np.abs(lam)))
         # ladder-calibrated trajectory: lambda must sit at zero
         lam0 = _lambda_arrays(spec, traj)
         worst_zero = max(worst_zero, float(np.max(np.abs(lam0))))

@@ -16,11 +16,10 @@ from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITI
                      serialize_config)
 from ffo.errors import ConfigError
 from ffo.grid import GridSamples, _mul, time_grid
-from ffo.invariants import build_B_array, integrate_nu, nu_generator
+from ffo.invariants import _nu_dot, build_B_array, integrate_nu, nu_generator
 from ffo.propagator import PropagatorConfig, evolve_state, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, HamiltonianSpec, Polynomial, Sinusoid
-from ffo.states import _nu_dot
 from ffo.sweeps import random_spec
 
 GOOD = """

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from ffo import grid
-from ffo.grid import cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
+from ffo.grid import Samples, cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
 from ffo.invariants import build_B_so, free_oscillator_nu
-from ffo.signals import Sinusoid
+from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid
 
 # step counts at the kernel's block, block-of-blocks and chunk boundaries
 _B, _C = grid.BLOCK_STEPS, grid.CHUNK_STEPS
@@ -93,11 +93,13 @@ def test_free_oscillator_phase_matches_scipy_simpson(t):
     ts = np.linspace(0.0, t, n + 1)
     phi = simpson(omega.value(ts), x=ts)
     vm, vp = 0.6, 0.4
-    got = free_oscillator_nu((vm, vp, 0.3), omega, ts)[-1]
+    samples = Samples(HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)),
+                                      g=Constant(0.0)), ts)
+    got = free_oscillator_nu((vm, vp, 0.3), samples)[-1]
     assert abs(got[0] - vm * np.exp(1j * phi)) <= 1e-12
     assert abs(got[1] - vp * np.exp(-1j * phi)) <= 1e-12
     # phi sits in the off-diagonal entries, nu_minus and nu_plus
-    mat = build_B_so(vm, vp, omega, t)
+    mat = build_B_so(vm, vp, samples)[-1]
     assert abs(mat[0, 1] - vm * np.exp(1j * phi)) <= 1e-12
     assert abs(mat[1, 0] - vp * np.exp(-1j * phi)) <= 1e-12
 

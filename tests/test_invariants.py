@@ -303,7 +303,7 @@ def test_invariance_residual_free_closed_form():
     spec = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
                            f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     times = np.arange(0, 5001) * 1e-3
-    nus = free_oscillator_nu((1, 0, 0), spec.omega, times)
+    nus = free_oscillator_nu((1, 0, 0), Samples(spec, times))
     traj = NuTrajectory(times, nus, *motion_constants(nus))
     assert _matrix_residuals(spec, traj)[2499] <= 1e-6
     assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-6
@@ -353,11 +353,11 @@ def test_invariance_residual_detects_wrong_forcing_sign():
 
 def test_free_oscillator_nu_examples():
     w0 = 1.3
-    times = np.linspace(0.0, 2.0, 129)
-    got = free_oscillator_nu((1, 0, 0), Constant(w0), times)
-    assert got[:, 0] == pytest.approx(np.exp(1j * w0 * times), abs=1e-12)
+    s = Samples(constant_spec(omega=w0), np.linspace(0.0, 2.0, 129))
+    got = free_oscillator_nu((1, 0, 0), s)
+    assert got[:, 0] == pytest.approx(np.exp(1j * w0 * s.times), abs=1e-12)
     assert np.max(np.abs(got[:, 1:])) == 0.0
-    got3 = free_oscillator_nu((0, 0, 1), Constant(w0), times)
+    got3 = free_oscillator_nu((0, 0, 1), s)
     assert (got3 == (0, 0, 1)).all()
 
 
@@ -365,39 +365,50 @@ def test_free_oscillator_nu_matches_integrator_sinusoid():
     omega = Sinusoid(0.8, 1.1, 0.4, offset=1.0)
     spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
-    traj = integrate_nu(GridSamples(spec, 5.0, CFG.dt), nu0)
-    closed = free_oscillator_nu(nu0, omega, traj.times)
-    assert np.max(np.abs(closed - traj.nu)) <= 1e-8
+    samples = GridSamples(spec, 5.0, CFG.dt)
+    closed = free_oscillator_nu(nu0, samples)
+    assert np.max(np.abs(closed - integrate_nu(samples, nu0).nu)) <= 1e-8
 
 
 def test_free_oscillator_nu_guards_forcing():
-    with pytest.raises(ContractError):
-        free_oscillator_nu((1, 0, 0), Constant(1.0), np.linspace(0.0, 1.0, 11),
-                           f=ComplexSignal(Constant(0.5)))
+    cases = [(Constant(0.5), np.linspace(0.0, 1.0, 11)),
+             # zero at every t = k/32, so at each of the 33 points of
+             # linspace(0, 1, 33), yet |f| reaches 0.49996 on this grid
+             (Sinusoid(0.5, 32 * np.pi), np.linspace(0.0, 1.0, 1001))]
+    for f, times in cases:
+        spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(f), g=Constant(0.0))
+        with pytest.raises(ContractError):
+            free_oscillator_nu((1, 0, 0), Samples(spec, times))
 
 
 # -- B_so ---------------------------------------------------------------------------
+
+def _free_samples(omega, t_final, points=129):
+    """Samples of the f = 0 spec with this omega on linspace(0, t_final, points)."""
+    spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
+    return Samples(spec, np.linspace(0.0, t_final, points))
+
 
 def test_build_B_so_degenerate_case_phase_orientation():
     # with nu0 = (1, 0) the operator is exp(+i phi) b: the sign pairing the
     # coefficient system itself produces (and the Heisenberg oracle confirms)
     w0 = 1.0
     b, _, _ = ladder_operators()
-    got = build_B_so(1.0, 0.0, Constant(w0), 2.0)
-    assert max_abs(got - np.exp(1j * w0 * 2.0) * b) < 1e-12
+    s = _free_samples(Constant(w0), 2.0)
+    got = build_B_so(1.0, 0.0, s)
+    assert max_abs(got - np.exp(1j * w0 * s.times)[:, None, None] * b) < 1e-12
 
 
 def test_build_B_so_ladder_conditions():
-    omega = Constant(0.9)
-    got = build_B_so(0.5, 0.5, omega, 1.7)
+    got = build_B_so(0.5, 0.5, _free_samples(Constant(0.9), 1.7))
     assert max_abs(got @ got) <= 1e-12
-    anti = got @ got.conj().T + got.conj().T @ got
-    assert max_abs(anti - I2) <= 1e-12
+    got_dag = got.conj().swapaxes(1, 2)
+    assert max_abs(got @ got_dag + got_dag @ got - I2) <= 1e-12
 
 
 def test_build_B_so_both_branches_are_ladder():
     for branch in (+1, -1):
-        got = build_B_so(0.3, 0.7, Constant(0.5), 0.8, branch=branch)
+        got = build_B_so(0.3, 0.7, _free_samples(Constant(0.5), 0.8), branch=branch)
         assert max_abs(got @ got) <= 1e-12
 
 
@@ -406,17 +417,16 @@ def test_build_B_so_invariance():
     spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     dt = 2e-4
     times = np.arange(0, int(round(2.0 / dt)) + 1) * dt
-    mats = np.array([build_B_so(0.5, 0.5, omega, float(t)) for t in times[::1]])
-    worst = 0.0
-    for k in range(1, len(times) - 1, 173):
-        db = (mats[k + 1] - mats[k - 1]) / (2 * dt)
-        h = hamiltonian_matrix(Samples(spec, float(times[k])))
-        worst = max(worst, max_abs(db - 1j * (mats[k] @ h - h @ mats[k])))
-    assert worst <= 1e-6
+    mats = build_B_so(0.5, 0.5, Samples(spec, times))
+    k = np.arange(1, len(times) - 1, 173)
+    db = (mats[k + 1] - mats[k - 1]) / (2 * dt)
+    h = hamiltonian_matrix(Samples(spec, times[k]))
+    assert max_abs(db - 1j * (mats[k] @ h - h @ mats[k])) <= 1e-6
 
 
 def test_build_B_so_normalization_guard():
+    s = _free_samples(Constant(1.0), 1.0)
     with pytest.raises(ContractError):
-        build_B_so(1.0, 0.5, Constant(1.0), 1.0)
+        build_B_so(1.0, 0.5, s)
     with pytest.raises(ValueError):
-        build_B_so(1.0, 0.0, Constant(1.0), 1.0, branch=2)
+        build_B_so(1.0, 0.0, s, branch=2)

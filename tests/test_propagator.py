@@ -7,9 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 import ffo
-from ffo.algebra import I2, ladder_operators, max_abs
+from ffo.algebra import I2, hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import ContractError, IntegrationError
-from ffo.grid import time_grid
+from ffo.grid import Samples, time_grid
 from ffo.propagator import (PropagatorConfig, _magnus_factors, evolve_state, evolve_unitary,
                             exp2x2, heisenberg_oracle)
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal,
@@ -138,6 +138,20 @@ def test_composition_property():
     head = evolve_unitary(spec, t1, PropagatorConfig(dt=1e-3))
     tail = evolve_unitary(shift_spec(spec, t1), t2 - t1, PropagatorConfig(dt=1e-3))
     assert max_abs(tail.U[-1] @ head.U[-1] - full.U[-1]) < 1e-10
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+def test_magnus_factors_are_expm_of_the_magnus_exponent(dt):
+    # Omega_k = -i dt/2 (H1 + H2) - sqrt(3) dt^2/12 [H2, H1], H at the two Gauss nodes
+    rng = np.random.default_rng(47)
+    for _ in range(4):
+        spec = random_spec(rng)
+        times = time_grid(40 * dt, dt)
+        h1, h2 = (hamiltonian_matrix(Samples(spec, times[:-1] + (0.5 + c) * dt))
+                  for c in (-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0))
+        omega = -0.5j * dt * (h1 + h2) - np.sqrt(3.0) * dt * dt / 12.0 * (h2 @ h1 - h1 @ h2)
+        e = np.moveaxis(np.reshape(_magnus_factors(spec, times, dt), (2, 2, -1)), -1, 0)
+        assert max_abs(e - expm(omega)) <= 1e-14
 
 
 def _stepwise_reference(spec, t_final, dt):

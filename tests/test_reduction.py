@@ -25,127 +25,107 @@ def _jets_traj(spec, t_final=5.0, nu0=(0.3 + 0.1j, 0.2 - 0.4j, 0.5 + 0.2j)):
 
 # -- first reduction formulas ----------------------------------------------------
 
+def _strided(spec, traj, step, start=0):
+    """Samples and coefficients on every ``step``-th grid point of ``traj`` from ``start``."""
+    rows = slice(start, None, step)
+    return Samples(spec, traj.times[rows]), traj.nu[rows]
+
+
 def test_nu3_direct_substitution():
     spec = constant_spec(omega=0.0, f=0.7)
     # nu_plus' = i f and nu_plus = 0 force nu_3 = 1
-    assert nu3_from_nu_plus(spec, 0.0, 0.0, 0.7j) == pytest.approx(1.0)
+    assert nu3_from_nu_plus(Samples(spec, 0.0), 0.0, 0.7j) == pytest.approx(1.0)
 
 
 def test_nu3_consistency_along_trajectory(forced_spec):
-    traj = _jets_traj(forced_spec)
-    worst = 0.0
-    for k in range(0, len(traj.times), 250):
-        t = float(traj.times[k])
-        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        worst = max(worst, abs(nu3_from_nu_plus(forced_spec, t, vp, vpd)
-                               - traj.nu[k, 2]))
-    assert worst <= 1e-6
+    s, nu = _strided(forced_spec, _jets_traj(forced_spec), 250)
+    vp, vpd, _, _ = nu_plus_jets(s, nu)
+    assert np.max(np.abs(nu3_from_nu_plus(s, vp, vpd) - nu[:, 2])) <= 1e-6
 
 
 def test_nu3_singular_guard():
     with pytest.raises(SingularReductionError):
-        nu3_from_nu_plus(constant_spec(omega=1.0, f=0.0), 0.0, 1.0, 0.0)
+        nu3_from_nu_plus(Samples(constant_spec(omega=1.0, f=0.0), 0.0), 1.0, 0.0)
 
 
 def test_nu_minus_second_derivative_route(forced_spec):
-    traj = _jets_traj(forced_spec)
-    worst = 0.0
-    for k in range(0, len(traj.times), 250):
-        t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        worst = max(worst, abs(nu_minus_from_nu_plus_2nd(forced_spec, t, vp, vpd, vpdd)
-                               - traj.nu[k, 0]))
-    assert worst <= 1e-5
+    s, nu = _strided(forced_spec, _jets_traj(forced_spec), 250)
+    vp, vpd, vpdd, _ = nu_plus_jets(s, nu)
+    assert np.max(np.abs(nu_minus_from_nu_plus_2nd(s, vp, vpd, vpdd) - nu[:, 0])) <= 1e-5
 
 
 def test_nu_minus_constant_coefficient_closed_form():
     # omega, f constant real: eps = exp(i mu t) with mu^2 = f^2 + omega^2/4
     # solves the eps equation; nu_plus = eps^2/2 then pins nu_minus
     w0, f0 = 0.8, 0.6
-    spec = constant_spec(omega=w0, f=f0)
+    s = Samples(constant_spec(omega=w0, f=f0), np.array([0.0, 0.7, 2.1]))
     mu = np.sqrt(f0 ** 2 + 0.25 * w0 * w0)
-    for t in (0.0, 0.7, 2.1):
-        eps = np.exp(1j * mu * t)
-        epsd = 1j * mu * eps
-        vp = 0.5 * eps * eps
-        vpd = eps * epsd
-        vpdd = epsd * epsd + eps * (-mu * mu * eps)
-        got = nu_minus_from_nu_plus_2nd(spec, t, vp, vpd, vpdd)
-        want = nu_from_epsilon_arrays(Samples(spec, t), eps, epsd)[0]
-        assert got == pytest.approx(want, abs=1e-12)
+    eps = np.exp(1j * mu * s.times)
+    epsd = 1j * mu * eps
+    vp = 0.5 * eps * eps
+    vpd = eps * epsd
+    vpdd = epsd * epsd + eps * (-mu * mu * eps)
+    got = nu_minus_from_nu_plus_2nd(s, vp, vpd, vpdd)
+    want = nu_from_epsilon_arrays(s, eps, epsd)[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_nu_minus_zero_jet():
     spec = constant_spec(omega=0.5, f=0.4)
-    assert nu_minus_from_nu_plus_2nd(spec, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert nu_minus_from_nu_plus_2nd(Samples(spec, 0.0), 0.0, 0.0, 0.0) == 0.0
 
 
 # -- third-order equation -----------------------------------------------------------
 
 def test_third_order_residual_vanishes_on_valid_jets(forced_spec):
-    traj = _jets_traj(forced_spec)
-    worst = 0.0
-    for k in range(0, len(traj.times), 200):
-        t = float(traj.times[k])
-        jet = nu_plus_jets(forced_spec, t, traj.nu[k])
-        worst = max(worst, third_order_residual(forced_spec, t, jet))
-    assert worst <= 1e-4
+    s, nu = _strided(forced_spec, _jets_traj(forced_spec), 200)
+    assert np.max(third_order_residual(s, nu_plus_jets(s, nu))) <= 1e-4
 
 
 def test_third_order_residual_zero_jet(forced_spec):
-    assert third_order_residual(forced_spec, 0.3, (0, 0, 0, 0)) == 0.0
+    assert third_order_residual(Samples(forced_spec, 0.3), (0, 0, 0, 0)) == 0.0
 
 
 def test_third_order_residual_detects_perturbation(forced_spec):
     traj = _jets_traj(forced_spec)
     k = 1700
-    t = float(traj.times[k])
-    vp, vpd, vpdd, vpddd = nu_plus_jets(forced_spec, t, traj.nu[k])
-    assert third_order_residual(forced_spec, t, (vp, vpd, 1.1 * vpdd, vpddd)) >= 1e-3
+    s = Samples(forced_spec, float(traj.times[k]))
+    vp, vpd, vpdd, vpddd = nu_plus_jets(s, traj.nu[k])
+    assert third_order_residual(s, (vp, vpd, 1.1 * vpdd, vpddd)) >= 1e-3
 
 
 # -- first integral -------------------------------------------------------------------
 
 def test_lambda_constant_and_linked_to_lambda1(forced_spec):
     traj = _jets_traj(forced_spec, t_final=10.0)
-    lams = []
-    worst_link = 0.0
-    for k in range(0, len(traj.times), 200):
-        t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)
-        lams.append(lam)
-        worst_link = max(worst_link, abs(lam - 16.0 * traj.lambda1[k]))
-    lams = np.array(lams)
+    s, nu = _strided(forced_spec, traj, 200)
+    lams = first_integral_lambda(s, *nu_plus_jets(s, nu)[:3])
     assert np.max(np.abs(lams - lams[0])) <= 1e-5
-    assert worst_link <= 1e-6
+    assert np.max(np.abs(lams - 16.0 * traj.lambda1[::200])) <= 1e-6
 
 
 def test_lambda_zero_on_ladder_calibrated(forced_spec, calibrated_trajectory):
-    traj, eps, eps_dot = calibrated_trajectory
-    worst = 0.0
-    for k in range(0, len(traj.times), 333):
-        t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        worst = max(worst, abs(first_integral_lambda(forced_spec, t, vp, vpd, vpdd)))
-    assert worst <= 1e-6
+    s, nu = _strided(forced_spec, calibrated_trajectory[0], 333)
+    assert np.max(np.abs(first_integral_lambda(s, *nu_plus_jets(s, nu)[:3]))) <= 1e-6
 
 
 # -- compact nu_minus ------------------------------------------------------------------
 
+def _jets_where_nu_plus_clear(spec, times, nu, floor=1e-3):
+    """Samples and nu_plus jets at those of ``times`` where |nu_plus| >= floor."""
+    keep = np.abs(nu[:, 1]) >= floor
+    s = Samples(spec, times[keep])
+    return s, nu_plus_jets(s, nu[keep])
+
+
 def test_nu_minus_compact_agrees_with_second_derivative_route(forced_spec):
     traj = _jets_traj(forced_spec)
-    worst = 0.0
-    for k in range(0, len(traj.times), 250):
-        t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        if abs(vp) < 1e-3:
-            continue
-        lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)
-        a = nu_minus_compact(forced_spec, t, vp, vpd, lam)
-        b = nu_minus_from_nu_plus_2nd(forced_spec, t, vp, vpd, vpdd)
-        worst = max(worst, abs(a - b))
-    assert worst <= 1e-6
+    s, (vp, vpd, vpdd, _) = _jets_where_nu_plus_clear(forced_spec, traj.times[::250],
+                                                      traj.nu[::250])
+    lam = first_integral_lambda(s, vp, vpd, vpdd)
+    a = nu_minus_compact(s, vp, vpd, lam)
+    b = nu_minus_from_nu_plus_2nd(s, vp, vpd, vpdd)
+    assert np.max(np.abs(a - b)) <= 1e-6
 
 
 def test_nu_minus_compact_direct_substitution():
@@ -153,58 +133,99 @@ def test_nu_minus_compact_direct_substitution():
     # so nu_minus = -(2 omega nu_plus)^2/(4 f^2 nu_plus) = -omega^2 nu_plus/f^2
     w0, f0, vp = 0.9, 0.5, 0.3 + 0.2j
     spec = constant_spec(omega=w0, f=f0)
-    got = nu_minus_compact(spec, 0.0, vp, 1j * w0 * vp, 0.0)
+    got = nu_minus_compact(Samples(spec, 0.0), vp, 1j * w0 * vp, 0.0)
     assert got == pytest.approx(-w0 ** 2 * vp / f0 ** 2, abs=1e-14)
 
 
 def test_nu_minus_compact_guard():
     spec = constant_spec(omega=1.0, f=0.5)
     with pytest.raises(SingularReductionError):
-        nu_minus_compact(spec, 0.0, 0.0, 1.0, 0.0)
+        nu_minus_compact(Samples(spec, 0.0), 0.0, 1.0, 0.0)
 
 
 # -- normalized ladder operator ----------------------------------------------------------
 
 def test_build_B_normalized_is_ladder_and_matches_direct(forced_spec,
                                                          calibrated_trajectory):
-    traj, eps, eps_dot = calibrated_trajectory
-    worst_l, worst_phase = 0.0, 0.0
-    for k in range(1, len(traj.times), 444):
-        t = float(traj.times[k])
-        vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        bn = build_B_normalized(forced_spec, t, vp, vpd)
-        worst_l = max(worst_l, max_abs(bn @ bn),
-                      max_abs(bn @ bn.conj().T + bn.conj().T @ bn - I2))
-        # agreement with the direct-route operator up to a unit phase
-        bd = build_B_array(traj.nu[k])
-        inner = np.sum(np.conj(bd) * bn)
-        worst_phase = max(worst_phase, max_abs(bn - (inner / abs(inner)) * bd))
-    assert worst_l <= 1e-8
-    assert worst_phase <= 1e-6
+    s, nu = _strided(forced_spec, calibrated_trajectory[0], 444, start=1)
+    vp, vpd, _, _ = nu_plus_jets(s, nu)
+    bn = build_B_normalized(s, vp, vpd)
+    bn_dag = np.conj(bn).swapaxes(1, 2)
+    assert max(max_abs(bn @ bn), max_abs(bn @ bn_dag + bn_dag @ bn - I2)) <= 1e-8
+    # agreement with the direct-route operator up to a unit phase
+    bd = build_B_array(nu)
+    inner = np.sum(np.conj(bd) * bn, axis=(1, 2))
+    assert max_abs(bn - (inner / np.abs(inner))[:, None, None] * bd) <= 1e-6
 
 
 def test_build_B_normalized_invariance(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
     dt = traj.dt
-    worst = 0.0
-    for k in range(1, len(traj.times) - 1, 367):
-        mats = []
-        for s in (-1, 0, 1):
-            t = float(traj.times[k + s])
-            vp, vpd, _, _ = nu_plus_jets(forced_spec, t, traj.nu[k + s])
-            mats.append(build_B_normalized(forced_spec, t, vp, vpd))
-        db = (mats[2] - mats[0]) / (2 * dt)
-        h = hamiltonian_matrix(Samples(forced_spec, float(traj.times[k])))
-        worst = max(worst, max_abs(db - 1j * (mats[1] @ h - h @ mats[1])))
-    assert worst <= 1e-5
+    k = np.arange(1, len(traj.times) - 1, 367)
+    mats = []
+    for shift in (-1, 0, 1):
+        s = Samples(forced_spec, traj.times[k + shift])
+        vp, vpd, _, _ = nu_plus_jets(s, traj.nu[k + shift])
+        mats.append(build_B_normalized(s, vp, vpd))
+    db = (mats[2] - mats[0]) / (2 * dt)
+    h = hamiltonian_matrix(Samples(forced_spec, traj.times[k]))
+    assert max_abs(db - 1j * (mats[1] @ h - h @ mats[1])) <= 1e-5
 
 
 def test_build_B_normalized_guards():
-    spec = constant_spec(omega=1.0, f=0.5)
+    s = Samples(constant_spec(omega=1.0, f=0.5), 0.0)
     with pytest.raises(SingularReductionError):
-        build_B_normalized(spec, 0.0, 0.0, 1.0)
+        build_B_normalized(s, 0.0, 1.0)
     with pytest.raises(SingularReductionError):
-        build_B_normalized(constant_spec(omega=1.0, f=0.0), 0.0, 1.0, 0.0)
+        build_B_normalized(Samples(constant_spec(omega=1.0, f=0.0), 0.0), 1.0, 0.0)
+
+
+# -- one function of time on a grid or at one time -------------------------------------
+
+# each function of the reduction chain, called on samples, coefficients nu
+# and the nu_plus jets at the same times, with its result's grid axis first
+CHAIN = {
+    "nu_plus_jets": lambda s, nu, jets: np.stack(jets, axis=-1),
+    "nu3_from_nu_plus": lambda s, nu, jets: nu3_from_nu_plus(s, jets[0], jets[1]),
+    "nu_minus_from_nu_plus_2nd": lambda s, nu, jets: nu_minus_from_nu_plus_2nd(s, *jets[:3]),
+    "third_order_residual": lambda s, nu, jets: third_order_residual(s, jets),
+    "first_integral_lambda": lambda s, nu, jets: first_integral_lambda(s, *jets[:3]),
+    "nu_minus_compact": lambda s, nu, jets: nu_minus_compact(
+        s, jets[0], jets[1], 16.0 * motion_constants(nu).lambda1),
+    "build_B_normalized": lambda s, nu, jets: build_B_normalized(s, jets[0], jets[1]),
+    # the gauge is an integral along the grid (1 at one time); omega_prime is pointwise
+    "epsilon_prime_transform": lambda s, nu, jets: epsilon_prime_transform(s)[0],
+}
+
+
+@pytest.mark.parametrize("name", CHAIN)
+@pytest.mark.parametrize("which", ["forced", "calibrated"])
+def test_reduction_chain_grid_call_matches_one_point_calls(name, which, forced_spec,
+                                                           calibrated_trajectory):
+    traj = _jets_traj(forced_spec) if which == "forced" else calibrated_trajectory[0]
+    s, nu = _strided(forced_spec, traj, 250)
+    call = CHAIN[name]
+    grid = call(s, nu, nu_plus_jets(s, nu))
+    assert grid.shape[0] == len(s.times)
+    for k, t in enumerate(s.times.tolist()):
+        one_point = Samples(forced_spec, t)
+        got = call(one_point, nu[k], nu_plus_jets(one_point, nu[k]))
+        assert np.shape(got) == grid.shape[1:]
+        # relative to max(1, |value|): numpy rounds complex products of scalars
+        # differently from its array loops, which shows in rounding-level residuals
+        assert np.all(np.abs(got - grid[k]) <= 1e-14 * np.maximum(1.0, np.abs(grid[k])))
+
+
+@pytest.mark.parametrize("name", [n for n in CHAIN if n != "nu_plus_jets"])
+def test_reduction_chain_guards_forcing_at_one_interior_time(name):
+    # f = t - 0.5 vanishes at the sixth of eleven grid times and nowhere else on the grid
+    spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.5, 1.0))),
+                           g=Constant(0.0))
+    s = Samples(spec, np.linspace(0.0, 1.0, 11))
+    assert np.count_nonzero(np.abs(s.f) < 1e-9) == 1
+    nu = np.tile([0.3 + 0.1j, 0.4 - 0.2j, 0.5j], (11, 1))
+    with pytest.raises(SingularReductionError, match="violated at t=0.5$"):
+        CHAIN[name](s, nu, nu_plus_jets(s, nu))
 
 
 # -- epsilon equation ---------------------------------------------------------------------
@@ -359,7 +380,7 @@ def test_lambda2_from_epsilon_array_guard():
 def test_epsilon_prime_constant_forcing():
     spec = constant_spec(omega=0.7, f=0.8)
     times = np.arange(0, 1001) * 1e-3
-    om_p, gauge = epsilon_prime_transform(spec, times)
+    om_p, gauge = epsilon_prime_transform(Samples(spec, times))
     assert np.max(np.abs(gauge - 1.0)) <= 1e-12
     assert np.max(np.abs(om_p - _capital_omega(spec, 0.0))) <= 1e-12
 
@@ -370,7 +391,7 @@ def test_epsilon_prime_exponential_forcing():
     times = np.arange(0, 2001) * 1e-3
     f_re = Polynomial(tuple(alpha ** k / math.factorial(k) for k in range(12)))
     spec = HamiltonianSpec(omega=Constant(0.9), f=ComplexSignal(f_re), g=Constant(0.0))
-    om_p, gauge = epsilon_prime_transform(spec, times)
+    om_p, gauge = epsilon_prime_transform(Samples(spec, times))
     qs = _capital_omega(spec, times[::100])
     assert np.max(np.abs(om_p[::100] - (qs - alpha ** 2 / 4.0))) <= 1e-6
     # gauge = exp(alpha t / 2) for this forcing
@@ -380,7 +401,7 @@ def test_epsilon_prime_exponential_forcing():
 def test_epsilon_prime_round_trip(forced_spec):
     dt = 1e-3
     et = integrate_epsilon(GridSamples(forced_spec, 5.0, CFG.dt), (1.0 + 0.2j, 0.1 - 0.3j))
-    om_p, gauge = epsilon_prime_transform(forced_spec, et.times)
+    om_p, gauge = epsilon_prime_transform(Samples(forced_spec, et.times))
     # integrate the primed equation with matched initial conditions
     f0 = complex(forced_spec.f.value(0.0))
     fd0 = complex(forced_spec.f.d1(0.0))
@@ -420,18 +441,15 @@ def test_epsilon_prime_round_trip(forced_spec):
 def test_epsilon_prime_guard():
     spec = constant_spec(omega=1.0, f=0.0)
     with pytest.raises(SingularReductionError):
-        epsilon_prime_transform(spec, np.arange(0, 101) * 1e-2)
+        epsilon_prime_transform(Samples(spec, np.arange(0, 101) * 1e-2))
 
 
 def test_nu_minus_compact_equals_second_written_form(forced_spec):
     # lam/(16 nu_plus) - core^2/(4 f^2 nu_plus) == (lam/4 - nu_3^2)/(4 nu_plus)
     traj = _jets_traj(forced_spec)
-    for k in (500, 2100, 4400):
-        t = float(traj.times[k])
-        vp, vpd, vpdd, _ = nu_plus_jets(forced_spec, t, traj.nu[k])
-        if abs(vp) < 1e-3:
-            continue
-        lam = first_integral_lambda(forced_spec, t, vp, vpd, vpdd)
-        v3 = nu3_from_nu_plus(forced_spec, t, vp, vpd)
-        alt = (lam / 4.0 - v3 * v3) / (4.0 * vp)
-        assert nu_minus_compact(forced_spec, t, vp, vpd, lam) == pytest.approx(alt, abs=1e-12)
+    k = [500, 2100, 4400]
+    s, (vp, vpd, vpdd, _) = _jets_where_nu_plus_clear(forced_spec, traj.times[k], traj.nu[k])
+    lam = first_integral_lambda(s, vp, vpd, vpdd)
+    v3 = nu3_from_nu_plus(s, vp, vpd)
+    alt = (lam / 4.0 - v3 * v3) / (4.0 * vp)
+    assert np.max(np.abs(nu_minus_compact(s, vp, vpd, lam) - alt)) <= 1e-12

@@ -346,8 +346,6 @@ def test_phase_split_is_additive(forced_spec, calibrated_trajectory):
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
     assert np.max(np.abs((ph.phi_geometric + ph.phi_dynamical)
                          - (ph.phi1 - ph.phi0))) <= 1e-12
-    rec = ph.record_at(100)
-    assert rec.phi == pytest.approx(ph.phi1[100] - ph.phi0[100])
 
 
 def test_lr_frame_orthonormal(forced_spec, calibrated_trajectory):
