@@ -71,6 +71,11 @@ CHECK_TOLERANCES = {
 # largest grid a scenario may ask for; larger t_final/dt is a config error
 # rather than an unbounded allocation
 MAX_GRID_POINTS = 10**6
+# largest dt * r on the grid nodes, r = sqrt(omega^2 + 4|f|^2) being nu's
+# Bloch rotation rate: RK4 is stable on the imaginary axis only up to
+# |z| = 2 sqrt(2), and at z = 0.1 its amplitude error is already ~z^6/144 per
+# step, so a step past 1 radian is a grid no check can trust
+MAX_STEP_ROTATION = 1.0
 # largest real or imaginary part of an initial component (the modulus itself
 # may overflow): |eps0| <= 1.5e50 keeps lambda2 =
 # (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2 / 4 finite for |f| >= f_min
@@ -450,16 +455,37 @@ def _check(checks: list, name: str, value: float, tolerance: float, invert=False
 
 
 class _Scenario:
-    """A scenario's config, and the samples, U and nu(nu0) its modes share, each built once."""
+    """A scenario's config, and the samples, U and nu(nu0) its modes share, each built once.
+
+    Building one checks the grid against the signals: omega and f must be
+    finite on the grid nodes and resolved, dt * r <= MAX_STEP_ROTATION for
+    nu's Bloch rotation rate r = sqrt(omega^2 + 4 |f|^2).  A failure is a
+    ConfigError naming the dominating signal, the time and the value.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
+        # |f| on the grid nodes, which the resolution and mode gates read
+        self.forcing = np.abs(self.samples.f)
+        self._check_resolution()
 
-    @cached_property
-    def forcing(self) -> np.ndarray:
-        """|f| on 65 points of [0, t_final]: the probe the mode gates read."""
-        return np.abs(self.cfg.spec.f.value(np.linspace(0.0, self.cfg.t_final, 65)))
+    def _check_resolution(self):
+        s = self.samples
+        with np.errstate(over="ignore"):
+            rotation = s.dt * np.hypot(s.omega, 2.0 * self.forcing)
+        bad = ~(rotation <= MAX_STEP_ROTATION)  # a nan sample fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            values = {"omega": s.omega[k], "f_re": s.f[k].real, "f_im": s.f[k].imag}
+            # the signal that dominates r at t_k, a non-finite one first
+            size = {n: abs(x) * (1.0 if n == "omega" else 2.0) for n, x in values.items()}
+            name = max(size, key=lambda n: size[n] if math.isfinite(size[n]) else math.inf)
+            value = float(values[name])
+            detail = "not finite" if not math.isfinite(value) else (
+                f"dt * sqrt(omega^2 + 4|f|^2) = {rotation[k]:.3g} is above "
+                f"{MAX_STEP_ROTATION:g}; use a smaller run.dt")
+            raise ConfigError(f"hamiltonian.{name}", f"{value!r} at t={s.times[k]}: {detail}")
 
     @property
     def is_free(self) -> bool:

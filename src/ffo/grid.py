@@ -14,12 +14,16 @@ Medians in us on one core (Intel Xeon, numpy 2.4), slow form -> entrywise:
     np.sum(conj(e) * d, axis=1), complex (10001, 2)      358 -> 63
     U B0 U' by two complex einsum, 10,001 points        5260 -> 1140
 
-The one exception is the RK4 kernel's ``_mul``, which keeps ``einsum`` for
-complex operands too.  Summing broadcast products over j is faster in
-isolation (67 -> 37 us for complex 2x2 stacks of 2000 points), but not
-inside the integrators: equal in ``integrate_epsilon`` and 5-10 % slower
-in ``integrate_nu``, whose block-start product then allocates n
-temporaries where ``einsum`` makes one.
+The RK4 kernel works in the layout of its scan, (n, n, BLOCK_STEPS,
+blocks) per chunk, from the coefficient samples on (``linear_rk4``).  Its
+``_mul`` keeps ``einsum`` except for complex whole-chunk stacks, summed as
+rows of ufunc products (complex 2x2, 4096 steps: 94 -> 43 us; per-block
+stacks of 256 keep einsum, 7.5 against 12.8).  Kernel alone, CPU us per
+step, medians of 25 interleaved runs over 4 forced specs, three-level
+recursive scan -> this layout:
+
+    nu   (real 3x3, 2 columns)    10,001 points 0.62 -> 0.55   2,001 points 0.48 -> 0.34
+    eps  (complex 2x2, 1 column)  10,001 points 0.60 -> 0.50   2,001 points 0.38 -> 0.29
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .signals import HamiltonianSpec
 
 # steps whose RK4 step matrices are held in memory at once
 CHUNK_STEPS = 4096
-# steps per block of _blocked_product: a chunk is three levels of blocks
-BLOCK_STEPS = round(CHUNK_STEPS ** (1 / 3))
+# steps per block of _scan: a chunk is at most 256 blocks
+BLOCK_STEPS = 16
 
 
 def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
@@ -42,45 +46,65 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
 
     ``nodes`` holds each coefficient of A sampled at the K grid times,
     ``mids`` at the K - 1 step midpoints; ``assemble(*coeffs)`` builds A
-    grid-last, (n, n, m), from one chunk's m samples of each.  For a linear
+    grid-last, (n, n, len(c)), from 1-D coefficient arrays c.  For a linear
     system one RK4 step is the matrix
 
-        R_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4),
-        K1 = A(t_k),  K2 = A_mid (I + dt/2 K1),  K3 = A_mid (I + dt/2 K2),
-        K4 = A(t_k + dt) (I + dt K3),
+        R_k = I + dt/6 (A0 + 2 (K2 + K3) + K4),
+        K2 = Am (I + dt/2 A0),  K3 = Am (I + dt/2 K2),  K4 = A1 (I + dt K3),
 
-    with A_mid = A(t_k + dt/2), so y_{k+1} = R_k y_k reproduces the stage
-    arithmetic of the state-by-state loop up to rounding.  The R_k are built
-    vectorised, CHUNK_STEPS at a time, and applied by ``_blocked_product``'s
-    recursive scan (real if A is), so a chunk costs a few dozen numpy calls
-    rather than one per step or per block.  A C-contiguous A runs each
-    product of tiny matrices over one contiguous grid axis; a strided one
-    gives the same states.  Returns the states on the whole grid, shape
-    (K, n).
+    with A0, Am, A1 = A at t_k, t_k + dt/2 and t_k + dt, so y_{k+1} = R_k y_k
+    reproduces the stage arithmetic of the state-by-state loop up to
+    rounding.  The R_k are built CHUNK_STEPS at a time straight in the block
+    layout of ``_scan`` (``assemble`` gets the samples already permuted, so
+    there is no concatenate or transposed copy), in three buffers every
+    chunk reuses, and composed by ``_scan``: prefix products inside all
+    16-step blocks at once, then one Hillis-Steele scan of the block totals
+    for the block starts (timings in the module docstring).  ``y0`` is one
+    state (n,) or p state columns (n, p); the result, (K, n) or (K, n, p),
+    is real when A and y0 are, so a real system steps a complex state as
+    two real columns and no product casts a real prefix to complex.  A
+    C-contiguous A runs each product of tiny matrices over contiguous grid
+    axes; a strided one gives the same states.
     """
-    y0 = np.asarray(y0, dtype=complex)
-    eye = np.eye(len(y0))[:, :, None]
-    out = np.empty((len(nodes[0]), len(y0)), dtype=complex)
-    out[0] = y0
-    for start in range(0, len(out) - 1, CHUNK_STEPS):
-        stop = min(start + CHUNK_STEPS, len(out) - 1)
-        a = assemble(*(c[start:stop + 1] for c in nodes))
-        a_mid = assemble(*(c[start:stop] for c in mids))
-        k1 = a[..., :-1]
-        k2 = _stage(a_mid, k1, 0.5 * dt)
-        k3 = _stage(a_mid, k2, 0.5 * dt)
-        steps = k1 + 2.0 * k2
-        steps += 2.0 * k3
-        steps += _stage(a[..., 1:], k3, dt)
-        steps *= dt / 6.0
-        steps += eye
-        out[start + 1:stop + 1] = _blocked_product(steps, out[start])
+    y0 = np.asarray(y0)
+    n, total = len(y0), len(nodes[0]) - 1
+    out, work = y0[None], None
+    for start in range(0, total, CHUNK_STEPS):
+        m = min(CHUNK_STEPS, total - start)
+        a, a_mid = _block_generators(assemble, [c[start:start + m + 1] for c in nodes],
+                                     [c[start:start + m] for c in mids])
+        if work is None:
+            # fresh stage buffers would cost each chunk a round of page faults
+            work = np.empty((3, a_mid.size), dtype=np.result_type(a, a_mid))
+            out = np.empty((-(-total // BLOCK_STEPS) * BLOCK_STEPS + 1,) + y0.shape,
+                           dtype=np.result_type(work, y0))
+            out[0] = y0
+        blocks = a_mid.shape[3]
+        steps = _rk4_steps(a, a_mid, dt, work[:, :a_mid.size].reshape((3,) + a_mid.shape))
+        steps[:, :, m - (blocks - 1) * BLOCK_STEPS:, -1] = np.eye(n)[:, :, None]
+        states = _scan(steps, out[start].reshape(n, -1))
+        rows = out[start + 1:start + 1 + blocks * BLOCK_STEPS]
+        rows.reshape(blocks, BLOCK_STEPS, n, -1)[:] = states.transpose(3, 2, 0, 1)
+    return out[:total + 1]
+
+
+def _mul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...).
+
+    Written into ``out`` if given.  Complex whole-chunk stacks, (n, n,
+    BLOCK_STEPS, blocks), are summed as rows of ufunc products, all others
+    go to ``einsum`` (timings in the module docstring).
+    """
+    if a.ndim < 4 or not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return np.einsum("ij...,jl...->il...", a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape[:1] + b.shape[1:2] + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                       dtype=np.result_type(a, b))
+    for l in range(b.shape[1]):
+        o = np.multiply(a[:, 0], b[0, l], out=out[:, l])
+        for j in range(1, len(b)):
+            o += a[:, j] * b[j, l]
     return out
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a[..., k] b[..., k] of grid-last stacks (n, n, ...) and (n, p, ...)."""
-    return np.einsum("ij...,jl...->il...", a, b)
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
@@ -88,38 +112,73 @@ def abs2(z: np.ndarray) -> np.ndarray:
     return (np.conj(z) * z).real
 
 
-def _stage(a: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 stage a + h a k, built in place on the product a k."""
-    out = _mul(a, k)
-    out *= h
-    out += a
-    return out
+def _plus_identity(x: np.ndarray) -> np.ndarray:
+    """x + I for a stack (n, n, ...), added in place on the n diagonal rows."""
+    for i in range(len(x)):
+        x[i, i] += 1.0
+    return x
 
 
-def _blocked_product(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """y_1..y_m of y_{k+1} = steps[:, :, k] y_k, returned as (m, n).
+def _block_generators(assemble, nodes, mids):
+    """A on one chunk's nodes, (n, n, BLOCK_STEPS + 1, blocks), and midpoints.
 
-    The m steps are cut into blocks of BLOCK_STEPS (the last padded with
-    identities); prefix products run inside all blocks at once, over a
-    contiguous axis of blocks.  The state at each block start comes from the
-    block totals, scanned by this same function until one block is left, so
-    a chunk of CHUNK_STEPS takes three levels of BLOCK_STEPS products each.
-    Every state is then one product of an in-block prefix with its block
-    start.
+    Step k sits at [..., k % BLOCK_STEPS, k // BLOCK_STEPS]: ``assemble``
+    gets the samples permuted into that order, so reshaping A is free, and
+    A0, A1 of a step are rows i, i + 1 of A on the nodes.  The last block's
+    steps past the chunk read its last samples; the caller makes them
+    identities.
     """
-    n, m = steps.shape[0], steps.shape[2]
+    m = len(mids[0])
     blocks = -(-m // BLOCK_STEPS)
-    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * BLOCK_STEPS - m))
-    prefix = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, BLOCK_STEPS)
-    prefix = prefix.swapaxes(2, 3).copy()
+    k = np.arange(BLOCK_STEPS + 1)[:, None] + BLOCK_STEPS * np.arange(blocks)
+    a = assemble(*(c[np.minimum(k, m)].ravel() for c in nodes))
+    a_mid = assemble(*(c[np.minimum(k[:-1], m - 1)].ravel() for c in mids))
+    return (a.reshape(a.shape[:2] + k.shape),
+            a_mid.reshape(a.shape[:2] + (BLOCK_STEPS, blocks)))
+
+
+def _rk4_steps(a, a_mid, dt: float, work) -> np.ndarray:
+    """The step matrices R_k in the layout of ``a_mid``, built in ``work``.
+
+    ``work`` holds three C-contiguous arrays shaped like ``a_mid``: X = I +
+    h K and K2, K3 in turn; K4 goes into K3's and R into K2's, returned.
+    """
+    x, k2, k3 = work
+    a0 = a[:, :, :-1]
+    _mul(a_mid, _plus_identity(np.multiply(a0, 0.5 * dt, out=x)), out=k2)
+    _mul(a_mid, _plus_identity(np.multiply(k2, 0.5 * dt, out=x)), out=k3)
+    k2 += k3
+    _mul(a[:, :, 1:], _plus_identity(np.multiply(k3, dt, out=x)), out=k3)
+    k2 *= 2.0
+    k2 += a0
+    k2 += k3
+    k2 *= dt / 6.0
+    return _plus_identity(k2)
+
+
+def _scan(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States y_{k+1} = R_k y_k for the R_k of ``steps`` in block layout.
+
+    ``steps`` is (n, n, BLOCK_STEPS, blocks), step k at [:, :, k %
+    BLOCK_STEPS, k // BLOCK_STEPS], the last block padded with identities;
+    ``y0`` is (n, p).  The states come back in the same layout, (n, p,
+    BLOCK_STEPS, blocks).  Prefix products run inside all blocks at once,
+    over the contiguous axis of blocks, overwriting ``steps``.  The block
+    starts come from one Hillis-Steele scan of the block totals: ceil(log2
+    blocks) products, each of all the totals at once.  Every state is then
+    one product of an in-block prefix with its block start.
+    """
     for i in range(1, BLOCK_STEPS):
-        prefix[:, :, i] = _mul(prefix[:, :, i], prefix[:, :, i - 1])
-    starts = np.empty((blocks, n), dtype=complex)
-    starts[0] = y0
-    if blocks > 1:
-        starts[1:] = _blocked_product(prefix[:, :, -1, :-1], y0)
-    states = _mul(prefix, starts.T[:, None, None])[:, 0]
-    return states.transpose(2, 1, 0).reshape(blocks * BLOCK_STEPS, n)[:m]
+        steps[:, :, i] = _mul(steps[:, :, i], steps[:, :, i - 1])
+    totals = steps[:, :, -1, :-1].copy()
+    span = 1
+    while span < totals.shape[2]:
+        totals[:, :, span:] = _mul(totals[:, :, span:], totals[:, :, :-span])
+        span *= 2
+    starts = np.empty(y0.shape + steps.shape[3:], dtype=np.result_type(steps, y0))
+    starts[..., 0] = y0
+    starts[..., 1:] = _mul(totals, y0[..., None])
+    return _mul(steps, starts[:, :, None])
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:

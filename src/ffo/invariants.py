@@ -107,8 +107,11 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
     times = samples.times
     nodes, mids = ((s.omega, s.f) for s in (samples, samples.mids))
     vm, vp, v3 = (complex(x) for x in nu0)
-    b0 = (0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3)
-    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, b0)
+    b0 = np.array([0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3])
+    # b0's real and imaginary parts step as two real columns, which a
+    # complex view joins back into b
+    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, np.stack([b0.real, b0.imag], 1))
+    b = b.view(complex)[..., 0]
     out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=1)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))

@@ -7,6 +7,8 @@ wrappers by name; a renamed or removed function would crash ``--trace 1``.
 import os
 import types
 
+import pytest
+
 import ffo.cli
 import ffo.grassmann
 import ffo.states
@@ -62,3 +64,21 @@ def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
             "--format", "json", "--out", str(tmp_path / "r.json")]
     assert tracer.run_request(1, ffo.cli.main, argv) == 0
     assert layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"] == 16
+
+
+@pytest.mark.parametrize("name", ["sweep-reduce", "sweep-invariants"])
+def test_full_length_sweep_requests_pass_the_benchmark_gate(monkeypatch, tmp_path, capsys, name):
+    # the workloads' own requests (reduce --sweep 4 --t-final 10 and
+    # invariants --sweep 16 --t-final 2, dt 1e-3) on a reference seed and a
+    # derived one, through the benchmark's gate: exit 0, every scenario
+    # written, every verdict passed and agreeing with its value
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    workload = workloads.workloads()[name]
+    for seed in (workload.reference_seeds[0], workloads.derive_seeds(7, 1)[0]):
+        argv = workload.argv(seed, str(tmp_path))
+        assert ffo.cli.main(argv) == 0
+        outcome = workload.verify(argv, 0, capsys.readouterr().out, str(tmp_path))
+        assert outcome.steps == workload.sweep * (workload.points - 1)
+        assert outcome.margins and max(outcome.margins) <= 1.0

@@ -290,6 +290,62 @@ def test_huge_initial_vector_rejected_with_path(tmp_path, capsys, mode, key, vec
     assert f"initial.{key}" in capsys.readouterr().err
 
 
+def _write_doc(tmp_path, hamiltonian, **run):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"hamiltonian": hamiltonian, "run": run}))
+    return str(cfg_path)
+
+
+def test_forcing_gate_reads_every_grid_node(tmp_path, capsys):
+    # f = 0.5 sin(6.4 pi t) vanishes at every t = k t_final / 64, the points
+    # of the old 65-point probe, which judged it free and applied
+    # coherence_eigen (4.98e-2, FAIL); on the grid max |f| is 0.5
+    path = _write_doc(tmp_path, {"f_re": {"type": "sinusoid", "amplitude": 0.5,
+                                          "frequency": 6.4 * np.pi}}, t_final=10.0, dt=1e-3)
+    assert main(["coherence", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] forcing_witness" in out and "coherence_eigen" not in out
+
+
+@pytest.mark.parametrize("mode", ["invariants", "reduce"])
+def test_huge_signal_rejected_with_path(tmp_path, capsys, mode):
+    # a constant f of 1e150 used to end in "nonfinite nu state at t=0.001"
+    path = _write_doc(tmp_path, {"f_re": {"type": "constant", "value": 1e150}}, t_final=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([mode, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "hamiltonian.f_re: 1e+150 at t=0.0: dt" in err and "run.dt" in err
+
+
+@pytest.mark.parametrize("mode", ["evolve", "invariants", "phases"])
+def test_unresolved_grid_rejected_before_any_integration(tmp_path, capsys, mode):
+    # omega dt = 1.5: evolve used to pass (unitarity holds for any Magnus U)
+    # while invariants reported an oracle deviation of 1.0
+    doc = {"omega": {"type": "constant", "value": 1500.0},
+           "f_re": {"type": "constant", "value": 0.5}}
+    assert main([mode, "--config", _write_doc(tmp_path, doc, t_final=1.0, dt=1e-3)]) == 2
+    assert "hamiltonian.omega: 1500.0 at t=0.0: dt" in capsys.readouterr().err
+    # dt r just below the bound runs to a verdict
+    doc["omega"]["value"] = 999.0
+    assert main([mode, "--config", _write_doc(tmp_path, doc, t_final=1.0, dt=1e-3)]) in (0, 1)
+
+
+def test_resolution_gate_names_the_dominating_signal_and_a_nan(nan_forcing_spec):
+    cfg = parse_config(GOOD)
+    cfg.spec = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, offset=1.0),
+                               f=ComplexSignal(Polynomial((0.5,)), Polynomial((0.0, 0.0, 300.0))),
+                               g=Polynomial((0.0,)))
+    # 2 |Im f| = 600 t^2 passes 1/dt first at t = 1.291
+    with pytest.raises(ConfigError, match=r"at t=1\.291\d*: dt") as err:
+        run("invariants", cfg)
+    assert err.value.path == "hamiltonian.f_im"
+    cfg.spec = nan_forcing_spec
+    with pytest.raises(ConfigError, match=r"nan at t=1\.251\d*: not finite") as err:
+        run("evolve", cfg)
+    assert err.value.path == "hamiltonian.f_re"
+
+
 def test_main_checks_overrides_against_tabulated_range_and_ladder_shell(tmp_path, capsys):
     # validate runs again after --t-final and the mode argument override the document
     cfg_path = tmp_path / "scenario.json"
@@ -749,10 +805,8 @@ def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
     assert len(calls) == len(set(calls))
     assert {(name, grids[grid]) for name, _, grid in calls if grid in grids} >= {
         ("omega", "nodes"), ("omega", "mids"), ("g", "nodes"), ("f_re", "mids")}
-    # the rest is the 65-point forcing probe, |f| taken once for every mode gate
-    probe = np.linspace(0.0, cfg.t_final, 65).tobytes()
-    assert sorted(call for call in calls if call[2] not in grids) == [
-        ("f_im", "value", probe), ("f_re", "value", probe)]
+    # the mode gates read |f| on the grid nodes: no evaluation off the grid
+    assert [call for call in calls if call[2] not in grids] == []
     # one sample set per scenario, gone once run() has returned
     assert len(sample_sets) == 1 and sample_sets[0]() is None
 

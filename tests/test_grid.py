@@ -215,6 +215,24 @@ def test_linear_rk4_same_result_for_either_generator_layout(n, steps):
                                   _kernel(sample, grid_last, times, y0))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("steps", [1, _B + 1, _C + 1])
+def test_linear_rk4_real_columns_match_the_complex_state(n, steps):
+    # a real A steps a complex state as two real columns, Re and Im, and
+    # stays real; the columns equal the complex call's state
+    sample, assemble, _ = _system(n, seed=steps + n)
+
+    def real(*coeffs):
+        return np.ascontiguousarray(assemble(*coeffs).real)
+
+    times = np.arange(steps + 1) * 0.01
+    y0 = np.linspace(1.0, 0.2, n) + 0.3j
+    want = _kernel(sample, real, times, y0)
+    got = _kernel(sample, real, times, np.stack([y0.real, y0.imag], axis=1))
+    assert want.dtype == complex and got.dtype == float and got.shape == (steps + 1, n, 2)
+    assert np.max(np.abs(got[..., 0] + 1j * got[..., 1] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def _sequential_product(steps, y0):
     out, y = [], y0
     for k in range(steps.shape[2]):
@@ -225,33 +243,44 @@ def _sequential_product(steps, y0):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(m=st.integers(1, 3 * grid.CHUNK_STEPS), n=st.sampled_from([2, 3]),
-       complex_steps=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_blocked_product_matches_sequential_loop(m, n, complex_steps, seed):
+       p=st.integers(1, 3), complex_steps=st.booleans(), complex_starts=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_product_matches_sequential_loop(m, n, p, complex_steps, complex_starts, seed):
     # steps I + O(1e-2), the size of an RK4 step matrix; the product grows
-    # by a few-fold at most over 3 chunks
+    # by a few-fold at most over 3 chunks.  _scan takes them in block
+    # layout, the last block padded with identities, and p start columns
     rng = np.random.default_rng(seed)
     steps = np.eye(n)[:, :, None] + 0.01 * rng.normal(size=(n, n, m))
     if complex_steps:
         steps = steps + 0.01j * rng.normal(size=(n, n, m))
-    y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    got = grid._blocked_product(steps, y0)
+    y0 = rng.normal(size=(n, p))
+    if complex_starts:
+        y0 = y0 + 1j * rng.normal(size=(n, p))
+    blocks = -(-m // _B)
+    pad = np.broadcast_to(np.eye(n)[:, :, None], (n, n, blocks * _B - m))
+    laid_out = np.concatenate([steps, pad], axis=2).reshape(n, n, blocks, _B).swapaxes(2, 3)
+    got = grid._scan(laid_out.copy(), y0)
+    assert got.shape == (n, p, _B, blocks)
+    assert got.dtype == np.result_type(steps, y0)
+    got = got.transpose(3, 2, 0, 1).reshape(blocks * _B, n, p)[:m]
     want = _sequential_product(steps, y0)
-    assert got.shape == (m, n)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_linear_rk4_makes_no_per_block_python_loop(monkeypatch):
-    # On 10,001 points (3 chunks) the kernel makes 3 stage products per chunk
-    # and 3 scan levels of BLOCK_STEPS products each: 3 * (3 + 3 * 16) = 153
-    # calls of _mul.  Carrying the state block to block by one matvec each
-    # takes ~650 small products on this grid and runs ~1,900 lines of
-    # grid.py; counting executed lines catches such a loop whatever it uses
-    # to multiply.
+    # On 10,001 points (chunks of 4096, 4096 and 1808 steps, so 256, 256
+    # and 113 blocks) the kernel makes per chunk 3 stage products, 15
+    # in-block prefix products, one Hillis-Steele level per doubling of the
+    # block count (8, 8 and 7), one product for the block starts and one
+    # for the states: 28 + 28 + 27 = 83 calls of _mul.  Carrying the state
+    # block to block by one matvec each takes ~650 small products on this
+    # grid and runs ~1,900 lines of grid.py; counting executed lines
+    # catches such a loop whatever it uses to multiply.
     calls, mul = [], grid._mul
 
-    def counted(a, b):
+    def counted(a, b, out=None):
         calls.append(a.shape)
-        return mul(a, b)
+        return mul(a, b, out=out)
 
     monkeypatch.setattr(grid, "_mul", counted)
     lines = []
@@ -274,5 +303,5 @@ def test_linear_rk4_makes_no_per_block_python_loop(monkeypatch):
         _kernel(sample, assemble, times, [1.0, 0.0, 0.0])
     finally:
         sys.settrace(previous)
-    assert len(calls) <= 200
+    assert len(calls) <= 90
     assert len(lines) <= 1000
