@@ -14,7 +14,7 @@ from ffo.algebra import ladder_operators
 from ffo.grid import GridSamples
 from ffo.invariants import (build_B_array, build_B_so, free_oscillator_nu, integrate_nu,
                             invariance_residual_max, ladder_conditions_check)
-from ffo.propagator import PropagatorConfig, evolve_unitary
+from ffo.propagator import evolve_unitary
 from ffo.signals import ComplexSignal, HamiltonianSpec, Sinusoid
 
 spec = HamiltonianSpec(
@@ -23,11 +23,11 @@ spec = HamiltonianSpec(
                     Sinusoid(0.2, 1.1, 0.2, offset=-0.1)),
     g=Sinusoid(0.3, 0.5, 0.0, offset=0.4),
 )
-cfg = PropagatorConfig(dt=1e-3)
+dt = 1e-3
 t_final = 10.0
 
 # omega, f and g are sampled once on the grid and shared by every check below
-samples = GridSamples(spec, t_final, cfg.dt)
+samples = GridSamples(spec, t_final, dt)
 traj = integrate_nu(samples, (1, 0, 0))
 print("lambda1 drift:", np.max(np.abs(traj.lambda1 - traj.lambda1[0])))
 print("lambda2 drift:", np.max(np.abs(traj.lambda2 - traj.lambda2[0])))
@@ -38,7 +38,7 @@ for k, rb2, ranti in zip(ks, *ladder_conditions_check(traj.nu[ks])):
     print(f"t={traj.times[k]:5.2f}  ||B^2||={rb2:.2e}  |{{B,B'}}-1|={ranti:.2e}")
 
 # oracle equivalence: B(t) = U b U' with the independent Magnus propagator
-u = evolve_unitary(spec, t_final, cfg)
+u = evolve_unitary(spec, t_final, dt)
 b, _, _ = ladder_operators()
 oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
 print("\nmax |B(t) - U b U'| :", np.max(np.abs(build_B_array(traj.nu) - oracle)))
@@ -50,7 +50,7 @@ print("invariance residual :", invariance_residual_max(samples, traj))
 # ladder operator it assembles
 free = HamiltonianSpec(omega=spec.omega, f=ComplexSignal(Sinusoid(0.0, 1.0)),
                        g=spec.g)
-free_samples = GridSamples(free, 5.0, cfg.dt)
+free_samples = GridSamples(free, 5.0, dt)
 nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
 ftraj = integrate_nu(free_samples, nu0)
 closed = free_oscillator_nu(nu0, free_samples)

@@ -12,7 +12,6 @@ import numpy as np
 
 from ffo.grid import GridSamples, Samples
 from ffo.invariants import integrate_nu, motion_constants
-from ffo.propagator import PropagatorConfig
 from ffo.reduction import (_gamma_omega, epsilon_prime_transform, first_integral_lambda,
                            integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays,
                            nu_plus_jets, third_order_residual)
@@ -24,14 +23,14 @@ spec = HamiltonianSpec(
                     Sinusoid(0.2, 1.1, 0.2, offset=-0.1)),
     g=Sinusoid(0.3, 0.5, 0.0, offset=0.4),
 )
-cfg = PropagatorConfig(dt=1e-3)
+dt = 1e-3
 t_final = 10.0
 
 # Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega f'/(2f), from the sampled coefficients
 omega_0 = _gamma_omega(Samples(spec, 0.0))[1]
 print("Omega(0) =", omega_0)
 
-samples = GridSamples(spec, t_final, cfg.dt)
+samples = GridSamples(spec, t_final, dt)
 et = integrate_epsilon(samples, (1.0 + 0.2j, 0.1 - 0.3j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 lam1, lam2_nu = motion_constants(nus)

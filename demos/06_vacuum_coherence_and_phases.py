@@ -10,13 +10,13 @@ import numpy as np
 
 from ffo.grid import GridSamples
 from ffo.invariants import NuTrajectory, build_B_array, integrate_nu, motion_constants
-from ffo.propagator import PropagatorConfig, evolve_unitary
+from ffo.propagator import evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid, constant_spec
 from ffo.states import (coherence_check, cs_eigen_residual,
                         lr_phases, schrodinger_residual_max, vacuum_trajectory)
 
-cfg = PropagatorConfig(dt=1e-3)
+dt = 1e-3
 spec = HamiltonianSpec(
     omega=Sinusoid(0.8, 0.9, 0.3, offset=0.6),
     f=ComplexSignal(Sinusoid(0.15, 0.7, 1.1, offset=0.8),
@@ -27,7 +27,7 @@ spec = HamiltonianSpec(
 # build a ladder-calibrated trajectory from the epsilon route, rescaled so
 # lambda2 = 1 exactly (nu scales as eps^2, hence the quarter power); the
 # initial pair is chosen so the eigenframe gauge never pinches
-samples = GridSamples(spec, 5.0, cfg.dt)
+samples = GridSamples(spec, 5.0, dt)
 et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
@@ -48,12 +48,12 @@ print("grassmann eigen residual:", cs_eigen_residual(traj.nu[k], psi[k], 0.7 - 0
 # coherence theorem: no forcing keeps the canonical CS an eigenstate of b
 free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                        f=ComplexSignal(Constant(0.0)), g=Constant(0.3))
-rep = coherence_check(GridSamples(free, 5.0, cfg.dt), evolve_unitary(free, 5.0, cfg))
+rep = coherence_check(GridSamples(free, 5.0, dt), evolve_unitary(free, 5.0, dt))
 print("\nfree spec:  max eigen residual =", np.max(rep.eigen_residual))
 print("            zeta(t)/zeta tracks exp(-i int omega):",
       np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))))
 forced = constant_spec(f=0.5)
-rep2 = coherence_check(GridSamples(forced, 5.0, cfg.dt), evolve_unitary(forced, 5.0, cfg))
+rep2 = coherence_check(GridSamples(forced, 5.0, dt), evolve_unitary(forced, 5.0, dt))
 print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
       "(coherence visibly broken)")
 
@@ -61,7 +61,7 @@ print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
 # geometric part; the forced trajectory splits nontrivially
 w0, g0 = 1.3, 0.7
 s_spec = constant_spec(omega=w0, g=g0)
-s_samples = GridSamples(s_spec, 5.0, cfg.dt)
+s_samples = GridSamples(s_spec, 5.0, dt)
 s_traj = integrate_nu(s_samples, (1, 0, 0))
 s_ph = lr_phases(s_traj, s_samples)
 print(f"\nstationary: phi0(5) = {s_ph.phi0[-1]:.6f} (expect {-g0 * 5.0})")

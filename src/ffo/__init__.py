@@ -4,9 +4,7 @@ states, and a brute-force propagator oracle on the exact two-dimensional
 Hilbert space."""
 
 from .algebra import (anticommutator, commutator, hamiltonian_matrix,
-                      is_hermitian, is_unitary, ladder_operators, max_abs,
-                      spin_operators)
-from .config import DEFAULT_TOL, ToleranceConfig
+                      ladder_operators, max_abs, spin_operators)
 from .errors import (ConfigError, ContractError, FfoError, IntegrationError,
                      SignalRangeError, SingularReductionError)
 from .grassmann import (GrassmannElement, GrassmannKet, GrassmannOperator,
@@ -18,8 +16,7 @@ from .invariants import (MotionConstants, NuTrajectory, build_B_array,
                          hermitian_invariant, integrate_nu,
                          invariance_residual_max, ladder_conditions_check,
                          motion_constants, nu_generator)
-from .propagator import (PropagatorConfig, UnitaryTrajectory, evolve_state,
-                         evolve_unitary, exp2x2, heisenberg_oracle)
+from .propagator import UnitaryTrajectory, evolve_state, evolve_unitary
 from .reduction import (EpsilonTrajectory, build_B_normalized,
                         epsilon_prime_transform, first_integral_lambda,
                         integrate_epsilon, lambda2_from_epsilon,

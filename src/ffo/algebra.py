@@ -56,10 +56,3 @@ def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm, the toolkit's default operator distance."""
     return float(np.max(np.abs(a)))
 
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return max_abs(a - a.conj().T) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    return max_abs(u.conj().T @ u - I2) <= tol

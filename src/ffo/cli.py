@@ -33,14 +33,13 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
 from .grid import GridSamples, abs2
-from .invariants import (NuTrajectory, build_B_array, integrate_nu, invariance_residual_max,
-                         motion_constants)
-from .propagator import PropagatorConfig, UnitaryTrajectory, apply_unitary, evolve_unitary
+from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
+                         invariance_residual_max, motion_constants)
+from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
@@ -78,8 +77,11 @@ MAX_GRID_POINTS = 10**6
 MAX_STEP_ROTATION = 1.0
 # largest real or imaginary part of an initial component (the modulus itself
 # may overflow): |eps0| <= 1.5e50 keeps lambda2 =
-# (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2 / 4 finite for |f| >= f_min
+# (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2 / 4 finite for |f| >= F_MIN
 MAX_INITIAL_ABS = 1e50
+# the floor on an initial vector's largest real or imaginary part: below it
+# B, lambda2 ~ |eps|^4 or the norm underflows to (in effect) zero
+MIN_INITIAL_ABS = 1e-50
 
 MODES = ("evolve", "invariants", "reduce", "coherence", "phases",
          "grassmann-selftest", "all")
@@ -220,14 +222,16 @@ class ScenarioConfig:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
             if not (math.isfinite(tol) and tol >= 0):
                 raise ConfigError(f"run.tolerances.{name}", "must be finite and non-negative")
-        # an all-zero nu0, epsilon0 or state gives the zero operator B = 0 or
-        # the zero state, on which every check passes vacuously; a huge one
-        # overflows the constants of motion or the norm
+        # a vanishing nu0, epsilon0 or state gives (in effect) the zero
+        # operator B = 0 or the zero state, on which every check passes
+        # vacuously; a huge one overflows the constants of motion or the norm
         for path, vec in (("initial.nu0", self.nu0), ("initial.epsilon0", self.epsilon0),
                           ("initial.state", self.state0)):
-            if not any(vec):
-                raise ConfigError(path, "must not be all zero")
-            if max(max(abs(z.real), abs(z.imag)) for z in vec) > MAX_INITIAL_ABS:
+            largest = max(max(abs(z.real), abs(z.imag)) for z in vec)
+            if largest < MIN_INITIAL_ABS:
+                raise ConfigError(path, f"every real and imaginary part is below "
+                                        f"{MIN_INITIAL_ABS:g}")
+            if largest > MAX_INITIAL_ABS:
                 raise ConfigError(path, f"a real or imaginary part exceeds {MAX_INITIAL_ABS:g}")
         if self.mode in ("phases", "all") and off_ladder_shell(*motion_constants(self.nu0)):
             raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
@@ -315,39 +319,6 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cfg.validate()
     return cfg
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Round-trip a parsed config back to canonical JSON (for tests)."""
-
-    def sig(s: Signal):
-        if isinstance(s, Constant):
-            return {"type": "constant", "value": s.c}
-        if isinstance(s, Sinusoid):
-            return {"type": "sinusoid", "amplitude": s.amplitude,
-                    "frequency": s.frequency, "phase": s.phase, "offset": s.offset}
-        if isinstance(s, Polynomial):
-            return {"type": "polynomial", "coeffs": list(s.coeffs)}
-        if isinstance(s, Tabulated):
-            return {"type": "tabulated", "times": list(s.times), "values": list(s.values)}
-        raise TypeError(f"unserializable signal {s!r}")
-
-    def pair(z: complex):
-        return [z.real, z.imag]
-
-    doc = {
-        "hamiltonian": {"omega": sig(cfg.spec.omega), "f_re": sig(cfg.spec.f.re),
-                        "f_im": sig(cfg.spec.f.im), "g": sig(cfg.spec.g)},
-        "run": {"mode": cfg.mode, "t_final": cfg.t_final, "dt": cfg.dt,
-                "tolerances": dict(sorted(cfg.tolerances.items()))},
-        "initial": {"nu0": [pair(z) for z in cfg.nu0],
-                    "epsilon0": [pair(z) for z in cfg.epsilon0],
-                    "state": [pair(z) for z in cfg.state0]},
-        "output": {"format": cfg.out_format,
-                   **({"path": cfg.out_path} if cfg.out_path else {}),
-                   **({"fields": cfg.fields} if cfg.fields else {})},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # -- reports and emission -------------------------------------------------------
@@ -489,11 +460,11 @@ class _Scenario:
 
     @property
     def is_free(self) -> bool:
-        return float(np.max(self.forcing)) <= DEFAULT_TOL.f_min
+        return float(np.max(self.forcing)) <= F_MIN
 
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
-        return evolve_unitary(self.cfg.spec, self.cfg.t_final, PropagatorConfig(dt=self.cfg.dt))
+        return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
 
     @cached_property
     def nu(self) -> NuTrajectory:

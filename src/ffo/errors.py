@@ -24,8 +24,8 @@ class SingularReductionError(FfoError):
     """A reduction formula was evaluated where its denominator vanishes.
 
     The nu_plus-based reduction chain requires f(t) != 0 (and nu_plus != 0
-    for the compact nu_minus form); below the configured floors the formulas
-    are declared singular instead of returning garbage.
+    for the compact nu_minus form); below the floors ``F_MIN`` and ``NU_MIN``
+    the formulas are declared singular instead of returning garbage.
     """
 
 

@@ -29,10 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import I2, hamiltonian_matrix
-from .config import DEFAULT_TOL, ToleranceConfig
+from .algebra import I2
 from .errors import ContractError, IntegrationError
 from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
+
+# |f| floor: below it a scenario counts as free, and the reduction chain,
+# which divides by f, is declared singular
+F_MIN = 1e-9
 
 
 class MotionConstants(NamedTuple):
@@ -169,32 +172,34 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
     dB/dt uses the central difference of the stored trajectory, so the
     result is bounded by C*dt^2 plus the integration error.  The commutator
     is written entrywise.  With B = [[-nu_3/2, nu_minus], [nu_plus, nu_3/2]],
-    [B, H] has the diagonal +-(nu_minus h10 - h01 nu_plus) and the
-    off-diagonal entries nu_minus (h11 - h00) - nu_3 h01 and
-    nu_plus (h00 - h11) + nu_3 h10; the (1, 1) residual is minus the (0, 0)
-    one, so three entries give the max.
+    [B, H] has the diagonal +-(nu_minus f - conj(f) nu_plus) and the
+    off-diagonal entries nu_minus omega - nu_3 conj(f) and
+    -nu_plus omega + nu_3 f; the (1, 1) residual is minus the (0, 0) one,
+    so three entries give the max.  g commutes with B and is not read, so
+    no size of g can round omega away.
     """
     samples.check_grid(traj.times)
     d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
     vm, vp, v3 = traj.nu[1:-1].T
-    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples)[1:-1], 0, -1)
-    residuals = (-0.5 * d[:, 2] - 1j * (vm * h10 - h01 * vp),
-                 d[:, 0] - 1j * (vm * (h11 - h00) - v3 * h01),
-                 d[:, 1] - 1j * (vp * (h00 - h11) + v3 * h10))
+    w, f = samples.omega[1:-1], samples.f[1:-1]
+    fc = np.conj(f)
+    residuals = (-0.5 * d[:, 2] - 1j * (vm * f - fc * vp),
+                 d[:, 0] - 1j * (vm * w - v3 * fc),
+                 d[:, 1] - 1j * (v3 * f - vp * w))
     return float(max(np.max(np.abs(r)) for r in residuals))
 
 
 # -- free oscillator closed forms ---------------------------------------------
 
-def free_oscillator_nu(nu0, samples: Samples, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def free_oscillator_nu(nu0, samples: Samples) -> np.ndarray:
     """Closed-form coefficients for f = 0 on a uniform grid from 0, shape (len(times), 3).
 
     nu_minus(t) = nu0_minus exp(+i phi), nu_plus(t) = nu0_plus exp(-i phi),
     nu_3 constant, with phi = int_0^t omega by cumulative Simpson on
     ``samples.times``.  The sign pairing is the one the differential system
-    produces.  Raises ContractError unless |f| <= f_min at every grid time.
+    produces.  Raises ContractError unless |f| <= F_MIN at every grid time.
     """
-    if np.max(np.abs(samples.f)) > tol.f_min:
+    if np.max(np.abs(samples.f)) > F_MIN:
         raise ContractError("free-oscillator closed form requires f = 0")
     vm, vp, v3 = (complex(x) for x in nu0)
     phi = cumsimpson_grid(samples.omega, float(samples.times[1] - samples.times[0]))
@@ -205,8 +210,8 @@ def free_oscillator_nu(nu0, samples: Samples, tol: ToleranceConfig = DEFAULT_TOL
     return out
 
 
-def build_B_so(nu0_minus: complex, nu0_plus: complex, samples: Samples, branch: int = +1,
-               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def build_B_so(nu0_minus: complex, nu0_plus: complex, samples: Samples,
+               branch: int = +1) -> np.ndarray:
     """Free-oscillator invariant ladder operator on a grid, shape (len(times), 2, 2).
 
     B_so = nu0_minus e^{+i phi} b + nu0_plus e^{-i phi} b' +
@@ -223,4 +228,4 @@ def build_B_so(nu0_minus: complex, nu0_plus: complex, samples: Samples, branch: 
     if abs(abs(vm0) + abs(vp0) - 1.0) > 1e-9:
         raise ContractError("build_B_so requires |nu0_minus| + |nu0_plus| = 1")
     v3 = branch * 2.0 * np.sqrt(complex(-vm0 * vp0))
-    return build_B_array(free_oscillator_nu((vm0, vp0, v3), samples, tol))
+    return build_B_array(free_oscillator_nu((vm0, vp0, v3), samples))

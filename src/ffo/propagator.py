@@ -11,56 +11,24 @@ machinery, which is exactly what makes it a usable oracle for them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .algebra import I2, max_abs
-from .errors import ContractError, IntegrationError
+from .algebra import I2
+from .errors import IntegrationError
 from .grid import time_grid
 from .signals import HamiltonianSpec
 
 _GAUSS = math.sqrt(3.0) / 6.0
 
 
-@dataclass(frozen=True)
-class PropagatorConfig:
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
 @dataclass
 class UnitaryTrajectory:
     times: np.ndarray
     U: np.ndarray  # (len(times), 2, 2), a view of a grid-last array: each entry is contiguous
-
-
-def exp2x2(a: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of a 2x2 complex matrix.
-
-    Splits a = alpha*1 + m with tr m = 0; then exp(a) =
-    e^alpha (cosh(mu) 1 + sinh(mu)/mu m) with mu^2 = -det m.  The
-    sinh(mu)/mu factor switches to its series for |mu| < 1e-6.  Both cosh
-    and sinh(mu)/mu are even, so the branch of mu is irrelevant.
-    """
-    a = np.asarray(a, dtype=complex)
-    alpha = 0.5 * (a[0, 0] + a[1, 1])
-    m = a - alpha * I2
-    mu2 = m[0, 0] * m[0, 0] + m[0, 1] * m[1, 0]
-    mu = cmath.sqrt(mu2)
-    if abs(mu) < 1e-6:
-        ch = 1.0 + mu2 / 2.0 + mu2 * mu2 / 24.0
-        sh_over = 1.0 + mu2 / 6.0 + mu2 * mu2 / 120.0
-    else:
-        ch = cmath.cosh(mu)
-        sh_over = cmath.sinh(mu) / mu
-    return cmath.exp(alpha) * (ch * I2 + sh_over * m)
 
 
 def _magnus_factors(spec: HamiltonianSpec, times: np.ndarray, dt: float):
@@ -110,8 +78,7 @@ def _prefix_products(e00, e01, e10, e11) -> np.ndarray:
     return p
 
 
-def evolve_unitary(spec: HamiltonianSpec, t_final: float,
-                   cfg: PropagatorConfig = PropagatorConfig()) -> UnitaryTrajectory:
+def evolve_unitary(spec: HamiltonianSpec, t_final: float, dt: float) -> UnitaryTrajectory:
     """Integrate U(t) = T exp(-i int_0^t H) on the shared grid, U(0) = 1.
 
     Parameters
@@ -119,9 +86,9 @@ def evolve_unitary(spec: HamiltonianSpec, t_final: float,
     spec : HamiltonianSpec
         Oscillator coefficients; must be evaluable on [0, t_final].
     t_final : float
-        End time, a positive integer multiple of cfg.dt.
-    cfg : PropagatorConfig
-        Step size.
+        End time, a positive integer multiple of dt.
+    dt : float
+        Step size, positive.
 
     Returns
     -------
@@ -133,8 +100,9 @@ def evolve_unitary(spec: HamiltonianSpec, t_final: float,
     IntegrationError
         If the Hamiltonian is nonfinite anywhere on the grid; ``t`` is the
         start of the first step it spoils.
+    ValueError
+        If dt is not positive, from ``time_grid``.
     """
-    dt = cfg.dt
     times = time_grid(t_final, dt)
     factors = _magnus_factors(spec, times, dt)
     bad = ~reduce(np.logical_and, map(np.isfinite, factors))
@@ -148,22 +116,13 @@ def evolve_unitary(spec: HamiltonianSpec, t_final: float,
     return UnitaryTrajectory(times=times, U=np.moveaxis(u, -1, 0))
 
 
-def heisenberg_oracle(u: np.ndarray, x0: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Heisenberg transport U X0 U'; refuses visibly non-unitary U."""
-    u = np.asarray(u, dtype=complex)
-    if max_abs(u.conj().T @ u - I2) > tol:
-        raise ContractError("heisenberg_oracle requires a unitary matrix")
-    return u @ np.asarray(x0, dtype=complex) @ u.conj().T
-
-
-def evolve_state(spec: HamiltonianSpec, psi0: np.ndarray, t_final: float,
-                 cfg: PropagatorConfig = PropagatorConfig()):
+def evolve_state(spec: HamiltonianSpec, psi0: np.ndarray, t_final: float, dt: float):
     """Evolve a state vector: psi(t_k) = U(t_k) psi0.
 
     Returns (times, psi) with psi of shape (len(times), 2); the norm is
     preserved within the propagator's unitarity tolerance.
     """
-    traj = evolve_unitary(spec, t_final, cfg)
+    traj = evolve_unitary(spec, t_final, dt)
     return traj.times, np.stack(apply_unitary(traj.U, psi0), axis=1)
 
 

@@ -25,8 +25,8 @@ trading Omega for Omega' = Omega + f''/2f - 3 f'^2/4f^2.
 
 Each function of time takes a ``grid.Samples`` and arrays shaped like its
 times, a scalar time included.  Everything that divides by f (or nu_plus)
-raises SingularReductionError when its minimum over the times is below the
-configured floor instead of returning garbage; the direct
+raises SingularReductionError when its minimum over the times is below
+``F_MIN`` (or ``NU_MIN``) instead of returning garbage; the direct
 first-order system in :mod:`ffo.invariants` has no such restriction and is
 the default computational path.
 """
@@ -37,10 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import IntegrationError, SingularReductionError
 from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
-from .invariants import _nu_dot, build_B_array, motion_constants
+from .invariants import F_MIN, _nu_dot, build_B_array, motion_constants
+
+# |nu_plus| floor of the forms that divide by nu_plus
+NU_MIN = 1e-9
 
 
 @dataclass
@@ -54,26 +56,24 @@ class EpsilonTrajectory:
         return float(self.times[1] - self.times[0])
 
 
-def _require_f(samples: Samples, f_min: float) -> np.ndarray:
-    """``samples.f``, once |f| >= f_min holds at every one of ``samples.times``."""
+def _require_f(samples: Samples) -> np.ndarray:
+    """``samples.f``, once |f| >= F_MIN holds at every one of ``samples.times``."""
     absf = np.abs(samples.f)
-    if np.min(absf) < f_min:
+    if np.min(absf) < F_MIN:
         t = float(np.ravel(samples.times)[np.argmin(absf)])
-        raise SingularReductionError(f"reduction needs |f| >= {f_min}; violated at t={t}")
+        raise SingularReductionError(f"reduction needs |f| >= {F_MIN}; violated at t={t}")
     return samples.f
 
 
-def nu3_from_nu_plus(samples: Samples, nu_plus, nu_plus_dot,
-                     tol: ToleranceConfig = DEFAULT_TOL):
+def nu3_from_nu_plus(samples: Samples, nu_plus, nu_plus_dot):
     """nu_3 = -(i/f)(nu_plus' + i nu_plus omega)."""
-    f = _require_f(samples, tol.f_min)
+    f = _require_f(samples)
     return -1j / f * (nu_plus_dot + 1j * nu_plus * samples.omega)
 
 
-def nu_minus_from_nu_plus_2nd(samples: Samples, nu_plus, nu_plus_dot, nu_plus_ddot,
-                              tol: ToleranceConfig = DEFAULT_TOL):
+def nu_minus_from_nu_plus_2nd(samples: Samples, nu_plus, nu_plus_dot, nu_plus_ddot):
     """Second-derivative expression for nu_minus in terms of nu_plus jets."""
-    f = _require_f(samples, tol.f_min)
+    f = _require_f(samples)
     fd, w = samples.f_d1, samples.omega
     return (nu_plus_ddot
             + (1j * w - fd / f) * nu_plus_dot
@@ -94,7 +94,7 @@ def _big_omega_dot(s: Samples):
             - 0.5j * (wd * fd / f + w * s.f_d2 / f - w * (fd / f) ** 2))
 
 
-def third_order_residual(samples: Samples, nu_plus_jet, tol: ToleranceConfig = DEFAULT_TOL):
+def third_order_residual(samples: Samples, nu_plus_jet):
     """|LHS - RHS| of the third-order nu_plus equation on a 4-jet.
 
     The equation is used in the form implied by the first-order system
@@ -108,7 +108,7 @@ def third_order_residual(samples: Samples, nu_plus_jet, tol: ToleranceConfig = D
     which is the detector property tests rely on.
     """
     vp, vpd, vpdd, vpddd = nu_plus_jet
-    f = _require_f(samples, tol.f_min)
+    f = _require_f(samples)
     gamma, q = _gamma_omega(samples)
     rhs = ((3.0 * gamma) * vpdd
            + (samples.f_d2 / f - 3.0 * gamma ** 2 - 4.0 * q) * vpd
@@ -116,32 +116,29 @@ def third_order_residual(samples: Samples, nu_plus_jet, tol: ToleranceConfig = D
     return np.abs(vpddd - rhs) / np.abs(2.0 * f * f)
 
 
-def first_integral_lambda(samples: Samples, nu_plus, nu_plus_dot, nu_plus_ddot,
-                          tol: ToleranceConfig = DEFAULT_TOL):
+def first_integral_lambda(samples: Samples, nu_plus, nu_plus_dot, nu_plus_ddot):
     """First integral lam of the third-order equation; lam = 16*lambda1."""
-    f = _require_f(samples, tol.f_min)
+    f = _require_f(samples)
     gamma, q = _gamma_omega(samples)
     vp, vpd, vpdd = nu_plus, nu_plus_dot, nu_plus_ddot
     return 4.0 / (f * f) * (2.0 * vp * vpdd - vpd * vpd
                             - 2.0 * vp * vpd * gamma + 4.0 * vp * vp * q)
 
 
-def nu_minus_compact(samples: Samples, nu_plus, nu_plus_dot, lam,
-                     tol: ToleranceConfig = DEFAULT_TOL):
+def nu_minus_compact(samples: Samples, nu_plus, nu_plus_dot, lam):
     """nu_minus = lam/(16 nu_plus) - (omega nu_plus - i nu_plus')^2/(4 f^2 nu_plus).
 
     Equivalent, term by term, to (lam/4 - nu_3^2)/(4 nu_plus) with nu_3
     from the first reduction formula.
     """
-    if np.min(np.abs(nu_plus)) < tol.nu_min:
-        raise SingularReductionError(f"compact nu_minus needs |nu_plus| >= {tol.nu_min}")
-    f = _require_f(samples, tol.f_min)
+    if np.min(np.abs(nu_plus)) < NU_MIN:
+        raise SingularReductionError(f"compact nu_minus needs |nu_plus| >= {NU_MIN}")
+    f = _require_f(samples)
     core = samples.omega * nu_plus - 1j * nu_plus_dot
     return lam / (16.0 * nu_plus) - core * core / (4.0 * f * f * nu_plus)
 
 
-def build_B_normalized(samples: Samples, nu_plus, nu_plus_dot,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def build_B_normalized(samples: Samples, nu_plus, nu_plus_dot) -> np.ndarray:
     """Ladder-normalized invariant built from (nu_plus, nu_plus') alone, shape (..., 2, 2).
 
     Valid for any nonnegative lambda2 (the assembled coefficients are
@@ -149,9 +146,9 @@ def build_B_normalized(samples: Samples, nu_plus, nu_plus_dot,
     construction, and the invariance equation whenever nu_plus solves the
     lam = 0 branch of the first-integral equation.
     """
-    if np.min(np.abs(nu_plus)) < tol.nu_min:
-        raise SingularReductionError(f"build_B_normalized needs |nu_plus| >= {tol.nu_min}")
-    f = _require_f(samples, tol.f_min)
+    if np.min(np.abs(nu_plus)) < NU_MIN:
+        raise SingularReductionError(f"build_B_normalized needs |nu_plus| >= {NU_MIN}")
+    f = _require_f(samples)
     core = samples.omega * nu_plus - 1j * nu_plus_dot
     nu = np.stack([-core * core / (4.0 * f * f * nu_plus), nu_plus, core / f], axis=-1)
     lam2 = motion_constants(nu).lambda2
@@ -168,17 +165,16 @@ def _epsilon_generator(gamma, q) -> np.ndarray:
     return np.array([[np.zeros_like(q), np.ones_like(q)], [-q, gamma]])
 
 
-def integrate_epsilon(samples: GridSamples, e0,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> EpsilonTrajectory:
+def integrate_epsilon(samples: GridSamples, e0) -> EpsilonTrajectory:
     """RK4 integration of the eps equation on the shared grid.
 
-    Requires |f| >= f_min on the whole interval (checked sample-wise on the
+    Requires |f| >= F_MIN on the whole interval (checked sample-wise on the
     grid nodes, then on the step midpoints, before stepping).  Reads f, f',
     omega and omega' on both from ``samples``.
     """
     grids = (samples, samples.mids)
     for s in grids:
-        _require_f(s, tol.f_min)
+        _require_f(s)
     y = linear_rk4(_epsilon_generator, *map(_gamma_omega, grids), samples.dt, e0)
     times = samples.times
     if not np.all(np.isfinite(y)):
@@ -187,22 +183,21 @@ def integrate_epsilon(samples: GridSamples, e0,
     return EpsilonTrajectory(times=times, eps=y[:, 0], eps_dot=y[:, 1])
 
 
-def nu_from_epsilon_arrays(samples: Samples, eps, eps_dot,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def nu_from_epsilon_arrays(samples: Samples, eps, eps_dot) -> np.ndarray:
     """Map (eps, eps') at ``samples.times`` to invariant coefficients on the lambda1 = 0 branch.
 
     nu_plus = eps^2/2, nu_minus = -(omega eps/2 - i eps')^2/(2 f^2),
     nu_3 = (omega eps/2 - i eps') eps/f.  The identity nu_plus nu_minus +
     nu_3^2/4 = 0 holds exactly by construction.  eps and eps' have the shape
     of ``samples.times``, a scalar included; the result appends an axis of 3.
-    Raises SingularReductionError if |f| < f_min at any of the times.
+    Raises SingularReductionError if |f| < F_MIN at any of the times.
     """
-    f, w = _require_f(samples, tol.f_min), samples.omega
+    f, w = _require_f(samples), samples.omega
     core = 0.5 * w * eps - 1j * eps_dot
     return np.stack([-core * core / (2.0 * f * f), 0.5 * eps * eps, core * eps / f], axis=-1)
 
 
-def lambda2_from_epsilon(samples: Samples, e, tol: ToleranceConfig = DEFAULT_TOL):
+def lambda2_from_epsilon(samples: Samples, e):
     """lambda2 along the eps parametrization:
 
     lambda2 = (1/4) (|eps|^2 + |omega eps/2 - i eps'|^2 / |f|^2)^2,
@@ -211,13 +206,13 @@ def lambda2_from_epsilon(samples: Samples, e, tol: ToleranceConfig = DEFAULT_TOL
     and is a first integral of the eps equation.  ``e = (eps, eps')`` has
     the shape of ``samples.times``, a scalar included, and so has the result.
     """
-    f, w = _require_f(samples, tol.f_min), samples.omega
+    f, w = _require_f(samples), samples.omega
     eps, epsd = e[0], e[1]
     u = np.abs(0.5 * w * eps - 1j * epsd) ** 2 / np.abs(f) ** 2
     return 0.25 * (np.abs(eps) ** 2 + u) ** 2
 
 
-def epsilon_prime_transform(samples: Samples, tol: ToleranceConfig = DEFAULT_TOL):
+def epsilon_prime_transform(samples: Samples):
     """Gauge-removed form of the eps equation at ``samples.times``.
 
     Returns (omega_prime, gauge) with omega_prime(t) = Omega + f''/2f -
@@ -226,7 +221,7 @@ def epsilon_prime_transform(samples: Samples, tol: ToleranceConfig = DEFAULT_TOL
     time), so that solutions of eps'' + omega_prime eps' = 0 multiplied by
     the gauge solve the original equation.
     """
-    f = _require_f(samples, tol.f_min)
+    f = _require_f(samples)
     gamma, omega_big = _gamma_omega(samples)
     omega_prime = omega_big + 0.5 * samples.f_d2 / f - 0.75 * gamma * gamma
     times = np.ravel(samples.times)

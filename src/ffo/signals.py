@@ -39,9 +39,6 @@ class Signal:
     def d2(self, t):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.value(t)
-
 
 @dataclass(frozen=True)
 class Constant(Signal):
@@ -161,9 +158,6 @@ class ComplexSignal:
 
     def d2(self, t):
         return self.re.d2(t) + 1j * self.im.d2(t)
-
-    def __call__(self, t):
-        return self.value(t)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,18 @@ from functools import reduce
 import numpy as np
 
 from .algebra import hamiltonian_matrix
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import Samples, abs2, cumsimpson_grid, cumtrapz_grid
 from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
+
+# |nu_minus| floor below which the closed-form evolved vacuum switches to the
+# null-space fallback
+VACUUM_NU_MIN = 1e-4
+# key-coefficient floor of the Lewis-Riesenfeld eigenframe gauge
+GAUGE_MIN = 1e-9
 
 
 # -- vacuum construction ------------------------------------------------------
@@ -62,12 +67,11 @@ def _null_direction(vm, vp, v3):
     return d / n
 
 
-def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
-                      tol: ToleranceConfig = DEFAULT_TOL):
+def vacuum_trajectory(traj: NuTrajectory, samples: Samples):
     """Evolved vacuum on the whole grid.
 
     Returns (psi, fallback_mask) with psi of shape (len(times), 2), unit
-    norm at every grid point.  The mask is |nu_minus| < tol.vacuum_nu_min;
+    norm at every grid point.  The mask is |nu_minus| < VACUUM_NU_MIN;
     it cuts the grid into stretches of closed-form points between gaps.
 
     The closed form is evaluated on all unmasked points at once.  The
@@ -83,7 +87,7 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples,
     samples.check_grid(traj.times)
     times, dt = traj.times, traj.dt
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
-    mask = np.abs(vm) < tol.vacuum_nu_min
+    mask = np.abs(vm) < VACUUM_NU_MIN
     ok = np.flatnonzero(~mask)
     start = np.ones(len(ok), dtype=bool)
     start[1:] = np.diff(ok) > 1
@@ -243,14 +247,14 @@ def off_ladder_shell(lambda1, lambda2) -> bool:
     return float(np.max(np.abs(lambda1))) > 1e-6 * max(1.0, float(np.max(lambda2)))
 
 
-def lr_frame(traj: NuTrajectory, tol: ToleranceConfig = DEFAULT_TOL) -> LRFrame:
+def lr_frame(traj: NuTrajectory) -> LRFrame:
     vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
     if off_ladder_shell(traj.lambda1, traj.lambda2):
         raise ContractError("lr_frame requires a ladder-calibrated trajectory (lambda1 = 0)")
     min_plus = float(np.min(np.abs(vp)))
     min_minus = float(np.min(np.abs(vm)))
     key = "plus" if min_plus >= min_minus else "minus"
-    if max(min_plus, min_minus) < tol.gauge_min:
+    if max(min_plus, min_minus) < GAUGE_MIN:
         raise ContractError("eigenframe gauge degenerate: nu_plus and nu_minus both vanish")
     x = vp if key == "plus" else vm
     ph = np.exp(1j * np.unwrap(np.angle(x)))
@@ -312,8 +316,7 @@ def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):
     return h_exp(e0), h_exp(e1)
 
 
-def lr_phases(traj: NuTrajectory, samples: Samples,
-              tol: ToleranceConfig = DEFAULT_TOL) -> PhaseTrajectory:
+def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
     """Lewis-Riesenfeld phases phi_n and the geometric/dynamical split.
 
     phi_n(t) = int_0^t <n~|(i d_tau - H)|n~> with the connection part
@@ -325,7 +328,7 @@ def lr_phases(traj: NuTrajectory, samples: Samples,
     on those same samples and reported as ``consistency_residual``.
     """
     samples.check_grid(traj.times)
-    frame = lr_frame(traj, tol)
+    frame = lr_frame(traj)
     dt = traj.dt
     a0, a1 = _frame_connections(traj, samples, frame)
     en0, en1 = _h_expectations(samples, frame.e0, frame.e1)

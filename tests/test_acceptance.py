@@ -22,14 +22,15 @@ from ffo.grassmann import (ONE, ZETA, ZETA_STAR, GrassmannElement,
 from ffo.grid import GridSamples, Samples, time_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_so, free_oscillator_nu,
                             integrate_nu, invariance_residual_max, motion_constants)
-from ffo.propagator import PropagatorConfig, evolve_unitary
+from ffo.propagator import evolve_unitary
 from ffo.reduction import (first_integral_lambda, integrate_epsilon, lambda2_from_epsilon,
                            nu_from_epsilon_arrays, nu_plus_jets)
 from ffo.signals import constant_spec
 from ffo.states import (coherence_check, cs_eigen_residual,
                         lr_ladder_fit, lr_phases, schrodinger_residual_max,
                         vacuum_trajectory)
-from ffo.sweeps import random_epsilon0, random_forced_spec, random_nu0, random_spec
+from ffo.sweeps import random_spec
+from random_inputs import random_epsilon0, random_forced_spec, random_nu0
 
 DT = 1e-3
 T_FINAL = 10.0
@@ -49,19 +50,18 @@ def _report(num: int, name: str, passed: bool, detail: str):
 def sweep():
     """50 bounded random specs; per-spec reduced maxima for criteria 1-3."""
     rng = np.random.default_rng(220810)
-    cfg = PropagatorConfig(dt=DT)
     b, _, _ = ladder_operators()
     out = {"lam1": [], "lam2": [], "oracle": [], "invariance": []}
     for _ in range(N_SWEEP):
         spec = random_spec(rng)
         # criterion 1: random initial coefficients
-        samples = GridSamples(spec, T_FINAL, cfg.dt)
+        samples = GridSamples(spec, T_FINAL, DT)
         traj_r = integrate_nu(samples, random_nu0(rng))
         out["lam1"].append(float(np.max(np.abs(traj_r.lambda1 - traj_r.lambda1[0]))))
         out["lam2"].append(float(np.max(np.abs(traj_r.lambda2 - traj_r.lambda2[0]))))
         # criteria 2-3: canonical start, oracle comparison
         traj_c = integrate_nu(samples, (1, 0, 0))
-        u = evolve_unitary(spec, T_FINAL, cfg)
+        u = evolve_unitary(spec, T_FINAL, DT)
         oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
         out["oracle"].append(float(np.max(np.abs(build_B_array(traj_c.nu) - oracle))))
         out["invariance"].append(invariance_residual_max(samples, traj_c))
@@ -71,12 +71,11 @@ def sweep():
 def _calibrated_family(seed: int, n: int, t_final: float = T_FINAL):
     """Ladder-calibrated epsilon-generated trajectories over f-floor specs."""
     rng = np.random.default_rng(seed)
-    cfg = PropagatorConfig(dt=DT)
     family = []
     while len(family) < n:
         spec = random_spec(rng, f_floor=True)
         e0 = random_epsilon0(rng)
-        samples = GridSamples(spec, t_final, cfg.dt)
+        samples = GridSamples(spec, t_final, DT)
         et = integrate_epsilon(samples, e0)
         nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
         scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
@@ -166,7 +165,7 @@ def test_criterion_05_coherence_theorem():
     for _ in range(N_FAMILY):
         spec = random_spec(rng, f_zero=True)
         rep = coherence_check(GridSamples(spec, t_free, dt_free),
-                              evolve_unitary(spec, t_free, PropagatorConfig(dt=dt_free)))
+                              evolve_unitary(spec, t_free, dt_free))
         worst_eig = max(worst_eig, float(np.max(rep.eigen_residual)))
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))))
@@ -175,7 +174,7 @@ def test_criterion_05_coherence_theorem():
     for _ in range(N_FAMILY):
         spec = random_forced_spec(rng, min_peak=0.1)
         rep = coherence_check(GridSamples(spec, T_FINAL, DT),
-                              evolve_unitary(spec, T_FINAL, PropagatorConfig(dt=DT)))
+                              evolve_unitary(spec, T_FINAL, DT))
         min_witness = min(min_witness, float(np.max(rep.eigen_residual)))
     ok = worst_eig <= 1e-7 and worst_ratio <= 1e-8 and min_witness >= 1e-3
     _report(5, "coherence theorem both ways", ok,
@@ -184,10 +183,9 @@ def test_criterion_05_coherence_theorem():
 
 
 def test_criterion_06_epsilon_reduction_closure(eps_family):
-    cfg = PropagatorConfig(dt=DT)
     worst_closure = worst_lam1 = worst_lam2_drift = worst_pair = 0.0
     for spec, traj, eps, eps_dot in eps_family:
-        direct = integrate_nu(GridSamples(spec, T_FINAL, cfg.dt), tuple(traj.nu[0]))
+        direct = integrate_nu(GridSamples(spec, T_FINAL, DT), tuple(traj.nu[0]))
         worst_closure = max(worst_closure, float(np.max(np.abs(direct.nu - traj.nu))))
         worst_lam1 = max(worst_lam1, float(np.max(np.abs(traj.lambda1))))
         worst_lam2_drift = max(worst_lam2_drift,
@@ -227,12 +225,11 @@ def _lambda_arrays(spec, traj, eps=None, eps_dot=None):
 
 
 def test_criterion_07_first_integral(eps_family):
-    cfg = PropagatorConfig(dt=DT)
     rng = np.random.default_rng(770815)
     worst_drift = worst_link = worst_zero = 0.0
     for spec, traj, eps, eps_dot in eps_family[:5]:
         # general trajectory: random initial coefficients, lambda generically != 0
-        gen = integrate_nu(GridSamples(spec, T_FINAL, cfg.dt), random_nu0(rng))
+        gen = integrate_nu(GridSamples(spec, T_FINAL, DT), random_nu0(rng))
         lam = _lambda_arrays(spec, gen)
         worst_drift = max(worst_drift, float(np.max(np.abs(lam - lam[0]))))
         worst_link = max(worst_link,
@@ -335,13 +332,13 @@ def test_criterion_11_propagator_quality():
     worst_unit = 0.0
     for _ in range(5):
         spec = random_spec(rng)
-        u = evolve_unitary(spec, T_FINAL, PropagatorConfig(dt=DT))
+        u = evolve_unitary(spec, T_FINAL, DT)
         worst_unit = max(worst_unit, float(np.max(np.abs(
             np.conj(np.transpose(u.U, (0, 2, 1))) @ u.U - I2))))
     # observed order of the stepper: halving dt shrinks the change by about
     # 16 (Richardson on three grids)
     spec = random_spec(np.random.default_rng(1118))
-    us = [evolve_unitary(spec, 2.0, PropagatorConfig(dt=dt)).U[-1]
+    us = [evolve_unitary(spec, 2.0, dt).U[-1]
           for dt in (0.02, 0.01, 0.005)]
     ratio = max_abs(us[0] - us[1]) / max_abs(us[1] - us[2])
     ok = worst_unit <= 1e-9 and abs(ratio - 16.0) <= 2.0

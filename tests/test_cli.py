@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffo
-from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITIAL_ABS, MODES,
-                     ScenarioConfig, _table_select, emit_csv, main, parse_config, run,
-                     serialize_config)
+from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITIAL_ABS,
+                     MIN_INITIAL_ABS, MODES, ScenarioConfig, _table_select, emit_csv, main,
+                     parse_config, run)
 from ffo.errors import ConfigError
 from ffo.grid import GridSamples, _mul, time_grid
 from ffo.invariants import _nu_dot, build_B_array, integrate_nu, nu_generator
-from ffo.propagator import PropagatorConfig, evolve_state, evolve_unitary
+from ffo.propagator import evolve_state, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
-from ffo.signals import ComplexSignal, HamiltonianSpec, Polynomial, Sinusoid
+from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial, Signal,
+                         Sinusoid, Tabulated)
 from ffo.sweeps import random_spec
 
 GOOD = """
@@ -35,6 +36,39 @@ GOOD = """
   "output": {"format": "csv"}
 }
 """
+
+
+def serialize_config(cfg: ScenarioConfig) -> str:
+    """Round-trip a parsed config back to canonical JSON."""
+
+    def sig(s: Signal):
+        if isinstance(s, Constant):
+            return {"type": "constant", "value": s.c}
+        if isinstance(s, Sinusoid):
+            return {"type": "sinusoid", "amplitude": s.amplitude,
+                    "frequency": s.frequency, "phase": s.phase, "offset": s.offset}
+        if isinstance(s, Polynomial):
+            return {"type": "polynomial", "coeffs": list(s.coeffs)}
+        if isinstance(s, Tabulated):
+            return {"type": "tabulated", "times": list(s.times), "values": list(s.values)}
+        raise TypeError(f"unserializable signal {s!r}")
+
+    def pair(z: complex):
+        return [z.real, z.imag]
+
+    doc = {
+        "hamiltonian": {"omega": sig(cfg.spec.omega), "f_re": sig(cfg.spec.f.re),
+                        "f_im": sig(cfg.spec.f.im), "g": sig(cfg.spec.g)},
+        "run": {"mode": cfg.mode, "t_final": cfg.t_final, "dt": cfg.dt,
+                "tolerances": dict(sorted(cfg.tolerances.items()))},
+        "initial": {"nu0": [pair(z) for z in cfg.nu0],
+                    "epsilon0": [pair(z) for z in cfg.epsilon0],
+                    "state": [pair(z) for z in cfg.state0]},
+        "output": {"format": cfg.out_format,
+                   **({"path": cfg.out_path} if cfg.out_path else {}),
+                   **({"fields": cfg.fields} if cfg.fields else {})},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_parse_round_trip():
@@ -269,12 +303,15 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     ("evolve", "state", [[0, 0], [0, -1e200]]),
 ])
 def test_huge_initial_vector_rejected_with_path(tmp_path, capsys, mode, key, vector):
-    # finite, but lambda1, lambda2 or the norm would overflow; at the bound
-    # (on each part) every mode still runs to a verdict without an overflow
+    # finite, but lambda1, lambda2 or the norm would overflow, or so small
+    # that B, lambda2 or the norm vanishes and every check passes on nothing;
+    # at either bound (on each part) every mode still runs to a verdict
+    # without an overflow
     doc = {"hamiltonian": {"f_re": {"type": "constant", "value": 0.5}},
            "run": {"t_final": 0.01}, "initial": {key: vector}}
     cfg_path = tmp_path / "scenario.json"
-    for modulus, codes in ((1e200, {2}), (MAX_INITIAL_ABS, {0, 1})):
+    for modulus, codes in ((1e200, {2}), (MAX_INITIAL_ABS, {0, 1}),
+                           (1e-200, {2}), (1e-320, {2}), (MIN_INITIAL_ABS, {0, 1})):
         doc["initial"][key] = [[x and np.copysign(modulus, x) for x in p] for p in vector]
         cfg_path.write_text(json.dumps(doc))
         with warnings.catch_warnings():
@@ -316,6 +353,19 @@ def test_huge_signal_rejected_with_path(tmp_path, capsys, mode):
         assert main([mode, "--config", path]) == 2
     err = capsys.readouterr().err
     assert "hamiltonian.f_re: 1e+150 at t=0.0: dt" in err and "run.dt" in err
+
+
+def test_huge_constant_g_leaves_the_invariance_residual(tmp_path, capsys):
+    # g 1 commutes with B; forming h11 - h00 = (omega + g) - g used to round
+    # omega away at g = 1e150 and fail invariance_residual at 1.0
+    residual = {}
+    for g in (0.0, 1e150):
+        path = _write_doc(tmp_path, {"f_re": {"type": "constant", "value": 0.5},
+                                     "g": {"type": "constant", "value": g}}, t_final=1.0)
+        assert main(["invariants", "--config", path]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if "invariance_residual" in x)
+        residual[g] = line.split("value=")[1].split()[0]
+    assert residual[1e150] == residual[0.0]
 
 
 @pytest.mark.parametrize("mode", ["evolve", "invariants", "phases"])
@@ -684,7 +734,7 @@ def test_main_evolve_matches_evolve_state(tmp_path):
     assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     cfg = parse_config(cfg_path.read_text())
-    _, psi = evolve_state(cfg.spec, [0.6, 0.8j], cfg.t_final, PropagatorConfig(dt=cfg.dt))
+    _, psi = evolve_state(cfg.spec, [0.6, 0.8j], cfg.t_final, cfg.dt)
     assert np.max(np.abs(table[:, 1] + 1j * table[:, 2] - psi[:, 0])) < 1e-14
     assert np.max(np.abs(table[:, 3] + 1j * table[:, 4] - psi[:, 1])) < 1e-14
     assert np.max(np.abs(table[:, 5] - 1.0)) < 1e-12
@@ -820,7 +870,7 @@ def test_entrywise_runner_quantities_match_their_matrix_forms(seed):
     cfg = ScenarioConfig(spec=random_spec(rng, f_floor=True), t_final=0.2, dt=1e-3, nu0=nu0,
                          epsilon0=eps0, state0=state0)
     samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
-    u = evolve_unitary(cfg.spec, cfg.t_final, PropagatorConfig(dt=cfg.dt)).U
+    u = evolve_unitary(cfg.spec, cfg.t_final, cfg.dt).U
     ud = np.conj(np.swapaxes(u, 1, 2))
 
     def runner(mode):

@@ -10,13 +10,14 @@ from ffo.invariants import (NuTrajectory, _bloch_generator, build_B_array, build
                             build_B_so, free_oscillator_nu, hermitian_invariant,
                             integrate_nu, invariance_residual_max,
                             ladder_conditions_check, motion_constants, nu_generator)
-from ffo.propagator import PropagatorConfig, evolve_unitary, heisenberg_oracle
+from ffo.propagator import evolve_unitary
 from ffo.reduction import integrate_epsilon
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal, Sinusoid,
                          constant_spec)
-from ffo.sweeps import random_nu0, random_spec
+from ffo.sweeps import random_spec
+from random_inputs import random_nu0
 
-CFG = PropagatorConfig(dt=1e-3)
+DT = 1e-3
 
 
 # -- right-hand side ----------------------------------------------------------
@@ -100,7 +101,7 @@ def test_array_first_operators_on_any_stack(nu):
 
 def test_free_oscillator_phase():
     w0 = 1.1
-    traj = integrate_nu(GridSamples(constant_spec(omega=w0), 5.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(constant_spec(omega=w0), 5.0, DT), (1, 0, 0))
     want = np.exp(1j * w0 * traj.times)
     assert np.max(np.abs(traj.nu[:, 0] - want)) < 1e-8
     assert np.max(np.abs(traj.nu[:, 1:])) == 0.0
@@ -108,7 +109,7 @@ def test_free_oscillator_phase():
 
 def test_canonical_start_conserves_ladder_shell():
     spec = random_spec(np.random.default_rng(3))
-    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
     assert np.max(np.abs(traj.lambda1)) <= 1e-8
     assert np.max(np.abs(traj.lambda2 - 1.0)) <= 1e-8
 
@@ -116,7 +117,7 @@ def test_canonical_start_conserves_ladder_shell():
 def test_nonfinite_signal_names_grid_time(nan_forcing_spec):
     # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
     with pytest.raises(IntegrationError) as err:
-        integrate_nu(GridSamples(nan_forcing_spec, 2.0, CFG.dt), (1, 0, 0))
+        integrate_nu(GridSamples(nan_forcing_spec, 2.0, DT), (1, 0, 0))
     assert err.value.t == pytest.approx(1.251)
     assert "t=1.251" in str(err.value)
 
@@ -124,7 +125,7 @@ def test_nonfinite_signal_names_grid_time(nan_forcing_spec):
 def test_random_spec_constants_drift():
     rng = np.random.default_rng(4)
     spec = random_spec(rng)
-    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), random_nu0(rng))
+    traj = integrate_nu(GridSamples(spec, 10.0, DT), random_nu0(rng))
     assert np.max(np.abs(traj.lambda1 - traj.lambda1[0])) <= 1e-7
     assert np.max(np.abs(traj.lambda2 - traj.lambda2[0])) <= 1e-7
 
@@ -136,7 +137,7 @@ def test_constants_of_motion_conserved_over_random_specs(seed, steps, family):
     # every family random_spec documents, nu0 from random_nu0, t_final <= 2
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, f_zero=family == "f_zero", f_floor=family == "f_floor")
-    traj = integrate_nu(GridSamples(spec, steps * CFG.dt, CFG.dt), random_nu0(rng))
+    traj = integrate_nu(GridSamples(spec, steps * DT, DT), random_nu0(rng))
     for lam in (traj.lambda1, traj.lambda2):
         assert np.max(np.abs(lam - lam[0])) <= 1e-12 * max(1.0, abs(lam[0]))
 
@@ -167,8 +168,8 @@ def _complex_basis_nu(spec, nu0, times):
 def _check_complex_basis(steps):
     rng = np.random.default_rng(steps)
     spec, nu0 = random_spec(rng), random_nu0(rng)
-    traj = integrate_nu(GridSamples(spec, steps * CFG.dt, CFG.dt), nu0)
-    want = _complex_basis_nu(spec, nu0, time_grid(steps * CFG.dt, CFG.dt))
+    traj = integrate_nu(GridSamples(spec, steps * DT, DT), nu0)
+    want = _complex_basis_nu(spec, nu0, time_grid(steps * DT, DT))
     assert traj.nu.shape == want.shape == (steps + 1, 3)
     assert np.max(np.abs(traj.nu - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -220,14 +221,14 @@ def test_integrators_sample_each_signal_once_per_integration(integrate, y0):
             omega=_Counted(Sinusoid(0.3, 1.0, offset=1.0), calls),
             f=ComplexSignal(_Counted(Sinusoid(0.1, 0.7, offset=0.8), calls),
                             _Counted(Sinusoid(0.2, 0.5), calls)))
-        assert len(integrate(GridSamples(spec, t_final, CFG.dt), y0).times) == \
-            round(t_final / CFG.dt) + 1
+        assert len(integrate(GridSamples(spec, t_final, DT), y0).times) == \
+            round(t_final / DT) + 1
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
 
 def test_trajectory_accessors():
-    traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, DT), (1, 0, 0))
     assert traj.nu[0].tolist() == [1, 0, 0]
     assert (traj.lambda1[0], traj.lambda2[0]) == (0, 1)
     assert traj.dt == pytest.approx(1e-3)
@@ -245,12 +246,12 @@ def test_build_B_reproduces_bare_operators():
 def test_build_B_matches_heisenberg_oracle_free_case():
     w0 = 0.9
     spec = constant_spec(omega=w0)
-    traj = integrate_nu(GridSamples(spec, 3.0, CFG.dt), (1, 0, 0))
-    u = evolve_unitary(spec, 3.0, CFG)
+    traj = integrate_nu(GridSamples(spec, 3.0, DT), (1, 0, 0))
+    u = evolve_unitary(spec, 3.0, DT)
     b, _, _ = ladder_operators()
     k = 3000
     got = build_B_array(traj.nu[k])
-    want = heisenberg_oracle(u.U[k], b)
+    want = u.U[k] @ b @ u.U[k].conj().T
     assert max_abs(got - want) < 1e-8
     assert max_abs(got - np.exp(1j * w0 * 3.0) * b) < 1e-8
 
@@ -312,7 +313,7 @@ def test_invariance_residual_free_closed_form():
 def test_invariance_residual_on_random_spec():
     rng = np.random.default_rng(13)
     spec = random_spec(rng)
-    traj = integrate_nu(GridSamples(spec, 10.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
     assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-5
 
 
@@ -344,7 +345,7 @@ def test_invariance_residual_max_matches_matrix_form():
 def test_invariance_residual_detects_wrong_forcing_sign():
     spec = constant_spec(omega=0.8, f=0.5)
     flipped = constant_spec(omega=0.8, f=-0.5)
-    bad = integrate_nu(GridSamples(flipped, 2.0, CFG.dt), (1, 0, 0))
+    bad = integrate_nu(GridSamples(flipped, 2.0, DT), (1, 0, 0))
     assert invariance_residual_max(Samples(spec, bad.times), bad) >= 1e-2
 
 
@@ -365,7 +366,7 @@ def test_free_oscillator_nu_matches_integrator_sinusoid():
     omega = Sinusoid(0.8, 1.1, 0.4, offset=1.0)
     spec = HamiltonianSpec(omega=omega, f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     nu0 = (0.6, 0.4j, 2 * np.sqrt(-0.6 * 0.4j))
-    samples = GridSamples(spec, 5.0, CFG.dt)
+    samples = GridSamples(spec, 5.0, DT)
     closed = free_oscillator_nu(nu0, samples)
     assert np.max(np.abs(closed - integrate_nu(samples, nu0).nu)) <= 1e-8
 

@@ -7,7 +7,6 @@ from ffo.algebra import I2, hamiltonian_matrix, max_abs
 from ffo.errors import IntegrationError, SingularReductionError
 from ffo.grid import GridSamples, Samples
 from ffo.invariants import build_B_array, integrate_nu, motion_constants, nu_generator
-from ffo.propagator import PropagatorConfig
 from ffo.reduction import (_epsilon_generator, _gamma_omega, build_B_normalized,
                            epsilon_prime_transform, first_integral_lambda,
                            integrate_epsilon, lambda2_from_epsilon, nu3_from_nu_plus,
@@ -16,11 +15,11 @@ from ffo.reduction import (_epsilon_generator, _gamma_omega, build_B_normalized,
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
 
-CFG = PropagatorConfig(dt=1e-3)
+DT = 1e-3
 
 
 def _jets_traj(spec, t_final=5.0, nu0=(0.3 + 0.1j, 0.2 - 0.4j, 0.5 + 0.2j)):
-    return integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
+    return integrate_nu(GridSamples(spec, t_final, DT), nu0)
 
 
 # -- first reduction formulas ----------------------------------------------------
@@ -234,13 +233,13 @@ def test_epsilon_constant_coefficients_closed_form():
     w0, f0 = 0.8, 0.6
     spec = constant_spec(omega=w0, f=f0)
     mu = np.sqrt(f0 ** 2 + 0.25 * w0 * w0)
-    et = integrate_epsilon(GridSamples(spec, 5.0, CFG.dt), (1.0, 1j * mu))
+    et = integrate_epsilon(GridSamples(spec, 5.0, DT), (1.0, 1j * mu))
     want = np.exp(1j * mu * et.times)
     assert np.max(np.abs(et.eps - want)) <= 1e-8
 
 
 def test_epsilon_zero_solution():
-    et = integrate_epsilon(GridSamples(constant_spec(omega=1.0, f=0.5), 1.0, CFG.dt),
+    et = integrate_epsilon(GridSamples(constant_spec(omega=1.0, f=0.5), 1.0, DT),
                            (0.0, 0.0))
     assert np.max(np.abs(et.eps)) == 0.0
     assert np.max(np.abs(et.eps_dot)) == 0.0
@@ -271,7 +270,7 @@ def test_epsilon_requires_forcing_floor():
                            f=ComplexSignal(Sinusoid(0.5, 1.0)),  # crosses zero
                            g=Constant(0.0))
     with pytest.raises(SingularReductionError, match="violated at t=0.0$"):
-        integrate_epsilon(GridSamples(spec, 5.0, CFG.dt), (1.0, 0.0))
+        integrate_epsilon(GridSamples(spec, 5.0, DT), (1.0, 0.0))
 
 
 def test_epsilon_forcing_floor_checked_on_midpoints():
@@ -280,14 +279,14 @@ def test_epsilon_forcing_floor_checked_on_midpoints():
     spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(Polynomial((-0.0015, 1.0))),
                            g=Constant(0.0))
     with pytest.raises(SingularReductionError, match="violated at t=0.0015$"):
-        integrate_epsilon(GridSamples(spec, 1.0, CFG.dt), (1.0, 0.0))
+        integrate_epsilon(GridSamples(spec, 1.0, DT), (1.0, 0.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_epsilon_nonfinite_signal_names_grid_time(nan_forcing_spec):
     # NaN forcing from t = 1.2504 first poisons the step ending at t = 1.251
     with pytest.raises(IntegrationError) as err:
-        integrate_epsilon(GridSamples(nan_forcing_spec, 2.0, CFG.dt), (1.0, 0.3j))
+        integrate_epsilon(GridSamples(nan_forcing_spec, 2.0, DT), (1.0, 0.3j))
     assert err.value.t == pytest.approx(1.251)
     assert "t=1.251" in str(err.value)
 
@@ -340,7 +339,7 @@ def test_nu_from_epsilon_array_guard():
 
 def test_closure_against_direct_integration(forced_spec, calibrated_trajectory):
     traj, eps, eps_dot = calibrated_trajectory
-    direct = integrate_nu(GridSamples(forced_spec, 5.0, CFG.dt), tuple(traj.nu[0]))
+    direct = integrate_nu(GridSamples(forced_spec, 5.0, DT), tuple(traj.nu[0]))
     assert np.max(np.abs(direct.nu - traj.nu)) <= 1e-5
 
 
@@ -400,7 +399,7 @@ def test_epsilon_prime_exponential_forcing():
 
 def test_epsilon_prime_round_trip(forced_spec):
     dt = 1e-3
-    et = integrate_epsilon(GridSamples(forced_spec, 5.0, CFG.dt), (1.0 + 0.2j, 0.1 - 0.3j))
+    et = integrate_epsilon(GridSamples(forced_spec, 5.0, DT), (1.0 + 0.2j, 0.1 - 0.3j))
     om_p, gauge = epsilon_prime_transform(Samples(forced_spec, et.times))
     # integrate the primed equation with matched initial conditions
     f0 = complex(forced_spec.f.value(0.0))

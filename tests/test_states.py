@@ -6,21 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
-from ffo.config import DEFAULT_TOL
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
 from ffo.grid import GridSamples, Samples, cumsimpson_grid, cumtrapz_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integrate_nu,
                             invariance_residual_max)
-from ffo.propagator import PropagatorConfig, evolve_unitary
+from ffo.propagator import evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
-from ffo.states import (_cn_step, _null_direction, coherence_check,
+from ffo.states import (VACUUM_NU_MIN, _cn_step, _null_direction, coherence_check,
                         coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
                         lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
 
-CFG = PropagatorConfig(dt=1e-3)
+DT = 1e-3
 README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
                               f=ComplexSignal(Constant(0.5), Constant(0.1)),
                               g=Polynomial((0.2, 0.01)))
@@ -28,7 +27,7 @@ README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
 
 # -- evolved vacuum ------------------------------------------------------------
 
-def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
+def _vacuum_reference(traj, spec):
     """Point-by-point evolved vacuum: closed form, or fallback below the floor.
 
     Every point takes a Crank-Nicolson prediction from the previous one; the
@@ -48,7 +47,7 @@ def _vacuum_reference(traj, spec, tol=DEFAULT_TOL):
         pred = None
         if k > 0:
             pred = _cn_step(h[k - 1], h[k], psi[k - 1], dt)
-        if abs(vm) >= tol.vacuum_nu_min:
+        if abs(vm) >= VACUUM_NU_MIN:
             s = complex(np.sqrt(vm))
             if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
                 s = -s
@@ -121,7 +120,7 @@ VACUUM_CASES = {
 @pytest.mark.parametrize("case", sorted(VACUUM_CASES))
 def test_vacuum_trajectory_matches_reference(case):
     spec, nu0, t_final, gaps = VACUUM_CASES[case]
-    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
+    traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
     psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     want_psi, want_mask = _vacuum_reference(traj, spec)
     assert np.array_equal(mask, want_mask)
@@ -147,7 +146,7 @@ def test_vacuum_branch_keeps_principal_root_on_exact_tie():
 def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
     # nu_minus is exactly 0 at t = 0; the closed form must not be evaluated there
     spec, nu0, t_final, _ = VACUUM_CASES["starts_in_gap"]
-    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), nu0)
+    traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
     assert traj.nu[0, 0] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -159,7 +158,7 @@ def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_vacuum_trajectory_random_specs(seed):
     spec = random_spec(np.random.default_rng(seed))
-    traj = integrate_nu(GridSamples(spec, 2.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, 2.0, DT), (1, 0, 0))
     psi, _ = vacuum_trajectory(traj, Samples(spec, traj.times))
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
@@ -181,7 +180,7 @@ def test_samples_on_another_grid_are_rejected(forced_spec, calibrated_trajectory
     # the same length with another dt, and one point fewer: neither pairs with traj
     traj, _, _ = calibrated_trajectory
     t_final, dt = float(traj.times[-1]), traj.dt
-    unitary = evolve_unitary(forced_spec, t_final, PropagatorConfig(dt=dt))
+    unitary = evolve_unitary(forced_spec, t_final, dt)
     psi, _ = vacuum_trajectory(traj, GridSamples(forced_spec, t_final, dt))
     for samples in (GridSamples(forced_spec, 2.0 * t_final, 2.0 * dt),
                     GridSamples(forced_spec, t_final - dt, dt)):
@@ -199,13 +198,13 @@ def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
     # the fallback flag marks exactly the points below the nu_minus floor
     traj, _, _ = calibrated_trajectory
     psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
-    assert np.array_equal(mask, np.abs(traj.nu[:, 0]) < DEFAULT_TOL.vacuum_nu_min)
+    assert np.array_equal(mask, np.abs(traj.nu[:, 0]) < VACUUM_NU_MIN)
     assert abs(np.linalg.norm(psi[1234]) - 1.0) < 1e-12
 
 
 def test_vacuum_canonical_start_is_ground_state():
     spec = constant_spec(omega=1.0, f=0.4, g=0.2)
-    traj = integrate_nu(GridSamples(spec, 1.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, 1.0, DT), (1, 0, 0))
     psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     assert psi[0, 0] == pytest.approx(1.0)
     assert psi[0, 1] == pytest.approx(0.0)
@@ -218,10 +217,10 @@ def test_vacuum_tracks_true_evolution_through_pinch():
     f0 = 0.5
     spec = constant_spec(f=f0)
     t_final = 8.0
-    traj = integrate_nu(GridSamples(spec, t_final, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, t_final, DT), (1, 0, 0))
     psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
     assert mask.any()  # the pinch at t = pi/(2 f0) activates the fallback
-    u = evolve_unitary(spec, t_final, CFG)
+    u = evolve_unitary(spec, t_final, DT)
     true_vac = u.U[:, :, 0]  # U |0>
     overlap = np.abs(np.sum(np.conj(true_vac) * psi, axis=1))
     assert np.min(overlap) >= 1.0 - 1e-8
@@ -291,7 +290,7 @@ def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
 def test_coherence_stationary_family():
     w0, g0 = 1.2, 0.4
     spec = constant_spec(omega=w0, g=g0)
-    rep = coherence_check(GridSamples(spec, 5.0, CFG.dt), evolve_unitary(spec, 5.0, CFG))
+    rep = coherence_check(GridSamples(spec, 5.0, DT), evolve_unitary(spec, 5.0, DT))
     assert np.max(rep.eigen_residual) <= 1e-8
     want = np.exp(-1j * w0 * rep.times)
     assert np.max(np.abs(rep.zeta_ratio - want)) <= 1e-8
@@ -302,7 +301,7 @@ def test_coherence_sinusoidal_frequency():
     spec = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                            f=ComplexSignal(Constant(0.0)),
                            g=Sinusoid(0.3, 0.4))
-    rep = coherence_check(GridSamples(spec, 5.0, CFG.dt), evolve_unitary(spec, 5.0, CFG))
+    rep = coherence_check(GridSamples(spec, 5.0, DT), evolve_unitary(spec, 5.0, DT))
     assert np.max(rep.eigen_residual) <= 1e-7
     # zeta(t)/zeta must match conj(beta) = exp(-i int omega)
     assert np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))) <= 1e-7
@@ -310,7 +309,7 @@ def test_coherence_sinusoidal_frequency():
 
 def test_coherence_broken_by_forcing():
     spec = constant_spec(f=1.0)
-    rep = coherence_check(GridSamples(spec, 2.0, CFG.dt), evolve_unitary(spec, 2.0, CFG))
+    rep = coherence_check(GridSamples(spec, 2.0, DT), evolve_unitary(spec, 2.0, DT))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
     assert np.max(rep.eigen_residual) >= 1e-3
@@ -321,7 +320,7 @@ def test_coherence_broken_by_forcing():
 def test_lr_phases_stationary():
     w0, g0 = 1.3, 0.7
     spec = constant_spec(omega=w0, g=g0)
-    traj = integrate_nu(GridSamples(spec, 5.0, CFG.dt), (1, 0, 0))
+    traj = integrate_nu(GridSamples(spec, 5.0, DT), (1, 0, 0))
     ph = lr_phases(traj, Samples(spec, traj.times))
     t = traj.times
     assert np.max(np.abs(ph.phi0 + g0 * t)) <= 1e-6
@@ -357,7 +356,7 @@ def test_lr_frame_orthonormal(forced_spec, calibrated_trajectory):
 
 
 def test_lr_frame_requires_calibration(forced_spec):
-    traj = integrate_nu(GridSamples(forced_spec, 1.0, CFG.dt), (0.9, 0.7, 0.1))  # lambda1 != 0
+    traj = integrate_nu(GridSamples(forced_spec, 1.0, DT), (0.9, 0.7, 0.1))  # lambda1 != 0
     with pytest.raises(ContractError):
         lr_frame(traj)
 
