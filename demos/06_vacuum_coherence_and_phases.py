@@ -25,8 +25,7 @@ spec = HamiltonianSpec(
 )
 
 # build a ladder-calibrated trajectory from the epsilon route, rescaled so
-# lambda2 = 1 exactly (nu scales as eps^2, hence the quarter power); the
-# initial pair is chosen so the eigenframe gauge never pinches
+# lambda2 = 1 exactly (nu scales as eps^2, hence the quarter power)
 samples = GridSamples(spec, 5.0, dt)
 et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)

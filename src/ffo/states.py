@@ -11,10 +11,10 @@ with phi_minus the continuously unwound phase of nu_minus(t) (so
 sqrt(|nu_minus|) e^{i phi_minus/2} is just the continuous complex square
 root of nu_minus).  The mirror pair keyed on nu_plus with the opposite
 phase sign solves the same two equations for the B'(t)-null partner state,
-i.e. the evolved top state.  Where nu_minus pinches off, a null-space
-fallback with phase continuity and one implicit Schrodinger step takes
-over; both constructions are cross-validated on their common domain.
-Functions over a grid read omega, f and g from its ``grid.Samples``.
+i.e. the evolved top state.  Where nu_minus pinches off, the vacuum is
+the same B-null direction taken from the patched Lewis-Riesenfeld frame,
+exp(i phi0) e0.  Functions over a grid read omega, f and g from its
+``grid.Samples``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import hamiltonian_matrix
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
 from .grid import Samples, abs2, cumsimpson_grid, cumtrapz_grid
@@ -32,40 +31,17 @@ from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
 
-# |nu_minus| floor below which the closed-form evolved vacuum switches to the
-# null-space fallback
+# |nu_minus| floor below which the evolved vacuum leaves the closed form for
+# the phased Lewis-Riesenfeld branch
 VACUUM_NU_MIN = 1e-4
-# key-coefficient floor of the Lewis-Riesenfeld eigenframe gauge
-GAUGE_MIN = 1e-9
+
+
+def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_k|b_k> for each row k of two (K, 2) stacks."""
+    return np.conj(a[:, 0]) * b[:, 0] + np.conj(a[:, 1]) * b[:, 1]
 
 
 # -- vacuum construction ------------------------------------------------------
-
-def _cn_step(h_prev, h_now, psi, dt):
-    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi, H 2x2."""
-    (p00, p01), (p10, p11) = h_prev
-    (n00, n01), (n10, n11) = h_now
-    b00, b01, b10, b11 = (1.0 - 0.5j * dt * p00, -0.5j * dt * p01,
-                          -0.5j * dt * p10, 1.0 - 0.5j * dt * p11)
-    a00, a01, a10, a11 = (1.0 + 0.5j * dt * n00, 0.5j * dt * n01,
-                          0.5j * dt * n10, 1.0 + 0.5j * dt * n11)
-    r0 = b00 * psi[0] + b01 * psi[1]
-    r1 = b10 * psi[0] + b11 * psi[1]
-    det = a00 * a11 - a01 * a10
-    return np.array([(a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det])
-
-
-def _null_direction(vm, vp, v3):
-    """Unit null vector of B; picks the better-conditioned parametrization."""
-    d1 = np.array([vm, 0.5 * v3], dtype=complex)
-    d2 = np.array([-0.5 * v3, vp], dtype=complex)
-    # (d2 is B-null only up to the lambda1 = 0 constraint, same as d1)
-    d = d1 if np.linalg.norm(d1) >= np.linalg.norm(d2) else np.array([0.5 * v3, -vp], dtype=complex)
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        raise ContractError("B has no usable null direction (nu vanished)")
-    return d / n
-
 
 def vacuum_trajectory(traj: NuTrajectory, samples: Samples):
     """Evolved vacuum on the whole grid.
@@ -78,15 +54,14 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples):
     branch of sqrt(nu_minus) is kept continuous by a cumulative product of
     sign flips (a flip wherever the principal root jumps closer to minus
     the previous root than to it), restarted at the first point of every
-    stretch.  Only the gap points and the first point after each gap are
-    then visited one by one: a gap point steps the previous state with
-    Crank-Nicolson and projects it onto the instantaneous null direction
-    of B; a re-entry point takes the phase of that same prediction and
-    carries it over its whole stretch.
+    stretch.  The gap points take the phased Lewis-Riesenfeld branch
+    exp(i phi0) e0 of ``lr_phases``, matched to the closed form at t = 0
+    when the grid starts on a stretch; every stretch after a gap takes the
+    one phase that matches it to that branch at its first point.
     """
     samples.check_grid(traj.times)
     times, dt = traj.times, traj.dt
-    vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
+    vm, v3 = traj.nu[:, 0], traj.nu[:, 2]
     mask = np.abs(vm) < VACUUM_NU_MIN
     ok = np.flatnonzero(~mask)
     start = np.ones(len(ok), dtype=bool)
@@ -112,45 +87,37 @@ def vacuum_trajectory(traj: NuTrajectory, samples: Samples):
     if not mask.any():
         return psi, mask
 
-    h = hamiltonian_matrix(samples)
-    gaps = np.flatnonzero(mask)
-    reentries = ok[start]
-    for k in np.union1d(gaps, reentries[reentries > 0]).tolist():
-        pred = None
-        if k > 0:
-            pred = _cn_step(h[k - 1], h[k], psi[k - 1], dt)
-        if not mask[k]:
-            # re-entry after a gap: re-anchor the phase of the whole stretch
-            nxt = np.searchsorted(gaps, k)
-            end = gaps[nxt] if nxt < len(gaps) else len(times)
-            ov = np.vdot(psi[k], pred)
-            if abs(ov) > 0:
-                psi[k:end] *= ov / abs(ov)
-            continue
-        d = _null_direction(vm[k], vp[k], v3[k])
-        if pred is None:
-            # fix the free phase by making the largest component real
-            j = int(np.argmax(np.abs(d)))
-            d = d * np.exp(-1j * np.angle(d[j]))
-        else:
-            ov = np.vdot(d, pred)
-            if abs(ov) > 0:
-                d = d * ov / abs(ov)
-        psi[k] = d
+    ph = lr_phases(traj, samples)
+    branch = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
+    if not mask[0]:
+        z = _overlap(branch[:1], psi[:1])
+        branch *= z / np.abs(z)
+    firsts = ok[start]
+    z = _overlap(psi[firsts], branch[firsts])
+    z = np.where(firsts > 0, z / np.abs(z), 1.0)
+    psi[ok] *= z[np.cumsum(start) - 1][:, None]
+    psi[mask] = branch[mask]
     return psi, mask
 
 
 def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
-    """Max central-difference residual of i d psi/dt = H psi over interior points."""
+    """Max central-difference residual of i d psi/dt = H psi over interior points.
+
+    The trace part (g + omega/2) 1 of H is taken out of H and, as the phase
+    exp(i int_0^t (g + omega/2)) (cumulative Simpson), out of psi: the
+    residual is the same, but the difference quotient no longer sees a
+    global phase that may turn far faster than psi's direction.
+    """
     if len(psi) != len(samples.times):
         raise ContractError("psi and the samples are on different time grids")
     dt = float(samples.times[1] - samples.times[0])
-    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples)[1:-1], 0, -1)
-    dpsi = (psi[2:] - psi[:-2]) / (2.0 * dt)
-    hpsi = np.empty_like(dpsi)
-    hpsi[:, 0] = h00 * psi[1:-1, 0] + h01 * psi[1:-1, 1]
-    hpsi[:, 1] = h10 * psi[1:-1, 0] + h11 * psi[1:-1, 1]
-    return float(np.max(np.abs(dpsi + 1j * hpsi)))
+    w = 0.5 * samples.omega
+    rot = np.exp(1j * cumsimpson_grid(samples.g + w, dt))
+    p0, p1 = rot * psi[:, 0], rot * psi[:, 1]
+    w, f, c0, c1 = w[1:-1], samples.f[1:-1], p0[1:-1], p1[1:-1]
+    r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
+    r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
+    return float(max(np.max(r0), np.max(r1)))
 
 
 # -- coherent states ----------------------------------------------------------
@@ -227,19 +194,22 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
 
 @dataclass
 class LRFrame:
-    """Gauge-fixed eigenvectors of the Hermitian invariant on the grid.
+    """Eigenvectors of the Hermitian invariant on the grid in one continuous gauge.
 
-    e0 spans the B-null (eigenvalue -1/2) branch, e1 the B'-null
-    (eigenvalue +1/2) branch.  The gauge is declared: the phase of the
-    key coefficient (nu_plus or nu_minus, whichever stays farther from
-    zero on the grid) is continuously unwound and divided out so the keyed
-    component of each eigenvector is real positive.
+    e0 spans the B-null (eigenvalue -1/2) branch and e1 = (-conj e0_1,
+    conj e0_0) the B'-null (+1/2) one.  Each point is keyed on the larger
+    of |nu_minus| and |nu_plus|, never below sqrt(lambda2)/2 on the ladder
+    shell: e0 is (1, r)/|(1, r)|, r = nu_3/(2 nu_minus), or (-r, 1)/|(-r, 1)|,
+    r = nu_3/(2 nu_plus).  At each switch of the key the new patch takes the
+    transition phase that makes e0 continuous there, from the overlap of the
+    two keyed vectors at the switch node (a Wu-Yang patching).
     """
 
     times: np.ndarray
-    e0: np.ndarray  # (K, 2)
-    e1: np.ndarray  # (K, 2)
-    key: str        # "plus" or "minus"
+    e0: np.ndarray        # (K, 2)
+    e1: np.ndarray        # (K, 2)
+    plus: np.ndarray      # (K,) bool, the points keyed on nu_plus
+    switches: np.ndarray  # grid indices whose key differs from the previous point's
 
 
 def off_ladder_shell(lambda1, lambda2) -> bool:
@@ -247,35 +217,34 @@ def off_ladder_shell(lambda1, lambda2) -> bool:
     return float(np.max(np.abs(lambda1))) > 1e-6 * max(1.0, float(np.max(lambda2)))
 
 
+def _keyed_e0(nu: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Unit B-null vectors (1, r) or (-r, 1), r = nu_3 / (2 key), keyed as ``plus`` says."""
+    r = 0.5 * nu[:, 2] / np.where(plus, nu[:, 1], nu[:, 0])
+    norm = np.sqrt(1.0 + abs2(r))
+    e0 = np.empty((len(r), 2), dtype=complex)
+    e0[:, 0] = np.where(plus, -r, 1.0) / norm
+    e0[:, 1] = np.where(plus, 1.0, r) / norm
+    return e0
+
+
 def lr_frame(traj: NuTrajectory) -> LRFrame:
-    vm, vp, v3 = traj.nu[:, 0], traj.nu[:, 1], traj.nu[:, 2]
+    """The patched Lewis-Riesenfeld frame of a ladder-calibrated trajectory (``LRFrame``).
+
+    Raises ContractError off the ladder shell and where nu vanishes.
+    """
     if off_ladder_shell(traj.lambda1, traj.lambda2):
         raise ContractError("lr_frame requires a ladder-calibrated trajectory (lambda1 = 0)")
-    min_plus = float(np.min(np.abs(vp)))
-    min_minus = float(np.min(np.abs(vm)))
-    key = "plus" if min_plus >= min_minus else "minus"
-    if max(min_plus, min_minus) < GAUGE_MIN:
-        raise ContractError("eigenframe gauge degenerate: nu_plus and nu_minus both vanish")
-    x = vp if key == "plus" else vm
-    ph = np.exp(1j * np.unwrap(np.angle(x)))
-    if key == "plus":
-        e0, e1 = (-0.5 * v3 / ph, vp / ph), (np.conj(vp) * ph, 0.5 * np.conj(v3) * ph)
-    else:
-        e0, e1 = (vm / ph, 0.5 * v3 / ph), (-0.5 * np.conj(v3) * ph, np.conj(vm) * ph)
-    root = np.sqrt(np.abs(x))[:, None]
-    e0, e1 = (np.stack(e, axis=1) / root for e in (e0, e1))
-    for e in (e0, e1):
-        e /= np.sqrt(abs2(e[:, 0]) + abs2(e[:, 1]))[:, None]
-    return LRFrame(times=traj.times, e0=e0, e1=e1, key=key)
-
-
-def _grid_derivative(arr: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences, second-order one-sided at the ends."""
-    d = np.empty_like(arr)
-    d[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dt)
-    d[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dt)
-    return d
+    abs_minus, abs_plus = np.abs(traj.nu[:, 0]), np.abs(traj.nu[:, 1])
+    if not np.all(np.maximum(abs_minus, abs_plus) > 0):
+        raise ContractError("eigenframe undefined: nu_plus and nu_minus both vanish")
+    plus = abs_plus > abs_minus
+    sw = np.flatnonzero(np.diff(plus)) + 1
+    e0 = _keyed_e0(traj.nu, plus)
+    z = _overlap(e0[sw], _keyed_e0(traj.nu[sw], ~plus[sw]))
+    patch_phase = np.cumprod(np.concatenate(([1.0], z / np.abs(z))))
+    e0 *= np.repeat(patch_phase, np.diff(np.concatenate(([0], sw, [len(plus)]))))[:, None]
+    e1 = np.stack((-np.conj(e0[:, 1]), np.conj(e0[:, 0])), axis=1)
+    return LRFrame(times=traj.times, e0=e0, e1=e1, plus=plus, switches=sw)
 
 
 @dataclass
@@ -289,61 +258,62 @@ class PhaseTrajectory:
     frame: LRFrame
 
 
-def _frame_connections(traj: NuTrajectory, samples: Samples, frame: LRFrame):
-    """Analytic Berry connections Im<e_n|d e_n> of the gauge-fixed frame.
+def _connection(nu: np.ndarray, nu_dot: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Analytic Berry connection a0 = Im<e0|e0'> of the keyed vectors of ``_keyed_e0``.
 
-    The frame vectors are closed forms in nu, so their derivatives follow
-    from the coefficient system's right-hand side; no finite differencing
-    is involved.  Returns (a0, a1) with a_n = Im<e_n|e_n'> as real arrays.
+    With r = nu_3/(2x) for the key x, a0 = Im(conj(r) r')/(1 + |r|^2), and
+    r' comes from nu' (``nu_dot``, the coefficient system's right-hand
+    side), so no finite differencing is involved.  A transition phase is
+    constant on its patch and adds nothing; e1's connection is -a0.
     """
-    vm, vp, v3 = traj.nu.T
-    vmd, vpd, v3d = _nu_dot(samples, traj.nu)
-    x, xd = (vp, vpd) if frame.key == "plus" else (vm, vmd)
-    r2 = np.abs(x) ** 2 + 0.25 * np.abs(v3) ** 2
-    core = np.imag(np.conj(x) * xd + 0.25 * np.conj(v3) * v3d)
-    a0 = (core - np.imag(xd / x) * r2) / r2
-    return a0, -a0
+    x = np.where(plus, nu[:, 1], nu[:, 0])
+    xd = np.where(plus, nu_dot[:, 1], nu_dot[:, 0])
+    r = 0.5 * nu[:, 2] / x
+    rd = (0.5 * nu_dot[:, 2] - r * xd) / x
+    return np.imag(np.conj(r) * rd) / (1.0 + abs2(r))
 
 
-def _h_expectations(samples: Samples, e0: np.ndarray, e1: np.ndarray):
-    (h00, h01), (h10, h11) = np.moveaxis(hamiltonian_matrix(samples), 0, -1)
-
-    def h_exp(e):
-        he0 = h00 * e[:, 0] + h01 * e[:, 1]
-        he1 = h10 * e[:, 0] + h11 * e[:, 1]
-        return np.real(np.conj(e[:, 0]) * he0 + np.conj(e[:, 1]) * he1)
-
-    return h_exp(e0), h_exp(e1)
+def _energy(samples: Samples, e: np.ndarray) -> np.ndarray:
+    """<e|H|e> = g + omega |e_1|^2 + 2 Re(f e_0 conj(e_1)) per point, e unit (K, 2)."""
+    cross = np.real(samples.f * e[:, 0] * np.conj(e[:, 1]))
+    return samples.g + samples.omega * abs2(e[:, 1]) + 2.0 * cross
 
 
 def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
     """Lewis-Riesenfeld phases phi_n and the geometric/dynamical split.
 
-    phi_n(t) = int_0^t <n~|(i d_tau - H)|n~> with the connection part
-    evaluated analytically from the coefficient system's right-hand side
-    (finite differences of a fast-rotating gauge would poison the phased
-    states near pinches of the key coefficient) and integrated by
-    cumulative Simpson.  The geometric phase keeps the declared
-    central-difference/trapezoid recipe; its two-route identity is checked
-    on those same samples and reported as ``consistency_residual``.
+    phi_n(t) = int_0^t <n~|(i d_tau - H)|n~> in the patched frame of
+    ``lr_frame``.  phi0's connection part is analytic, from the coefficient
+    system's right-hand side, and cumulative Simpson integrates it one patch
+    at a time: it restarts at each switch node, where the connection jumps
+    by the rate of the transition function, and closes the patch before on
+    that patch's own connection there.  e1 has connection -a0 and energy
+    tr H - <e0|H|e0>, so phi1 = -phi0 - int_0^t (2g + omega).  The geometric
+    phase is Pancharatnam's overlap sum -sum_k arg<e_k|e_{k+1}> of e1 minus
+    that of e0, from the frame vectors alone; phi plus the energy-gap
+    integral must reproduce it, to ``consistency_residual``.
     """
     samples.check_grid(traj.times)
     frame = lr_frame(traj)
-    dt = traj.dt
-    a0, a1 = _frame_connections(traj, samples, frame)
-    en0, en1 = _h_expectations(samples, frame.e0, frame.e1)
-    phi0 = cumsimpson_grid(-a0 - en0, dt)
-    phi1 = cumsimpson_grid(-a1 - en1, dt)
+    dt, sw = traj.dt, frame.switches
+    nu_dot = np.column_stack(_nu_dot(samples, traj.nu))
+    a0 = _connection(traj.nu, nu_dot, frame.plus)
+    a0_end = _connection(traj.nu[sw], nu_dot[sw], ~frame.plus[sw])
+    en0 = _energy(samples, frame.e0)
+    y, y_end = -a0 - en0, -a0_end - en0[sw]
+    phi0 = np.zeros(len(y))
+    bounds = np.concatenate(([0], sw, [len(y) - 1]))
+    for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        seg = y[a:b + 1] if j == len(sw) else np.append(y[a:b], y_end[j])
+        phi0[a:b + 1] = phi0[a] + cumsimpson_grid(seg, dt)
+    trace = 2.0 * samples.g + samples.omega
+    phi1 = -phi0 - cumsimpson_grid(trace, dt)
     phi = phi1 - phi0
 
-    # geometric phase: central differences + trapezoid (declared recipe)
-    de0 = _grid_derivative(frame.e0, dt)
-    de1 = _grid_derivative(frame.e1, dt)
-    z0, z1 = (np.conj(e[:, 0]) * d[:, 0] + np.conj(e[:, 1]) * d[:, 1]
-              for e, d in ((frame.e0, de0), (frame.e1, de1)))
-    phi_g = cumtrapz_grid(-np.imag(z1 - z0), dt)
-    # second route: phi plus the energy-gap integral must reproduce phi_g
-    phi_g_alt = phi + cumtrapz_grid(en1 - en0, dt)
+    # e1 = (-conj e0_1, conj e0_0) makes each overlap of e1 the conjugate of e0's
+    phi_g = np.zeros(len(phi))
+    phi_g[1:] = 2.0 * np.cumsum(np.angle(_overlap(frame.e0[:-1], frame.e0[1:])))
+    phi_g_alt = phi + cumtrapz_grid(trace - 2.0 * en0, dt)
     consistency = float(np.max(np.abs(phi_g - phi_g_alt)))
 
     phi_d = phi - phi_g

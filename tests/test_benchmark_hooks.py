@@ -4,6 +4,7 @@
 wrappers by name; a renamed or removed function would crash ``--trace 1``.
 """
 
+import json
 import os
 import types
 
@@ -64,6 +65,25 @@ def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
             "--format", "json", "--out", str(tmp_path / "r.json")]
     assert tracer.run_request(1, ffo.cli.main, argv) == 0
     assert layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"] == 16
+
+
+def test_traced_phases_request_counts_the_vacuum_gap_points(monkeypatch, tmp_path):
+    # the wrap reads the mask as result[1]: omega = 0, f = 0.5 puts
+    # nu_minus = cos^2(t/2) below VACUUM_NU_MIN on 40 of 8001 points
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import layers
+    import spans
+
+    doc = tmp_path / "pinch.json"
+    doc.write_text(json.dumps({"hamiltonian": {"omega": {"type": "constant", "value": 0.0},
+                                               "f_re": {"type": "constant", "value": 0.5}},
+                               "run": {"t_final": 8.0, "dt": 0.001}}))
+    tracer = spans.Tracer()
+    layers.instrument(tracer)
+    argv = ["phases", "--config", str(doc), "--format", "json", "--out", str(tmp_path / "p.json")]
+    assert tracer.run_request(1, ffo.cli.main, argv) == 0
+    metrics = layers.request_metrics(tracer.take(), 1.0)
+    assert metrics["states.vacuum_trajectory.fallback_frac"] == 40 / 8001
 
 
 @pytest.mark.parametrize("name", ["sweep-reduce", "sweep-invariants"])

@@ -368,6 +368,28 @@ def test_huge_constant_g_leaves_the_invariance_residual(tmp_path, capsys):
     assert residual[1e150] == residual[0.0]
 
 
+@pytest.mark.parametrize("g", [10.0, 100.0])
+def test_constant_g_passes_phases(tmp_path, g):
+    # g only turns the global phase; differencing that phase cost the
+    # Schrodinger check about g^3 dt^2/6 (2.2e-4 at g = 10, 0.17 at g = 100)
+    path = _write_doc(tmp_path, {"f_re": {"type": "constant", "value": 0.5},
+                                 "g": {"type": "constant", "value": g}}, t_final=1.0, dt=1e-3)
+    assert main(["phases", "--config", path]) == 0
+
+
+def test_phases_sweep_through_pinches_of_nu_minus_passes():
+    # scenario 000's nu_minus falls to 2e-6: a gauge keyed on nu_minus alone
+    # turned by about 0.9 rad per step there (phase_consistency 0.13)
+    assert main(["phases", "--sweep", "4", "--seed", "0", "--t-final", "10"]) == 0
+
+
+def test_phases_through_a_zero_of_nu_minus_passes(tmp_path):
+    # omega = 0, f = 0.5: nu_minus = cos^2(t/2) is 0 at t = pi
+    path = _write_doc(tmp_path, {"omega": {"type": "constant", "value": 0.0},
+                                 "f_re": {"type": "constant", "value": 0.5}}, t_final=8.0, dt=1e-3)
+    assert main(["phases", "--config", path]) == 0
+
+
 @pytest.mark.parametrize("mode", ["evolve", "invariants", "phases"])
 def test_unresolved_grid_rejected_before_any_integration(tmp_path, capsys, mode):
     # omega dt = 1.5: evolve used to pass (unitarity holds for any Magnus U)

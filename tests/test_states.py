@@ -14,7 +14,7 @@ from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integra
 from ffo.propagator import evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
-from ffo.states import (VACUUM_NU_MIN, _cn_step, _null_direction, coherence_check,
+from ffo.states import (VACUUM_NU_MIN, coherence_check,
                         coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
                         lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
@@ -26,6 +26,32 @@ README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
 
 
 # -- evolved vacuum ------------------------------------------------------------
+
+def _cn_step(h_prev, h_now, psi, dt):
+    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi, H 2x2."""
+    (p00, p01), (p10, p11) = h_prev
+    (n00, n01), (n10, n11) = h_now
+    b00, b01, b10, b11 = (1.0 - 0.5j * dt * p00, -0.5j * dt * p01,
+                          -0.5j * dt * p10, 1.0 - 0.5j * dt * p11)
+    a00, a01, a10, a11 = (1.0 + 0.5j * dt * n00, 0.5j * dt * n01,
+                          0.5j * dt * n10, 1.0 + 0.5j * dt * n11)
+    r0 = b00 * psi[0] + b01 * psi[1]
+    r1 = b10 * psi[0] + b11 * psi[1]
+    det = a00 * a11 - a01 * a10
+    return np.array([(a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det])
+
+
+def _null_direction(vm, vp, v3):
+    """Unit null vector of B; picks the better-conditioned parametrization."""
+    d1 = np.array([vm, 0.5 * v3], dtype=complex)
+    d2 = np.array([-0.5 * v3, vp], dtype=complex)
+    # (d2 is B-null only up to the lambda1 = 0 constraint, same as d1)
+    d = d1 if np.linalg.norm(d1) >= np.linalg.norm(d2) else np.array([0.5 * v3, -vp], dtype=complex)
+    n = np.linalg.norm(d)
+    if n == 0.0:
+        raise ContractError("B has no usable null direction (nu vanished)")
+    return d / n
+
 
 def _vacuum_reference(traj, spec):
     """Point-by-point evolved vacuum: closed form, or fallback below the floor.
@@ -229,6 +255,28 @@ def test_vacuum_tracks_true_evolution_through_pinch():
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
 
 
+def test_vacuum_through_sweep_pinches_matches_the_oracle():
+    # sweep seed 0, scenario 000: nu_minus pinches to 2e-6 and leaves 32 gap points
+    spec = random_spec(np.random.default_rng(0))
+    traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
+    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
+    assert np.count_nonzero(mask) == 32
+    u = evolve_unitary(spec, 10.0, DT)
+    assert np.max(np.abs(psi - u.U[:, :, 0])) <= 1e-10
+
+
+@pytest.mark.parametrize("g", [10.0, 100.0])
+def test_schrodinger_residual_under_a_large_constant_g(g):
+    # the trace part of H comes out before differencing; a phase rate of
+    # 1e-3 that psi does not have must still show as a residual of 1e-3
+    spec = constant_spec(f=0.5, g=g)
+    samples = GridSamples(spec, 1.0, DT)
+    psi = evolve_unitary(spec, 1.0, DT).U[:, :, 0]
+    assert schrodinger_residual_max(samples, psi) <= 1e-7
+    off = np.exp(1e-3j * samples.times)[:, None] * psi
+    assert schrodinger_residual_max(samples, off) >= 0.9e-3
+
+
 def test_nullspace_fallback_examples():
     b, _, _ = ladder_operators()
     vac = _nullspace_fallback(b, None, constant_spec(omega=1.0), 0.0, 1e-3)
@@ -359,6 +407,31 @@ def test_lr_frame_requires_calibration(forced_spec):
     traj = integrate_nu(GridSamples(forced_spec, 1.0, DT), (0.9, 0.7, 0.1))  # lambda1 != 0
     with pytest.raises(ContractError):
         lr_frame(traj)
+
+
+def test_lr_frame_is_continuous_across_key_switches():
+    traj = integrate_nu(GridSamples(README_SPEC, 10.0, DT), (1, 0, 0))
+    frame = lr_frame(traj)
+    assert np.array_equal(frame.plus, np.abs(traj.nu[:, 1]) > np.abs(traj.nu[:, 0]))
+    assert np.allclose(traj.times[frame.switches], [5.788, 6.801, 9.76])
+    assert np.array_equal(frame.e1[:, 0], -np.conj(frame.e0[:, 1]))
+    assert np.array_equal(frame.e1[:, 1], np.conj(frame.e0[:, 0]))
+    step = np.linalg.norm(np.diff(frame.e0, axis=0), axis=1)
+    across = step[frame.switches - 1]
+    assert np.max(across) <= 2.0 * np.max(np.delete(step, frame.switches - 1))
+    # without the transition phases, each keyed component real positive, e0 jumps
+    keyed = np.where(frame.plus, frame.e0[:, 1], frame.e0[:, 0])
+    bare = frame.e0 * (np.abs(keyed) / keyed)[:, None]
+    assert np.min(np.linalg.norm(np.diff(bare, axis=0), axis=1)[frame.switches - 1]) >= 0.1
+
+
+def test_lr_frame_rejects_vanishing_nu():
+    traj = NuTrajectory(times=np.arange(5) * DT, nu=np.zeros((5, 3), dtype=complex),
+                        lambda1=np.zeros(5), lambda2=np.zeros(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="vanish"):
+            lr_frame(traj)
 
 
 def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory):
