@@ -551,14 +551,12 @@ def _run_phases(sc: _Scenario, tols: dict):
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
     ph = lr_phases(traj, samples)
-    psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
+    psi0, _ = vacuum_trajectory(ph)
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-    res = max(schrodinger_residual_max(samples, psi0), schrodinger_residual_max(samples, psi1))
-    vac, _ = vacuum_trajectory(traj, samples)
-    vres = schrodinger_residual_max(samples, vac)
     checks: list = []
     _check(checks, "phase_consistency", ph.consistency_residual, tols["phase_consistency"])
-    _check(checks, "schrodinger", float(max(res, vres)), tols["schrodinger"])
+    _check(checks, "schrodinger", schrodinger_residual_max(samples, psi0, psi1),
+           tols["schrodinger"])
     cols = [traj.times, ph.phi0, ph.phi1, ph.phi_geometric, ph.phi_dynamical]
     return cols, checks
 

@@ -1,20 +1,12 @@
 """Time-evolved vacuum, coherent states, coherence theorem and phases.
 
 The evolved vacuum |0;t> is pinned down by two requirements at once:
-B(t)|0;t> = 0 and the Schrodinger equation.  On the ladder-calibrated
-family (lambda1 = 0, lambda2 = 1) the closed form keyed on nu_minus is
-
-    alpha0(t) = sqrt(|nu_minus|) exp[(i/2)(phi_minus - int_0^t (2g + omega))],
-    alpha1(t) = alpha0(t) nu_3 / (2 nu_minus),
-
-with phi_minus the continuously unwound phase of nu_minus(t) (so
-sqrt(|nu_minus|) e^{i phi_minus/2} is just the continuous complex square
-root of nu_minus).  The mirror pair keyed on nu_plus with the opposite
-phase sign solves the same two equations for the B'(t)-null partner state,
-i.e. the evolved top state.  Where nu_minus pinches off, the vacuum is
-the same B-null direction taken from the patched Lewis-Riesenfeld frame,
-exp(i phi0) e0.  Functions over a grid read omega, f and g from its
-``grid.Samples``.
+B(t)|0;t> = 0 and the Schrodinger equation.  On the ladder shell
+(lambda1 = 0) ker B is one-dimensional, so |0;t> is the Lewis-Riesenfeld
+eigenstate e0 of the patched frame carrying its phase phi0,
+exp(i phi0) e0, with the frame's global phase at t = 0; e1 carrying phi1
+is the evolved top state.  Functions over a grid read omega, f and g from
+its ``grid.Samples``.
 """
 
 from __future__ import annotations
@@ -31,10 +23,6 @@ from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
 
-# |nu_minus| floor below which the evolved vacuum leaves the closed form for
-# the phased Lewis-Riesenfeld branch
-VACUUM_NU_MIN = 1e-4
-
 
 def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_k|b_k> for each row k of two (K, 2) stacks."""
@@ -43,81 +31,40 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -- vacuum construction ------------------------------------------------------
 
-def vacuum_trajectory(traj: NuTrajectory, samples: Samples):
-    """Evolved vacuum on the whole grid.
+def vacuum_trajectory(phases: PhaseTrajectory):
+    """Evolved vacuum exp(i phi0) e0 of ``lr_phases`` on the whole grid.
 
-    Returns (psi, fallback_mask) with psi of shape (len(times), 2), unit
-    norm at every grid point.  The mask is |nu_minus| < VACUUM_NU_MIN;
-    it cuts the grid into stretches of closed-form points between gaps.
-
-    The closed form is evaluated on all unmasked points at once.  The
-    branch of sqrt(nu_minus) is kept continuous by a cumulative product of
-    sign flips (a flip wherever the principal root jumps closer to minus
-    the previous root than to it), restarted at the first point of every
-    stretch.  The gap points take the phased Lewis-Riesenfeld branch
-    exp(i phi0) e0 of ``lr_phases``, matched to the closed form at t = 0
-    when the grid starts on a stretch; every stretch after a gap takes the
-    one phase that matches it to that branch at its first point.
+    Returns (psi, mask) with psi of shape (len(times), 2), unit norm at
+    every grid point.  The mask is all False; it stays only because
+    perfbench/layers.py reads it as result[1].
     """
-    samples.check_grid(traj.times)
-    times, dt = traj.times, traj.dt
-    vm, v3 = traj.nu[:, 0], traj.nu[:, 2]
-    mask = np.abs(vm) < VACUUM_NU_MIN
-    ok = np.flatnonzero(~mask)
-    start = np.ones(len(ok), dtype=bool)
-    start[1:] = np.diff(ok) > 1
-
-    s = np.sqrt(vm[ok])
-    away, toward = np.abs(s[1:] - s[:-1]), np.abs(s[1:] + s[:-1])
-    flips = np.zeros(len(ok), dtype=np.int64)
-    flips[1:] = away > toward
-    # the principal root is kept at a stretch start and on an exact tie
-    reset = start.copy()
-    reset[1:] |= away == toward
-    flips[reset] = 0
-    parity = np.cumsum(flips)
-    parity -= np.maximum.accumulate(np.where(reset, parity, 0))
-    q = cumsimpson_grid(2.0 * samples.g + samples.omega, dt)
-    a0 = np.where(parity % 2 == 1, -s, s) * np.exp(-0.5j * q[ok])
-    a1 = a0 * v3[ok] / (2.0 * vm[ok])
-    norm = np.sqrt(np.abs(a0) ** 2 + np.abs(a1) ** 2)
-    psi = np.empty((len(times), 2), dtype=complex)
-    psi[ok, 0] = a0 / norm
-    psi[ok, 1] = a1 / norm
-    if not mask.any():
-        return psi, mask
-
-    ph = lr_phases(traj, samples)
-    branch = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
-    if not mask[0]:
-        z = _overlap(branch[:1], psi[:1])
-        branch *= z / np.abs(z)
-    firsts = ok[start]
-    z = _overlap(psi[firsts], branch[firsts])
-    z = np.where(firsts > 0, z / np.abs(z), 1.0)
-    psi[ok] *= z[np.cumsum(start) - 1][:, None]
-    psi[mask] = branch[mask]
-    return psi, mask
+    psi = np.exp(1j * phases.phi0)[:, None] * phases.frame.e0
+    return psi, np.zeros(len(psi), dtype=bool)
 
 
-def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
+def schrodinger_residual_max(samples: Samples, *psis: np.ndarray) -> float:
     """Max central-difference residual of i d psi/dt = H psi over interior points.
 
-    The trace part (g + omega/2) 1 of H is taken out of H and, as the phase
-    exp(i int_0^t (g + omega/2)) (cumulative Simpson), out of psi: the
+    The max runs over every state given.  The trace part (g + omega/2) 1 of
+    H is taken out of H and, as the phase exp(i int_0^t (g + omega/2))
+    (cumulative Simpson, built once for all the states), out of psi: the
     residual is the same, but the difference quotient no longer sees a
     global phase that may turn far faster than psi's direction.
     """
-    if len(psi) != len(samples.times):
+    if any(len(psi) != len(samples.times) for psi in psis):
         raise ContractError("psi and the samples are on different time grids")
     dt = float(samples.times[1] - samples.times[0])
     w = 0.5 * samples.omega
     rot = np.exp(1j * cumsimpson_grid(samples.g + w, dt))
-    p0, p1 = rot * psi[:, 0], rot * psi[:, 1]
-    w, f, c0, c1 = w[1:-1], samples.f[1:-1], p0[1:-1], p1[1:-1]
-    r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
-    r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
-    return float(max(np.max(r0), np.max(r1)))
+    w, f = w[1:-1], samples.f[1:-1]
+    worst = 0.0
+    for psi in psis:
+        p0, p1 = rot * psi[:, 0], rot * psi[:, 1]
+        c0, c1 = p0[1:-1], p1[1:-1]
+        r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
+        r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
+        worst = max(worst, float(np.max(r0)), float(np.max(r1)))
+    return worst
 
 
 # -- coherent states ----------------------------------------------------------

@@ -29,6 +29,19 @@ def random_nu0(rng: np.random.Generator):
     return tuple((z / np.sqrt(2.0)).tolist())
 
 
+def random_plus_keyed_nu0(rng: np.random.Generator):
+    """Random nu0 on the ladder shell (lambda1 = 0, lambda2 = 1) with |nu_plus| > |nu_minus|.
+
+    B0 = |u><v| for a unit u and v = (-conj u1, conj u0)/c: nu_minus = c u0^2,
+    nu_plus = -c u1^2 and nu_3 = 2 c u0 u1, |c| = 1; |u1| > |u0| keys it on nu_plus.
+    """
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u = u[::-1] if abs(u[0]) > abs(u[1]) else u
+    u = u / np.linalg.norm(u)
+    c = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return (c * u[0] ** 2, -c * u[1] ** 2, 2.0 * c * u[0] * u[1])
+
+
 def random_epsilon0(rng: np.random.Generator):
     """Random (eps, eps') initial pair away from the trivial solution."""
     ang = rng.uniform(0.0, 2.0 * np.pi, size=2)

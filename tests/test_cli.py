@@ -390,6 +390,26 @@ def test_phases_through_a_zero_of_nu_minus_passes(tmp_path):
     assert main(["phases", "--config", path]) == 0
 
 
+def test_phases_builds_the_frame_and_phases_once(monkeypatch, tmp_path):
+    # the vacuum is exp(i phi0) e0 from the phases the runner already has;
+    # both module names are counted, so a second build inside ffo.states shows
+    import ffo.states
+
+    calls = []
+    original = ffo.states.lr_phases
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (ffo.cli, ffo.states):
+        monkeypatch.setattr(module, "lr_phases", counting)
+    path = _write_doc(tmp_path, {"omega": {"type": "constant", "value": 0.0},
+                                 "f_re": {"type": "constant", "value": 0.5}}, t_final=8.0, dt=1e-3)
+    assert main(["phases", "--config", path]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("mode", ["evolve", "invariants", "phases"])
 def test_unresolved_grid_rejected_before_any_integration(tmp_path, capsys, mode):
     # omega dt = 1.5: evolve used to pass (unitarity holds for any Magnus U)

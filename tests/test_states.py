@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
-from ffo.grid import GridSamples, Samples, cumsimpson_grid, cumtrapz_grid
+from ffo.grid import GridSamples, Samples, cumtrapz_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integrate_nu,
                             invariance_residual_max)
 from ffo.propagator import evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                          Sinusoid, constant_spec)
-from ffo.states import (VACUUM_NU_MIN, coherence_check,
-                        coherent_state, cs_eigen_residual, lr_frame, lr_ladder_fit,
-                        lr_phases, schrodinger_residual_max, vacuum_trajectory)
+from ffo.states import (coherence_check, coherent_state, cs_eigen_residual, lr_frame,
+                        lr_ladder_fit, lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
+from random_inputs import random_plus_keyed_nu0
+from vacuum_reference import VACUUM_NU_MIN, closed_form_deviation, cn_step, vacuum_reference
 
 DT = 1e-3
 README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
@@ -27,78 +28,15 @@ README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
 
 # -- evolved vacuum ------------------------------------------------------------
 
-def _cn_step(h_prev, h_now, psi, dt):
-    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi, H 2x2."""
-    (p00, p01), (p10, p11) = h_prev
-    (n00, n01), (n10, n11) = h_now
-    b00, b01, b10, b11 = (1.0 - 0.5j * dt * p00, -0.5j * dt * p01,
-                          -0.5j * dt * p10, 1.0 - 0.5j * dt * p11)
-    a00, a01, a10, a11 = (1.0 + 0.5j * dt * n00, 0.5j * dt * n01,
-                          0.5j * dt * n10, 1.0 + 0.5j * dt * n11)
-    r0 = b00 * psi[0] + b01 * psi[1]
-    r1 = b10 * psi[0] + b11 * psi[1]
-    det = a00 * a11 - a01 * a10
-    return np.array([(a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det])
+def _vacuum(traj, spec):
+    """psi of ``vacuum_trajectory`` on the phases of ``traj``."""
+    return vacuum_trajectory(lr_phases(traj, Samples(spec, traj.times)))[0]
 
 
-def _null_direction(vm, vp, v3):
-    """Unit null vector of B; picks the better-conditioned parametrization."""
-    d1 = np.array([vm, 0.5 * v3], dtype=complex)
-    d2 = np.array([-0.5 * v3, vp], dtype=complex)
-    # (d2 is B-null only up to the lambda1 = 0 constraint, same as d1)
-    d = d1 if np.linalg.norm(d1) >= np.linalg.norm(d2) else np.array([0.5 * v3, -vp], dtype=complex)
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        raise ContractError("B has no usable null direction (nu vanished)")
-    return d / n
-
-
-def _vacuum_reference(traj, spec):
-    """Point-by-point evolved vacuum: closed form, or fallback below the floor.
-
-    Every point takes a Crank-Nicolson prediction from the previous one; the
-    sqrt(nu_minus) branch is tracked point to point and restarts after a gap,
-    whose end re-anchors the phase of all later closed-form points.
-    """
-    times, dt, n = traj.times, traj.dt, len(traj.times)
-    q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
-                        + np.asarray(spec.omega.value(times), dtype=float), dt)
-    h = hamiltonian_matrix(Samples(spec, times))
-    psi = np.empty((n, 2), dtype=complex)
-    mask = np.zeros(n, dtype=bool)
-    s_prev = None
-    phase_off = 1.0 + 0j
-    for k in range(n):
-        vm, vp, v3 = traj.nu[k]
-        pred = None
-        if k > 0:
-            pred = _cn_step(h[k - 1], h[k], psi[k - 1], dt)
-        if abs(vm) >= VACUUM_NU_MIN:
-            s = complex(np.sqrt(vm))
-            if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
-                s = -s
-            a0 = s * np.exp(-0.5j * q[k])
-            v = np.array([a0, a0 * v3 / (2.0 * vm)], dtype=complex)
-            v /= np.linalg.norm(v)
-            if s_prev is None and pred is not None:
-                ov = np.vdot(v, pred)
-                phase_off = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0j
-            psi[k] = v * phase_off
-            s_prev = s
-        else:
-            d = _null_direction(vm, vp, v3)
-            if pred is None:
-                j = int(np.argmax(np.abs(d)))
-                d = d * np.exp(-1j * np.angle(d[j]))
-            else:
-                ov = np.vdot(d, pred)
-                if abs(ov) > 0:
-                    d = d * ov / abs(ov)
-            psi[k] = d
-            mask[k] = True
-            s_prev = None
-            phase_off = 1.0 + 0j
-    return psi, mask
+def _phase_aligned(psi, ref):
+    """psi times the one constant phase that matches it to ``ref`` at t = 0."""
+    z = np.vdot(psi[0], ref[0])
+    return psi * (z / abs(z))
 
 
 def _nullspace_fallback(b_matrix: np.ndarray, previous: np.ndarray | None,
@@ -126,14 +64,14 @@ def _nullspace_fallback(b_matrix: np.ndarray, previous: np.ndarray | None,
         j = int(np.argmax(np.abs(d)))
         return d * np.exp(-1j * np.angle(d[j]))
     h_prev, h_now = hamiltonian_matrix(Samples(spec, np.array([t - dt, t])))
-    pred = _cn_step(h_prev, h_now, previous, dt)
+    pred = cn_step(h_prev, h_now, previous, dt)
     ov = np.vdot(d, pred)
     if abs(ov) > 0:
         d = d * ov / abs(ov)
     return d
 
 
-# (spec, nu0, t_final, number of fallback gaps)
+# (spec, nu0, t_final, number of gaps below VACUUM_NU_MIN)
 VACUUM_CASES = {
     "readme": (README_SPEC, (1, 0, 0), 10.0, 0),
     "one_pinch": (constant_spec(f=0.5), (1, 0, 0), 8.0, 1),
@@ -145,56 +83,48 @@ VACUUM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(VACUUM_CASES))
 def test_vacuum_trajectory_matches_reference(case):
+    # two independent routes: one constant phase at t = 0 apart
     spec, nu0, t_final, gaps = VACUUM_CASES[case]
     traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
-    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
-    want_psi, want_mask = _vacuum_reference(traj, spec)
-    assert np.array_equal(mask, want_mask)
-    assert np.count_nonzero(np.diff(mask.astype(int)) == 1) + int(mask[0]) == gaps
-    assert np.max(np.abs(psi - want_psi)) <= 1e-14
-
-
-def test_vacuum_branch_keeps_principal_root_on_exact_tie():
-    # sqrt(-1 + 0j) = i, sqrt(-1 - 0j) = -i: the branch flips to +i; the next
-    # root 1 is then exactly as far from +i as from -i and stays principal
-    nu = np.zeros((4, 3), dtype=complex)
-    nu[:, 0] = [complex(-1.0, 0.0), complex(-1.0, -0.0), 1.0, 1.0]
-    traj = NuTrajectory(times=np.arange(4) * 1e-3, nu=nu, lambda1=np.zeros(4),
-                        lambda2=np.ones(4))
-    spec = constant_spec(omega=0.0)
-    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
-    want_psi, _ = _vacuum_reference(traj, spec)
-    assert not mask.any()
-    assert np.array_equal(psi, want_psi)
-    assert psi[1, 0] == 1j and psi[2, 0] == 1.0
+    psi = _vacuum(traj, spec)
+    want_psi, want_mask = vacuum_reference(traj, spec)
+    assert np.count_nonzero(np.diff(want_mask.astype(int)) == 1) + int(want_mask[0]) == gaps
+    assert np.max(np.abs(_phase_aligned(psi, want_psi) - want_psi)) <= 1e-10
 
 
 def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
-    # nu_minus is exactly 0 at t = 0; the closed form must not be evaluated there
+    # nu_minus is exactly 0 at t = 0
     spec, nu0, t_final, _ = VACUUM_CASES["starts_in_gap"]
     traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
     assert traj.nu[0, 0] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
-    assert mask[0] and np.all(np.isfinite(psi))
+        psi = _vacuum(traj, spec)
+    assert np.all(np.isfinite(psi))
 
 
 @settings(max_examples=8, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_vacuum_trajectory_random_specs(seed):
-    spec = random_spec(np.random.default_rng(seed))
-    traj = integrate_nu(GridSamples(spec, 2.0, DT), (1, 0, 0))
-    psi, _ = vacuum_trajectory(traj, Samples(spec, traj.times))
-    bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
-    assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
-    assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-10
-    assert np.max(np.abs(psi - _vacuum_reference(traj, spec)[0])) <= 1e-14
+    # from the canonical start, and from a ladder-shell nu0 keyed on nu_plus
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng)
+    samples = GridSamples(spec, 2.0, DT)
+    for nu0 in ((1, 0, 0), random_plus_keyed_nu0(rng)):
+        traj = integrate_nu(samples, nu0)
+        ph = lr_phases(traj, samples)
+        assert ph.frame.plus[0] == (nu0 != (1, 0, 0))
+        psi, _ = vacuum_trajectory(ph)
+        bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
+        assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
+        assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-10
+        want = vacuum_reference(traj, spec)[0]
+        assert np.max(np.abs(_phase_aligned(psi, want) - want)) <= 1e-10
 
 
 def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
+    psi = _vacuum(traj, forced_spec)
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
     assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi) <= 1e-5
@@ -207,45 +137,47 @@ def test_samples_on_another_grid_are_rejected(forced_spec, calibrated_trajectory
     traj, _, _ = calibrated_trajectory
     t_final, dt = float(traj.times[-1]), traj.dt
     unitary = evolve_unitary(forced_spec, t_final, dt)
-    psi, _ = vacuum_trajectory(traj, GridSamples(forced_spec, t_final, dt))
+    psi = _vacuum(traj, forced_spec)
     for samples in (GridSamples(forced_spec, 2.0 * t_final, 2.0 * dt),
                     GridSamples(forced_spec, t_final - dt, dt)):
-        for call in (lambda: vacuum_trajectory(traj, samples),
-                     lambda: lr_phases(traj, samples),
+        for call in (lambda: lr_phases(traj, samples),
                      lambda: coherence_check(samples, unitary),
                      lambda: invariance_residual_max(samples, traj)):
             with pytest.raises(ContractError, match="different time grids"):
                 call()
-    with pytest.raises(ContractError, match="different time grids"):
-        schrodinger_residual_max(GridSamples(forced_spec, t_final - dt, dt), psi)
+    short = GridSamples(forced_spec, t_final - dt, dt)
+    for states in ((psi,), (psi[:-1], psi)):
+        with pytest.raises(ContractError, match="different time grids"):
+            schrodinger_residual_max(short, *states)
 
 
 def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
-    # the fallback flag marks exactly the points below the nu_minus floor
+    # the mask flags no point: every point is exp(i phi0) e0
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
-    assert np.array_equal(mask, np.abs(traj.nu[:, 0]) < VACUUM_NU_MIN)
+    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    psi, mask = vacuum_trajectory(ph)
+    assert mask.shape == (len(traj.times),) and not mask.any()
+    assert np.array_equal(psi, np.exp(1j * ph.phi0)[:, None] * ph.frame.e0)
     assert abs(np.linalg.norm(psi[1234]) - 1.0) < 1e-12
 
 
 def test_vacuum_canonical_start_is_ground_state():
     spec = constant_spec(omega=1.0, f=0.4, g=0.2)
     traj = integrate_nu(GridSamples(spec, 1.0, DT), (1, 0, 0))
-    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
+    psi = _vacuum(traj, spec)
     assert psi[0, 0] == pytest.approx(1.0)
     assert psi[0, 1] == pytest.approx(0.0)
-    assert not mask[0]
 
 
 def test_vacuum_tracks_true_evolution_through_pinch():
     # constant real forcing flips the state completely: nu_minus = cos^2(f t)
-    # touches zero, so the closed form hands over to the fallback and back
+    # touches zero at t = pi/(2 f0)
     f0 = 0.5
     spec = constant_spec(f=f0)
     t_final = 8.0
     traj = integrate_nu(GridSamples(spec, t_final, DT), (1, 0, 0))
-    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
-    assert mask.any()  # the pinch at t = pi/(2 f0) activates the fallback
+    assert np.min(np.abs(traj.nu[:, 0])) < VACUUM_NU_MIN
+    psi = _vacuum(traj, spec)
     u = evolve_unitary(spec, t_final, DT)
     true_vac = u.U[:, :, 0]  # U |0>
     overlap = np.abs(np.sum(np.conj(true_vac) * psi, axis=1))
@@ -256,13 +188,14 @@ def test_vacuum_tracks_true_evolution_through_pinch():
 
 
 def test_vacuum_through_sweep_pinches_matches_the_oracle():
-    # sweep seed 0, scenario 000: nu_minus pinches to 2e-6 and leaves 32 gap points
+    # sweep seed 0, scenario 000: nu_minus pinches to 2e-6, below 1e-4 on 32 points
     spec = random_spec(np.random.default_rng(0))
     traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
-    psi, mask = vacuum_trajectory(traj, Samples(spec, traj.times))
-    assert np.count_nonzero(mask) == 32
+    assert np.count_nonzero(np.abs(traj.nu[:, 0]) < VACUUM_NU_MIN) == 32
+    psi = _vacuum(traj, spec)
     u = evolve_unitary(spec, 10.0, DT)
     assert np.max(np.abs(psi - u.U[:, :, 0])) <= 1e-10
+    assert closed_form_deviation(traj, Samples(spec, traj.times), psi) <= 1e-10
 
 
 @pytest.mark.parametrize("g", [10.0, 100.0])
@@ -288,9 +221,9 @@ def test_nullspace_fallback_examples():
 def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
                                                          calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, mask = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
+    psi = _vacuum(traj, forced_spec)
     for k in (800, 2400, 4000):
-        if mask[k] or abs(traj.nu[k, 0]) < 1e-3:
+        if abs(traj.nu[k, 0]) < 1e-3:
             continue
         fb = _nullspace_fallback(build_B_array(traj.nu[k]), psi[k - 1], forced_spec,
                                  float(traj.times[k]), traj.dt)
@@ -315,7 +248,7 @@ def test_coherent_state_canonical_at_t0():
 
 def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi, _ = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
+    psi = _vacuum(traj, forced_spec)
     for k in (0, 1111, 3210, 5000):
         for scale in (1.0, 0.4 - 0.6j):
             assert cs_eigen_residual(traj.nu[k], psi[k], scale) <= 1e-12
@@ -324,7 +257,7 @@ def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
 def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
     # {|0;t>, B'(t)|0;t>} is an orthonormal moving frame
     traj, _, _ = calibrated_trajectory
-    psi, _ = vacuum_trajectory(traj, Samples(forced_spec, traj.times))
+    psi = _vacuum(traj, forced_spec)
     for k in (123, 2500, 4999):
         v = psi[k]
         w = build_B_dagger(traj.nu[k]) @ v
@@ -384,8 +317,12 @@ def test_phased_states_solve_schrodinger(forced_spec, calibrated_trajectory):
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi0) <= 1e-5
-    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi1) <= 1e-5
+    samples = Samples(forced_spec, traj.times)
+    assert schrodinger_residual_max(samples, psi0) <= 1e-5
+    assert schrodinger_residual_max(samples, psi1) <= 1e-5
+    both = schrodinger_residual_max(samples, psi0, psi1)
+    assert both == max(schrodinger_residual_max(samples, psi0),
+                       schrodinger_residual_max(samples, psi1))
 
 
 def test_phase_split_is_additive(forced_spec, calibrated_trajectory):
