@@ -186,7 +186,7 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
     residuals = (-0.5 * d[:, 2] - 1j * (vm * f - fc * vp),
                  d[:, 0] - 1j * (vm * w - v3 * fc),
                  d[:, 1] - 1j * (v3 * f - vp * w))
-    return float(max(np.max(np.abs(r)) for r in residuals))
+    return float(np.max([np.max(np.abs(r)) for r in residuals]))  # a nan residual stays nan
 
 
 # -- free oscillator closed forms ---------------------------------------------

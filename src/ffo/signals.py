@@ -74,24 +74,49 @@ class Sinusoid(Signal):
         return -self.amplitude * w * w * np.sin(w * np.asarray(t) + self.phase)
 
 
+def _horner(c: np.ndarray, t):
+    """sum_k c[k] t**k by Horner's rule, in ``polyval``'s order of operations."""
+    x = np.asarray(t) if np.ndim(t) else t
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative by ``polyder``'s rule j * c[j]."""
+    return np.array([j * c[j] for j in range(1, len(c))]) if len(c) > 1 else c[:1] * 0
+
+
 @dataclass(frozen=True)
 class Polynomial(Signal):
-    """Polynomial in t with ascending coefficients (coeffs[k] * t**k)."""
+    """Polynomial in t with ascending coefficients (coeffs[k] * t**k).
+
+    Value and derivatives are bit for bit ``np.polynomial.polynomial``'s
+    ``polyval`` of the coefficients and of their ``polyder``, without
+    importing ``numpy.polynomial``.
+    """
 
     coeffs: tuple[float, ...]
+    _series: tuple = field(init=False, repr=False, compare=False)
 
-    def _poly(self, deriv: int):
-        p = np.polynomial.Polynomial(self.coeffs)
-        return p.deriv(deriv) if deriv else p
+    def __post_init__(self):
+        if not len(self.coeffs):
+            raise ValueError("polynomial needs at least one coefficient")
+        c = np.array(self.coeffs, dtype=float)
+        d1 = _derivative(c)
+        # polyder of order m >= len(c) is c[:1] * 0, not m single steps
+        d2 = _derivative(d1) if len(c) > 2 else c[:1] * 0
+        object.__setattr__(self, "_series", (c, d1, d2))
 
     def value(self, t):
-        return self._poly(0)(np.asarray(t)) if np.ndim(t) else self._poly(0)(t)
+        return _horner(self._series[0], t)
 
     def d1(self, t):
-        return self._poly(1)(np.asarray(t)) if np.ndim(t) else self._poly(1)(t)
+        return _horner(self._series[1], t)
 
     def d2(self, t):
-        return self._poly(2)(np.asarray(t)) if np.ndim(t) else self._poly(2)(t)
+        return _horner(self._series[2], t)
 
 
 @dataclass(frozen=True)

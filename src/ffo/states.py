@@ -57,14 +57,14 @@ def schrodinger_residual_max(samples: Samples, *psis: np.ndarray) -> float:
     w = 0.5 * samples.omega
     rot = np.exp(1j * cumsimpson_grid(samples.g + w, dt))
     w, f = w[1:-1], samples.f[1:-1]
-    worst = 0.0
+    worst = [0.0]
     for psi in psis:
         p0, p1 = rot * psi[:, 0], rot * psi[:, 1]
         c0, c1 = p0[1:-1], p1[1:-1]
         r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
         r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
-        worst = max(worst, float(np.max(r0)), float(np.max(r1)))
-    return worst
+        worst += [np.max(r0), np.max(r1)]
+    return float(np.max(worst))  # a nan residual stays nan
 
 
 # -- coherent states ----------------------------------------------------------

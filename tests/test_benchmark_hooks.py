@@ -52,19 +52,38 @@ def test_traced_emit_csv_counts_the_written_bytes(monkeypatch, tmp_path):
     assert layers.request_metrics(recorded, 1.0)["cli.emit_csv.bytes"] == out.stat().st_size > 0
 
 
-def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
-    # f, f', omega and omega' on the grid nodes and the step midpoints; each
-    # complex evaluation counts with its real and imaginary legs: 2 x (3 + 3 + 1 + 1)
-    monkeypatch.syspath_prepend(PERFBENCH)
+def _traced_signal_calls(tmp_path, argv) -> int:
     import layers
     import spans
 
     tracer = spans.Tracer()
     layers.instrument(tracer)
-    argv = ["reduce", "--sweep", "1", "--seed", "0", "--t-final", "0.5",
-            "--format", "json", "--out", str(tmp_path / "r.json")]
+    argv = argv + ["--t-final", "0.5", "--format", "json", "--out", str(tmp_path / "r.json")]
     assert tracer.run_request(1, ffo.cli.main, argv) == 0
-    assert layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"] == 16
+    return layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"]
+
+
+def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
+    # f, f', omega and omega' on the grid nodes and the step midpoints; each
+    # complex evaluation counts with its real and imaginary legs: 2 x (3 + 3 + 1 + 1),
+    # and g on the nodes for the scenario gate
+    monkeypatch.syspath_prepend(PERFBENCH)
+    assert _traced_signal_calls(tmp_path, ["reduce", "--sweep", "1", "--seed", "0"]) == 17
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # omega, f and g on the nodes for the scenario gates (1 + 3 + 1); the
+    # oracle samples omega, f and g once each, on both Gauss nodes (1 + 3 + 1)
+    (["evolve", "--sweep", "1", "--seed", "0"], 10),
+    # and omega and f on the step midpoints for integrate_nu (1 + 3)
+    (["invariants", "--sweep", "1", "--seed", "0"], 14),
+    # omega, omega', f and f' on both grids, 2 x (1 + 1 + 3 + 3), g on the
+    # nodes and the oracle's 5: the README scenario runs reduce too
+    (["all", "--config", os.path.join(PERFBENCH, "readme_scenario.json")], 22),
+])
+def test_traced_request_samples_each_signal_once(monkeypatch, tmp_path, argv, calls):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    assert _traced_signal_calls(tmp_path, argv) == calls
 
 
 def test_traced_phases_request_counts_the_vacuum_gap_points(monkeypatch, tmp_path):

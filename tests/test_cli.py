@@ -368,6 +368,45 @@ def test_huge_constant_g_leaves_the_invariance_residual(tmp_path, capsys):
     assert residual[1e150] == residual[0.0]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_nonfinite_g_rejected_with_path_in_every_mode(tmp_path, capsys, mode):
+    # g = 1e306 t^3 overflows at t = 5.65: the oracle used to end in the
+    # path-less "nonfinite propagator step at t=4.48" after a RuntimeWarning,
+    # phases failed on a nan phase_consistency, and reduce, which reads no g, passed
+    path = _write_doc(tmp_path, {"g": {"type": "polynomial", "coeffs": [0, 0, 0, 1e306]},
+                                 "f_re": {"type": "constant", "value": 0.5}},
+                      t_final=10.0, dt=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "hamiltonian.g: inf at t=5.65: not finite" in capsys.readouterr().err
+
+
+def test_overflowing_forcing_rejected_without_a_warning(tmp_path, capsys):
+    # f = 1e306 t^3 overflows on the late nodes; the gate names the first node
+    # past the bound, and the overflow used to print a RuntimeWarning before it
+    path = _write_doc(tmp_path, {"f_re": {"type": "polynomial", "coeffs": [0, 0, 0, 1e306]}},
+                      t_final=10.0, dt=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", path]) == 2
+    assert "hamiltonian.f_re: 1e+300 at t=0.01: dt" in capsys.readouterr().err
+
+
+def test_evolve_unitarity_drift_keeps_a_nan():
+    # a nan in u01 spoils only the second and third entries of U'U - 1
+    from types import SimpleNamespace
+
+    from ffo.cli import _run_evolve
+
+    unitary = evolve_unitary(random_spec(np.random.default_rng(0)), 1.0, 1e-2)
+    unitary.U[50, 0, 1] = np.nan
+    sc = SimpleNamespace(unitary=unitary, cfg=SimpleNamespace(state0=np.array([1.0, 0.0])))
+    _, checks = _run_evolve(sc, dict(CHECK_TOLERANCES))
+    assert checks[0]["name"] == "unitarity_drift"
+    assert np.isnan(checks[0]["value"]) and not checks[0]["passed"]
+
+
 @pytest.mark.parametrize("g", [10.0, 100.0])
 def test_constant_g_passes_phases(tmp_path, g):
     # g only turns the global phase; differencing that phase cost the
@@ -863,9 +902,11 @@ def test_reduce_samples_what_integrate_epsilon_needs_once():
     grids = _grid_names(cfg.t_final, cfg.dt)
     got = sorted((name, method, grids.get(grid, "other")) for name, method, grid in calls)
     # integrate_epsilon reads f, f', omega and omega' on both grids; every
-    # other consumer (nu(eps), lambda2(eps), the closure's integrate_nu) shares them
-    assert got == sorted((name, method, grid) for name in ("omega", "f_re", "f_im")
-                         for method in ("value", "d1") for grid in ("nodes", "mids"))
+    # other consumer (nu(eps), lambda2(eps), the closure's integrate_nu) shares them;
+    # the scenario gate reads g on the nodes, which no reduce consumer does
+    assert got == sorted([(name, method, grid) for name in ("omega", "f_re", "f_im")
+                          for method in ("value", "d1") for grid in ("nodes", "mids")]
+                         + [("g", "value", "nodes")])
 
 
 def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):

@@ -119,14 +119,21 @@ def test_magnus_factors_are_expm_of_the_magnus_exponent(dt):
         h1, h2 = (hamiltonian_matrix(Samples(spec, times[:-1] + (0.5 + c) * dt))
                   for c in (-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0))
         omega = -0.5j * dt * (h1 + h2) - np.sqrt(3.0) * dt * dt / 12.0 * (h2 @ h1 - h1 @ h2)
-        e = np.moveaxis(np.reshape(_magnus_factors(spec, times, dt), (2, 2, -1)), -1, 0)
+        e = np.moveaxis(np.reshape(_factor_entries(spec, times, dt), (2, 2, -1)), -1, 0)
         assert max_abs(e - expm(omega)) <= 1e-14
+
+
+def _factor_entries(spec, times, dt):
+    """The entries e00, e01, e10, e11 of each step factor, rebuilt from (alpha, beta, angle)."""
+    alpha, beta, angle = _magnus_factors(spec, times, dt)
+    phase = np.exp(-1j * angle)
+    return phase * alpha, -phase * np.conj(beta), phase * beta, phase * np.conj(alpha)
 
 
 def _stepwise_reference(spec, t_final, dt):
     """U by the earlier per-step loop: U_{k+1} = E_k U_k, one 2x2 product a step."""
     times = time_grid(t_final, dt)
-    e00, e01, e10, e11 = (e.tolist() for e in _magnus_factors(spec, times, dt))
+    e00, e01, e10, e11 = (e.tolist() for e in _factor_entries(spec, times, dt))
     U = np.empty((len(times), 2, 2), dtype=complex)
     u00, u01, u10, u11 = 1 + 0j, 0j, 0j, 1 + 0j
     U[0] = I2
@@ -170,6 +177,44 @@ def test_nonfinite_hamiltonian_names_grid_time():
         evolve_unitary(spec, 2.0, 1e-3)
     assert err.value.t == pytest.approx(1.25)
     assert "t=1.25" in str(err.value)
+
+
+@pytest.mark.parametrize("leg", ["omega", "g"])
+def test_nonfinite_omega_or_g_alone_names_grid_time(leg):
+    # omega enters the Cayley-Klein pair and the phase angle, g the angle only
+    signals = {"omega": Constant(1.0), "g": Constant(0.0), leg: NanFrom(1.25)}
+    spec = HamiltonianSpec(omega=signals["omega"], f=ComplexSignal(Constant(0.5)),
+                           g=signals["g"])
+    with pytest.raises(IntegrationError) as err:
+        evolve_unitary(spec, 2.0, 1e-3)
+    assert err.value.t == pytest.approx(1.25)
+    assert "t=1.25" in str(err.value)
+
+
+def test_overflowing_running_phase_names_grid_time():
+    # each step turns the phase by 1e-3 * 1e308; the running sum passes the
+    # largest double after 1798 steps although every step angle is finite
+    spec = constant_spec(omega=1.0, f=0.5, g=1e308)
+    with pytest.raises(IntegrationError) as err:
+        evolve_unitary(spec, 2.0, 1e-3)
+    assert err.value.t == pytest.approx(1.797, abs=2e-3)
+
+
+def test_oracle_samples_each_signal_once_on_both_gauss_nodes():
+    from test_invariants import _Counted
+
+    calls: list = []
+    spec = random_spec(np.random.default_rng(3))
+    counted = HamiltonianSpec(omega=_Counted(spec.omega, calls, "omega"),
+                              f=ComplexSignal(_Counted(spec.f.re, calls, "f_re"),
+                                              _Counted(spec.f.im, calls, "f_im")),
+                              g=_Counted(spec.g, calls, "g"))
+    traj = evolve_unitary(counted, 1.0, 1e-2)
+    points = 2 * (len(traj.times) - 1)
+    assert sorted((name, method, len(grid) // 8) for name, method, grid in calls) == [
+        (name, "value", points) for name in ("f_im", "f_re", "g", "omega")]
+    assert len({grid for _, _, grid in calls}) == 1
+    assert max_abs(traj.U - evolve_unitary(spec, 1.0, 1e-2).U) == 0.0
 
 
 # -- Heisenberg transport U X U' -------------------------------------------------

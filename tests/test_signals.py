@@ -84,3 +84,24 @@ def test_spec_is_immutable():
     spec = constant_spec(omega=1.0)
     with pytest.raises(Exception):
         spec.omega = Constant(2.0)
+
+
+def test_polynomial_is_numpy_polyval_bit_for_bit():
+    from numpy.polynomial import polynomial as P
+
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for _ in range(20):
+            c = tuple(float(x) for x in rng.normal(size=n) * 10.0 ** rng.integers(-4, 4, size=n))
+            t = rng.uniform(-20.0, 20.0, size=33)
+            sig = Polynomial(c)
+            for m, method in enumerate((sig.value, sig.d1, sig.d2)):
+                want = P.polyder(c, m)
+                assert method(t).tobytes() == P.polyval(t, want).tobytes()
+                got, ref = method(float(t[0])), P.polyval(float(t[0]), want)
+                assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
+
+
+def test_polynomial_needs_a_coefficient():
+    with pytest.raises(ValueError):
+        Polynomial(())

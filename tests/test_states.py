@@ -210,6 +210,31 @@ def test_schrodinger_residual_under_a_large_constant_g(g):
     assert schrodinger_residual_max(samples, off) >= 0.9e-3
 
 
+def test_residual_maxima_keep_a_nan():
+    # a finite residual seeded or met first used to hide a nan one: a nan
+    # amplitude read 0.0 and passed the schrodinger check
+    from ffo.cli import _check
+
+    spec = constant_spec(omega=1.0, f=0.5)
+    samples = GridSamples(spec, 1.0, DT)
+    psi = evolve_unitary(spec, 1.0, DT).U[:, :, 0]
+    assert schrodinger_residual_max(samples, psi) <= 1e-5
+    bad = psi.copy()
+    bad[500, 1] = np.nan
+    for states in ((bad,), (psi, bad)):
+        value = schrodinger_residual_max(samples, *states)
+        assert np.isnan(value)
+        checks: list = []
+        _check(checks, "schrodinger", value, 1e-5)
+        assert not checks[0]["passed"]
+    # a nan omega spoils only the second and third invariance residuals
+    traj = integrate_nu(samples, (1, 0, 0))
+    assert invariance_residual_max(samples, traj) <= 1e-5
+    samples.omega = samples.omega.copy()
+    samples.omega[500] = np.nan
+    assert np.isnan(invariance_residual_max(samples, traj))
+
+
 def test_nullspace_fallback_examples():
     b, _, _ = ladder_operators()
     vac = _nullspace_fallback(b, None, constant_spec(omega=1.0), 0.0, 1e-3)
