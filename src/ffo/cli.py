@@ -40,7 +40,8 @@ from .grid import GridSamples, abs2
 from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
 from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
-from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
+from .reduction import (EpsilonTrajectory, integrate_epsilon, lambda2_from_epsilon,
+                        nu_from_epsilon_arrays)
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
 from .states import (coherence_check, lr_phases, off_ladder_shell, schrodinger_residual_max,
@@ -426,7 +427,13 @@ def _check(checks: list, name: str, value: float, tolerance: float, invert=False
 
 
 class _Scenario:
-    """A scenario's config, and the samples, U and nu(nu0) its modes share, each built once.
+    """A scenario's config and planned submodes, and the samples, U, epsilon
+    and nu trajectories the submodes share, each built once.
+
+    nu is solved once, in one ``integrate_nu`` call, for every initial
+    condition the submodes need: nu0 for invariants and phases, and
+    nu(epsilon)[0] for reduce's closure route.  ``all`` with reduce steps
+    both as a stack; every other run solves the one it needs alone.
 
     Building one checks the grid against the signals: omega and f must be
     finite on the grid nodes and resolved, dt * r <= MAX_STEP_ROTATION for
@@ -436,7 +443,7 @@ class _Scenario:
     the value.
     """
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, mode: str):
         self.cfg = cfg
         self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
         # a sample that overflows is reported by the gates, with its path, time and value
@@ -444,6 +451,11 @@ class _Scenario:
             # |f| on the grid nodes, which the resolution and mode gates read
             self.forcing = np.abs(self.samples.f)
             self._check_resolution()
+        self.submodes = [mode]
+        if mode == "all":
+            self.submodes = ["grassmann-selftest", "invariants", "coherence", "phases"]
+            if not self.is_free and float(np.min(self.forcing)) >= 0.1:
+                self.submodes.append("reduce")
 
     def _check_resolution(self):
         s = self.samples
@@ -474,8 +486,26 @@ class _Scenario:
         return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
 
     @cached_property
-    def nu(self) -> NuTrajectory:
-        return integrate_nu(self.samples, self.cfg.nu0)
+    def epsilon(self) -> EpsilonTrajectory:
+        return integrate_epsilon(self.samples, self.cfg.epsilon0)
+
+    @cached_property
+    def nu_epsilon(self) -> np.ndarray:
+        """nu(epsilon) on the grid nodes, (K, 3)."""
+        return nu_from_epsilon_arrays(self.samples, self.epsilon.eps, self.epsilon.eps_dot)
+
+    @cached_property
+    def nu(self) -> dict:
+        """{"nu0": nu(nu0), "closure": nu(nu(epsilon)[0])}, as far as the submodes read them."""
+        starts = {}
+        if {"invariants", "phases"} & set(self.submodes):
+            starts["nu0"] = self.cfg.nu0
+        if "reduce" in self.submodes:
+            starts["closure"] = self.nu_epsilon[0]
+        if len(starts) == 1:
+            return {name: integrate_nu(self.samples, nu0) for name, nu0 in starts.items()}
+        traj = integrate_nu(self.samples, list(starts.values()))
+        return {name: traj.start(i) for i, name in enumerate(starts)}
 
 
 def _run_evolve(sc: _Scenario, tols: dict):
@@ -494,7 +524,7 @@ def _run_evolve(sc: _Scenario, tols: dict):
 
 
 def _run_invariants(sc: _Scenario, tols: dict):
-    cfg, traj = sc.cfg, sc.nu
+    cfg, traj = sc.cfg, sc.nu["nu0"]
     # the oracle U B0 U' entrywise, each entry one grid column: c = U B0, then c U'
     u, b0 = np.moveaxis(sc.unitary.U, 0, -1), build_B_array(cfg.nu0)
     c = [[u[i, 0] * b0[0, j] + u[i, 1] * b0[1, j] for j in (0, 1)] for i in (0, 1)]
@@ -516,13 +546,11 @@ def _run_invariants(sc: _Scenario, tols: dict):
 
 
 def _run_reduce(sc: _Scenario, tols: dict):
-    et = integrate_epsilon(sc.samples, sc.cfg.epsilon0)
-    nus = nu_from_epsilon_arrays(sc.samples, et.eps, et.eps_dot)
+    et, nus = sc.epsilon, sc.nu_epsilon
     lam1, lam2_nu = motion_constants(nus)
     lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
-    direct = integrate_nu(sc.samples, tuple(nus[0]))
-    closure = reduce(np.maximum, np.abs(direct.nu - nus).T)
+    closure = reduce(np.maximum, np.abs(sc.nu["closure"].nu - nus).T)
     checks: list = []
     _check(checks, "lambda1_epsilon", float(np.max(lam1)), tols["lambda1_epsilon"])
     _check(checks, "lambda2_drift", float(np.max(np.abs(lam2_nu - lam2_nu[0]))),
@@ -553,7 +581,7 @@ def _run_coherence(sc: _Scenario, tols: dict):
 
 
 def _run_phases(sc: _Scenario, tols: dict):
-    samples, traj = sc.samples, sc.nu
+    samples, traj = sc.samples, sc.nu["nu0"]
     if off_ladder_shell(traj.lambda1, traj.lambda2):  # validate tests only nu0's lambda1
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
@@ -608,13 +636,8 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
     tables: dict = {}
     checks: list = []
     drifts: dict = {}
-    sc = _Scenario(cfg)
-    submodes = [mode]
-    if mode == "all":
-        submodes = ["grassmann-selftest", "invariants", "coherence", "phases"]
-        if not sc.is_free and float(np.min(sc.forcing)) >= 0.1:
-            submodes.append("reduce")
-    for sub in submodes:
+    sc = _Scenario(cfg, mode)
+    for sub in sc.submodes:
         cols, c = _MODE_RUNNERS[sub](sc, tols)
         prefix = "" if mode != "all" else sub + "."
         tables[sub] = (CSV_HEADERS[sub], cols)

@@ -64,27 +64,32 @@ def linear_rk4(assemble, nodes, mids, dt: float, y0) -> np.ndarray:
     is real when A and y0 are, so a real system steps a complex state as
     two real columns and no product casts a real prefix to complex.  A
     C-contiguous A runs each product of tiny matrices over contiguous grid
-    axes; a strided one gives the same states.
+    axes; a strided one gives the same states.  The p columns share the step
+    matrices and their scan; only the products with the block starts grow
+    with p.
     """
     y0 = np.asarray(y0)
     n, total = len(y0), len(nodes[0]) - 1
     out, work = y0[None], None
-    for start in range(0, total, CHUNK_STEPS):
-        m = min(CHUNK_STEPS, total - start)
-        a, a_mid = _block_generators(assemble, [c[start:start + m + 1] for c in nodes],
-                                     [c[start:start + m] for c in mids])
-        if work is None:
-            # fresh stage buffers would cost each chunk a round of page faults
-            work = np.empty((3, a_mid.size), dtype=np.result_type(a, a_mid))
-            out = np.empty((-(-total // BLOCK_STEPS) * BLOCK_STEPS + 1,) + y0.shape,
-                           dtype=np.result_type(work, y0))
-            out[0] = y0
-        blocks = a_mid.shape[3]
-        steps = _rk4_steps(a, a_mid, dt, work[:, :a_mid.size].reshape((3,) + a_mid.shape))
-        steps[:, :, m - (blocks - 1) * BLOCK_STEPS:, -1] = np.eye(n)[:, :, None]
-        states = _scan(steps, out[start].reshape(n, -1))
-        rows = out[start + 1:start + 1 + blocks * BLOCK_STEPS]
-        rows.reshape(blocks, BLOCK_STEPS, n, -1)[:] = states.transpose(3, 2, 0, 1)
+    # an overflowing step is not warned about: every caller checks the states
+    # and reports the first non-finite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, CHUNK_STEPS):
+            m = min(CHUNK_STEPS, total - start)
+            a, a_mid = _block_generators(assemble, [c[start:start + m + 1] for c in nodes],
+                                         [c[start:start + m] for c in mids])
+            if work is None:
+                # fresh stage buffers would cost each chunk a round of page faults
+                work = np.empty((3, a_mid.size), dtype=np.result_type(a, a_mid))
+                out = np.empty((-(-total // BLOCK_STEPS) * BLOCK_STEPS + 1,) + y0.shape,
+                               dtype=np.result_type(work, y0))
+                out[0] = y0
+            blocks = a_mid.shape[3]
+            steps = _rk4_steps(a, a_mid, dt, work[:, :a_mid.size].reshape((3,) + a_mid.shape))
+            steps[:, :, m - (blocks - 1) * BLOCK_STEPS:, -1] = np.eye(n)[:, :, None]
+            states = _scan(steps, out[start].reshape(n, -1))
+            rows = out[start + 1:start + 1 + blocks * BLOCK_STEPS]
+            rows.reshape(blocks, BLOCK_STEPS, n, -1)[:] = states.transpose(3, 2, 0, 1)
     return out[:total + 1]
 
 

@@ -45,12 +45,19 @@ class MotionConstants(NamedTuple):
 
 @dataclass
 class NuTrajectory:
-    """Invariant coefficients on the shared grid, constants attached."""
+    """Invariant coefficients on the shared grid, constants attached.
+
+    From a stack of m initial conditions, ``nu`` is (m, len(times), 3) and
+    the constants (m, len(times)); ``start(i)`` is the trajectory of the i-th.
+    """
 
     times: np.ndarray
     nu: np.ndarray        # shape (len(times), 3); columns nu_minus, nu_plus, nu_3
     lambda1: np.ndarray   # complex
     lambda2: np.ndarray   # real
+
+    def start(self, i: int) -> "NuTrajectory":
+        return NuTrajectory(self.times, self.nu[i], self.lambda1[i], self.lambda2[i])
 
     @property
     def dt(self) -> float:
@@ -105,19 +112,27 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
     It is stepped in the real Bloch basis b of ``_bloch_generator``, on
     the omega and f samples of the grid nodes and step midpoints.
     The grid matches the propagator grid for the same (t_final, dt), so
-    oracle comparisons need no interpolation.
+    oracle comparisons need no interpolation.  ``nu0`` is one initial
+    condition (3,) or a stack (m, 3) of them: a stack steps as 2m real
+    columns of one ``linear_rk4`` call, which builds and scans the step
+    matrices once for all, and the trajectory carries the stack axis first
+    (see ``NuTrajectory``).  Each start's slice is bit for bit its solve
+    alone.
     """
-    times = samples.times
+    times, stacked = samples.times, np.ndim(nu0) > 1
     nodes, mids = ((s.omega, s.f) for s in (samples, samples.mids))
-    vm, vp, v3 = (complex(x) for x in nu0)
+    vm, vp, v3 = np.asarray(nu0, dtype=complex).T
     b0 = np.array([0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3])
-    # b0's real and imaginary parts step as two real columns, which a
-    # complex view joins back into b
-    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, np.stack([b0.real, b0.imag], 1))
-    b = b.view(complex)[..., 0]
-    out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=1)
+    # each start's real and imaginary parts step as two real columns, which
+    # a complex view joins back into b, (K, 3, m)
+    y0 = np.stack([b0.real, b0.imag], -1).reshape(3, -1)
+    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, y0).view(complex)
+    b = np.moveaxis(b, -1, 0) if stacked else b[..., 0]
+    out = np.stack([b[..., 0] - 1j * b[..., 1], b[..., 0] + 1j * b[..., 1], -2.0 * b[..., 2]],
+                   axis=-1)
     if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
+        finite = np.all(np.isfinite(out), axis=-1)
+        bad = int(np.argmax(~np.all(finite, axis=0) if stacked else ~finite))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))
 
     lam1, lam2 = motion_constants(out)

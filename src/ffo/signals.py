@@ -139,9 +139,21 @@ class Tabulated(Signal):
             raise ValueError("tabulated signal needs matching 1-d times/values, len >= 2")
         if not np.all(np.diff(t) > 0):
             raise ValueError("tabulated signal times must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("tabulated signal times and values must be finite")
         from scipy.interpolate import CubicSpline
 
-        object.__setattr__(self, "_spline", CubicSpline(t, v))
+        # values too steep for their spacing overflow the spline: scipy then
+        # refuses its own slopes or returns coefficients that are not finite
+        with np.errstate(all="ignore"):
+            try:
+                spline = CubicSpline(t, v)
+            except ValueError:
+                spline = None
+        if spline is None or not np.all(np.isfinite(spline.c)):
+            raise ValueError("the cubic spline through the tabulated values is not finite; "
+                             "the values change too steeply for their times")
+        object.__setattr__(self, "_spline", spline)
 
     def _check_range(self, t):
         lo, hi = self.times[0], self.times[-1]

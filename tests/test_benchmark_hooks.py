@@ -52,7 +52,7 @@ def test_traced_emit_csv_counts_the_written_bytes(monkeypatch, tmp_path):
     assert layers.request_metrics(recorded, 1.0)["cli.emit_csv.bytes"] == out.stat().st_size > 0
 
 
-def _traced_signal_calls(tmp_path, argv) -> int:
+def _traced_metrics(tmp_path, argv) -> dict:
     import layers
     import spans
 
@@ -60,7 +60,7 @@ def _traced_signal_calls(tmp_path, argv) -> int:
     layers.instrument(tracer)
     argv = argv + ["--t-final", "0.5", "--format", "json", "--out", str(tmp_path / "r.json")]
     assert tracer.run_request(1, ffo.cli.main, argv) == 0
-    return layers.request_metrics(tracer.take(), 1.0)["signals.eval.calls"]
+    return layers.request_metrics(tracer.take(), 1.0)
 
 
 def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
@@ -68,7 +68,8 @@ def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
     # complex evaluation counts with its real and imaginary legs: 2 x (3 + 3 + 1 + 1),
     # and g on the nodes for the scenario gate
     monkeypatch.syspath_prepend(PERFBENCH)
-    assert _traced_signal_calls(tmp_path, ["reduce", "--sweep", "1", "--seed", "0"]) == 17
+    metrics = _traced_metrics(tmp_path, ["reduce", "--sweep", "1", "--seed", "0"])
+    assert metrics["signals.eval.calls"] == 17
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -83,7 +84,16 @@ def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
 ])
 def test_traced_request_samples_each_signal_once(monkeypatch, tmp_path, argv, calls):
     monkeypatch.syspath_prepend(PERFBENCH)
-    assert _traced_signal_calls(tmp_path, argv) == calls
+    assert _traced_metrics(tmp_path, argv)["signals.eval.calls"] == calls
+
+
+def test_traced_all_request_solves_nu_once(monkeypatch, tmp_path):
+    # nu0 and the closure's nu(epsilon)[0] step as one stack
+    monkeypatch.syspath_prepend(PERFBENCH)
+    metrics = _traced_metrics(tmp_path, ["all", "--config",
+                                         os.path.join(PERFBENCH, "readme_scenario.json")])
+    assert metrics["invariants.integrate_nu.calls"] == 1
+    assert metrics["signals.eval.calls"] == 22
 
 
 def test_traced_phases_request_counts_the_vacuum_gap_points(monkeypatch, tmp_path):

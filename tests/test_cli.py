@@ -184,8 +184,9 @@ def test_emit_csv_matches_per_cell_reference(tmp_path):
         "edge": (["x", "x32", "label"], [edge, edge.astype(np.float32),
                                          [str(v) for v in edge]]),
         "signed_zeros": (["z", "z32"], [signed_zeros, signed_zeros.astype(np.float32)]),
-        "nans": (["n", "n32"], [np.tile(nans, 3), np.tile(nans, 3).astype(np.float32)]),
     }
+    with np.errstate(invalid="ignore"):  # the float32 cast of a NaN payload is deliberate
+        cases["nans"] = (["n", "n32"], [np.tile(nans, 3), np.tile(nans, 3).astype(np.float32)])
     # row counts either side of the slab boundaries, with repeated values
     t = tables["invariants"][1][0]
     for rows in (CSV_SLAB_ROWS - 1, CSV_SLAB_ROWS, CSV_SLAB_ROWS + 1, 2 * CSV_SLAB_ROWS + 1):
@@ -391,6 +392,35 @@ def test_overflowing_forcing_rejected_without_a_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["evolve", "--config", path]) == 2
     assert "hamiltonian.f_re: 1e+300 at t=0.01: dt" in capsys.readouterr().err
+
+
+def test_overflowing_tabulated_spline_rejected_without_a_warning(tmp_path, capsys):
+    # 1e10 over a 1e-300 step overflows the spline's slopes: scipy used to warn
+    # and then reject them in its own words
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"hamiltonian": {"f_re": {
+        "type": "tabulated", "times": [0.0, 1e-300, 1.0], "values": [0.0, 1e10, 0.0]}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["invariants", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: hamiltonian.f_re: the cubic spline")
+    assert err.count("\n") == 1
+
+
+def test_overflowing_epsilon_steps_fail_without_a_warning(tmp_path, capsys):
+    # f passes the resolution gate, but f'/f ~ 1e150 overflows the epsilon
+    # generator's RK4 steps, which used to print four RuntimeWarnings first
+    path = _write_doc(tmp_path, {
+        "f_re": {"type": "sinusoid", "frequency": -1e150, "phase": -1e150,
+                 "offset": 1.192092896e-07},
+        "g": {"type": "sinusoid", "phase": -1e150, "frequency": 1e-300,
+              "offset": 1.192092896e-07},
+        "f_im": {"type": "sinusoid"}}, t_final=0.002, dt=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reduce", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: nonfinite epsilon state at t=0.001\n"
 
 
 def test_evolve_unitarity_drift_keeps_a_nan():
@@ -650,7 +680,7 @@ def test_main_runs_any_small_document_without_a_traceback(tmp_path_factory, doc,
     assert main(argv) in (0, 1, 2)
 
 
-def test_all_mode_builds_u_once_and_nu_once_plus_the_closure(monkeypatch, tmp_path):
+def test_all_mode_builds_u_once_and_nu_once(monkeypatch, tmp_path):
     import ffo.cli
 
     calls = {"evolve_unitary": 0, "integrate_nu": 0}
@@ -669,9 +699,9 @@ def test_all_mode_builds_u_once_and_nu_once_plus_the_closure(monkeypatch, tmp_pa
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(GOOD.replace('"t_final": 2.0', '"t_final": 10.0'))
     assert main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
-    # U feeds invariants, coherence; nu feeds invariants, phases; reduce's
-    # closure integrates nu from nu(epsilon)[0]
-    assert calls == {"evolve_unitary": 1, "integrate_nu": 2}
+    # U feeds invariants, coherence; one nu solve from the stack [nu0,
+    # nu(epsilon)[0]] feeds invariants, phases and reduce's closure
+    assert calls == {"evolve_unitary": 1, "integrate_nu": 1}
 
 
 @pytest.mark.parametrize("mode, config_t_final, flags", [
@@ -902,7 +932,7 @@ def test_reduce_samples_what_integrate_epsilon_needs_once():
     grids = _grid_names(cfg.t_final, cfg.dt)
     got = sorted((name, method, grids.get(grid, "other")) for name, method, grid in calls)
     # integrate_epsilon reads f, f', omega and omega' on both grids; every
-    # other consumer (nu(eps), lambda2(eps), the closure's integrate_nu) shares them;
+    # other consumer (nu(eps), lambda2(eps), the closure's nu solve) shares them;
     # the scenario gate reads g on the nodes, which no reduce consumer does
     assert got == sorted([(name, method, grid) for name in ("omega", "f_re", "f_im")
                           for method in ("value", "d1") for grid in ("nodes", "mids")]

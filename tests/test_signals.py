@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ def test_tabulated_requires_increasing_times():
         Tabulated((0.0, 1.0, 1.0), (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         Tabulated((0.0, -1.0), (0.0, 1.0))
+
+
+def test_tabulated_rejects_a_spline_that_is_not_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Tabulated((0.0, 1.0), (np.nan, 1.0))
+    # 1e10 over a 1e-300 step: the spline's slopes overflow, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too steeply"):
+            Tabulated((0.0, 1e-300, 1.0), (0.0, 1e10, 0.0))
 
 
 def test_tabulated_range_error_carries_time():
