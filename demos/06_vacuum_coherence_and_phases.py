@@ -31,10 +31,11 @@ et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
 nus = nu_from_epsilon_arrays(samples, et.eps * scale, et.eps_dot * scale)
-traj = NuTrajectory(et.times, nus, *motion_constants(nus))
+traj = NuTrajectory(et.times, nus)
 
-# the evolved vacuum exp(i phi0) e0 from the Lewis-Riesenfeld phases:
-# annihilated by B(t) and solving the Schrodinger equation
+# the evolved vacuum exp(i phi0) e0 of the traceless H0 = H - (g + omega/2) 1
+# from the Lewis-Riesenfeld phases: annihilated by B(t) and solving H0's
+# Schrodinger equation; the physical vacuum is exp(-i theta) times it
 ph = lr_phases(traj, samples)
 psi, _ = vacuum_trajectory(ph)
 bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
@@ -64,8 +65,10 @@ s_spec = constant_spec(omega=w0, g=g0)
 s_samples = GridSamples(s_spec, 5.0, dt)
 s_traj = integrate_nu(s_samples, (1, 0, 0))
 s_ph = lr_phases(s_traj, s_samples)
-print(f"\nstationary: phi0(5) = {s_ph.phi0[-1]:.6f} (expect {-g0 * 5.0})")
-print(f"stationary: phi1(5) = {s_ph.phi1[-1]:.6f} (expect {-(g0 + w0) * 5.0})")
+# the physical phases are H0's phases -+ phi0 minus theta = int (g + omega/2)
+phi0, phi1 = s_ph.phi0[-1] - s_ph.theta[-1], -s_ph.phi0[-1] - s_ph.theta[-1]
+print(f"\nstationary: phi0(5) = {phi0:.6f} (expect {-g0 * 5.0})")
+print(f"stationary: phi1(5) = {phi1:.6f} (expect {-(g0 + w0) * 5.0})")
 print("stationary: phi_G(5) =", s_ph.phi_geometric[-1])
 
 print(f"forced:     phi_G(5) = {ph.phi_geometric[-1]:.6f}, "

@@ -37,7 +37,7 @@ from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
                         completeness_check, g_mul)
 from .grid import GridSamples, abs2
-from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
+from .invariants import (F_MIN, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
 from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
 from .reduction import (EpsilonTrajectory, integrate_epsilon, lambda2_from_epsilon,
@@ -518,7 +518,9 @@ def _run_evolve(sc: _Scenario, tols: dict):
     norms = np.sqrt(abs2(a0) + abs2(a1))
     checks: list = []
     _check(checks, "unitarity_drift", float(unit), tols["unitarity_drift"])
-    _check(checks, "norm_drift", float(np.max(np.abs(norms - norms[0]))), tols["norm_drift"])
+    # relative to the initial norm, so the verdict does not depend on the state's scale
+    _check(checks, "norm_drift", float(np.max(np.abs(norms - norms[0]))) / float(norms[0]),
+           tols["norm_drift"])
     cols = [sc.unitary.times, a0.real, a0.imag, a1.real, a1.imag, norms]
     return cols, checks
 
@@ -531,14 +533,16 @@ def _run_invariants(sc: _Scenario, tols: dict):
     ud, b = [[np.conj(x) for x in row] for row in u], np.moveaxis(build_B_array(traj.nu), 0, -1)
     dev = reduce(np.maximum, (np.abs(b[i, j] - (c[i][0] * ud[j][0] + c[i][1] * ud[j][1]))
                               for i in (0, 1) for j in (0, 1)))
-    lam1_drift = np.abs(traj.lambda1 - traj.lambda1[0])
-    lam2_drift = np.abs(traj.lambda2 - traj.lambda2[0])
-    inv_res = invariance_residual_max(sc.samples, traj)
+    # nu0 -> c nu0 scales B by c and the constants by c^2: the checks read each
+    # value relative to lambda2(0) or its root, the CSV columns the raw ones
+    lam2_0 = float(traj.lambda2[0])
     checks: list = []
-    _check(checks, "lambda1_drift", float(np.max(lam1_drift)), tols["lambda1_drift"])
-    _check(checks, "lambda2_drift", float(np.max(lam2_drift)), tols["lambda2_drift"])
-    _check(checks, "oracle_deviation", float(np.max(dev)), tols["oracle_deviation"])
-    _check(checks, "invariance_residual", float(inv_res), tols["invariance_residual"])
+    for name, value, scale in (
+            ("lambda1_drift", np.abs(traj.lambda1 - traj.lambda1[0]), lam2_0),
+            ("lambda2_drift", np.abs(traj.lambda2 - traj.lambda2[0]), lam2_0),
+            ("oracle_deviation", dev, math.sqrt(lam2_0)),
+            ("invariance_residual", invariance_residual_max(sc.samples, traj), math.sqrt(lam2_0))):
+        _check(checks, name, float(np.max(value)) / scale, tols[name])
     n = traj.nu
     cols = [traj.times, n[:, 0].real, n[:, 0].imag, n[:, 1].real, n[:, 1].imag,
             n[:, 2].real, n[:, 2].imag, np.abs(traj.lambda1), traj.lambda2, dev]
@@ -586,13 +590,14 @@ def _run_phases(sc: _Scenario, tols: dict):
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
     ph = lr_phases(traj, samples)
+    # psi1 = exp(-i phi0) e1 = (-conj psi0_1, conj psi0_0) is psi0's SU(2)
+    # partner and has the same residual, so psi0 alone is checked
     psi0, _ = vacuum_trajectory(ph)
-    psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
     checks: list = []
     _check(checks, "phase_consistency", ph.consistency_residual, tols["phase_consistency"])
-    _check(checks, "schrodinger", schrodinger_residual_max(samples, psi0, psi1),
-           tols["schrodinger"])
-    cols = [traj.times, ph.phi0, ph.phi1, ph.phi_geometric, ph.phi_dynamical]
+    _check(checks, "schrodinger", schrodinger_residual_max(samples, psi0), tols["schrodinger"])
+    cols = [traj.times, ph.phi0 - ph.theta, -ph.phi0 - ph.theta, ph.phi_geometric,
+            ph.phi_dynamical]
     return cols, checks
 
 
@@ -733,19 +738,19 @@ def main(argv=None) -> int:
             _table_select(cfg, *[CSV_HEADERS[_csv_table(args.mode)]] * 2)
 
         if args.sweep is not None:
+            # one scenario at a time, so no scenario's samples or tables outlive its output
             rng = np.random.default_rng(args.seed)
             mode = args.mode if args.mode != "all" else "invariants"
-            scenarios = [_sweep_config(cfg, rng, mode) for _ in range(args.sweep)]
-            results = [run(mode, c) for c in scenarios]
             ok = True
-            for i, (rep, tables) in enumerate(results):
-                path = _output_paths(cfg.out_path, cfg.out_format, i)
-                _emit(scenarios[i], rep, tables, path)
+            for i in range(args.sweep):
+                scenario = _sweep_config(cfg, rng, mode)
+                rep, tables = run(mode, scenario)
+                _emit(scenario, rep, tables, _output_paths(cfg.out_path, cfg.out_format, i))
                 status = "pass" if rep.passed else "FAIL"
                 print(f"scenario {i:03d}: {status} "
                       + " ".join(f"{c['name']}={c['value']:.3e}" for c in rep.checks))
                 ok = ok and rep.passed
-            print(f"sweep: {len(results)} scenarios, "
+            print(f"sweep: {args.sweep} scenarios, "
                   f"{'all passed' if ok else 'FAILURES PRESENT'}")
             return 0 if ok else 1
 

@@ -256,19 +256,6 @@ class GridSamples(Samples):
         self.mids = Samples(spec, self.times[:-1] + 0.5 * dt)
 
 
-def cumtrapz_grid(y: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid integral of samples y on a uniform grid, F(0)=0.
-
-    Plain numpy in scipy's order of operations, so the result is bit for
-    bit ``scipy.integrate.cumulative_trapezoid(y, dx=dt, initial=0.0)``
-    without importing scipy.
-    """
-    y = np.asarray(y)
-    out = np.zeros(y.shape[0], dtype=np.result_type(y.dtype, float))
-    out[1:] = np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)
-    return out
-
-
 def cumsimpson_grid(y: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative composite-Simpson integral on a uniform grid, F(0)=0.
 

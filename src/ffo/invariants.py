@@ -25,6 +25,7 @@ and every closed form here is calibrated against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ class MotionConstants(NamedTuple):
 
 @dataclass
 class NuTrajectory:
-    """Invariant coefficients on the shared grid, constants attached.
+    """Invariant coefficients on the shared grid; the constants follow from nu on first use.
 
     From a stack of m initial conditions, ``nu`` is (m, len(times), 3) and
     the constants (m, len(times)); ``start(i)`` is the trajectory of the i-th.
@@ -53,11 +54,21 @@ class NuTrajectory:
 
     times: np.ndarray
     nu: np.ndarray        # shape (len(times), 3); columns nu_minus, nu_plus, nu_3
-    lambda1: np.ndarray   # complex
-    lambda2: np.ndarray   # real
 
     def start(self, i: int) -> "NuTrajectory":
-        return NuTrajectory(self.times, self.nu[i], self.lambda1[i], self.lambda2[i])
+        return NuTrajectory(self.times, self.nu[i])
+
+    @cached_property
+    def constants(self) -> MotionConstants:
+        return motion_constants(self.nu)
+
+    @property
+    def lambda1(self) -> np.ndarray:   # complex
+        return self.constants.lambda1
+
+    @property
+    def lambda2(self) -> np.ndarray:   # real
+        return self.constants.lambda2
 
     @property
     def dt(self) -> float:
@@ -134,9 +145,7 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
         finite = np.all(np.isfinite(out), axis=-1)
         bad = int(np.argmax(~np.all(finite, axis=0) if stacked else ~finite))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))
-
-    lam1, lam2 = motion_constants(out)
-    return NuTrajectory(times=times, nu=out, lambda1=lam1, lambda2=lam2)
+    return NuTrajectory(times=times, nu=out)
 
 
 # -- operator assembly -------------------------------------------------------

@@ -1,12 +1,12 @@
 """Time-evolved vacuum, coherent states, coherence theorem and phases.
 
-The evolved vacuum |0;t> is pinned down by two requirements at once:
-B(t)|0;t> = 0 and the Schrodinger equation.  On the ladder shell
-(lambda1 = 0) ker B is one-dimensional, so |0;t> is the Lewis-Riesenfeld
-eigenstate e0 of the patched frame carrying its phase phi0,
-exp(i phi0) e0, with the frame's global phase at t = 0; e1 carrying phi1
-is the evolved top state.  Functions over a grid read omega, f and g from
-its ``grid.Samples``.
+The trace part (g + omega/2) 1 of H only turns every state by exp(-i theta),
+theta = int_0^t (g + omega/2), so states and phases here are those of the
+traceless H0 = H - (g + omega/2) 1, and theta is one ``PhaseTrajectory``
+field.  On the ladder shell (lambda1 = 0) ker B is one-dimensional, so H0's
+evolved vacuum, B(t)|0;t> = 0 and a Schrodinger solution at once, is the
+Lewis-Riesenfeld eigenstate e0 of the patched frame carrying its phase phi0,
+exp(i phi0) e0; e1 carrying -phi0 is the evolved top state.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError
 from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
-from .grid import Samples, abs2, cumsimpson_grid, cumtrapz_grid
+from .grid import Samples, abs2, cumsimpson_grid
 from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
@@ -32,8 +32,9 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- vacuum construction ------------------------------------------------------
 
 def vacuum_trajectory(phases: PhaseTrajectory):
-    """Evolved vacuum exp(i phi0) e0 of ``lr_phases`` on the whole grid.
+    """H0's evolved vacuum exp(i phi0) e0 of ``lr_phases`` on the whole grid.
 
+    The physical vacuum is exp(-i theta) times it (``PhaseTrajectory.theta``).
     Returns (psi, mask) with psi of shape (len(times), 2), unit norm at
     every grid point.  The mask is all False; it stays only because
     perfbench/layers.py reads it as result[1].
@@ -42,29 +43,22 @@ def vacuum_trajectory(phases: PhaseTrajectory):
     return psi, np.zeros(len(psi), dtype=bool)
 
 
-def schrodinger_residual_max(samples: Samples, *psis: np.ndarray) -> float:
-    """Max central-difference residual of i d psi/dt = H psi over interior points.
+def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
+    """Max central-difference residual of i d psi/dt = H0 psi over interior points.
 
-    The max runs over every state given.  The trace part (g + omega/2) 1 of
-    H is taken out of H and, as the phase exp(i int_0^t (g + omega/2))
-    (cumulative Simpson, built once for all the states), out of psi: the
-    residual is the same, but the difference quotient no longer sees a
-    global phase that may turn far faster than psi's direction.
+    H0 = H - (g + omega/2) 1 is the traceless part of H and ``psi`` one of
+    its states (K, 2), such as ``vacuum_trajectory``'s; g is not read, so
+    no size of g reaches the difference quotient.
     """
-    if any(len(psi) != len(samples.times) for psi in psis):
+    if len(psi) != len(samples.times):
         raise ContractError("psi and the samples are on different time grids")
     dt = float(samples.times[1] - samples.times[0])
-    w = 0.5 * samples.omega
-    rot = np.exp(1j * cumsimpson_grid(samples.g + w, dt))
-    w, f = w[1:-1], samples.f[1:-1]
-    worst = [0.0]
-    for psi in psis:
-        p0, p1 = rot * psi[:, 0], rot * psi[:, 1]
-        c0, c1 = p0[1:-1], p1[1:-1]
-        r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
-        r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
-        worst += [np.max(r0), np.max(r1)]
-    return float(np.max(worst))  # a nan residual stays nan
+    w, f = 0.5 * samples.omega[1:-1], samples.f[1:-1]
+    p0, p1 = psi[:, 0], psi[:, 1]
+    c0, c1 = p0[1:-1], p1[1:-1]
+    r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
+    r1 = np.abs((p1[2:] - p1[:-2]) / (2.0 * dt) + 1j * (f * c0 + w * c1))
+    return float(np.max(np.maximum(r0, r1)))  # a nan residual stays nan
 
 
 # -- coherent states ----------------------------------------------------------
@@ -196,9 +190,11 @@ def lr_frame(traj: NuTrajectory) -> LRFrame:
 
 @dataclass
 class PhaseTrajectory:
+    """H0's phases (e0 carries phi0, e1 -phi0); H's are those minus theta."""
+
     times: np.ndarray
     phi0: np.ndarray
-    phi1: np.ndarray
+    theta: np.ndarray
     phi_geometric: np.ndarray
     phi_dynamical: np.ndarray
     consistency_residual: float
@@ -221,24 +217,25 @@ def _connection(nu: np.ndarray, nu_dot: np.ndarray, plus: np.ndarray) -> np.ndar
 
 
 def _energy(samples: Samples, e: np.ndarray) -> np.ndarray:
-    """<e|H|e> = g + omega |e_1|^2 + 2 Re(f e_0 conj(e_1)) per point, e unit (K, 2)."""
+    """<e|H0|e> = omega (|e_1|^2 - 1/2) + 2 Re(f e_0 conj(e_1)) per point, e unit (K, 2)."""
     cross = np.real(samples.f * e[:, 0] * np.conj(e[:, 1]))
-    return samples.g + samples.omega * abs2(e[:, 1]) + 2.0 * cross
+    return samples.omega * (abs2(e[:, 1]) - 0.5) + 2.0 * cross
 
 
 def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
-    """Lewis-Riesenfeld phases phi_n and the geometric/dynamical split.
+    """Lewis-Riesenfeld phases of H0 and the geometric/dynamical split.
 
-    phi_n(t) = int_0^t <n~|(i d_tau - H)|n~> in the patched frame of
+    phi_n(t) = int_0^t <n~|(i d_tau - H0)|n~> in the patched frame of
     ``lr_frame``.  phi0's connection part is analytic, from the coefficient
     system's right-hand side, and cumulative Simpson integrates it one patch
     at a time: it restarts at each switch node, where the connection jumps
     by the rate of the transition function, and closes the patch before on
-    that patch's own connection there.  e1 has connection -a0 and energy
-    tr H - <e0|H|e0>, so phi1 = -phi0 - int_0^t (2g + omega).  The geometric
-    phase is Pancharatnam's overlap sum -sum_k arg<e_k|e_{k+1}> of e1 minus
-    that of e0, from the frame vectors alone; phi plus the energy-gap
-    integral must reproduce it, to ``consistency_residual``.
+    that patch's own connection there.  e1 has connection -a0 and, H0 being
+    traceless, energy -<e0|H0|e0>, so phi1 = -phi0 and phi = phi1 - phi0 =
+    -2 phi0.  The geometric phase is Pancharatnam's overlap sum
+    -sum_k arg<e_k|e_{k+1}> of e1 minus that of e0, from the frame vectors
+    alone; phi plus the energy-gap integral must reproduce it, to
+    ``consistency_residual``.  g enters theta = int_0^t (g + omega/2) alone.
     """
     samples.check_grid(traj.times)
     frame = lr_frame(traj)
@@ -253,34 +250,32 @@ def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
     for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
         seg = y[a:b + 1] if j == len(sw) else np.append(y[a:b], y_end[j])
         phi0[a:b + 1] = phi0[a] + cumsimpson_grid(seg, dt)
-    trace = 2.0 * samples.g + samples.omega
-    phi1 = -phi0 - cumsimpson_grid(trace, dt)
-    phi = phi1 - phi0
+    phi = -2.0 * phi0
 
     # e1 = (-conj e0_1, conj e0_0) makes each overlap of e1 the conjugate of e0's
     phi_g = np.zeros(len(phi))
     phi_g[1:] = 2.0 * np.cumsum(np.angle(_overlap(frame.e0[:-1], frame.e0[1:])))
-    phi_g_alt = phi + cumtrapz_grid(trace - 2.0 * en0, dt)
+    phi_g_alt = phi - 2.0 * cumsimpson_grid(en0, dt)
     consistency = float(np.max(np.abs(phi_g - phi_g_alt)))
 
-    phi_d = phi - phi_g
-    return PhaseTrajectory(times=traj.times, phi0=phi0, phi1=phi1,
-                           phi_geometric=phi_g, phi_dynamical=phi_d,
+    theta = cumsimpson_grid(samples.g + 0.5 * samples.omega, dt)
+    return PhaseTrajectory(times=traj.times, phi0=phi0, theta=theta,
+                           phi_geometric=phi_g, phi_dynamical=phi - phi_g,
                            consistency_residual=consistency, frame=frame)
 
 
 def lr_ladder_fit(phases: PhaseTrajectory, traj: NuTrajectory):
-    """Fit the single phase in B~(t) = exp(i theta(t)) B(t).
+    """Fit the single phase in B~(t) = exp(i chi(t)) B(t).
 
     B~ = |0~><1~| from the gauge-fixed frame, B from the nu coefficients
-    (normalized by sqrt(lambda2)).  Returns (theta, max fit residual);
-    theta(t) - theta(0) tracks phi(t) - phi(0) = (phi1 - phi0)(t) up to
+    (normalized by sqrt(lambda2)).  Returns (chi, max fit residual);
+    chi(t) - chi(0) tracks phi(t) - phi(0) = -2 phi0(t) up to
     quadrature accuracy.
     """
     frame = phases.frame
     b_tilde = frame.e0[:, :, None] * np.conj(frame.e1)[:, None, :]
     b_nu = build_B_array(traj.nu) / np.sqrt(traj.lambda2)[:, None, None]
     inner = np.sum(np.conj(b_nu) * b_tilde, axis=(1, 2))
-    theta = np.angle(inner)
-    fit = b_tilde - np.exp(1j * theta)[:, None, None] * b_nu
-    return np.unwrap(theta), float(np.max(np.abs(fit)))
+    chi = np.angle(inner)
+    fit = b_tilde - np.exp(1j * chi)[:, None, None] * b_nu
+    return np.unwrap(chi), float(np.max(np.abs(fit)))

@@ -56,7 +56,7 @@ def calibrated_epsilon_trajectory(spec, e0, t_final, dt=1e-3):
     scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
     eps, eps_dot = et.eps * scale, et.eps_dot * scale
     nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
-    traj = NuTrajectory(et.times, nus, *motion_constants(nus))
+    traj = NuTrajectory(et.times, nus)
     return traj, eps, eps_dot
 
 

@@ -77,7 +77,7 @@ def _calibrated_family(seed: int, n: int, t_final: float = T_FINAL):
         scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
         eps, eps_dot = et.eps * scale, et.eps_dot * scale
         nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
-        traj = NuTrajectory(et.times, nus, *motion_constants(nus))
+        traj = NuTrajectory(et.times, nus)
         family.append((spec, traj, eps, eps_dot))
     return family
 
@@ -131,7 +131,7 @@ def test_criterion_04_free_oscillator_closed_forms():
         lam1, lam2 = motion_constants(closed)
         worst_ladder = max(worst_ladder, float(np.max(np.abs(lam1))),
                            float(np.max(np.abs(lam2 - 1.0))))
-        ctraj = NuTrajectory(times=times, nu=closed, lambda1=lam1, lambda2=lam2)
+        ctraj = NuTrajectory(times=times, nu=closed)
         worst_inv = max(worst_inv, invariance_residual_max(samples, ctraj))
         # build_B_so, its phase integrated on a grid of half the step, agrees
         # with the closed-form trajectory at every grid time
@@ -235,18 +235,21 @@ def test_criterion_07_first_integral(eps_family):
 
 def test_criterion_08_vacuum_and_coherent_states(eps_family):
     # the paper's closed form is the second route: one constant phase from
-    # psi on each stretch above the test floor of tests/vacuum_reference.py
+    # psi on each stretch above the test floor of tests/vacuum_reference.py;
+    # psi is H0's vacuum and exp(-i theta) psi the physical one
     worst_ann = worst_schro = worst_norm = worst_cs = worst_closed = 0.0
     for spec, traj, eps, eps_dot in eps_family:
         samples = Samples(spec, traj.times)
-        psi, _ = vacuum_trajectory(lr_phases(traj, samples))
+        ph = lr_phases(traj, samples)
+        psi, _ = vacuum_trajectory(ph)
         bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
         worst_ann = max(worst_ann, float(np.max(np.linalg.norm(bpsi, axis=1))))
         worst_schro = max(worst_schro,
                           schrodinger_residual_max(samples, psi))
         worst_norm = max(worst_norm,
                          float(np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0))))
-        worst_closed = max(worst_closed, closed_form_deviation(traj, samples, psi))
+        physical = np.exp(-1j * ph.theta)[:, None] * psi
+        worst_closed = max(worst_closed, closed_form_deviation(traj, samples, physical))
         for k in range(0, len(traj.times), 2000):
             for scale in (1.0, 0.5 - 0.3j):
                 worst_cs = max(worst_cs, cs_eigen_residual(traj.nu[k], psi[k], scale))
@@ -285,8 +288,9 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
     traj0 = integrate_nu(samples0, (1, 0, 0))
     ph0 = lr_phases(traj0, samples0)
     t = traj0.times
-    stationary_dev = max(float(np.max(np.abs(ph0.phi0 + g0 * t))),
-                         float(np.max(np.abs(ph0.phi1 + (g0 + w0) * t))),
+    # the physical phases are H0's phases phi0 and -phi0, each minus theta
+    stationary_dev = max(float(np.max(np.abs(ph0.phi0 - ph0.theta + g0 * t))),
+                         float(np.max(np.abs(-ph0.phi0 - ph0.theta + (g0 + w0) * t))),
                          float(np.max(np.abs(ph0.phi_geometric))))
     # the whole forced family
     worst_consistency = 0.0
@@ -297,11 +301,12 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
         ph = lr_phases(traj, samples)
         worst_consistency = max(worst_consistency, ph.consistency_residual)
         p0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
-        p1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
-        worst_schro = max(worst_schro, schrodinger_residual_max(samples, p0, p1))
+        p1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
+        worst_schro = max(worst_schro, schrodinger_residual_max(samples, p0),
+                          schrodinger_residual_max(samples, p1))
         theta, fit = lr_ladder_fit(ph, traj)
         worst_fit = max(worst_fit, fit)
-        dphi = ph.phi1 - ph.phi0
+        dphi = -2.0 * ph.phi0
         worst_theta = max(worst_theta,
                           float(np.max(np.abs((theta - theta[0]) - (dphi - dphi[0])))))
     ok = (stationary_dev <= 1e-6 and worst_consistency <= 1e-5

@@ -446,6 +446,45 @@ def test_constant_g_passes_phases(tmp_path, g):
     assert main(["phases", "--config", path]) == 0
 
 
+_README_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                                "readme_scenario.json")
+
+
+def test_phases_check_values_do_not_depend_on_g(tmp_path):
+    # the checks run on the traceless H0, and g enters only theta: g = 1e8
+    # used to fail schrodinger (1.26e-4) and g = 1e150 both checks
+    with open(_README_SCENARIO, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["output"]
+    checks = []
+    for g in ({"type": "constant", "value": 0.0}, {"type": "constant", "value": 10.0},
+              {"type": "constant", "value": 1e8}, {"type": "constant", "value": 1e150},
+              {"type": "polynomial", "coeffs": [0.0, 1e6]}):
+        doc["hamiltonian"]["g"] = g
+        cfg_path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["phases", "--config", str(cfg_path), "--format", "json",
+                     "--out", str(out)]) == 0, g
+        checks.append(json.loads(out.read_text())["checks"])
+    assert all(c == checks[0] for c in checks[1:])
+
+
+@pytest.mark.parametrize("mode", ["invariants", "evolve"])
+def test_check_values_do_not_depend_on_the_scale_of_the_initial_vector(mode):
+    # nu0 -> c nu0 scales B by c and the constants by c^2, and state0 -> c state0
+    # scales the norm by c; the checks are read relative to lambda2(0) and the
+    # initial norm (nu0 = (1e4, 0, 0) used to fail three invariants checks)
+    values = {}
+    for c in (1e-4, 1.0, 1e4):
+        cfg = parse_config(json.dumps(dict(_README_DOC, initial={"nu0": [[c, 0], [0, 0], [0, 0]],
+                                                                 "state": [[c, 0], [0, 0]]})))
+        report, _ = run(mode, cfg)
+        assert report.passed
+        values[c] = [check["value"] for check in report.checks]
+    for c in (1e-4, 1e4):
+        assert np.allclose(values[c], values[1.0], rtol=0.0, atol=1e-12), c
+
+
 def test_phases_sweep_through_pinches_of_nu_minus_passes():
     # scenario 000's nu_minus falls to 2e-6: a gauge keyed on nu_minus alone
     # turned by about 0.9 rad per step there (phase_consistency 0.13)

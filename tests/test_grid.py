@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import simpson
 
 from ffo import grid
-from ffo.grid import Samples, cumsimpson_grid, cumtrapz_grid, linear_rk4, time_grid
+from ffo.grid import Samples, cumsimpson_grid, linear_rk4, time_grid
 from ffo.invariants import build_B_so, free_oscillator_nu
 from ffo.signals import ComplexSignal, Constant, HamiltonianSpec, Sinusoid
 
@@ -66,24 +66,6 @@ def test_cumsimpson_complex_values():
     y = np.exp(1j * ts)
     exact = -1j * (np.exp(1j * ts) - 1.0)
     assert np.max(np.abs(cumsimpson_grid(y, dt) - exact)) < 1e-12
-
-
-def test_cumtrapz_second_order():
-    ts = time_grid(1.0, 1e-3)
-    got = cumtrapz_grid(np.cos(ts), 1e-3)
-    assert np.max(np.abs(got - np.sin(ts))) < 1e-7
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 2001, 10001])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_cumtrapz_is_scipy_bit_for_bit(n, kind):
-    rng = np.random.default_rng(n)
-    y = rng.normal(size=n)
-    if kind == "complex":
-        y = y + 1j * rng.normal(size=n)
-    for dt in (1e-3, 0.1, 0.37):
-        got, ref = cumtrapz_grid(y, dt), cumulative_trapezoid(y, dx=dt, initial=0.0)
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.8, 2.0, 7.3])

@@ -159,8 +159,10 @@ def test_stacked_starts_match_their_solves_alone_bit_for_bit(seed, m, steps, fam
     assert stack.nu.shape == (m, steps + 1, 3) and stack.lambda2.shape == (m, steps + 1)
     for i, nu0 in enumerate(starts):
         alone = integrate_nu(samples, nu0)
-        for name in ("nu", "lambda1", "lambda2"):
+        for name in ("times", "nu", "lambda1", "lambda2"):
             assert np.array_equal(getattr(stack.start(i), name), getattr(alone, name)), name
+        assert np.array_equal(stack.lambda1[i], alone.lambda1)
+        assert np.array_equal(stack.lambda2[i], alone.lambda2)
 
 
 # -- the Bloch basis and the sampled coefficients --------------------------------
@@ -326,7 +328,7 @@ def test_invariance_residual_free_closed_form():
                            f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
     times = np.arange(0, 5001) * 1e-3
     nus = free_oscillator_nu((1, 0, 0), Samples(spec, times))
-    traj = NuTrajectory(times, nus, *motion_constants(nus))
+    traj = NuTrajectory(times, nus)
     assert _matrix_residuals(spec, traj)[2499] <= 1e-6
     assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-6
 
@@ -358,7 +360,7 @@ def test_invariance_residual_max_matches_matrix_form():
     times = np.array([0.3, 0.4, 0.5])
     for _ in range(40):
         nu = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        traj = NuTrajectory(times=times, nu=nu, lambda1=np.zeros(3), lambda2=np.zeros(3))
+        traj = NuTrajectory(times=times, nu=nu)
         assert invariance_residual_max(Samples(spec, traj.times), traj) == pytest.approx(
             float(_matrix_residuals(spec, traj)[0]), rel=1e-14)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import ContractError
 from ffo.grassmann import GrassmannOperator
-from ffo.grid import GridSamples, Samples, cumtrapz_grid
+from ffo.grid import GridSamples, Samples, cumsimpson_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integrate_nu,
                             invariance_residual_max)
 from ffo.propagator import evolve_unitary
-from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
+from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial, Signal,
                          Sinusoid, constant_spec)
 from ffo.states import (coherence_check, coherent_state, cs_eigen_residual, lr_frame,
                         lr_ladder_fit, lr_phases, schrodinger_residual_max, vacuum_trajectory)
@@ -29,8 +30,13 @@ README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
 # -- evolved vacuum ------------------------------------------------------------
 
 def _vacuum(traj, spec):
-    """psi of ``vacuum_trajectory`` on the phases of ``traj``."""
+    """psi of ``vacuum_trajectory`` on the phases of ``traj``: the vacuum of H0."""
     return vacuum_trajectory(lr_phases(traj, Samples(spec, traj.times)))[0]
+
+
+def _physical_vacuum(ph):
+    """exp(-i theta) exp(i phi0) e0: the vacuum of H itself, trace phase included."""
+    return np.exp(-1j * ph.theta)[:, None] * vacuum_trajectory(ph)[0]
 
 
 def _phase_aligned(psi, ref):
@@ -86,7 +92,7 @@ def test_vacuum_trajectory_matches_reference(case):
     # two independent routes: one constant phase at t = 0 apart
     spec, nu0, t_final, gaps = VACUUM_CASES[case]
     traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
-    psi = _vacuum(traj, spec)
+    psi = _physical_vacuum(lr_phases(traj, Samples(spec, traj.times)))
     want_psi, want_mask = vacuum_reference(traj, spec)
     assert np.count_nonzero(np.diff(want_mask.astype(int)) == 1) + int(want_mask[0]) == gaps
     assert np.max(np.abs(_phase_aligned(psi, want_psi) - want_psi)) <= 1e-10
@@ -119,6 +125,7 @@ def test_vacuum_trajectory_random_specs(seed):
         assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
         assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-10
         want = vacuum_reference(traj, spec)[0]
+        psi = _physical_vacuum(ph)
         assert np.max(np.abs(_phase_aligned(psi, want) - want)) <= 1e-10
 
 
@@ -145,10 +152,8 @@ def test_samples_on_another_grid_are_rejected(forced_spec, calibrated_trajectory
                      lambda: invariance_residual_max(samples, traj)):
             with pytest.raises(ContractError, match="different time grids"):
                 call()
-    short = GridSamples(forced_spec, t_final - dt, dt)
-    for states in ((psi,), (psi[:-1], psi)):
-        with pytest.raises(ContractError, match="different time grids"):
-            schrodinger_residual_max(short, *states)
+    with pytest.raises(ContractError, match="different time grids"):
+        schrodinger_residual_max(GridSamples(forced_spec, t_final - dt, dt), psi)
 
 
 def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
@@ -192,19 +197,25 @@ def test_vacuum_through_sweep_pinches_matches_the_oracle():
     spec = random_spec(np.random.default_rng(0))
     traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
     assert np.count_nonzero(np.abs(traj.nu[:, 0]) < VACUUM_NU_MIN) == 32
-    psi = _vacuum(traj, spec)
+    psi = _physical_vacuum(lr_phases(traj, Samples(spec, traj.times)))
     u = evolve_unitary(spec, 10.0, DT)
     assert np.max(np.abs(psi - u.U[:, :, 0])) <= 1e-10
     assert closed_form_deviation(traj, Samples(spec, traj.times), psi) <= 1e-10
 
 
+def _h0_state(samples, psi):
+    """exp(i theta) psi: a state of H, the oracle's, as a state of H0."""
+    theta = cumsimpson_grid(samples.g + 0.5 * samples.omega, DT)
+    return np.exp(1j * theta)[:, None] * psi
+
+
 @pytest.mark.parametrize("g", [10.0, 100.0])
 def test_schrodinger_residual_under_a_large_constant_g(g):
-    # the trace part of H comes out before differencing; a phase rate of
-    # 1e-3 that psi does not have must still show as a residual of 1e-3
+    # the residual is that of H0 and does not read g; a phase rate of 1e-3
+    # that psi does not have must still show as a residual of 1e-3
     spec = constant_spec(f=0.5, g=g)
     samples = GridSamples(spec, 1.0, DT)
-    psi = evolve_unitary(spec, 1.0, DT).U[:, :, 0]
+    psi = _h0_state(samples, evolve_unitary(spec, 1.0, DT).U[:, :, 0])
     assert schrodinger_residual_max(samples, psi) <= 1e-7
     off = np.exp(1e-3j * samples.times)[:, None] * psi
     assert schrodinger_residual_max(samples, off) >= 0.9e-3
@@ -217,12 +228,12 @@ def test_residual_maxima_keep_a_nan():
 
     spec = constant_spec(omega=1.0, f=0.5)
     samples = GridSamples(spec, 1.0, DT)
-    psi = evolve_unitary(spec, 1.0, DT).U[:, :, 0]
+    psi = _h0_state(samples, evolve_unitary(spec, 1.0, DT).U[:, :, 0])
     assert schrodinger_residual_max(samples, psi) <= 1e-5
-    bad = psi.copy()
-    bad[500, 1] = np.nan
-    for states in ((bad,), (psi, bad)):
-        value = schrodinger_residual_max(samples, *states)
+    for k in (0, 1):  # a nan in either component
+        bad = psi.copy()
+        bad[500, k] = np.nan
+        value = schrodinger_residual_max(samples, bad)
         assert np.isnan(value)
         checks: list = []
         _check(checks, "schrodinger", value, 1e-5)
@@ -329,8 +340,8 @@ def test_lr_phases_stationary():
     traj = integrate_nu(GridSamples(spec, 5.0, DT), (1, 0, 0))
     ph = lr_phases(traj, Samples(spec, traj.times))
     t = traj.times
-    assert np.max(np.abs(ph.phi0 + g0 * t)) <= 1e-6
-    assert np.max(np.abs(ph.phi1 + (g0 + w0) * t)) <= 1e-6
+    assert np.max(np.abs(ph.phi0 - ph.theta + g0 * t)) <= 1e-6
+    assert np.max(np.abs(-ph.phi0 - ph.theta + (g0 + w0) * t)) <= 1e-6
     assert np.max(np.abs(ph.phi_geometric)) <= 1e-6
     assert ph.consistency_residual <= 1e-10
     assert ph.phi_geometric[-1] == pytest.approx(0.0, abs=1e-6)
@@ -341,20 +352,72 @@ def test_phased_states_solve_schrodinger(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
-    psi1 = np.exp(1j * ph.phi1)[:, None] * ph.frame.e1
+    psi1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
     samples = Samples(forced_spec, traj.times)
     assert schrodinger_residual_max(samples, psi0) <= 1e-5
     assert schrodinger_residual_max(samples, psi1) <= 1e-5
-    both = schrodinger_residual_max(samples, psi0, psi1)
-    assert both == max(schrodinger_residual_max(samples, psi0),
-                       schrodinger_residual_max(samples, psi1))
+
+
+@pytest.mark.parametrize("which", ["readme", "forced"])
+def test_vacuum_partner_has_the_same_residual(which, forced_spec, calibrated_trajectory):
+    # psi1 = exp(-i phi0) e1 is psi0's SU(2) partner (-conj psi0_1, conj psi0_0),
+    # whose residual rows are psi0's conjugated and swapped: one state checks both
+    if which == "readme":
+        samples = GridSamples(README_SPEC, 10.0, DT)
+        traj = integrate_nu(samples, (1, 0, 0))
+    else:
+        traj = calibrated_trajectory[0]
+        samples = Samples(forced_spec, traj.times)
+    ph = lr_phases(traj, samples)
+    psi0, _ = vacuum_trajectory(ph)
+    partner = np.column_stack((-np.conj(psi0[:, 1]), np.conj(psi0[:, 0])))
+    psi1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
+    assert np.max(np.abs(psi1 - partner)) <= 1e-15
+    assert schrodinger_residual_max(samples, partner) == schrodinger_residual_max(samples, psi0)
+    assert schrodinger_residual_max(samples, psi1) == schrodinger_residual_max(samples, psi0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shifted(Signal):
+    """base + c for a constant c."""
+
+    base: Signal
+    c: float
+
+    def value(self, t):
+        return self.base.value(t) + self.c
+
+    def d1(self, t):
+        return self.base.d1(t)
+
+    def d2(self, t):
+        return self.base.d2(t)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       c=st.one_of(st.floats(-1e3, 1e3), st.sampled_from([1e8, -1e8, 1e150, -1e150])))
+def test_constant_added_to_g_moves_theta_alone(seed, c):
+    # g enters only theta = int (g + omega/2): phi0, the two-route residual
+    # and the Schrodinger residual belong to H0 and stay bit for bit
+    spec = random_spec(np.random.default_rng(seed))
+    runs = []
+    for s in (spec, dataclasses.replace(spec, g=_Shifted(spec.g, c))):
+        samples = GridSamples(s, 2.0, DT)
+        ph = lr_phases(integrate_nu(samples, (1, 0, 0)), samples)
+        runs.append((ph, schrodinger_residual_max(samples, vacuum_trajectory(ph)[0])))
+    (ph, res), (ph_c, res_c) = runs
+    assert np.array_equal(ph_c.phi0, ph.phi0)
+    assert ph_c.consistency_residual == ph.consistency_residual
+    assert res_c == res
+    assert np.allclose(ph_c.theta - ph.theta, c * ph.times, rtol=0.0,
+                       atol=1e-11 * (1.0 + abs(c)))
 
 
 def test_phase_split_is_additive(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
-    assert np.max(np.abs((ph.phi_geometric + ph.phi_dynamical)
-                         - (ph.phi1 - ph.phi0))) <= 1e-12
+    assert np.max(np.abs((ph.phi_geometric + ph.phi_dynamical) - (-2.0 * ph.phi0))) <= 1e-12
 
 
 def test_lr_frame_orthonormal(forced_spec, calibrated_trajectory):
@@ -388,8 +451,7 @@ def test_lr_frame_is_continuous_across_key_switches():
 
 
 def test_lr_frame_rejects_vanishing_nu():
-    traj = NuTrajectory(times=np.arange(5) * DT, nu=np.zeros((5, 3), dtype=complex),
-                        lambda1=np.zeros(5), lambda2=np.zeros(5))
+    traj = NuTrajectory(times=np.arange(5) * DT, nu=np.zeros((5, 3), dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError, match="vanish"):
@@ -402,14 +464,14 @@ def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
     k = 2048
     x = np.exp(1j * ph.phi0[k]) * ph.frame.e0[k]
-    y = np.exp(1j * ph.phi1[k]) * ph.frame.e1[k]
+    y = np.exp(-1j * ph.phi0[k]) * ph.frame.e1[k]
     from ffo.grassmann import GrassmannElement, GrassmannKet
     a0 = GrassmannElement([x[0], -y[0], 0.0, -0.5 * x[0]])
     a1 = GrassmannElement([x[1], -y[1], 0.0, -0.5 * x[1]])
     ket = GrassmannKet(a0, a1)
     b_tilde = np.outer(ph.frame.e0[k], np.conj(ph.frame.e1[k]))
     lhs = GrassmannOperator(b_tilde).apply(ket)
-    phi = ph.phi1[k] - ph.phi0[k]
+    phi = -2.0 * ph.phi0[k]
     rhs = ket.left_mul(GrassmannElement([0.0, np.exp(1j * phi), 0.0, 0.0]))
     assert (lhs - rhs).max_abs() <= 1e-7
 
@@ -419,7 +481,7 @@ def test_lr_ladder_phase_fit(forced_spec, calibrated_trajectory):
     ph = lr_phases(traj, Samples(forced_spec, traj.times))
     theta, fit_residual = lr_ladder_fit(ph, traj)
     assert fit_residual <= 1e-7
-    dphi = ph.phi1 - ph.phi0
+    dphi = -2.0 * ph.phi0
     drift = np.max(np.abs((theta - theta[0]) - (dphi - dphi[0])))
     assert drift <= 5e-5
 
@@ -441,6 +503,6 @@ def test_geometric_phase_gauge_independence(forced_spec, calibrated_trajectory):
         d[-1] = (3 * e[-1] - 4 * e[-2] + e[-3]) / (2 * dt)
         return np.sum(np.conj(e) * d, axis=1)
 
-    phi_g_mod = cumtrapz_grid(-np.imag(connection(e1) - connection(ph.frame.e0)), dt)
+    phi_g_mod = cumsimpson_grid(-np.imag(connection(e1) - connection(ph.frame.e0)), dt)
     assert abs(phi_g_mod[-1] - ph.phi_geometric[-1]) <= 1e-6
 
