@@ -28,7 +28,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -129,6 +129,9 @@ _SIGNAL_KEYS = {
 
 
 def _finite(x, path: str) -> float:
+    # float() would also take JSON's true, false and "0.01"
+    if isinstance(x, (bool, str)):
+        raise ConfigError(path, "expected a number")
     try:
         x = float(x)
     except OverflowError:
@@ -137,6 +140,12 @@ def _finite(x, path: str) -> float:
         raise ConfigError(path, "expected a number") from None
     if not math.isfinite(x):
         raise ConfigError(path, "must be finite")
+    return x
+
+
+def _string(x, path: str) -> str:
+    if not isinstance(x, str):
+        raise ConfigError(path, "expected a string")
     return x
 
 
@@ -179,8 +188,12 @@ def _parse_complex_pair(node, path: str) -> complex:
     return complex(_finite(node[0], f"{path}[0]"), _finite(node[1], f"{path}[1]"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario, valid by construction: building one (directly, through
+    ``parse_config`` or through ``dataclasses.replace``) raises a ConfigError
+    naming the path of the first invalid field."""
+
     spec: HamiltonianSpec
     mode: str = "invariants"
     t_final: float = 10.0
@@ -193,7 +206,7 @@ class ScenarioConfig:
     out_path: str | None = None
     fields: list | None = None
 
-    def validate(self):
+    def __post_init__(self):
         for path, x in (("run.dt", self.dt), ("run.t_final", self.t_final)):
             if not math.isfinite(x):
                 raise ConfigError(path, "must be finite")
@@ -275,51 +288,40 @@ def parse_config(text: str) -> ScenarioConfig:
                         "hamiltonian.g"),
     )
 
-    cfg = ScenarioConfig(spec=spec)
+    kwargs = {}
     run = _section(doc, "run", {"mode", "t_final", "dt", "tolerances"})
     if "mode" in run:
-        cfg.mode = str(run["mode"])
-    if "t_final" in run:
-        cfg.t_final = _finite(run["t_final"], "run.t_final")
-    if "dt" in run:
-        cfg.dt = _finite(run["dt"], "run.dt")
+        kwargs["mode"] = _string(run["mode"], "run.mode")
+    for key in ("t_final", "dt"):
+        if key in run:
+            kwargs[key] = _finite(run[key], f"run.{key}")
     tols = run.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("run.tolerances", "must be an object")
-    cfg.tolerances = {str(k): _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
+    kwargs["tolerances"] = {k: _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
 
     init = _section(doc, "initial", {"nu0", "epsilon0", "state"})
-    if "nu0" in init:
-        node = init["nu0"]
-        if not (isinstance(node, list) and len(node) == 3):
-            raise ConfigError("initial.nu0", "expected three [re, im] pairs")
-        cfg.nu0 = tuple(_parse_complex_pair(p, f"initial.nu0[{i}]")
-                        for i, p in enumerate(node))
-    if "epsilon0" in init:
-        node = init["epsilon0"]
-        if not (isinstance(node, list) and len(node) == 2):
-            raise ConfigError("initial.epsilon0", "expected two [re, im] pairs")
-        cfg.epsilon0 = tuple(_parse_complex_pair(p, f"initial.epsilon0[{i}]")
-                             for i, p in enumerate(node))
-    if "state" in init:
-        node = init["state"]
-        if not (isinstance(node, list) and len(node) == 2):
-            raise ConfigError("initial.state", "expected two [re, im] pairs")
-        cfg.state0 = tuple(_parse_complex_pair(p, f"initial.state[{i}]")
-                           for i, p in enumerate(node))
+    for key, name, count in (("nu0", "nu0", 3), ("epsilon0", "epsilon0", 2),
+                             ("state", "state0", 2)):
+        if key in init:
+            node = init[key]
+            if not (isinstance(node, list) and len(node) == count):
+                raise ConfigError(f"initial.{key}", f"expected {count} [re, im] pairs")
+            kwargs[name] = tuple(_parse_complex_pair(p, f"initial.{key}[{i}]")
+                                 for i, p in enumerate(node))
 
     out = _section(doc, "output", {"format", "path", "fields"})
     if "format" in out:
-        cfg.out_format = str(out["format"])
+        kwargs["out_format"] = _string(out["format"], "output.format")
     if "path" in out:
-        cfg.out_path = str(out["path"])
+        kwargs["out_path"] = _string(out["path"], "output.path")
     if "fields" in out:
         if not isinstance(out["fields"], list):
             raise ConfigError("output.fields", "must be a list of column names")
-        cfg.fields = [str(x) for x in out["fields"]]
+        kwargs["fields"] = [_string(x, f"output.fields[{i}]")
+                            for i, x in enumerate(out["fields"])]
 
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(spec=spec, **kwargs)
 
 
 # -- reports and emission -------------------------------------------------------
@@ -414,12 +416,6 @@ def _table_select(cfg: ScenarioConfig, header: list, columns: list):
 
 # -- mode implementations --------------------------------------------------------
 
-def _tols(cfg: ScenarioConfig) -> dict:
-    out = dict(CHECK_TOLERANCES)
-    out.update(cfg.tolerances)
-    return out
-
-
 def _check(checks: list, name: str, value: float, tolerance: float, invert=False):
     passed = (value >= tolerance) if invert else (value <= tolerance)
     checks.append({"name": name, "value": float(value),
@@ -443,7 +439,7 @@ class _Scenario:
     the value.
     """
 
-    def __init__(self, cfg: ScenarioConfig, mode: str):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
         # a sample that overflows is reported by the gates, with its path, time and value
@@ -451,8 +447,8 @@ class _Scenario:
             # |f| on the grid nodes, which the resolution and mode gates read
             self.forcing = np.abs(self.samples.f)
             self._check_resolution()
-        self.submodes = [mode]
-        if mode == "all":
+        self.submodes = [cfg.mode]
+        if cfg.mode == "all":
             self.submodes = ["grassmann-selftest", "invariants", "coherence", "phases"]
             if not self.is_free and float(np.min(self.forcing)) >= 0.1:
                 self.submodes.append("reduce")
@@ -555,13 +551,17 @@ def _run_reduce(sc: _Scenario, tols: dict):
     lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
     closure = reduce(np.maximum, np.abs(sc.nu["closure"].nu - nus).T)
+    # epsilon0 -> c epsilon0 scales nu by c^2 and the constants by c^4: the
+    # checks read each value relative to n^2 or n, n = |eps|^2 + |eps'|^2 at
+    # t = 0, the CSV columns the raw ones
+    n = float(abs2(et.eps[0]) + abs2(et.eps_dot[0]))
     checks: list = []
-    _check(checks, "lambda1_epsilon", float(np.max(lam1)), tols["lambda1_epsilon"])
-    _check(checks, "lambda2_drift", float(np.max(np.abs(lam2_nu - lam2_nu[0]))),
-           tols["lambda2_drift"])
-    _check(checks, "lambda2_pair", float(np.max(np.abs(lam2_nu - lam2_eps))),
-           tols["lambda2_pair"])
-    _check(checks, "closure", float(np.max(closure)), tols["closure"])
+    for name, value, scale in (
+            ("lambda1_epsilon", lam1, n * n),
+            ("lambda2_drift", np.abs(lam2_nu - lam2_nu[0]), n * n),
+            ("lambda2_pair", np.abs(lam2_nu - lam2_eps), n * n),
+            ("closure", closure, n)):
+        _check(checks, name, float(np.max(value)) / scale, tols[name])
     cols = [et.times, et.eps.real, et.eps.imag, et.eps_dot.real, et.eps_dot.imag,
             nus[:, 0].real, nus[:, 0].imag, nus[:, 1].real, nus[:, 1].imag,
             nus[:, 2].real, nus[:, 2].imag, lam1, lam2_nu, closure]
@@ -633,18 +633,17 @@ _MODE_RUNNERS = {
 }
 
 
-def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
-    """Execute one scenario; returns (report, {name: (header, columns)})."""
-    cfg.validate()
-    tols = _tols(cfg)
+def run(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
+    """Execute one scenario in ``cfg.mode``; returns (report, {name: (header, columns)})."""
+    tols = {**CHECK_TOLERANCES, **cfg.tolerances}
     t0 = time.perf_counter()
     tables: dict = {}
     checks: list = []
     drifts: dict = {}
-    sc = _Scenario(cfg, mode)
+    sc = _Scenario(cfg)
     for sub in sc.submodes:
         cols, c = _MODE_RUNNERS[sub](sc, tols)
-        prefix = "" if mode != "all" else sub + "."
+        prefix = "" if cfg.mode != "all" else sub + "."
         tables[sub] = (CSV_HEADERS[sub], cols)
         for item in c:
             item = dict(item, name=prefix + item["name"])
@@ -652,7 +651,7 @@ def run(mode: str, cfg: ScenarioConfig) -> tuple[RunReport, dict]:
             drifts[item["name"]] = item["value"]
     grid = {"t_final": cfg.t_final, "dt": cfg.dt,
             "points": int(round(cfg.t_final / cfg.dt)) + 1}
-    report = RunReport(mode=mode, grid=grid, drifts=drifts, checks=checks,
+    report = RunReport(mode=cfg.mode, grid=grid, drifts=drifts, checks=checks,
                        wall_time_s=time.perf_counter() - t0)
     return report, tables
 
@@ -677,15 +676,6 @@ def _emit(cfg: ScenarioConfig, report: RunReport, tables: dict, path: str | None
     header, cols = tables[_csv_table(report.mode)]
     header, cols = _table_select(cfg, header, cols)
     emit_csv(path, header, cols)
-
-
-def _sweep_config(base: ScenarioConfig, rng: np.random.Generator, mode: str) -> ScenarioConfig:
-    spec = random_spec(rng, f_zero=(mode == "coherence" and rng.uniform() < 0.5),
-                       f_floor=(mode == "reduce"))
-    return ScenarioConfig(spec=spec, mode=mode, t_final=base.t_final, dt=base.dt,
-                          tolerances=dict(base.tolerances), nu0=base.nu0,
-                          epsilon0=base.epsilon0, state0=base.state0,
-                          out_format=base.out_format, fields=base.fields)
 
 
 def main(argv=None) -> int:
@@ -713,38 +703,33 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
+        elif args.mode != "grassmann-selftest" and args.sweep is None:
+            print("error: --config is required for this mode", file=sys.stderr)
+            return 2
         else:
-            if args.mode not in ("grassmann-selftest",) and args.sweep is None:
-                print("error: --config is required for this mode", file=sys.stderr)
-                return 2
-            cfg = ScenarioConfig(spec=HamiltonianSpec(
-                omega=Constant(1.0), f=ComplexSignal(Constant(0.0)), g=Constant(0.0)))
-        cfg.mode = args.mode
-        if args.dt is not None:
-            cfg.dt = args.dt
-        if args.t_final is not None:
-            cfg.t_final = args.t_final
-        if args.fmt is not None:
-            cfg.out_format = args.fmt
-        if args.out is not None:
-            cfg.out_path = args.out
+            cfg = parse_config("{}")
+        flags = {name: value for name, value in (("dt", args.dt), ("t_final", args.t_final),
+                                                 ("out_format", args.fmt), ("out_path", args.out))
+                 if value is not None}
         if args.tol is not None:
             if args.mode not in PRIMARY_CHECK:
                 raise ConfigError("--tol", f"{args.mode} mode has no primary check; "
                                            "set run.tolerances")
-            cfg.tolerances[PRIMARY_CHECK[args.mode]] = args.tol
-        cfg.validate()
+            flags["tolerances"] = {**cfg.tolerances, PRIMARY_CHECK[args.mode]: args.tol}
+        cfg = replace(cfg, mode=args.mode, **flags)
         if cfg.out_format == "csv" and cfg.out_path is not None:  # before any scenario runs
-            _table_select(cfg, *[CSV_HEADERS[_csv_table(args.mode)]] * 2)
+            _table_select(cfg, *[CSV_HEADERS[_csv_table(cfg.mode)]] * 2)
 
         if args.sweep is not None:
             # one scenario at a time, so no scenario's samples or tables outlive its output
             rng = np.random.default_rng(args.seed)
-            mode = args.mode if args.mode != "all" else "invariants"
+            mode = cfg.mode if cfg.mode != "all" else "invariants"
             ok = True
             for i in range(args.sweep):
-                scenario = _sweep_config(cfg, rng, mode)
-                rep, tables = run(mode, scenario)
+                scenario = replace(cfg, mode=mode, spec=random_spec(
+                    rng, f_zero=(mode == "coherence" and rng.uniform() < 0.5),
+                    f_floor=(mode == "reduce")))
+                rep, tables = run(scenario)
                 _emit(scenario, rep, tables, _output_paths(cfg.out_path, cfg.out_format, i))
                 status = "pass" if rep.passed else "FAIL"
                 print(f"scenario {i:03d}: {status} "
@@ -754,7 +739,7 @@ def main(argv=None) -> int:
                   f"{'all passed' if ok else 'FAILURES PRESENT'}")
             return 0 if ok else 1
 
-        report, tables = run(args.mode, cfg)
+        report, tables = run(cfg)
         _emit(cfg, report, tables, _output_paths(cfg.out_path, cfg.out_format))
         for c in report.checks:
             status = "pass" if c["passed"] else "FAIL"

@@ -13,6 +13,7 @@ declared approximation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -142,17 +143,22 @@ class Tabulated(Signal):
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("tabulated signal times and values must be finite")
         from scipy.interpolate import CubicSpline
+        from scipy.linalg import LinAlgWarning
 
         # values too steep for their spacing overflow the spline: scipy then
-        # refuses its own slopes or returns coefficients that are not finite
-        with np.errstate(all="ignore"):
+        # refuses its own slopes or returns coefficients that are not finite;
+        # times spaced over many orders of magnitude make its solve warn that
+        # the system is ill-conditioned, and the spline is not trusted either
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
             try:
                 spline = CubicSpline(t, v)
-            except ValueError:
+            except (ValueError, LinAlgWarning):
                 spline = None
         if spline is None or not np.all(np.isfinite(spline.c)):
-            raise ValueError("the cubic spline through the tabulated values is not finite; "
-                             "the values change too steeply for their times")
+            raise ValueError("the cubic spline through the tabulated values is not finite or "
+                             "ill-conditioned; the values change too steeply for their times, "
+                             "or the times are spaced too unevenly")
         object.__setattr__(self, "_spline", spline)
 
     def _check_range(self, t):

@@ -1,9 +1,12 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -127,7 +130,7 @@ def test_unknown_tolerance_rejected():
 
 def test_run_invariants_report():
     cfg = parse_config(GOOD)
-    report, tables = run("invariants", cfg)
+    report, tables = run(cfg)
     assert report.passed
     names = [c["name"] for c in report.checks]
     assert "oracle_deviation" in names and "lambda1_drift" in names
@@ -171,7 +174,7 @@ def test_emit_csv_matches_per_cell_reference(tmp_path):
     doc = json.loads(GOOD)
     doc["output"]["fields"] = ["lambda2", "t", "oracle_dev"]
     cfg = parse_config(json.dumps(doc))
-    _, tables = run("all", cfg)
+    _, tables = run(replace(cfg, mode="all"))
     edge = np.array([0.0, -0.0, np.nan, -np.inf, 5e-324, 0.1, 1e22, -1.5e-7])
     signed_zeros = np.tile([0.0, -0.0, 0.0, 2.5, -0.0], 7)
     # quiet and signalling NaNs with distinct payloads, either sign, next to 1.0
@@ -288,6 +291,18 @@ def test_main_bad_config_exit_2(tmp_path):
     ("", "", ["all", "--tol", "1e-3"], "--tol"),
     ("", "", ["--sweep", "2", "--seed", "-1"], "--seed"),
     ('"initial": {', '"initial": {"state": [[0, 0], [0, 0]], ', ["evolve"], "initial.state"),
+    # numbers must be JSON numbers and strings JSON strings: float() and str()
+    # used to take these, and "path": null wrote None.csv
+    ('"t_final": 2.0', '"t_final": "0.01"', [], "run.t_final"),
+    ('"value": 0.5', '"value": "0.5"', [], "hamiltonian.f_re.value"),
+    ('"dt": 0.001', '"dt": 0.001, "tolerances": {"closure": false}', [],
+     "run.tolerances.closure"),
+    ('[[1, 0], [0, 0]', '[[true, 0], [0, 0]', [], "initial.nu0[0][0]"),
+    ('"mode": "invariants"', '"mode": 1', [], "run.mode"),
+    ('"format": "csv"', '"format": null', [], "output.format"),
+    ('"format": "csv"', '"format": "csv", "path": null', [], "output.path"),
+    ('"format": "csv"', '"format": "csv", "path": ["a", "b"]', [], "output.path"),
+    ('"format": "csv"', '"format": "csv", "fields": ["t", 1]', [], "output.fields[1]"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -295,7 +310,25 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     cfg_path.write_text(GOOD.replace(old, new))
     mode, *flags = flags if flags and flags[0] in MODES else ["invariants", *flags]
     assert main([mode, "--config", str(cfg_path), *flags]) == 2
-    assert path in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
+
+
+def test_config_is_validated_however_it_is_built():
+    cfg = parse_config(GOOD)
+    with pytest.raises(FrozenInstanceError):
+        cfg.dt = -1.0
+    with pytest.raises(ConfigError) as err:
+        replace(cfg, dt=-1.0)
+    assert err.value.path == "run.dt"
+    # nu0 = (1, 1, 0) is off the ladder shell: a phases config reports it,
+    # where a phases run of an invariants config used to blame run.dt
+    off_shell = GOOD.replace("[[1, 0], [0, 0], [0, 0]]", "[[1, 0], [1, 0], [0, 0]]")
+    for build in (lambda: parse_config(off_shell.replace('"invariants"', '"phases"')),
+                  lambda: replace(parse_config(off_shell), mode="phases")):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.path == "initial.nu0"
 
 
 @pytest.mark.parametrize("mode, key, vector", [
@@ -395,17 +428,22 @@ def test_overflowing_forcing_rejected_without_a_warning(tmp_path, capsys):
 
 
 def test_overflowing_tabulated_spline_rejected_without_a_warning(tmp_path, capsys):
-    # 1e10 over a 1e-300 step overflows the spline's slopes: scipy used to warn
-    # and then reject them in its own words
     cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps({"hamiltonian": {"f_re": {
-        "type": "tabulated", "times": [0.0, 1e-300, 1.0], "values": [0.0, 1e10, 0.0]}}}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["invariants", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: hamiltonian.f_re: the cubic spline")
-    assert err.count("\n") == 1
+    for name, times, values in (
+            # 1e10 over a 1e-300 step overflows the spline's slopes: scipy used
+            # to warn and then reject them in its own words
+            ("f_re", [0.0, 1e-300, 1.0], [0.0, 1e10, 0.0]),
+            # steps of 2e-313 and 4e-20: scipy's solve warned that its system
+            # is ill-conditioned before the run failed on the range
+            ("omega", [0.0, 2.2250738585e-313, 4.0e-20], [1.0, 2.0, 3.0])):
+        cfg_path.write_text(json.dumps({"hamiltonian": {name: {
+            "type": "tabulated", "times": times, "values": values}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: hamiltonian.{name}: the cubic spline")
+        assert err.count("\n") == 1
 
 
 def test_overflowing_epsilon_steps_fail_without_a_warning(tmp_path, capsys):
@@ -469,19 +507,24 @@ def test_phases_check_values_do_not_depend_on_g(tmp_path):
     assert all(c == checks[0] for c in checks[1:])
 
 
-@pytest.mark.parametrize("mode", ["invariants", "evolve"])
+@pytest.mark.parametrize("mode", ["invariants", "evolve", "reduce"])
 def test_check_values_do_not_depend_on_the_scale_of_the_initial_vector(mode):
-    # nu0 -> c nu0 scales B by c and the constants by c^2, and state0 -> c state0
-    # scales the norm by c; the checks are read relative to lambda2(0) and the
-    # initial norm (nu0 = (1e4, 0, 0) used to fail three invariants checks)
+    # nu0 -> c nu0 scales B by c and the constants by c^2, state0 -> c state0
+    # scales the norm by c, and epsilon0 -> c epsilon0 scales nu by c^2; the
+    # checks are read relative to lambda2(0), the initial norm and
+    # n = |eps0|^2 + |eps0'|^2 (nu0 = (1e4, 0, 0) used to fail three invariants
+    # checks, epsilon0 = 1e3 (1, 0.3i) three reduce checks)
     values = {}
-    for c in (1e-4, 1.0, 1e4):
-        cfg = parse_config(json.dumps(dict(_README_DOC, initial={"nu0": [[c, 0], [0, 0], [0, 0]],
-                                                                 "state": [[c, 0], [0, 0]]})))
-        report, _ = run(mode, cfg)
+    for c in (1.0, 2.0**-20, 2.0**20, 1e-4, 1e-3, 1e3, 1e4):
+        cfg = parse_config(json.dumps(dict(_README_DOC, initial={
+            "nu0": [[c, 0], [0, 0], [0, 0]], "state": [[c, 0], [0, 0]],
+            "epsilon0": [[c, 0], [0, 0.3 * c]]})))
+        report, _ = run(replace(cfg, mode=mode))
         assert report.passed
         values[c] = [check["value"] for check in report.checks]
-    for c in (1e-4, 1e4):
+    # a power of two scales every step exactly
+    assert values[2.0**-20] == values[1.0] == values[2.0**20]
+    for c in (1e-4, 1e-3, 1e3, 1e4):
         assert np.allclose(values[c], values[1.0], rtol=0.0, atol=1e-12), c
 
 
@@ -532,17 +575,15 @@ def test_unresolved_grid_rejected_before_any_integration(tmp_path, capsys, mode)
 
 
 def test_resolution_gate_names_the_dominating_signal_and_a_nan(nan_forcing_spec):
-    cfg = parse_config(GOOD)
-    cfg.spec = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, offset=1.0),
-                               f=ComplexSignal(Polynomial((0.5,)), Polynomial((0.0, 0.0, 300.0))),
-                               g=Polynomial((0.0,)))
+    cfg = replace(parse_config(GOOD), spec=HamiltonianSpec(
+        omega=Sinusoid(0.3, 1.0, offset=1.0),
+        f=ComplexSignal(Polynomial((0.5,)), Polynomial((0.0, 0.0, 300.0))), g=Polynomial((0.0,))))
     # 2 |Im f| = 600 t^2 passes 1/dt first at t = 1.291
     with pytest.raises(ConfigError, match=r"at t=1\.291\d*: dt") as err:
-        run("invariants", cfg)
+        run(cfg)
     assert err.value.path == "hamiltonian.f_im"
-    cfg.spec = nan_forcing_spec
     with pytest.raises(ConfigError, match=r"nan at t=1\.251\d*: not finite") as err:
-        run("evolve", cfg)
+        run(replace(cfg, spec=nan_forcing_spec, mode="evolve"))
     assert err.value.path == "hamiltonian.f_re"
 
 
@@ -673,7 +714,7 @@ def test_any_json_document_parses_or_names_a_path(doc):
 # small documents that mostly parse, on grids of at most 51 points, so that
 # main() runs every mode on them; edge values include empty lists, zeros,
 # huge magnitudes and tabulated ranges shorter than the grid
-_VALUE = st.floats(-3, 3) | st.sampled_from([0.0, 1e-300, 1e150, -1e150])
+_VALUE = st.floats(-3, 3) | st.sampled_from([0.0, 1e-300, 1e150, -1e150, True, "1"])
 _RUN_SIGNAL = st.one_of(
     st.fixed_dictionaries({"type": st.just("constant")}, optional={"value": _VALUE}),
     st.fixed_dictionaries({"type": st.just("sinusoid")},
@@ -702,7 +743,7 @@ _RUN_DOCUMENTS = st.fixed_dictionaries({
         {}, optional={"nu0": _RUN_PAIRS[3], "epsilon0": _RUN_PAIRS[2],
                       "state": _RUN_PAIRS[2]}),
     "output": st.fixed_dictionaries(
-        {}, optional={"format": st.sampled_from(["csv", "json"]),
+        {}, optional={"format": st.sampled_from(["csv", "json"]), "path": st.none(),
                       "fields": st.lists(st.sampled_from(["t", "lambda2", "phi0", "x"]),
                                          min_size=1, max_size=2)}),
 })
@@ -716,7 +757,10 @@ def test_main_runs_any_small_document_without_a_traceback(tmp_path_factory, doc,
     cfg_path = work / "scenario.json"
     cfg_path.write_text(json.dumps(doc))
     argv = [mode, "--config", str(cfg_path), "--out", str(work / "out"), *flags]
-    assert main(argv) in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def test_all_mode_builds_u_once_and_nu_once(monkeypatch, tmp_path):
@@ -762,9 +806,7 @@ def test_t_final_off_the_grid_exit_2(tmp_path, capsys, mode, config_t_final, fla
 
 
 def test_reported_points_count_the_grid():
-    cfg = parse_config(GOOD)
-    cfg.t_final = 3.142
-    report, _ = run("grassmann-selftest", cfg)
+    report, _ = run(replace(parse_config(GOOD), mode="grassmann-selftest", t_final=3.142))
     assert report.grid["points"] == 3143
 
 
@@ -870,11 +912,9 @@ def test_grid_bound_rejected_before_allocation(monkeypatch, capsys):
     assert main(["invariants", "--sweep", "1", "--t-final", "1e13", "--dt", "1e-3"]) == 2
     assert "run.t_final" in capsys.readouterr().err
     cfg = parse_config(GOOD)
-    cfg.t_final = MAX_GRID_POINTS * cfg.dt
     with pytest.raises(ConfigError, match="run.t_final"):
-        cfg.validate()
-    cfg.t_final = (MAX_GRID_POINTS - 1) * cfg.dt
-    cfg.validate()
+        replace(cfg, t_final=MAX_GRID_POINTS * cfg.dt)
+    replace(cfg, t_final=(MAX_GRID_POINTS - 1) * cfg.dt)
 
 
 def test_main_evolve_matches_evolve_state(tmp_path):
@@ -896,8 +936,7 @@ def test_main_coherence_sweep_passes():
 
 
 def test_flag_overrides():
-    cfg = parse_config(GOOD)
-    report, _ = run("coherence", cfg)
+    report, _ = run(replace(parse_config(GOOD), mode="coherence"))
     # forced spec: witness semantics
     assert report.checks[0]["name"] == "forcing_witness"
 
@@ -924,7 +963,7 @@ def test_invariants_scenario_with_rotating_forcing(tmp_path):
     header = out.read_text().splitlines()[0].split(",")
     assert header == ["t", "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
                       "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "oracle_dev"]
-    report, _ = run("invariants", parse_config(cfg_path.read_text()))
+    report, _ = run(parse_config(cfg_path.read_text()))
     oracle = [c for c in report.checks if c["name"] == "oracle_deviation"][0]
     assert oracle["value"] <= 1e-6
 
@@ -966,7 +1005,7 @@ def _grid_names(t_final, dt):
 def test_reduce_samples_what_integrate_epsilon_needs_once():
     calls: list = []
     cfg = ScenarioConfig(spec=_counted_spec(calls), mode="reduce", t_final=1.0)
-    report, _ = run("reduce", cfg)
+    report, _ = run(cfg)
     assert report.passed
     grids = _grid_names(cfg.t_final, cfg.dt)
     got = sorted((name, method, grids.get(grid, "other")) for name, method, grid in calls)
@@ -1001,7 +1040,7 @@ def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
     monkeypatch.setattr(ffo.cli, "evolve_unitary", own_nodes)
     monkeypatch.setattr(ffo.cli, "GridSamples", Tracked)
     cfg = ScenarioConfig(spec=_counted_spec(calls), mode="all", t_final=1.0)
-    report, tables = run("all", cfg)
+    report, tables = run(cfg)
     assert report.passed and "reduce" in tables
     grids = _grid_names(cfg.t_final, cfg.dt)
     assert len(calls) == len(set(calls))
@@ -1026,7 +1065,7 @@ def test_entrywise_runner_quantities_match_their_matrix_forms(seed):
     ud = np.conj(np.swapaxes(u, 1, 2))
 
     def runner(mode):
-        report, tables = run(mode, cfg)
+        report, tables = run(replace(cfg, mode=mode))
         return {c["name"]: c["value"] for c in report.checks}, dict(zip(*tables[mode]))
 
     _, cols = runner("invariants")
