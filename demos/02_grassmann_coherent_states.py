@@ -22,10 +22,11 @@ print("int 1, zeta, zeta*     =", berezin_integrate(ONE),
       berezin_integrate(ZETA), berezin_integrate(ZETA_STAR))
 print("int (3 + 2 zeta*zeta)  =", berezin_integrate(GrassmannElement([3, 0, 0, 2])))
 
-# the coherent state is the b-eigenstate with Grassmann eigenvalue
+# the coherent state is the b-eigenstate with Grassmann eigenvalue; a ket
+# is a (2, 4) element whose row n holds the |n> coefficient
 ket = coherent_ket(1.0)
-print("\n|zeta> components a0 =", ket.a0.c, " a1 =", ket.a1.c)
-residual = (apply_fermion_op("b", ket) - ket.left_mul(ZETA)).max_abs()
+print("\n|zeta> rows |0>:", ket.c[0], " |1>:", ket.c[1])
+residual = (apply_fermion_op("b", ket) - ZETA * ket).max_abs()
 print("b|zeta> - zeta|zeta>   =", residual)
 
 # overcompleteness: the Berezin-integrated outer product is the identity

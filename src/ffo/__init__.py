@@ -7,9 +7,8 @@ from .algebra import (anticommutator, commutator, hamiltonian_matrix,
                       ladder_operators, max_abs, spin_operators)
 from .errors import (ConfigError, ContractError, FfoError, IntegrationError,
                      SignalRangeError, SingularReductionError)
-from .grassmann import (GrassmannElement, GrassmannKet, GrassmannOperator,
-                        apply_fermion_op, berezin_integrate, coherent_ket,
-                        completeness_check, g_mul)
+from .grassmann import (GrassmannElement, apply_fermion_op, berezin_integrate,
+                        coherent_ket, completeness_check, g_mul, graded_apply)
 from .grid import GridSamples, Samples, linear_rk4, time_grid
 from .invariants import (MotionConstants, NuTrajectory, build_B_array,
                          build_B_dagger, build_B_so, free_oscillator_nu,

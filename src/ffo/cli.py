@@ -34,8 +34,8 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import ConfigError, FfoError
-from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op, coherent_ket,
-                        completeness_check, g_mul)
+from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op,
+                        berezin_integrate, coherent_ket, completeness_check, g_mul)
 from .grid import GridSamples, abs2
 from .invariants import (F_MIN, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
@@ -426,10 +426,9 @@ class _Scenario:
     """A scenario's config and planned submodes, and the samples, U, epsilon
     and nu trajectories the submodes share, each built once.
 
-    nu is solved once, in one ``integrate_nu`` call, for every initial
-    condition the submodes need: nu0 for invariants and phases, and
-    nu(epsilon)[0] for reduce's closure route.  ``all`` with reduce steps
-    both as a stack; every other run solves the one it needs alone.
+    nu is solved once, in one stacked ``integrate_nu`` call, for every
+    initial condition the submodes need: nu0 for invariants and phases, and
+    nu(epsilon)[0] for reduce's closure route.
 
     Building one checks the grid against the signals: omega and f must be
     finite on the grid nodes and resolved, dt * r <= MAX_STEP_ROTATION for
@@ -498,8 +497,6 @@ class _Scenario:
             starts["nu0"] = self.cfg.nu0
         if "reduce" in self.submodes:
             starts["closure"] = self.nu_epsilon[0]
-        if len(starts) == 1:
-            return {name: integrate_nu(self.samples, nu0) for name, nu0 in starts.items()}
         traj = integrate_nu(self.samples, list(starts.values()))
         return {name: traj.start(i) for i, name in enumerate(starts)}
 
@@ -607,17 +604,15 @@ def _run_grassmann(sc: _Scenario, tols: dict):
     _check(checks, "completeness_flip_detector", completeness_check(commuting=True),
            1.0, invert=True)
     ket = coherent_ket(1.0)
-    eig = (apply_fermion_op("b", ket) - ket.left_mul(ZETA)).max_abs()
+    eig = (apply_fermion_op("b", ket) - ZETA * ket).max_abs()
     _check(checks, "cs_eigenvalue", eig, tols["algebraic"])
-    beres = abs(g_mul(ZETA, ZETA_STAR).berezin() - 1.0)
+    beres = abs(berezin_integrate(g_mul(ZETA, ZETA_STAR)) - 1.0)
     _check(checks, "berezin_top", beres, tols["algebraic"])
-    assoc = []
-    rng = np.random.default_rng(0)
-    for _ in range(16):
-        x, y, z = (GrassmannElement(rng.normal(size=4) + 1j * rng.normal(size=4))
-                   for _ in range(3))
-        assoc.append((g_mul(g_mul(x, y), z) - g_mul(x, g_mul(y, z))).max_abs())
-    _check(checks, "associativity", np.max(assoc), tols["algebraic"])
+    # 16 random triples (x, y, z), each (real, imaginary) parts drawn in turn
+    r = np.random.default_rng(0).normal(size=(16, 3, 2, 4))
+    x, y, z = (GrassmannElement(r[:, i, 0] + 1j * r[:, i, 1]) for i in range(3))
+    assoc = (g_mul(g_mul(x, y), z) - g_mul(x, g_mul(y, z))).max_abs()
+    _check(checks, "associativity", assoc, tols["algebraic"])
     cols = [[c["name"] for c in checks], [c["value"] for c in checks],
             [c["tolerance"] for c in checks], [c["passed"] for c in checks]]
     return cols, checks

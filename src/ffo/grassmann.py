@@ -9,6 +9,11 @@ measure ordering d zeta* d zeta; zeta zeta* is represented as -zeta*zeta).
 All coefficients are complex and every operation is exact up to floating
 rounding -- nothing in this module is approximated.
 
+One type carries everything: a ``GrassmannElement`` holds coefficients of
+shape (..., 4) and every operation works entrywise over the leading axes.
+A ket a0|0> + a1|1> with Grassmann-valued left coefficients is an element
+of shape (2, 4), row n holding the |n> coefficient; K kets are (K, 2, 4).
+
 Grading conventions
 -------------------
 * zeta and zeta* anticommute with each other and square to zero.
@@ -31,24 +36,19 @@ _ONE, _Z, _ZS, _ZSZ = 0, 1, 2, 3
 
 
 class GrassmannElement:
-    """Element c0*1 + c1*zeta + c2*zeta* + c3*zeta*zeta."""
+    """Elements c0*1 + c1*zeta + c2*zeta* + c3*zeta*zeta, ``c`` of shape (..., 4)."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            self.c = np.zeros(4, dtype=complex)
-        else:
-            c = np.asarray(coeffs, dtype=complex)
-            if c.shape != (4,):
-                raise ValueError("GrassmannElement needs exactly 4 coefficients")
-            self.c = c.copy()
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=complex)
+        if c.shape[-1:] != (4,):
+            raise ValueError("GrassmannElement needs 4 coefficients on its last axis")
+        self.c = c
 
-    @staticmethod
-    def scalar(value) -> "GrassmannElement":
-        e = GrassmannElement()
-        e.c[_ONE] = value
-        return e
+    def __getitem__(self, index) -> "GrassmannElement":
+        """The element with coefficients ``c[index]``: ket rows, stack entries, new axes."""
+        return GrassmannElement(self.c[index])
 
     # -- ring operations ----------------------------------------------------
 
@@ -82,20 +82,14 @@ class GrassmannElement:
     def conjugate(self) -> "GrassmannElement":
         """Conjugation: complex-conjugate scalars, swap zeta <-> zeta*,
         reverse monomial order ((zeta*zeta)* = zeta*zeta)."""
-        c = self.c
-        return GrassmannElement([c[_ONE].conjugate(), c[_ZS].conjugate(),
-                                 c[_Z].conjugate(), c[_ZSZ].conjugate()])
+        return GrassmannElement(self.c.conj()[..., [_ONE, _ZS, _Z, _ZSZ]])
 
     def parity_flip(self) -> "GrassmannElement":
         """Negate the odd (degree-1) part; used when an odd operator moves
         past this coefficient."""
         c = self.c.copy()
-        c[_Z] = -c[_Z]
-        c[_ZS] = -c[_ZS]
+        c[..., _Z:_ZSZ] = -c[..., _Z:_ZSZ]
         return GrassmannElement(c)
-
-    def berezin(self) -> complex:
-        return berezin_integrate(self)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.c)))
@@ -105,143 +99,94 @@ class GrassmannElement:
 
 
 def _coerce(x) -> GrassmannElement:
+    """``x`` itself, or the scalar ``x`` as the element x * 1."""
     if isinstance(x, GrassmannElement):
         return x
-    return GrassmannElement.scalar(complex(x))
+    return GrassmannElement([complex(x), 0, 0, 0])
 
 
 ONE = GrassmannElement([1, 0, 0, 0])
 ZETA = GrassmannElement([0, 1, 0, 0])
 ZETA_STAR = GrassmannElement([0, 0, 1, 0])
 ZETA_STAR_ZETA = GrassmannElement([0, 0, 0, 1])
-ZERO = GrassmannElement()
+ZERO = GrassmannElement([0, 0, 0, 0])
 
 
 def g_mul(x: GrassmannElement, y: GrassmannElement, commuting: bool = False) -> GrassmannElement:
     """Graded product of two elements, reduced to the ordered basis.
 
+    The leading axes of ``x`` and ``y`` broadcast against each other.
     ``commuting=True`` is a diagnostic hook that multiplies the generators
     as if they commuted (zeta zeta* = +zeta*zeta); it exists so tests can
     demonstrate that the completeness integral detects wrong grading.
     """
     a, b = x.c, y.c
     sign = 1.0 if commuting else -1.0
-    out = np.empty(4, dtype=complex)
-    out[_ONE] = a[_ONE] * b[_ONE]
-    out[_Z] = a[_ONE] * b[_Z] + a[_Z] * b[_ONE]
-    out[_ZS] = a[_ONE] * b[_ZS] + a[_ZS] * b[_ONE]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out[..., _ONE] = a[..., _ONE] * b[..., _ONE]
+    out[..., _Z] = a[..., _ONE] * b[..., _Z] + a[..., _Z] * b[..., _ONE]
+    out[..., _ZS] = a[..., _ONE] * b[..., _ZS] + a[..., _ZS] * b[..., _ONE]
     # zeta* . zeta -> +zeta*zeta ; zeta . zeta* -> -zeta*zeta (graded)
-    out[_ZSZ] = (a[_ONE] * b[_ZSZ] + a[_ZSZ] * b[_ONE]
-                 + a[_ZS] * b[_Z] + sign * a[_Z] * b[_ZS])
+    out[..., _ZSZ] = (a[..., _ONE] * b[..., _ZSZ] + a[..., _ZSZ] * b[..., _ONE]
+                      + a[..., _ZS] * b[..., _Z] + sign * a[..., _Z] * b[..., _ZS])
     return GrassmannElement(out)
 
 
-def berezin_integrate(x: GrassmannElement) -> complex:
-    """Berezin integral d zeta* d zeta.
+def berezin_integrate(x: GrassmannElement):
+    """Berezin integral d zeta* d zeta, one complex value per element of ``x``.
 
     zeta zeta* integrates to 1 (so the stored zeta*zeta coefficient picks up
     -1); the lower monomials integrate to 0.
     """
-    return complex(-x.c[_ZSZ])
+    return -x.c[..., _ZSZ]
 
 
-class GrassmannKet:
-    """State a0|0> + a1|1> with Grassmann-valued left coefficients."""
+def graded_apply(matrix, ket: GrassmannElement) -> GrassmannElement:
+    """Graded action of a fermion operator on a ket, or of a stack on a stack.
 
-    __slots__ = ("a0", "a1")
-
-    def __init__(self, a0, a1):
-        self.a0 = _coerce(a0)
-        self.a1 = _coerce(a1)
-
-    def coeff_array(self) -> np.ndarray:
-        """(2, 4) coefficient array; row 0 is the |0> component."""
-        return np.vstack([self.a0.c, self.a1.c])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeff_array())))
-
-    def __add__(self, other):
-        return GrassmannKet(self.a0 + other.a0, self.a1 + other.a1)
-
-    def __sub__(self, other):
-        return GrassmannKet(self.a0 - other.a0, self.a1 - other.a1)
-
-    def left_mul(self, x) -> "GrassmannKet":
-        """Left-multiply both components by a Grassmann element (or scalar)."""
-        x = _coerce(x)
-        return GrassmannKet(g_mul(x, self.a0), g_mul(x, self.a1))
-
-    def __repr__(self):
-        return f"GrassmannKet(a0={self.a0!r}, a1={self.a1!r})"
-
-
-class GrassmannOperator:
-    """Graded action of a fermion ladder operator on GrassmannKets.
-
-    ``matrix`` is the operator's 2x2 matrix in the {|0>, |1>} basis.  The
+    ``matrix`` is the operator's 2x2 matrix in the {|0>, |1>} basis, (..., 2, 2),
+    and ``ket`` a (..., 2, 4) element; the leading axes broadcast.  The
     operator is treated as odd as a whole: every ket coefficient receives a
     parity flip before the matrix acts (see module docstring).
     """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("GrassmannOperator needs a 2x2 matrix")
-        self.matrix = m
-
-    def apply(self, ket: GrassmannKet) -> GrassmannKet:
-        m = self.matrix
-        f0 = ket.a0.parity_flip()
-        f1 = ket.a1.parity_flip()
-        return GrassmannKet(m[0, 0] * f0 + m[0, 1] * f1,
-                            m[1, 0] * f0 + m[1, 1] * f1)
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape[-2:] != (2, 2) or ket.c.shape[-2:-1] != (2,):
+        raise ValueError("graded_apply needs 2x2 matrices and kets of two rows")
+    f, m = ket.parity_flip().c, m[..., None]
+    rows = [m[..., i, 0, :] * f[..., 0, :] + m[..., i, 1, :] * f[..., 1, :] for i in (0, 1)]
+    return GrassmannElement(np.stack(rows, axis=-2))
 
 
-def _bare(op: str) -> GrassmannOperator:
-    if op == "b":
-        return GrassmannOperator([[0, 1], [0, 0]])
-    if op == "b_dag":
-        return GrassmannOperator([[0, 0], [1, 0]])
-    raise ValueError(f"unknown fermion operator {op!r}")
+_BARE = {"b": [[0, 1], [0, 0]], "b_dag": [[0, 0], [1, 0]]}
 
 
-def apply_fermion_op(op: str, ket: GrassmannKet) -> GrassmannKet:
+def apply_fermion_op(op: str, ket: GrassmannElement) -> GrassmannElement:
     """Act with 'b' or 'b_dag' on a ket under the graded sign rule."""
-    return _bare(op).apply(ket)
+    if op not in _BARE:
+        raise ValueError(f"unknown fermion operator {op!r}")
+    return graded_apply(_BARE[op], ket)
 
 
-def coherent_ket(scale: complex = 1.0) -> GrassmannKet:
-    """Canonical coherent state for eigenvalue scale*zeta.
+def coherent_ket(scale: complex = 1.0) -> GrassmannElement:
+    """Canonical coherent state for eigenvalue scale*zeta, a (2, 4) ket.
 
     exp(-|scale|^2 zeta*zeta / 2) (|0> - scale*zeta |1>); the exponential
     truncates exactly by nilpotency.
     """
     s = complex(scale)
-    a0 = GrassmannElement([1.0, 0, 0, -0.5 * (s.conjugate() * s)])
-    a1 = GrassmannElement([0, -s, 0, 0])
-    return GrassmannKet(a0, a1)
+    return GrassmannElement([[1.0, 0, 0, -0.5 * (s.conjugate() * s)], [0, -s, 0, 0]])
 
 
-def outer_integral(ket: GrassmannKet, bra_ket: GrassmannKet | None = None,
-                   commuting: bool = False) -> np.ndarray:
-    """Berezin-integrate the operator |ket><bra_ket| entry by entry.
+def outer_integral(ket: GrassmannElement, commuting: bool = False) -> np.ndarray:
+    """Berezin-integrate the operator |ket><ket| entry by entry.
 
     The bra coefficients are the conjugates of the ket's; each operator
-    entry is ket_m * conj(bra_n) in that order.  Returns the integrated 2x2
-    complex matrix.
+    entry is ket_m * conj(ket_n) in that order, all four in one product of
+    the rows with the conjugated rows.  Returns the integrated 2x2 complex
+    matrix ((..., 2, 2) for a stack of kets).
     """
-    if bra_ket is None:
-        bra_ket = ket
-    kets = [ket.a0, ket.a1]
-    bras = [bra_ket.a0.conjugate(), bra_ket.a1.conjugate()]
-    out = np.empty((2, 2), dtype=complex)
-    for m in range(2):
-        for n in range(2):
-            out[m, n] = berezin_integrate(g_mul(kets[m], bras[n], commuting=commuting))
-    return out
+    rows, bras = ket[..., :, None, :], ket.conjugate()[..., None, :, :]
+    return berezin_integrate(g_mul(rows, bras, commuting=commuting))
 
 
 def completeness_check(commuting: bool = False) -> float:

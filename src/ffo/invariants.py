@@ -194,23 +194,17 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
     """Max of ||dB/dt - i[B, H]||_max over the interior points of ``samples.times``.
 
     dB/dt uses the central difference of the stored trajectory, so the
-    result is bounded by C*dt^2 plus the integration error.  The commutator
-    is written entrywise.  With B = [[-nu_3/2, nu_minus], [nu_plus, nu_3/2]],
-    [B, H] has the diagonal +-(nu_minus f - conj(f) nu_plus) and the
-    off-diagonal entries nu_minus omega - nu_3 conj(f) and
-    -nu_plus omega + nu_3 f; the (1, 1) residual is minus the (0, 0) one,
-    so three entries give the max.  g commutes with B and is not read, so
-    no size of g can round omega away.
+    result is bounded by C*dt^2 plus the integration error.  B's entries
+    are nu_minus, nu_plus and -+nu_3/2, and i[B, H] is B with nu' of the
+    coefficient system (``_nu_dot``) in place of nu; so the residual is the
+    central difference minus ``_nu_dot``, its nu_3 row halved.  g commutes
+    with B and is not read, so no size of g can round omega away.
     """
     samples.check_grid(traj.times)
-    d = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt)
-    vm, vp, v3 = traj.nu[1:-1].T
-    w, f = samples.omega[1:-1], samples.f[1:-1]
-    fc = np.conj(f)
-    residuals = (-0.5 * d[:, 2] - 1j * (vm * f - fc * vp),
-                 d[:, 0] - 1j * (vm * w - v3 * fc),
-                 d[:, 1] - 1j * (v3 * f - vp * w))
-    return float(np.max([np.max(np.abs(r)) for r in residuals]))  # a nan residual stays nan
+    r = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt) - np.column_stack(
+        _nu_dot(samples, traj.nu))[1:-1]
+    r[:, 2] *= 0.5
+    return float(np.max(np.abs(r)))  # a nan residual stays nan
 
 
 # -- free oscillator closed forms ---------------------------------------------

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ContractError
-from .grassmann import GrassmannElement, GrassmannKet, GrassmannOperator
+from .grassmann import ZETA, GrassmannElement, graded_apply
 from .grid import Samples, abs2, cumsimpson_grid
 from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
@@ -63,29 +63,33 @@ def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
 
 # -- coherent states ----------------------------------------------------------
 
-def coherent_state(zeta_scale: complex, psi, nu) -> GrassmannKet:
-    """|zeta;t> = exp(-|s|^2 zeta*zeta/2) (|0;t> - s zeta B'(t)|0;t>).
+def coherent_state(zeta_scale: complex, psi, nu) -> GrassmannElement:
+    """|zeta;t> = exp(-|s|^2 zeta*zeta/2) (|0;t> - s zeta B'(t)|0;t>), a (2, 4) ket.
 
     ``psi`` is the vacuum |0;t> as a 2-vector (one row of
     ``vacuum_trajectory``) and ``nu`` the coefficients (3,) at the same
-    time.  ``zeta_scale`` multiplies the symbolic generator, so the state is
-    the eigenstate of B(t) with eigenvalue zeta_scale * zeta.
+    time, or stacks (K, 2) and (K, 3) of them for K kets (K, 2, 4).
+    ``zeta_scale`` multiplies the symbolic generator, so the state is the
+    eigenstate of B(t) with eigenvalue zeta_scale * zeta.
     """
     s = complex(zeta_scale)
     v = np.asarray(psi, dtype=complex)
-    w = build_B_dagger(nu) @ v
+    bd = build_B_dagger(nu)
+    # B'|0;t> entrywise, each entry one grid column
+    w = np.stack([bd[..., i, 0] * v[..., 0] + bd[..., i, 1] * v[..., 1] for i in (0, 1)], axis=-1)
     half = 0.5 * (s.conjugate() * s)
-    a0 = GrassmannElement([v[0], -s * w[0], 0.0, -half * v[0]])
-    a1 = GrassmannElement([v[1], -s * w[1], 0.0, -half * v[1]])
-    return GrassmannKet(a0, a1)
+    return GrassmannElement(np.stack([v, -s * w, np.zeros_like(v), -half * v], axis=-1))
 
 
 def cs_eigen_residual(nu, psi, zeta_scale: complex = 1.0) -> float:
-    """Max-abs coefficient of B|zeta;t> - (s zeta)|zeta;t> in the algebra."""
+    """Max-abs coefficient of B|zeta;t> - (s zeta)|zeta;t> in the algebra.
+
+    ``nu`` and ``psi`` are one point or stacks, as for ``coherent_state``;
+    a stack gives the max over all its points.
+    """
     ket = coherent_state(zeta_scale, psi, nu)
-    lhs = GrassmannOperator(build_B_array(nu)).apply(ket)
-    rhs = ket.left_mul(GrassmannElement([0.0, complex(zeta_scale), 0.0, 0.0]))
-    return (lhs - rhs).max_abs()
+    lhs = graded_apply(build_B_array(nu), ket)
+    return (lhs - (complex(zeta_scale) * ZETA) * ket).max_abs()
 
 
 # -- temporal stability of the canonical CS -----------------------------------
@@ -122,9 +126,9 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
     safe = np.abs(u00) > 1e-12
     ratio = np.where(safe, u11 / np.where(safe, u00, 1.0), 0.0)
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
-    # (u11 - c u00) (|0>, zeta) and -c u10 (|1>, zeta)
+    # (u11 - c u00) (|0>, zeta) and -c u10 (|1>, zeta); |u10| bounds |u10|/2
     fit_gap = np.abs(u11 - ratio * u00)
-    residual = reduce(np.maximum, (np.abs(u10), 0.5 * np.abs(u10), np.abs(ratio * u10), fit_gap))
+    residual = reduce(np.maximum, (np.abs(u10), np.abs(ratio * u10), fit_gap))
     dt = float(times[1] - times[0])
     beta = np.exp(1j * cumsimpson_grid(samples.omega, dt))
     return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,

@@ -94,6 +94,11 @@ def test_traced_all_request_solves_nu_once(monkeypatch, tmp_path):
                                          os.path.join(PERFBENCH, "readme_scenario.json")])
     assert metrics["invariants.integrate_nu.calls"] == 1
     assert metrics["signals.eval.calls"] == 22
+    # the self-test's graded products, each one batched call: two completeness
+    # integrals, zeta|zeta>, the Berezin top monomial and the associativity
+    # triple (four); the Grassmann layer stays in the per-layer metrics
+    assert metrics["grassmann.g_mul.calls"] == 8
+    assert metrics["grassmann.busy_s"] > 0
 
 
 def test_traced_phases_request_counts_the_vacuum_gap_points(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import ContractError
-from ffo.grassmann import GrassmannOperator
+from ffo.grassmann import ZETA, GrassmannElement, coherent_ket, graded_apply
 from ffo.grid import GridSamples, Samples, cumsimpson_grid
 from ffo.invariants import (NuTrajectory, build_B_array, build_B_dagger, integrate_nu,
                             invariance_residual_max)
@@ -271,23 +271,37 @@ def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
 
 def test_coherent_state_reduces_to_vacuum_at_zero():
     ket = coherent_state(0.0, (0.6, 0.8j), (1, 0, 0))
-    assert ket.a0.c[0] == 0.6 and ket.a1.c[0] == 0.8j
-    assert np.max(np.abs(ket.coeff_array()[:, 1:])) == 0.0
+    assert ket.c.shape == (2, 4)
+    assert ket.c[0, 0] == 0.6 and ket.c[1, 0] == 0.8j
+    assert np.max(np.abs(ket.c[:, 1:])) == 0.0
 
 
 def test_coherent_state_canonical_at_t0():
-    from ffo.grassmann import coherent_ket
     ket = coherent_state(1.0, (1.0, 0.0), (1, 0, 0))
     want = coherent_ket(1.0)
-    assert np.allclose(ket.coeff_array(), want.coeff_array())
+    assert np.allclose(ket.c, want.c)
 
 
 def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
+    # every grid point in one stacked call
     traj, _, _ = calibrated_trajectory
     psi = _vacuum(traj, forced_spec)
-    for k in (0, 1111, 3210, 5000):
-        for scale in (1.0, 0.4 - 0.6j):
-            assert cs_eigen_residual(traj.nu[k], psi[k], scale) <= 1e-12
+    for scale in (1.0, 0.4 - 0.6j):
+        assert cs_eigen_residual(traj.nu, psi, scale) <= 1e-12
+
+
+def test_stacked_coherent_states_are_each_state_bit_for_bit(forced_spec,
+                                                            calibrated_trajectory):
+    traj, _, _ = calibrated_trajectory
+    ks = [0, 1111, 3210, 5000]
+    nu, psi = traj.nu[ks], _vacuum(traj, forced_spec)[ks]
+    for scale in (1.0, 0.4 - 0.6j):
+        stacked = coherent_state(scale, psi, nu)
+        assert stacked.c.shape == (len(ks), 2, 4)
+        singles = [cs_eigen_residual(nu[i], psi[i], scale) for i in range(len(ks))]
+        for i in range(len(ks)):
+            assert np.array_equal(stacked.c[i], coherent_state(scale, psi[i], nu[i]).c)
+        assert cs_eigen_residual(nu, psi, scale) == max(singles)
 
 
 def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
@@ -465,14 +479,12 @@ def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory
     k = 2048
     x = np.exp(1j * ph.phi0[k]) * ph.frame.e0[k]
     y = np.exp(-1j * ph.phi0[k]) * ph.frame.e1[k]
-    from ffo.grassmann import GrassmannElement, GrassmannKet
-    a0 = GrassmannElement([x[0], -y[0], 0.0, -0.5 * x[0]])
-    a1 = GrassmannElement([x[1], -y[1], 0.0, -0.5 * x[1]])
-    ket = GrassmannKet(a0, a1)
+    # rows (x_n, -y_n zeta, 0, -x_n/2 zeta*zeta): x - zeta y - (1/2) zeta*zeta x
+    ket = GrassmannElement(np.stack([x, -y, np.zeros(2), -0.5 * x], axis=-1))
     b_tilde = np.outer(ph.frame.e0[k], np.conj(ph.frame.e1[k]))
-    lhs = GrassmannOperator(b_tilde).apply(ket)
+    lhs = graded_apply(b_tilde, ket)
     phi = -2.0 * ph.phi0[k]
-    rhs = ket.left_mul(GrassmannElement([0.0, np.exp(1j * phi), 0.0, 0.0]))
+    rhs = (np.exp(1j * phi) * ZETA) * ket
     assert (lhs - rhs).max_abs() <= 1e-7
 
 
