@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
@@ -84,40 +83,6 @@ MAX_INITIAL_ABS = 1e50
 # B, lambda2 ~ |eps|^4 or the norm underflows to (in effect) zero
 MIN_INITIAL_ABS = 1e-50
 
-MODES = ("evolve", "invariants", "reduce", "coherence", "phases",
-         "grassmann-selftest", "all")
-
-# the check a bare --tol flag overrides, per mode
-PRIMARY_CHECK = {
-    "evolve": "norm_drift",
-    "invariants": "oracle_deviation",
-    "reduce": "closure",
-    "coherence": "coherence_eigen",
-    "phases": "phase_consistency",
-    "grassmann-selftest": "completeness",
-}
-
-
-# the header of each mode's CSV table
-CSV_HEADERS = {
-    "evolve": ("t", "re_amp0", "im_amp0", "re_amp1", "im_amp1", "norm"),
-    "invariants": ("t", "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
-                   "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "oracle_dev"),
-    "reduce": ("t", "re_eps", "im_eps", "re_eps_dot", "im_eps_dot",
-               "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
-               "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "closure_dev"),
-    "coherence": ("t", "eigen_residual", "re_zeta_ratio", "im_zeta_ratio",
-                  "re_beta", "im_beta"),
-    "phases": ("t", "phi0", "phi1", "phi_geometric", "phi_dynamical"),
-    "grassmann-selftest": ("check", "value", "tolerance", "passed"),
-}
-
-
-def _csv_table(mode: str) -> str:
-    """The mode whose table a CSV output of ``mode`` holds: "all" writes the invariants one."""
-    return "invariants" if mode == "all" else mode
-
-
 # -- configuration ------------------------------------------------------------
 
 _SIGNAL_KEYS = {
@@ -149,15 +114,19 @@ def _string(x, path: str) -> str:
     return x
 
 
+def _check_keys(node, allowed, path):
+    extra = set(node) - set(allowed)
+    if extra:
+        raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
+
+
 def _parse_signal(node, path: str) -> Signal:
     if not isinstance(node, dict):
         raise ConfigError(path, "signal descriptor must be an object")
     kind = node.get("type")
     if not (isinstance(kind, str) and kind in _SIGNAL_KEYS):
         raise ConfigError(f"{path}.type", f"unknown signal type {kind!r}")
-    extra = set(node) - _SIGNAL_KEYS[kind] - {"type"}
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
+    _check_keys(node, _SIGNAL_KEYS[kind] | {"type"}, path)
 
     def num(key, default):
         return _finite(node.get(key, default), f"{path}.{key}")
@@ -231,6 +200,8 @@ class ScenarioConfig:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("output.format", f"unknown format {self.out_format!r}")
+        if self.out_path == "":
+            raise ConfigError("output.path", "must not be empty")
         for name, tol in self.tolerances.items():
             if name not in CHECK_TOLERANCES:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
@@ -249,12 +220,6 @@ class ScenarioConfig:
                 raise ConfigError(path, f"a real or imaginary part exceeds {MAX_INITIAL_ABS:g}")
         if self.mode in ("phases", "all") and off_ladder_shell(*motion_constants(self.nu0)):
             raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
-
-
-def _check_keys(node, allowed, path):
-    extra = set(node) - set(allowed)
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
 
 
 def _section(doc: dict, key: str, allowed) -> dict:
@@ -330,7 +295,6 @@ def parse_config(text: str) -> ScenarioConfig:
 class RunReport:
     mode: str
     grid: dict
-    drifts: dict
     checks: list            # [{"name", "value", "tolerance", "passed"}]
     wall_time_s: float = 0.0
 
@@ -341,7 +305,8 @@ class RunReport:
     def to_json_obj(self) -> dict:
         # wall time deliberately excluded: report files are byte-deterministic
         return {"schema": 1, "mode": self.mode, "grid": self.grid,
-                "drifts": self.drifts, "checks": self.checks,
+                "drifts": {c["name"]: c["value"] for c in self.checks},
+                "checks": self.checks,
                 "passed": self.passed}
 
 
@@ -352,9 +317,10 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, lines) -> None:
-    """Write an iterable of str to ``path`` (UTF-8) through a temporary file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               suffix=".tmp")
+    """Write an iterable of str to ``path`` (UTF-8) through a temporary file
+    created, as ``open(path, "w")`` creates one, with mode 0666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
@@ -422,6 +388,14 @@ def _check(checks: list, name: str, value: float, tolerance: float, invert=False
                    "tolerance": float(tolerance), "passed": bool(passed)})
 
 
+# all mode's submodes, in run order; reduce runs only where min |f| on the
+# grid nodes is at least ALL_REDUCE_MIN_F
+ALL = ("grassmann-selftest", "invariants", "coherence", "phases", "reduce")
+ALL_REDUCE_MIN_F = 0.1
+# the submode whose table a CSV output of all mode holds
+ALL_CSV_TABLE = "invariants"
+
+
 class _Scenario:
     """A scenario's config and planned submodes, and the samples, U, epsilon
     and nu trajectories the submodes share, each built once.
@@ -435,7 +409,9 @@ class _Scenario:
     nu's Bloch rotation rate r = sqrt(omega^2 + 4 |f|^2), and g must be
     finite on the grid nodes in every mode, also where no mode reads it.
     A failure is a ConfigError naming the dominating signal, the time and
-    the value.
+    the value.  Where reduce is planned, |f| must be at least F_MIN on the
+    grid nodes and the step midpoints, a ConfigError at hamiltonian.f_re
+    otherwise.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -448,9 +424,15 @@ class _Scenario:
             self._check_resolution()
         self.submodes = [cfg.mode]
         if cfg.mode == "all":
-            self.submodes = ["grassmann-selftest", "invariants", "coherence", "phases"]
-            if not self.is_free and float(np.min(self.forcing)) >= 0.1:
-                self.submodes.append("reduce")
+            self.submodes = [m for m in ALL if m != "reduce"
+                             or float(np.min(self.forcing)) >= ALL_REDUCE_MIN_F]
+        if "reduce" in self.submodes:  # it divides by f, which it samples on both grids
+            for s in (self.samples, self.samples.mids):
+                forcing = np.abs(s.f)
+                k = int(np.argmin(forcing))
+                if forcing[k] < F_MIN:
+                    raise ConfigError("hamiltonian.f_re", f"|f| = {float(forcing[k])!r} at "
+                                      f"t={s.times[k]}: reduce needs |f| >= {F_MIN:g}")
 
     def _check_resolution(self):
         s = self.samples
@@ -618,14 +600,26 @@ def _run_grassmann(sc: _Scenario, tols: dict):
     return cols, checks
 
 
-_MODE_RUNNERS = {
-    "evolve": _run_evolve,
-    "invariants": _run_invariants,
-    "reduce": _run_reduce,
-    "coherence": _run_coherence,
-    "phases": _run_phases,
-    "grassmann-selftest": _run_grassmann,
+# mode -> (runner, the header of its CSV table, the check a bare --tol overrides);
+# runner(scenario, tolerances) returns (CSV columns, checks)
+_MODES = {
+    "evolve": (_run_evolve, ("t", "re_amp0", "im_amp0", "re_amp1", "im_amp1", "norm"),
+               "norm_drift"),
+    "invariants": (_run_invariants, ("t", "re_nu_minus", "im_nu_minus", "re_nu_plus",
+                                     "im_nu_plus", "re_nu_3", "im_nu_3", "abs_lambda1",
+                                     "lambda2", "oracle_dev"), "oracle_deviation"),
+    "reduce": (_run_reduce, ("t", "re_eps", "im_eps", "re_eps_dot", "im_eps_dot",
+                             "re_nu_minus", "im_nu_minus", "re_nu_plus", "im_nu_plus",
+                             "re_nu_3", "im_nu_3", "abs_lambda1", "lambda2", "closure_dev"),
+               "closure"),
+    "coherence": (_run_coherence, ("t", "eigen_residual", "re_zeta_ratio", "im_zeta_ratio",
+                                   "re_beta", "im_beta"), "coherence_eigen"),
+    "phases": (_run_phases, ("t", "phi0", "phi1", "phi_geometric", "phi_dynamical"),
+               "phase_consistency"),
+    "grassmann-selftest": (_run_grassmann, ("check", "value", "tolerance", "passed"),
+                           "completeness"),
 }
+MODES = (*_MODES, "all")
 
 
 def run(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
@@ -634,19 +628,15 @@ def run(cfg: ScenarioConfig) -> tuple[RunReport, dict]:
     t0 = time.perf_counter()
     tables: dict = {}
     checks: list = []
-    drifts: dict = {}
     sc = _Scenario(cfg)
     for sub in sc.submodes:
-        cols, c = _MODE_RUNNERS[sub](sc, tols)
+        runner, header, _ = _MODES[sub]
+        cols, c = runner(sc, tols)
         prefix = "" if cfg.mode != "all" else sub + "."
-        tables[sub] = (CSV_HEADERS[sub], cols)
-        for item in c:
-            item = dict(item, name=prefix + item["name"])
-            checks.append(item)
-            drifts[item["name"]] = item["value"]
-    grid = {"t_final": cfg.t_final, "dt": cfg.dt,
-            "points": int(round(cfg.t_final / cfg.dt)) + 1}
-    report = RunReport(mode=cfg.mode, grid=grid, drifts=drifts, checks=checks,
+        tables[sub] = (header, cols)
+        checks += [dict(item, name=prefix + item["name"]) for item in c]
+    grid = {"t_final": cfg.t_final, "dt": cfg.dt, "points": len(sc.samples.times)}
+    report = RunReport(mode=cfg.mode, grid=grid, checks=checks,
                        wall_time_s=time.perf_counter() - t0)
     return report, tables
 
@@ -668,7 +658,7 @@ def _emit(cfg: ScenarioConfig, report: RunReport, tables: dict, path: str | None
     if cfg.out_format == "json":
         emit_json(path, report)
         return
-    header, cols = tables[_csv_table(report.mode)]
+    header, cols = tables[ALL_CSV_TABLE if report.mode == "all" else report.mode]
     header, cols = _table_select(cfg, header, cols)
     emit_csv(path, header, cols)
 
@@ -707,13 +697,15 @@ def main(argv=None) -> int:
                                                  ("out_format", args.fmt), ("out_path", args.out))
                  if value is not None}
         if args.tol is not None:
-            if args.mode not in PRIMARY_CHECK:
+            if args.mode not in _MODES:
                 raise ConfigError("--tol", f"{args.mode} mode has no primary check; "
                                            "set run.tolerances")
-            flags["tolerances"] = {**cfg.tolerances, PRIMARY_CHECK[args.mode]: args.tol}
+            _, _, primary = _MODES[args.mode]
+            flags["tolerances"] = {**cfg.tolerances, primary: args.tol}
         cfg = replace(cfg, mode=args.mode, **flags)
         if cfg.out_format == "csv" and cfg.out_path is not None:  # before any scenario runs
-            _table_select(cfg, *[CSV_HEADERS[_csv_table(cfg.mode)]] * 2)
+            _, header, _ = _MODES[ALL_CSV_TABLE if cfg.mode == "all" else cfg.mode]
+            _table_select(cfg, header, header)
 
         if args.sweep is not None:
             # one scenario at a time, so no scenario's samples or tables outlive its output

@@ -51,10 +51,6 @@ class EpsilonTrajectory:
     eps: np.ndarray
     eps_dot: np.ndarray
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def _require_f(samples: Samples) -> np.ndarray:
     """``samples.f``, once |f| >= F_MIN holds at every one of ``samples.times``."""

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -242,6 +243,35 @@ def test_main_json_report(tmp_path):
     assert {c["name"] for c in obj["checks"]} >= {"oracle_deviation", "lambda1_drift"}
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_json_drifts_map_each_check_name_to_its_value(tmp_path, mode):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD)
+    out = tmp_path / "report.json"
+    assert main([mode, "--config", str(cfg_path), "--out", str(out), "--format", "json"]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["drifts"] == {c["name"]: c["value"] for c in obj["checks"]}
+    assert len(obj["drifts"]) == len(obj["checks"]) > 0
+
+
+def test_output_files_get_the_mode_open_gives_them(tmp_path):
+    # 0666 less the umask, for a new file and for one written over
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD)
+    new, old = tmp_path / "new.csv", tmp_path / "old.json"
+    old.write_text("{}\n")
+    old.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        assert main(["invariants", "--config", str(cfg_path), "--out", str(new)]) == 0
+        assert main(["invariants", "--config", str(cfg_path), "--out", str(old),
+                     "--format", "json"]) == 0
+    finally:
+        os.umask(umask)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (new, old)] == [0o644, 0o644]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.json", "scenario.json"]
+
+
 def test_main_field_selector(tmp_path):
     doc = json.loads(GOOD)
     doc["output"]["fields"] = ["t", "lambda2"]
@@ -303,6 +333,18 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"format": "csv"', '"format": "csv", "path": null', [], "output.path"),
     ('"format": "csv"', '"format": "csv", "path": ["a", "b"]', [], "output.path"),
     ('"format": "csv"', '"format": "csv", "fields": ["t", 1]', [], "output.fields[1]"),
+    # an empty path used to write a hidden ".csv" (or "-000.csv" in a sweep)
+    ('"format": "csv"', '"format": "csv", "path": ""', [], "output.path"),
+    ("", "", ["--out", ""], "output.path"),
+    ("", "", ["--sweep", "2", "--out", ""], "output.path"),
+    # reduce divides by f: a zero of f on the grid nodes (f = 0.5 sin t at
+    # t = 0) or on a step midpoint (t = dt/2) used to stop inside integrate_epsilon
+    ('{"type": "constant", "value": 0.5},\n    "f_im": {"type": "constant", "value": 0.1}',
+     '{"type": "sinusoid", "amplitude": 0.5},\n    "f_im": {"type": "constant", "value": 0}',
+     ["reduce"], "hamiltonian.f_re"),
+    ('{"type": "constant", "value": 0.5},\n    "f_im": {"type": "constant", "value": 0.1}',
+     '{"type": "sinusoid", "amplitude": 0.5, "phase": -0.0005},\n'
+     '    "f_im": {"type": "constant", "value": 0}', ["reduce"], "hamiltonian.f_re"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
