@@ -4,7 +4,7 @@ Modes
 -----
 * ``evolve``             state evolution through the propagator
 * ``invariants``         coefficient system + constants + oracle comparison
-* ``reduce``             epsilon route + closure checks
+* ``reduce``             epsilon route + closure against the propagator
 * ``coherence``          temporal-stability measurement of the canonical CS
 * ``phases``             Lewis-Riesenfeld phase trajectory
 * ``grassmann-selftest`` algebra + Berezin + completeness checks
@@ -36,7 +36,7 @@ from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op,
                         berezin_integrate, coherent_ket, completeness_check, g_mul)
 from .grid import GridSamples, abs2
-from .invariants import (F_MIN, build_B_array, integrate_nu,
+from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
 from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
 from .reduction import (EpsilonTrajectory, integrate_epsilon, lambda2_from_epsilon,
@@ -400,18 +400,17 @@ class _Scenario:
     """A scenario's config and planned submodes, and the samples, U, epsilon
     and nu trajectories the submodes share, each built once.
 
-    nu is solved once, in one stacked ``integrate_nu`` call, for every
-    initial condition the submodes need: nu0 for invariants and phases, and
-    nu(epsilon)[0] for reduce's closure route.
+    nu is solved from nu0 alone, for invariants and phases; reduce's
+    closure reads nu(epsilon) against the propagator, U B(nu(epsilon)(0)) U'.
 
     Building one checks the grid against the signals: omega and f must be
     finite on the grid nodes and resolved, dt * r <= MAX_STEP_ROTATION for
     nu's Bloch rotation rate r = sqrt(omega^2 + 4 |f|^2), and g must be
-    finite on the grid nodes in every mode, also where no mode reads it.
-    A failure is a ConfigError naming the dominating signal, the time and
-    the value.  Where reduce is planned, |f| must be at least F_MIN on the
-    grid nodes and the step midpoints, a ConfigError at hamiltonian.f_re
-    otherwise.
+    finite on the grid nodes in every mode, also where no mode reads it,
+    and so must U's running phase theta = int (g + omega/2).  A failure is
+    a ConfigError naming the dominating signal, the time and the value.
+    Where reduce is planned, |f| must be at least F_MIN on the grid nodes
+    and the step midpoints, a ConfigError at hamiltonian.f_re otherwise.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -449,10 +448,17 @@ class _Scenario:
                 f"dt * sqrt(omega^2 + 4|f|^2) = {rotation[k]:.3g} is above "
                 f"{MAX_STEP_ROTATION:g}; use a smaller run.dt")
             raise ConfigError(f"hamiltonian.{name}", f"{value!r} at t={s.times[k]}: {detail}")
-        bad = ~np.isfinite(s.g)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ConfigError("hamiltonian.g", f"{float(s.g[k])!r} at t={s.times[k]}: not finite")
+        # U's phase theta = int (g + omega/2), which the propagator sums on its Gauss
+        # nodes: its trapezoid bound from |g + omega/2| on the grid nodes must stay below
+        # half the largest float, so the Gauss-node sum would have to be twice as large
+        h, limit = (0.5 * s.dt) * np.abs(s.g + 0.5 * s.omega), 0.5 * np.finfo(float).max
+        theta = np.append(0.0, np.cumsum(h[:-1] + h[1:]))
+        for bad, detail in ((~np.isfinite(s.g), "not finite"),
+                            (~(theta <= limit), f"theta = int (g + omega/2) passes {limit:.3g}, "
+                                                "half the largest float")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ConfigError("hamiltonian.g", f"{float(s.g[k])!r} at t={s.times[k]}: {detail}")
 
     @property
     def is_free(self) -> bool:
@@ -472,15 +478,8 @@ class _Scenario:
         return nu_from_epsilon_arrays(self.samples, self.epsilon.eps, self.epsilon.eps_dot)
 
     @cached_property
-    def nu(self) -> dict:
-        """{"nu0": nu(nu0), "closure": nu(nu(epsilon)[0])}, as far as the submodes read them."""
-        starts = {}
-        if {"invariants", "phases"} & set(self.submodes):
-            starts["nu0"] = self.cfg.nu0
-        if "reduce" in self.submodes:
-            starts["closure"] = self.nu_epsilon[0]
-        traj = integrate_nu(self.samples, list(starts.values()))
-        return {name: traj.start(i) for i, name in enumerate(starts)}
+    def nu(self) -> NuTrajectory:
+        return integrate_nu(self.samples, self.cfg.nu0)
 
 
 def _run_evolve(sc: _Scenario, tols: dict):
@@ -500,14 +499,19 @@ def _run_evolve(sc: _Scenario, tols: dict):
     return cols, checks
 
 
-def _run_invariants(sc: _Scenario, tols: dict):
-    cfg, traj = sc.cfg, sc.nu["nu0"]
+def _oracle_deviation(unitary: UnitaryTrajectory, nu0, nu) -> np.ndarray:
+    """max over the four entries of |B(nu(t)) - U(t) B(nu0) U(t)'| at each grid point."""
     # the oracle U B0 U' entrywise, each entry one grid column: c = U B0, then c U'
-    u, b0 = np.moveaxis(sc.unitary.U, 0, -1), build_B_array(cfg.nu0)
+    u, b0 = np.moveaxis(unitary.U, 0, -1), build_B_array(nu0)
     c = [[u[i, 0] * b0[0, j] + u[i, 1] * b0[1, j] for j in (0, 1)] for i in (0, 1)]
-    ud, b = [[np.conj(x) for x in row] for row in u], np.moveaxis(build_B_array(traj.nu), 0, -1)
-    dev = reduce(np.maximum, (np.abs(b[i, j] - (c[i][0] * ud[j][0] + c[i][1] * ud[j][1]))
-                              for i in (0, 1) for j in (0, 1)))
+    ud, b = [[np.conj(x) for x in row] for row in u], np.moveaxis(build_B_array(nu), 0, -1)
+    return reduce(np.maximum, (np.abs(b[i, j] - (c[i][0] * ud[j][0] + c[i][1] * ud[j][1]))
+                               for i in (0, 1) for j in (0, 1)))
+
+
+def _run_invariants(sc: _Scenario, tols: dict):
+    traj = sc.nu
+    dev = _oracle_deviation(sc.unitary, sc.cfg.nu0, traj.nu)
     # nu0 -> c nu0 scales B by c and the constants by c^2: the checks read each
     # value relative to lambda2(0) or its root, the CSV columns the raw ones
     lam2_0 = float(traj.lambda2[0])
@@ -529,7 +533,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
     lam1, lam2_nu = motion_constants(nus)
     lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
-    closure = reduce(np.maximum, np.abs(sc.nu["closure"].nu - nus).T)
+    closure = _oracle_deviation(sc.unitary, nus[0], nus)
     # epsilon0 -> c epsilon0 scales nu by c^2 and the constants by c^4: the
     # checks read each value relative to n^2 or n, n = |eps|^2 + |eps'|^2 at
     # t = 0, the CSV columns the raw ones
@@ -564,7 +568,7 @@ def _run_coherence(sc: _Scenario, tols: dict):
 
 
 def _run_phases(sc: _Scenario, tols: dict):
-    samples, traj = sc.samples, sc.nu["nu0"]
+    samples, traj = sc.samples, sc.nu
     if off_ladder_shell(traj.lambda1, traj.lambda2):  # validate tests only nu0's lambda1
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")

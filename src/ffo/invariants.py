@@ -46,17 +46,10 @@ class MotionConstants(NamedTuple):
 
 @dataclass
 class NuTrajectory:
-    """Invariant coefficients on the shared grid; the constants follow from nu on first use.
-
-    From a stack of m initial conditions, ``nu`` is (m, len(times), 3) and
-    the constants (m, len(times)); ``start(i)`` is the trajectory of the i-th.
-    """
+    """Invariant coefficients on the shared grid; the constants follow from nu on first use."""
 
     times: np.ndarray
     nu: np.ndarray        # shape (len(times), 3); columns nu_minus, nu_plus, nu_3
-
-    def start(self, i: int) -> "NuTrajectory":
-        return NuTrajectory(self.times, self.nu[i])
 
     @cached_property
     def constants(self) -> MotionConstants:
@@ -118,32 +111,23 @@ def _bloch_generator(w, f) -> np.ndarray:
 
 
 def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
-    """Integrate the coefficient system with classical fixed-step RK4.
+    """Integrate the coefficient system from ``nu0``, shape (3,), with classical fixed-step RK4.
 
     It is stepped in the real Bloch basis b of ``_bloch_generator``, on
-    the omega and f samples of the grid nodes and step midpoints.
+    the omega and f samples of the grid nodes and step midpoints, b's real
+    and imaginary parts as two real columns of one ``linear_rk4`` call.
     The grid matches the propagator grid for the same (t_final, dt), so
-    oracle comparisons need no interpolation.  ``nu0`` is one initial
-    condition (3,) or a stack (m, 3) of them: a stack steps as 2m real
-    columns of one ``linear_rk4`` call, which builds and scans the step
-    matrices once for all, and the trajectory carries the stack axis first
-    (see ``NuTrajectory``).  Each start's slice is bit for bit its solve
-    alone.
+    oracle comparisons need no interpolation.
     """
-    times, stacked = samples.times, np.ndim(nu0) > 1
+    times = samples.times
     nodes, mids = ((s.omega, s.f) for s in (samples, samples.mids))
-    vm, vp, v3 = np.asarray(nu0, dtype=complex).T
+    vm, vp, v3 = np.asarray(nu0, dtype=complex).reshape(3)
     b0 = np.array([0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3])
-    # each start's real and imaginary parts step as two real columns, which
-    # a complex view joins back into b, (K, 3, m)
-    y0 = np.stack([b0.real, b0.imag], -1).reshape(3, -1)
-    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, y0).view(complex)
-    b = np.moveaxis(b, -1, 0) if stacked else b[..., 0]
-    out = np.stack([b[..., 0] - 1j * b[..., 1], b[..., 0] + 1j * b[..., 1], -2.0 * b[..., 2]],
-                   axis=-1)
+    y0 = np.stack([b0.real, b0.imag], -1)
+    b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, y0).view(complex)[..., 0]
+    out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=-1)
     if not np.all(np.isfinite(out)):
-        finite = np.all(np.isfinite(out), axis=-1)
-        bad = int(np.argmax(~np.all(finite, axis=0) if stacked else ~finite))
+        bad = int(np.argmax(~np.all(np.isfinite(out), axis=-1)))
         raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))
     return NuTrajectory(times=times, nu=out)
 

@@ -12,7 +12,6 @@ exp(i phi0) e0; e1 carrying -phi0 is the evolved top state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -116,23 +115,22 @@ def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceRe
 
     The CS is assembled Grassmann-symbolically from the evolved |0> and |1>
     branches; with u_ij = <i|U|j> the eigen-relation requires u10 = 0 and
-    then zeta(t)/zeta = u11/u00.  The residual collects the coefficients
-    that violate it (all proportional to u10 once the ratio is fitted).
+    then zeta(t)/zeta = u11/u00.  The residual is the largest coefficient
+    that violates it, |u10|.
     """
     samples.check_grid(unitary.times)
     times, U = unitary.times, unitary.U
-    u00, u01 = U[:, 0, 0], U[:, 0, 1]
-    u10, u11 = U[:, 1, 0], U[:, 1, 1]
+    u00, u10, u11 = U[:, 0, 0], U[:, 1, 0], U[:, 1, 1]
     safe = np.abs(u00) > 1e-12
     ratio = np.where(safe, u11 / np.where(safe, u00, 1.0), 0.0)
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
-    # (u11 - c u00) (|0>, zeta) and -c u10 (|1>, zeta); |u10| bounds |u10|/2
-    fit_gap = np.abs(u11 - ratio * u00)
-    residual = reduce(np.maximum, (np.abs(u10), np.abs(ratio * u10), fit_gap))
+    # u11 - ratio u00 (|0>, zeta) and -ratio u10 (|1>, zeta); |u11| = |u00| for
+    # U = e^{-i theta} [[A, -conj B], [B, conj A]], so |ratio| <= 1 and the fit
+    # gap is rounding, or |u11| <= 1e-12 < |u10| where u00 is not safe
     dt = float(times[1] - times[0])
     beta = np.exp(1j * cumsimpson_grid(samples.omega, dt))
     return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,
-                           eigen_residual=residual)
+                           eigen_residual=np.abs(u10))
 
 
 # -- Lewis-Riesenfeld frame and phases ------------------------------------------

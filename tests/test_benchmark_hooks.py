@@ -66,10 +66,13 @@ def _traced_metrics(tmp_path, argv) -> dict:
 def test_traced_reduce_request_samples_each_signal_once(monkeypatch, tmp_path):
     # f, f', omega and omega' on the grid nodes and the step midpoints; each
     # complex evaluation counts with its real and imaginary legs: 2 x (3 + 3 + 1 + 1),
-    # and g on the nodes for the scenario gate
+    # g on the nodes for the scenario gates, and the closure's oracle, which
+    # samples omega, f and g once each on both Gauss node sets (1 + 3 + 1)
     monkeypatch.syspath_prepend(PERFBENCH)
     metrics = _traced_metrics(tmp_path, ["reduce", "--sweep", "1", "--seed", "0"])
-    assert metrics["signals.eval.calls"] == 17
+    assert metrics["signals.eval.calls"] == 22
+    assert metrics["invariants.integrate_nu.calls"] == 0
+    assert metrics["propagator.evolve_unitary.midpoint.calls"] == 1
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -88,7 +91,8 @@ def test_traced_request_samples_each_signal_once(monkeypatch, tmp_path, argv, ca
 
 
 def test_traced_all_request_solves_nu_once(monkeypatch, tmp_path):
-    # nu0 and the closure's nu(epsilon)[0] step as one stack
+    # from nu0 alone, for invariants and phases: reduce's closure reads the
+    # propagator, which the invariants already built
     monkeypatch.syspath_prepend(PERFBENCH)
     metrics = _traced_metrics(tmp_path, ["all", "--config",
                                          os.path.join(PERFBENCH, "readme_scenario.json")])

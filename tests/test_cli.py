@@ -446,16 +446,25 @@ def test_huge_constant_g_leaves_the_invariance_residual(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_nonfinite_g_rejected_with_path_in_every_mode(tmp_path, capsys, mode):
-    # g = 1e306 t^3 overflows at t = 5.65: the oracle used to end in the
-    # path-less "nonfinite propagator step at t=4.48" after a RuntimeWarning,
-    # phases failed on a nan phase_consistency, and reduce, which reads no g, passed
-    path = _write_doc(tmp_path, {"g": {"type": "polynomial", "coeffs": [0, 0, 0, 1e306]},
-                                 "f_re": {"type": "constant", "value": 0.5}},
-                      t_final=10.0, dt=0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "hamiltonian.g: inf at t=5.65: not finite" in capsys.readouterr().err
+    for g, dt, message in (
+            # g = 1e306 t^3 overflows at t = 5.65: the oracle used to end in the
+            # path-less "nonfinite propagator step at t=4.48" after a RuntimeWarning,
+            # phases failed on a nan phase_consistency, and reduce, which reads no g,
+            # passed
+            ({"type": "polynomial", "coeffs": [0, 0, 0, 1e306]}, 0.01,
+             "hamiltonian.g: inf at t=5.65: not finite"),
+            # g = 1e308 is finite, but theta = int g overflows at t = 1.797: the
+            # oracle ended in the path-less "nonfinite propagator step at t=1.797",
+            # phases wrote -inf phases after a RuntimeWarning, and reduce passed
+            ({"type": "constant", "value": 1e308}, 1e-3,
+             "hamiltonian.g: 1e+308 at t=0.899: theta = int (g + omega/2) passes "
+             "8.99e+307, half the largest float")):
+        path = _write_doc(tmp_path, {"g": g, "f_re": {"type": "constant", "value": 0.5}},
+                          t_final=10.0, dt=dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_overflowing_forcing_rejected_without_a_warning(tmp_path, capsys):
@@ -824,8 +833,8 @@ def test_all_mode_builds_u_once_and_nu_once(monkeypatch, tmp_path):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(GOOD.replace('"t_final": 2.0', '"t_final": 10.0'))
     assert main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
-    # U feeds invariants, coherence; one nu solve from the stack [nu0,
-    # nu(epsilon)[0]] feeds invariants, phases and reduce's closure
+    # U feeds invariants, coherence and reduce's closure; one nu solve from
+    # nu0 feeds invariants and phases
     assert calls == {"evolve_unitary": 1, "integrate_nu": 1}
 
 
@@ -1044,16 +1053,33 @@ def _grid_names(t_final, dt):
     return {times.tobytes(): "nodes", (times[:-1] + 0.5 * dt).tobytes(): "mids"}
 
 
-def test_reduce_samples_what_integrate_epsilon_needs_once():
+def _own_nodes(monkeypatch, calls):
+    """Drop from ``calls`` what the propagator samples at its own Gauss nodes."""
+    import ffo.cli
+
+    oracle = ffo.cli.evolve_unitary
+
+    def own_nodes(*args):
+        start = len(calls)
+        out = oracle(*args)
+        del calls[start:]
+        return out
+
+    monkeypatch.setattr(ffo.cli, "evolve_unitary", own_nodes)
+
+
+def test_reduce_samples_what_integrate_epsilon_needs_once(monkeypatch):
     calls: list = []
+    _own_nodes(monkeypatch, calls)
     cfg = ScenarioConfig(spec=_counted_spec(calls), mode="reduce", t_final=1.0)
     report, _ = run(cfg)
     assert report.passed
     grids = _grid_names(cfg.t_final, cfg.dt)
     got = sorted((name, method, grids.get(grid, "other")) for name, method, grid in calls)
     # integrate_epsilon reads f, f', omega and omega' on both grids; every
-    # other consumer (nu(eps), lambda2(eps), the closure's nu solve) shares them;
-    # the scenario gate reads g on the nodes, which no reduce consumer does
+    # other consumer (nu(eps), lambda2(eps)) shares them; the scenario gates
+    # read g on the nodes, which no reduce consumer does; the closure's oracle
+    # samples H at its own Gauss nodes and is left out
     assert got == sorted([(name, method, grid) for name in ("omega", "f_re", "f_im")
                           for method in ("value", "d1") for grid in ("nodes", "mids")]
                          + [("g", "value", "nodes")])
@@ -1065,21 +1091,15 @@ def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
     import ffo.cli
 
     calls: list = []
-    oracle, sample_sets = ffo.cli.evolve_unitary, []
-
-    def own_nodes(*args):
-        # the propagator samples H at its own Gauss nodes, never the sample set
-        start = len(calls)
-        out = oracle(*args)
-        del calls[start:]
-        return out
+    sample_sets = []
 
     class Tracked(GridSamples):
         def __init__(self, *args):
             super().__init__(*args)
             sample_sets.append(weakref.ref(self))
 
-    monkeypatch.setattr(ffo.cli, "evolve_unitary", own_nodes)
+    # the propagator samples H at its own Gauss nodes, never the sample set
+    _own_nodes(monkeypatch, calls)
     monkeypatch.setattr(ffo.cli, "GridSamples", Tracked)
     cfg = ScenarioConfig(spec=_counted_spec(calls), mode="all", t_final=1.0)
     report, tables = run(cfg)
@@ -1125,7 +1145,7 @@ def test_entrywise_runner_quantities_match_their_matrix_forms(seed):
     _, cols = runner("reduce")
     et = integrate_epsilon(samples, eps0)
     nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
-    want = np.max(np.abs(integrate_nu(samples, tuple(nus[0])).nu - nus), axis=1)
+    want = np.max(np.abs(build_B_array(nus) - u @ build_B_array(nus[0]) @ ud), axis=(1, 2))
     assert np.max(np.abs(cols["closure_dev"] - want)) <= 1e-14
 
     want = (nu_generator(samples) @ traj.nu[:, :, None])[:, :, 0].T

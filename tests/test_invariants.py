@@ -142,29 +142,6 @@ def test_constants_of_motion_conserved_over_random_specs(seed, steps, family):
         assert np.max(np.abs(lam - lam[0])) <= 1e-12 * max(1.0, abs(lam[0]))
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
-       steps=st.one_of(st.builds(lambda k, d: BLOCK_STEPS * k + d,
-                                 st.integers(1, 128), st.sampled_from([-1, 1])),
-                       st.sampled_from([CHUNK_STEPS - 1, CHUNK_STEPS + 1])),
-       family=st.sampled_from(["generic", "f_zero", "f_floor"]))
-def test_stacked_starts_match_their_solves_alone_bit_for_bit(seed, m, steps, family):
-    # a stack shares the step matrices and their scan; the slices are not
-    # just close to the single solves but equal to them
-    rng = np.random.default_rng(seed)
-    spec = random_spec(rng, f_zero=family == "f_zero", f_floor=family == "f_floor")
-    samples = GridSamples(spec, steps * DT, DT)
-    starts = [random_nu0(rng) for _ in range(m)]
-    stack = integrate_nu(samples, starts)
-    assert stack.nu.shape == (m, steps + 1, 3) and stack.lambda2.shape == (m, steps + 1)
-    for i, nu0 in enumerate(starts):
-        alone = integrate_nu(samples, nu0)
-        for name in ("times", "nu", "lambda1", "lambda2"):
-            assert np.array_equal(getattr(stack.start(i), name), getattr(alone, name)), name
-        assert np.array_equal(stack.lambda1[i], alone.lambda1)
-        assert np.array_equal(stack.lambda2[i], alone.lambda2)
-
-
 # -- the Bloch basis and the sampled coefficients --------------------------------
 
 # nu = S b: nu_minus = b_x - i b_y, nu_plus = b_x + i b_y, nu_3 = -2 b_z

@@ -322,7 +322,7 @@ def test_coherence_stationary_family():
     w0, g0 = 1.2, 0.4
     spec = constant_spec(omega=w0, g=g0)
     rep = coherence_check(GridSamples(spec, 5.0, DT), evolve_unitary(spec, 5.0, DT))
-    assert np.max(rep.eigen_residual) <= 1e-8
+    assert np.max(rep.eigen_residual) == 0.0  # |u10|, exactly 0 where f = 0
     want = np.exp(-1j * w0 * rep.times)
     assert np.max(np.abs(rep.zeta_ratio - want)) <= 1e-8
     assert np.max(np.abs(rep.beta - np.exp(1j * w0 * rep.times))) <= 1e-10
@@ -340,7 +340,9 @@ def test_coherence_sinusoidal_frequency():
 
 def test_coherence_broken_by_forcing():
     spec = constant_spec(f=1.0)
-    rep = coherence_check(GridSamples(spec, 2.0, DT), evolve_unitary(spec, 2.0, DT))
+    unitary = evolve_unitary(spec, 2.0, DT)
+    rep = coherence_check(GridSamples(spec, 2.0, DT), unitary)
+    assert np.array_equal(rep.eigen_residual, np.abs(unitary.U[:, 1, 0]))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
     assert np.max(rep.eigen_residual) >= 1e-3
