@@ -39,8 +39,7 @@ from .grid import GridSamples, abs2
 from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
 from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
-from .reduction import (EpsilonTrajectory, integrate_epsilon, lambda2_from_epsilon,
-                        nu_from_epsilon_arrays)
+from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
 from .states import (coherence_check, lr_phases, off_ladder_shell, schrodinger_residual_max,
@@ -341,12 +340,14 @@ def _cells(col) -> list:
 
     A float array is cast to float64, as ``repr(float(x))`` does, and each
     distinct bit pattern is formatted once; bit patterns rather than values,
-    so 0.0 and -0.0 keep their own text.
+    so 0.0 and -0.0 keep their own text.  A signalling NaN casts to a quiet
+    one, which prints ``nan`` as ``repr`` does, so the cast's flag is ignored.
     """
     if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
         return list(map(_fmt, col))
-    bits, inverse = np.unique(np.asarray(col, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
+    with np.errstate(invalid="ignore"):
+        wide = np.asarray(col, dtype=np.float64)
+    bits, inverse = np.unique(wide.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return text[inverse].tolist()
 
@@ -397,11 +398,12 @@ ALL_CSV_TABLE = "invariants"
 
 
 class _Scenario:
-    """A scenario's config and planned submodes, and the samples, U, epsilon
-    and nu trajectories the submodes share, each built once.
+    """A scenario's config and planned submodes, and the samples, U and nu
+    trajectory the submodes share, each built once.
 
-    nu is solved from nu0 alone, for invariants and phases; reduce's
-    closure reads nu(epsilon) against the propagator, U B(nu(epsilon)(0)) U'.
+    nu is solved from nu0 alone, for invariants and phases.  epsilon is
+    not shared: reduce alone integrates it, and its closure reads
+    nu(epsilon) against the propagator, U B(nu(epsilon)(0)) U'.
 
     Building one checks the grid against the signals: omega and f must be
     finite on the grid nodes and resolved, dt * r <= MAX_STEP_ROTATION for
@@ -460,22 +462,9 @@ class _Scenario:
                 k = int(np.argmax(bad))
                 raise ConfigError("hamiltonian.g", f"{float(s.g[k])!r} at t={s.times[k]}: {detail}")
 
-    @property
-    def is_free(self) -> bool:
-        return float(np.max(self.forcing)) <= F_MIN
-
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
         return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
-
-    @cached_property
-    def epsilon(self) -> EpsilonTrajectory:
-        return integrate_epsilon(self.samples, self.cfg.epsilon0)
-
-    @cached_property
-    def nu_epsilon(self) -> np.ndarray:
-        """nu(epsilon) on the grid nodes, (K, 3)."""
-        return nu_from_epsilon_arrays(self.samples, self.epsilon.eps, self.epsilon.eps_dot)
 
     @cached_property
     def nu(self) -> NuTrajectory:
@@ -529,7 +518,8 @@ def _run_invariants(sc: _Scenario, tols: dict):
 
 
 def _run_reduce(sc: _Scenario, tols: dict):
-    et, nus = sc.epsilon, sc.nu_epsilon
+    et = integrate_epsilon(sc.samples, sc.cfg.epsilon0)
+    nus = nu_from_epsilon_arrays(sc.samples, et.eps, et.eps_dot)
     lam1, lam2_nu = motion_constants(nus)
     lam1 = np.abs(lam1)
     lam2_eps = lambda2_from_epsilon(sc.samples, (et.eps, et.eps_dot))
@@ -554,7 +544,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
 def _run_coherence(sc: _Scenario, tols: dict):
     rep = coherence_check(sc.samples, sc.unitary)
     checks: list = []
-    if sc.is_free:
+    if float(np.max(sc.forcing)) <= F_MIN:
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
                tols["coherence_eigen"])
         ratio_dev = np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))

@@ -137,20 +137,14 @@ def nu_minus_compact(samples: Samples, nu_plus, nu_plus_dot, lam):
 def build_B_normalized(samples: Samples, nu_plus, nu_plus_dot) -> np.ndarray:
     """Ladder-normalized invariant built from (nu_plus, nu_plus') alone, shape (..., 2, 2).
 
-    Valid for any nonnegative lambda2 (the assembled coefficients are
-    divided by sqrt(lambda2)); satisfies B^2 = 0 and {B, B'} = 1 by
-    construction, and the invariance equation whenever nu_plus solves the
-    lam = 0 branch of the first-integral equation.
+    nu_minus and nu_3 come from nu_minus_compact at lam = 0 and nu3_from_nu_plus,
+    with their guards; the coefficients are divided by sqrt(lambda2), so B^2 = 0
+    and {B, B'} = 1 by construction, and the invariance equation holds whenever
+    nu_plus solves the lam = 0 branch of the first-integral equation.
     """
-    if np.min(np.abs(nu_plus)) < NU_MIN:
-        raise SingularReductionError(f"build_B_normalized needs |nu_plus| >= {NU_MIN}")
-    f = _require_f(samples)
-    core = samples.omega * nu_plus - 1j * nu_plus_dot
-    nu = np.stack([-core * core / (4.0 * f * f * nu_plus), nu_plus, core / f], axis=-1)
-    lam2 = motion_constants(nu).lambda2
-    if np.min(lam2) <= 0.0:
-        raise SingularReductionError("build_B_normalized needs lambda2 > 0")
-    return build_B_array(nu) / np.sqrt(lam2)[..., None, None]
+    nu = np.stack([nu_minus_compact(samples, nu_plus, nu_plus_dot, 0.0), nu_plus,
+                   nu3_from_nu_plus(samples, nu_plus, nu_plus_dot)], axis=-1)
+    return build_B_array(nu) / np.sqrt(motion_constants(nu).lambda2)[..., None, None]
 
 
 # -- epsilon machinery --------------------------------------------------------

@@ -170,20 +170,19 @@ class Tabulated(Signal):
                 f"t={bad} outside tabulated range [{lo}, {hi}]"
             )
 
-    def value(self, t):
+    def _eval(self, t, order):
         self._check_range(t)
-        out = self._spline(t)
+        out = self._spline(t, order)
         return out if np.ndim(t) else float(out)
+
+    def value(self, t):
+        return self._eval(t, 0)
 
     def d1(self, t):
-        self._check_range(t)
-        out = self._spline(t, 1)
-        return out if np.ndim(t) else float(out)
+        return self._eval(t, 1)
 
     def d2(self, t):
-        self._check_range(t)
-        out = self._spline(t, 2)
-        return out if np.ndim(t) else float(out)
+        return self._eval(t, 2)
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,9 @@ class CoherenceReport:
 
     beta is the invariant-coefficient solution exp(+i int omega);
     zeta_ratio is the measured eigenvalue ratio of b on the evolved CS
-    (meaningful where the eigen-relation holds); eigen_residual is the
-    max-abs coefficient of the part of b|zeta;t> orthogonal to the
-    eigen-relation.
+    (meaningful where the eigen-relation holds); eigen_residual is |u10|,
+    read from U, the largest coefficient of the part of b|zeta;t> that
+    violates the eigen-relation.
     """
 
     times: np.ndarray
@@ -111,12 +111,11 @@ class CoherenceReport:
 
 
 def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceReport:
-    """Evolve the canonical CS through U(t) and measure b-eigenstate-ness.
+    """Measure how far the canonical CS evolved through U(t) is from a b-eigenstate.
 
-    The CS is assembled Grassmann-symbolically from the evolved |0> and |1>
-    branches; with u_ij = <i|U|j> the eigen-relation requires u10 = 0 and
-    then zeta(t)/zeta = u11/u00.  The residual is the largest coefficient
-    that violates it, |u10|.
+    With u_ij = <i|U|j> the eigen-relation requires u10 = 0 and then
+    zeta(t)/zeta = u11/u00.  The residual is the largest coefficient that
+    violates it, |u10|, read from U; no Grassmann element is built.
     """
     samples.check_grid(unitary.times)
     times, U = unitary.times, unitary.U

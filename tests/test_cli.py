@@ -11,7 +11,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ffo
@@ -216,6 +216,8 @@ _SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 1, 0x000FFF
                      min_size=1, max_size=6),
        pool32=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
        rows=st.integers(0, 2 * CSV_SLAB_ROWS + 1), seed=st.integers(0, 2**32 - 1))
+# a float32 signalling NaN, whose cast to float64 sets numpy's invalid flag
+@example(pool=[0], pool32=[0x7F800001], rows=1, seed=0)
 def test_emit_csv_matches_reference_on_repeated_bit_patterns(tmp_path_factory, pool, pool32,
                                                              rows, seed):
     # a small pool of arbitrary bit patterns, so that values repeat across rows
@@ -270,6 +272,19 @@ def test_output_files_get_the_mode_open_gives_them(tmp_path):
         os.umask(umask)
     assert [stat.S_IMODE(p.stat().st_mode) for p in (new, old)] == [0o644, 0o644]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.json", "scenario.json"]
+
+
+def test_output_over_a_directory_exits_2_and_removes_its_temporary_file(tmp_path, capsys):
+    # the replace fails after the temporary file is written: it must not be left behind
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(GOOD)
+    target = tmp_path / "tgt.csv"
+    target.mkdir()
+    assert main(["invariants", "--config", str(cfg_path), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert target.is_dir() and not list(target.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "tgt.csv"]
 
 
 def test_main_field_selector(tmp_path):
@@ -345,6 +360,10 @@ def test_main_bad_config_exit_2(tmp_path):
     ('{"type": "constant", "value": 0.5},\n    "f_im": {"type": "constant", "value": 0.1}',
      '{"type": "sinusoid", "amplitude": 0.5, "phase": -0.0005},\n'
      '    "f_im": {"type": "constant", "value": 0}', ["reduce"], "hamiltonian.f_re"),
+    ('"output": {"format": "csv"}\n}', '"output": {"format": "csv"}', [], "<document>"),
+    ('"dt": 0.001', '"dt": 0.001, "tolerances": [1]', [], "run.tolerances"),
+    ('"format": "csv"', '"format": "csv", "fields": "t"', [], "output.fields"),
+    ('"format": "csv"', '"format": "xml"', [], "output.format"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD

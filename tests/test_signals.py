@@ -68,6 +68,8 @@ def test_tabulated_range_error_carries_time():
         sig.value(2.5)
     with pytest.raises(SignalRangeError):
         sig.d1(-0.1)
+    with pytest.raises(SignalRangeError):
+        sig.d2(2.5)
 
 
 def test_tabulated_tracks_smooth_function():
@@ -76,6 +78,9 @@ def test_tabulated_tracks_smooth_function():
     probe = np.linspace(0.05, 1.95, 37)
     assert np.max(np.abs(sig.value(probe) - np.sin(probe))) < 1e-7
     assert np.max(np.abs(sig.d1(probe) - np.cos(probe))) < 1e-4
+    assert np.max(np.abs(sig.d2(probe) + np.sin(probe))) < 1e-4
+    # a scalar time gives a float from each accessor, not a 0-d array
+    assert all(type(get(1.0)) is float for get in (sig.value, sig.d1, sig.d2))
 
 
 def test_complex_signal_assembles_pair():
