@@ -31,12 +31,12 @@ et = integrate_epsilon(samples, (0.833 + 0.895j, -0.375 + 0.454j))
 nus = nu_from_epsilon_arrays(samples, et.eps, et.eps_dot)
 scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
 nus = nu_from_epsilon_arrays(samples, et.eps * scale, et.eps_dot * scale)
-traj = NuTrajectory(et.times, nus)
+traj = NuTrajectory(et.samples, nus)
 
 # the evolved vacuum exp(i phi0) e0 of the traceless H0 = H - (g + omega/2) 1
 # from the Lewis-Riesenfeld phases: annihilated by B(t) and solving H0's
 # Schrodinger equation; the physical vacuum is exp(-i theta) times it
-ph = lr_phases(traj, samples)
+ph = lr_phases(traj)
 psi, _ = vacuum_trajectory(ph)
 bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
 print("max ||B(t)|0;t>||      :", np.max(np.linalg.norm(bpsi, axis=1)))
@@ -49,12 +49,12 @@ print("grassmann eigen residual:", cs_eigen_residual(traj.nu[k], psi[k], 0.7 - 0
 # coherence theorem: no forcing keeps the canonical CS an eigenstate of b
 free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                        f=ComplexSignal(Constant(0.0)), g=Constant(0.3))
-rep = coherence_check(GridSamples(free, 5.0, dt), evolve_unitary(free, 5.0, dt))
+rep = coherence_check(evolve_unitary(GridSamples(free, 5.0, dt)))
 print("\nfree spec:  max eigen residual =", np.max(rep.eigen_residual))
 print("            zeta(t)/zeta tracks exp(-i int omega):",
       np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))))
 forced = constant_spec(f=0.5)
-rep2 = coherence_check(GridSamples(forced, 5.0, dt), evolve_unitary(forced, 5.0, dt))
+rep2 = coherence_check(evolve_unitary(GridSamples(forced, 5.0, dt)))
 print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
       "(coherence visibly broken)")
 
@@ -62,9 +62,8 @@ print("forced spec: max eigen residual =", np.max(rep2.eigen_residual),
 # geometric part; the forced trajectory splits nontrivially
 w0, g0 = 1.3, 0.7
 s_spec = constant_spec(omega=w0, g=g0)
-s_samples = GridSamples(s_spec, 5.0, dt)
-s_traj = integrate_nu(s_samples, (1, 0, 0))
-s_ph = lr_phases(s_traj, s_samples)
+s_traj = integrate_nu(GridSamples(s_spec, 5.0, dt), (1, 0, 0))
+s_ph = lr_phases(s_traj)
 # the physical phases are H0's phases -+ phi0 minus theta = int (g + omega/2)
 phi0, phi1 = s_ph.phi0[-1] - s_ph.theta[-1], -s_ph.phi0[-1] - s_ph.theta[-1]
 print(f"\nstationary: phi0(5) = {phi0:.6f} (expect {-g0 * 5.0})")

@@ -15,7 +15,7 @@ from .invariants import (MotionConstants, NuTrajectory, build_B_array,
                          hermitian_invariant, integrate_nu,
                          invariance_residual_max, ladder_conditions_check,
                          motion_constants, nu_generator)
-from .propagator import UnitaryTrajectory, evolve_state, evolve_unitary
+from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
 from .reduction import (EpsilonTrajectory, build_B_normalized,
                         epsilon_prime_transform, first_integral_lambda,
                         integrate_epsilon, lambda2_from_epsilon,

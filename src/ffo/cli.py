@@ -113,7 +113,20 @@ def _string(x, path: str) -> str:
     return x
 
 
+class _Object(dict):
+    repeated = None  # the first key given more than once, if any
+
+
+def _object(pairs) -> _Object:
+    node, seen = _Object(pairs), set()
+    if len(node) < len(pairs):
+        node.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return node
+
+
 def _check_keys(node, allowed, path):
+    if getattr(node, "repeated", None) is not None:
+        raise ConfigError(f"{path}.{node.repeated}", "duplicate key")
     extra = set(node) - set(allowed)
     if extra:
         raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
@@ -131,8 +144,10 @@ def _parse_signal(node, path: str) -> Signal:
         return _finite(node.get(key, default), f"{path}.{key}")
 
     def seq(key, default):
-        return tuple(_finite(x, f"{path}.{key}[{i}]")
-                     for i, x in enumerate(node.get(key, default)))
+        values = node.get(key, default)
+        if not isinstance(values, list):
+            raise ConfigError(f"{path}.{key}", "expected a list of numbers")
+        return tuple(_finite(x, f"{path}.{key}[{i}]") for i, x in enumerate(values))
 
     try:
         if kind == "constant":
@@ -232,7 +247,7 @@ def _section(doc: dict, key: str, allowed) -> dict:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document (strict JSON schema)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -262,6 +277,7 @@ def parse_config(text: str) -> ScenarioConfig:
     tols = run.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("run.tolerances", "must be an object")
+    _check_keys(tols, tols, "run.tolerances")  # the names are ScenarioConfig's to check
     kwargs["tolerances"] = {k: _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
 
     init = _section(doc, "initial", {"nu0", "epsilon0", "state"})
@@ -464,7 +480,7 @@ class _Scenario:
 
     @cached_property
     def unitary(self) -> UnitaryTrajectory:
-        return evolve_unitary(self.cfg.spec, self.cfg.t_final, self.cfg.dt)
+        return evolve_unitary(self.samples)
 
     @cached_property
     def nu(self) -> NuTrajectory:
@@ -509,7 +525,7 @@ def _run_invariants(sc: _Scenario, tols: dict):
             ("lambda1_drift", np.abs(traj.lambda1 - traj.lambda1[0]), lam2_0),
             ("lambda2_drift", np.abs(traj.lambda2 - traj.lambda2[0]), lam2_0),
             ("oracle_deviation", dev, math.sqrt(lam2_0)),
-            ("invariance_residual", invariance_residual_max(sc.samples, traj), math.sqrt(lam2_0))):
+            ("invariance_residual", invariance_residual_max(traj), math.sqrt(lam2_0))):
         _check(checks, name, float(np.max(value)) / scale, tols[name])
     n = traj.nu
     cols = [traj.times, n[:, 0].real, n[:, 0].imag, n[:, 1].real, n[:, 1].imag,
@@ -542,7 +558,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
 
 
 def _run_coherence(sc: _Scenario, tols: dict):
-    rep = coherence_check(sc.samples, sc.unitary)
+    rep = coherence_check(sc.unitary)
     checks: list = []
     if float(np.max(sc.forcing)) <= F_MIN:
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
@@ -552,23 +568,23 @@ def _run_coherence(sc: _Scenario, tols: dict):
     else:
         _check(checks, "forcing_witness", float(np.max(rep.eigen_residual)),
                tols["forcing_witness"], invert=True)
-    cols = [rep.times, rep.eigen_residual, rep.zeta_ratio.real, rep.zeta_ratio.imag,
+    cols = [sc.samples.times, rep.eigen_residual, rep.zeta_ratio.real, rep.zeta_ratio.imag,
             rep.beta.real, rep.beta.imag]
     return cols, checks
 
 
 def _run_phases(sc: _Scenario, tols: dict):
-    samples, traj = sc.samples, sc.nu
+    traj = sc.nu
     if off_ladder_shell(traj.lambda1, traj.lambda2):  # validate tests only nu0's lambda1
         raise ConfigError("run.dt", f"lambda1 drifts off the ladder shell to "
                                     f"{np.max(np.abs(traj.lambda1)):.3g}; use a smaller dt")
-    ph = lr_phases(traj, samples)
+    ph = lr_phases(traj)
     # psi1 = exp(-i phi0) e1 = (-conj psi0_1, conj psi0_0) is psi0's SU(2)
     # partner and has the same residual, so psi0 alone is checked
     psi0, _ = vacuum_trajectory(ph)
     checks: list = []
     _check(checks, "phase_consistency", ph.consistency_residual, tols["phase_consistency"])
-    _check(checks, "schrodinger", schrodinger_residual_max(samples, psi0), tols["schrodinger"])
+    _check(checks, "schrodinger", schrodinger_residual_max(sc.samples, psi0), tols["schrodinger"])
     cols = [traj.times, ph.phi0 - ph.theta, -ph.phi0 - ph.theta, ph.phi_geometric,
             ph.phi_dynamical]
     return cols, checks

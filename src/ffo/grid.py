@@ -28,11 +28,11 @@ recursive scan -> this layout:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError
 from .signals import HamiltonianSpec
 
 # steps whose RK4 step matrices are held in memory at once
@@ -212,11 +212,6 @@ class Samples:
     def __init__(self, spec: HamiltonianSpec, times):
         self.spec, self.times = spec, times
 
-    def check_grid(self, times) -> None:
-        """Raise ContractError unless ``times`` is the grid these samples were taken on."""
-        if not np.array_equal(self.times, times):
-            raise ContractError("the samples and the trajectory are on different time grids")
-
     @cached_property
     def omega(self) -> np.ndarray:
         return np.asarray(self.spec.omega.value(self.times), dtype=float)
@@ -248,12 +243,26 @@ class Samples:
 
 class GridSamples(Samples):
     """One scenario's samples: on the nodes of ``time_grid(t_final, dt)`` and,
-    as ``mids``, on the step midpoints, so no consumer samples a signal again."""
+    as ``mids``, on the step midpoints, so no consumer samples a signal again.
+
+    The one owner of the grid: each trajectory holds the samples it was
+    computed on, and its consumers read the grid from it."""
 
     def __init__(self, spec: HamiltonianSpec, t_final: float, dt: float):
         super().__init__(spec, time_grid(t_final, dt))
         self.dt = dt
         self.mids = Samples(spec, self.times[:-1] + 0.5 * dt)
+
+
+@dataclass
+class Trajectory:
+    """Values on the grid of ``samples``, the samples they were computed from."""
+
+    samples: GridSamples
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.samples.times
 
 
 def cumsimpson_grid(y: np.ndarray, dt: float) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import I2
 from .errors import ContractError, IntegrationError
-from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
+from .grid import GridSamples, Samples, Trajectory, cumsimpson_grid, linear_rk4
 
 # |f| floor: below it a scenario counts as free, and the reduction chain,
 # which divides by f, is declared singular
@@ -45,10 +45,9 @@ class MotionConstants(NamedTuple):
 
 
 @dataclass
-class NuTrajectory:
-    """Invariant coefficients on the shared grid; the constants follow from nu on first use."""
+class NuTrajectory(Trajectory):
+    """Invariant coefficients on the grid of ``samples``; the constants follow on first use."""
 
-    times: np.ndarray
     nu: np.ndarray        # shape (len(times), 3); columns nu_minus, nu_plus, nu_3
 
     @cached_property
@@ -62,10 +61,6 @@ class NuTrajectory:
     @property
     def lambda2(self) -> np.ndarray:   # real
         return self.constants.lambda2
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 def nu_generator(samples: Samples) -> np.ndarray:
@@ -119,7 +114,6 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
     The grid matches the propagator grid for the same (t_final, dt), so
     oracle comparisons need no interpolation.
     """
-    times = samples.times
     nodes, mids = ((s.omega, s.f) for s in (samples, samples.mids))
     vm, vp, v3 = np.asarray(nu0, dtype=complex).reshape(3)
     b0 = np.array([0.5 * (vm + vp), 0.5j * (vm - vp), -0.5 * v3])
@@ -127,9 +121,9 @@ def integrate_nu(samples: GridSamples, nu0) -> NuTrajectory:
     b = linear_rk4(_bloch_generator, nodes, mids, samples.dt, y0).view(complex)[..., 0]
     out = np.stack([b[:, 0] - 1j * b[:, 1], b[:, 0] + 1j * b[:, 1], -2.0 * b[:, 2]], axis=-1)
     if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.all(np.isfinite(out), axis=-1)))
-        raise IntegrationError(f"nonfinite nu state at t={times[bad]}", t=float(times[bad]))
-    return NuTrajectory(times=times, nu=out)
+        t = float(samples.times[np.argmax(~np.all(np.isfinite(out), axis=-1))])
+        raise IntegrationError(f"nonfinite nu state at t={t}", t=t)
+    return NuTrajectory(samples=samples, nu=out)
 
 
 # -- operator assembly -------------------------------------------------------
@@ -174,8 +168,8 @@ def hermitian_invariant(nu) -> np.ndarray:
 
 # -- invariance equation ------------------------------------------------------
 
-def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
-    """Max of ||dB/dt - i[B, H]||_max over the interior points of ``samples.times``.
+def invariance_residual_max(traj: NuTrajectory) -> float:
+    """Max of ||dB/dt - i[B, H]||_max over the interior points of ``traj.times``.
 
     dB/dt uses the central difference of the stored trajectory, so the
     result is bounded by C*dt^2 plus the integration error.  B's entries
@@ -184,9 +178,8 @@ def invariance_residual_max(samples: Samples, traj: NuTrajectory) -> float:
     central difference minus ``_nu_dot``, its nu_3 row halved.  g commutes
     with B and is not read, so no size of g can round omega away.
     """
-    samples.check_grid(traj.times)
-    r = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.dt) - np.column_stack(
-        _nu_dot(samples, traj.nu))[1:-1]
+    r = (traj.nu[2:] - traj.nu[:-2]) / (2.0 * traj.samples.dt) - np.column_stack(
+        _nu_dot(traj.samples, traj.nu))[1:-1]
     r[:, 2] *= 0.5
     return float(np.max(np.abs(r)))  # a nan residual stays nan
 

@@ -29,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .grid import time_grid
+from .grid import GridSamples, Trajectory
 from .signals import HamiltonianSpec
 
 _GAUSS = math.sqrt(3.0) / 6.0
 
 
 @dataclass
-class UnitaryTrajectory:
-    times: np.ndarray
+class UnitaryTrajectory(Trajectory):
     U: np.ndarray  # (len(times), 2, 2), a view of a grid-last array: each entry is contiguous
 
 
@@ -99,34 +98,18 @@ def _prefix_products(alpha: np.ndarray, beta: np.ndarray):
     return a, b
 
 
-def evolve_unitary(spec: HamiltonianSpec, t_final: float, dt: float) -> UnitaryTrajectory:
-    """Integrate U(t) = T exp(-i int_0^t H) on the shared grid, U(0) = 1.
+def evolve_unitary(samples: GridSamples) -> UnitaryTrajectory:
+    """Integrate U(t) = T exp(-i int_0^t H) on the grid of ``samples``, U(0) = 1.
 
-    Parameters
-    ----------
-    spec : HamiltonianSpec
-        Oscillator coefficients; must be evaluable on [0, t_final].
-    t_final : float
-        End time, a positive integer multiple of dt.
-    dt : float
-        Step size, positive.
-
-    Returns
-    -------
-    UnitaryTrajectory
-        U at every grid time; unitary to rounding.
-
-    Raises
-    ------
-    IntegrationError
-        If the Hamiltonian is nonfinite anywhere on the grid, or its
-        running phase overflows; ``t`` is the start of the first step it
-        spoils.
-    ValueError
-        If dt is not positive, from ``time_grid``.
+    Reads only ``samples.spec``, ``.times`` and ``.dt``: omega, f and g are
+    sampled on the Gauss nodes of each step here, so the oracle shares no
+    samples and no time stepping with the integrators it checks.  U is
+    unitary to rounding.  Raises IntegrationError if the Hamiltonian is
+    nonfinite anywhere on the grid, or its running phase overflows; ``t``
+    is the start of the first step it spoils.
     """
-    times = time_grid(t_final, dt)
-    alpha, beta, angle = _magnus_factors(spec, times, dt)
+    times = samples.times
+    alpha, beta, angle = _magnus_factors(samples.spec, times, samples.dt)
     with np.errstate(over="ignore"):  # an overflowing phase is reported below
         theta = np.cumsum(angle)
     bad = ~(np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(theta))
@@ -143,17 +126,7 @@ def evolve_unitary(spec: HamiltonianSpec, t_final: float, dt: float) -> UnitaryT
     np.multiply(phase, b, out=u10)
     np.multiply(np.conj(b, out=u01), -phase, out=u01)
     np.multiply(np.conj(a, out=u11), phase, out=u11)
-    return UnitaryTrajectory(times=times, U=np.moveaxis(u, -1, 0))
-
-
-def evolve_state(spec: HamiltonianSpec, psi0: np.ndarray, t_final: float, dt: float):
-    """Evolve a state vector: psi(t_k) = U(t_k) psi0.
-
-    Returns (times, psi) with psi of shape (len(times), 2); the norm is
-    preserved within the propagator's unitarity tolerance.
-    """
-    traj = evolve_unitary(spec, t_final, dt)
-    return traj.times, np.stack(apply_unitary(traj.U, psi0), axis=1)
+    return UnitaryTrajectory(samples=samples, U=np.moveaxis(u, -1, 0))
 
 
 def apply_unitary(u: np.ndarray, psi0) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, SingularReductionError
-from .grid import GridSamples, Samples, cumsimpson_grid, linear_rk4
+from .grid import GridSamples, Samples, Trajectory, cumsimpson_grid, linear_rk4
 from .invariants import F_MIN, _nu_dot, build_B_array, motion_constants
 
 # |nu_plus| floor of the forms that divide by nu_plus
@@ -46,8 +46,7 @@ NU_MIN = 1e-9
 
 
 @dataclass
-class EpsilonTrajectory:
-    times: np.ndarray
+class EpsilonTrajectory(Trajectory):
     eps: np.ndarray
     eps_dot: np.ndarray
 
@@ -166,11 +165,10 @@ def integrate_epsilon(samples: GridSamples, e0) -> EpsilonTrajectory:
     for s in grids:
         _require_f(s)
     y = linear_rk4(_epsilon_generator, *map(_gamma_omega, grids), samples.dt, e0)
-    times = samples.times
     if not np.all(np.isfinite(y)):
-        bad = int(np.argmax(~np.all(np.isfinite(y), axis=1)))
-        raise IntegrationError(f"nonfinite epsilon state at t={times[bad]}", t=float(times[bad]))
-    return EpsilonTrajectory(times=times, eps=y[:, 0], eps_dot=y[:, 1])
+        t = float(samples.times[np.argmax(~np.all(np.isfinite(y), axis=1))])
+        raise IntegrationError(f"nonfinite epsilon state at t={t}", t=t)
+    return EpsilonTrajectory(samples=samples, eps=y[:, 0], eps_dot=y[:, 1])
 
 
 def nu_from_epsilon_arrays(samples: Samples, eps, eps_dot) -> np.ndarray:

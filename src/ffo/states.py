@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError
 from .grassmann import ZETA, GrassmannElement, graded_apply
-from .grid import Samples, abs2, cumsimpson_grid
+from .grid import GridSamples, Samples, abs2, cumsimpson_grid
 from .invariants import NuTrajectory, _nu_dot, build_B_array, build_B_dagger
 # evolve_unitary is not called here, but perfbench/layers.py wraps it by this name
 from .propagator import UnitaryTrajectory, evolve_unitary
@@ -42,7 +42,7 @@ def vacuum_trajectory(phases: PhaseTrajectory):
     return psi, np.zeros(len(psi), dtype=bool)
 
 
-def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
+def schrodinger_residual_max(samples: GridSamples, psi: np.ndarray) -> float:
     """Max central-difference residual of i d psi/dt = H0 psi over interior points.
 
     H0 = H - (g + omega/2) 1 is the traceless part of H and ``psi`` one of
@@ -51,8 +51,7 @@ def schrodinger_residual_max(samples: Samples, psi: np.ndarray) -> float:
     """
     if len(psi) != len(samples.times):
         raise ContractError("psi and the samples are on different time grids")
-    dt = float(samples.times[1] - samples.times[0])
-    w, f = 0.5 * samples.omega[1:-1], samples.f[1:-1]
+    dt, w, f = samples.dt, 0.5 * samples.omega[1:-1], samples.f[1:-1]
     p0, p1 = psi[:, 0], psi[:, 1]
     c0, c1 = p0[1:-1], p1[1:-1]
     r0 = np.abs((p0[2:] - p0[:-2]) / (2.0 * dt) + 1j * (np.conj(f) * c1 - w * c0))
@@ -104,32 +103,27 @@ class CoherenceReport:
     violates the eigen-relation.
     """
 
-    times: np.ndarray
     beta: np.ndarray
     zeta_ratio: np.ndarray
     eigen_residual: np.ndarray
 
 
-def coherence_check(samples: Samples, unitary: UnitaryTrajectory) -> CoherenceReport:
+def coherence_check(unitary: UnitaryTrajectory) -> CoherenceReport:
     """Measure how far the canonical CS evolved through U(t) is from a b-eigenstate.
 
     With u_ij = <i|U|j> the eigen-relation requires u10 = 0 and then
     zeta(t)/zeta = u11/u00.  The residual is the largest coefficient that
     violates it, |u10|, read from U; no Grassmann element is built.
     """
-    samples.check_grid(unitary.times)
-    times, U = unitary.times, unitary.U
-    u00, u10, u11 = U[:, 0, 0], U[:, 1, 0], U[:, 1, 1]
+    u00, u10, u11 = unitary.U[:, 0, 0], unitary.U[:, 1, 0], unitary.U[:, 1, 1]
     safe = np.abs(u00) > 1e-12
     ratio = np.where(safe, u11 / np.where(safe, u00, 1.0), 0.0)
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
     # u11 - ratio u00 (|0>, zeta) and -ratio u10 (|1>, zeta); |u11| = |u00| for
     # U = e^{-i theta} [[A, -conj B], [B, conj A]], so |ratio| <= 1 and the fit
     # gap is rounding, or |u11| <= 1e-12 < |u10| where u00 is not safe
-    dt = float(times[1] - times[0])
-    beta = np.exp(1j * cumsimpson_grid(samples.omega, dt))
-    return CoherenceReport(times=times, beta=beta, zeta_ratio=ratio,
-                           eigen_residual=np.abs(u10))
+    beta = np.exp(1j * cumsimpson_grid(unitary.samples.omega, unitary.samples.dt))
+    return CoherenceReport(beta=beta, zeta_ratio=ratio, eigen_residual=np.abs(u10))
 
 
 # -- Lewis-Riesenfeld frame and phases ------------------------------------------
@@ -147,7 +141,6 @@ class LRFrame:
     two keyed vectors at the switch node (a Wu-Yang patching).
     """
 
-    times: np.ndarray
     e0: np.ndarray        # (K, 2)
     e1: np.ndarray        # (K, 2)
     plus: np.ndarray      # (K,) bool, the points keyed on nu_plus
@@ -186,14 +179,13 @@ def lr_frame(traj: NuTrajectory) -> LRFrame:
     patch_phase = np.cumprod(np.concatenate(([1.0], z / np.abs(z))))
     e0 *= np.repeat(patch_phase, np.diff(np.concatenate(([0], sw, [len(plus)]))))[:, None]
     e1 = np.stack((-np.conj(e0[:, 1]), np.conj(e0[:, 0])), axis=1)
-    return LRFrame(times=traj.times, e0=e0, e1=e1, plus=plus, switches=sw)
+    return LRFrame(e0=e0, e1=e1, plus=plus, switches=sw)
 
 
 @dataclass
 class PhaseTrajectory:
     """H0's phases (e0 carries phi0, e1 -phi0); H's are those minus theta."""
 
-    times: np.ndarray
     phi0: np.ndarray
     theta: np.ndarray
     phi_geometric: np.ndarray
@@ -223,7 +215,7 @@ def _energy(samples: Samples, e: np.ndarray) -> np.ndarray:
     return samples.omega * (abs2(e[:, 1]) - 0.5) + 2.0 * cross
 
 
-def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
+def lr_phases(traj: NuTrajectory) -> PhaseTrajectory:
     """Lewis-Riesenfeld phases of H0 and the geometric/dynamical split.
 
     phi_n(t) = int_0^t <n~|(i d_tau - H0)|n~> in the patched frame of
@@ -238,9 +230,8 @@ def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
     alone; phi plus the energy-gap integral must reproduce it, to
     ``consistency_residual``.  g enters theta = int_0^t (g + omega/2) alone.
     """
-    samples.check_grid(traj.times)
-    frame = lr_frame(traj)
-    dt, sw = traj.dt, frame.switches
+    samples, frame = traj.samples, lr_frame(traj)
+    dt, sw = samples.dt, frame.switches
     nu_dot = np.column_stack(_nu_dot(samples, traj.nu))
     a0 = _connection(traj.nu, nu_dot, frame.plus)
     a0_end = _connection(traj.nu[sw], nu_dot[sw], ~frame.plus[sw])
@@ -260,7 +251,7 @@ def lr_phases(traj: NuTrajectory, samples: Samples) -> PhaseTrajectory:
     consistency = float(np.max(np.abs(phi_g - phi_g_alt)))
 
     theta = cumsimpson_grid(samples.g + 0.5 * samples.omega, dt)
-    return PhaseTrajectory(times=traj.times, phi0=phi0, theta=theta,
+    return PhaseTrajectory(phi0=phi0, theta=theta,
                            phi_geometric=phi_g, phi_dynamical=phi - phi_g,
                            consistency_residual=consistency, frame=frame)
 

@@ -55,10 +55,10 @@ def sweep():
         out["lam1"].append(float(np.max(np.abs(traj_r.lambda1 - traj_r.lambda1[0]))))
         out["lam2"].append(float(np.max(np.abs(traj_r.lambda2 - traj_r.lambda2[0]))))
         # criteria 2-3: oracle comparison
-        u = evolve_unitary(spec, T_FINAL, DT)
+        u = evolve_unitary(samples)
         oracle = u.U @ b @ np.conj(np.transpose(u.U, (0, 2, 1)))
         out["oracle"].append(float(np.max(np.abs(build_B_array(traj_c.nu) - oracle))))
-        out["invariance"].append(invariance_residual_max(samples, traj_c))
+        out["invariance"].append(invariance_residual_max(traj_c))
     return {k: np.array(v) for k, v in out.items()}
 
 
@@ -75,7 +75,7 @@ def _calibrated_family(seed: int, n: int, t_final: float = T_FINAL):
         scale = float(motion_constants(nus[0]).lambda2) ** (-0.25)
         eps, eps_dot = et.eps * scale, et.eps_dot * scale
         nus = nu_from_epsilon_arrays(samples, eps, eps_dot)
-        traj = NuTrajectory(et.times, nus)
+        traj = NuTrajectory(et.samples, nus)
         family.append((spec, traj, eps, eps_dot))
     return family
 
@@ -111,7 +111,6 @@ def test_criterion_04_free_oscillator_closed_forms():
     rng = np.random.default_rng(440815)
     dt = 2e-4
     t_final = 5.0
-    times = time_grid(t_final, dt)
     worst_closed = worst_ladder = worst_inv = 0.0
     for _ in range(N_FAMILY):
         spec = random_spec(rng, f_zero=True)
@@ -129,8 +128,8 @@ def test_criterion_04_free_oscillator_closed_forms():
         lam1, lam2 = motion_constants(closed)
         worst_ladder = max(worst_ladder, float(np.max(np.abs(lam1))),
                            float(np.max(np.abs(lam2 - 1.0))))
-        ctraj = NuTrajectory(times=times, nu=closed)
-        worst_inv = max(worst_inv, invariance_residual_max(samples, ctraj))
+        ctraj = NuTrajectory(samples, closed)
+        worst_inv = max(worst_inv, invariance_residual_max(ctraj))
         # build_B_so, its phase integrated on a grid of half the step, agrees
         # with the closed-form trajectory at every grid time
         fine = build_B_so(vm0, vp0, Samples(spec, time_grid(t_final, dt / 2)))
@@ -148,8 +147,7 @@ def test_criterion_05_coherence_theorem():
     worst_eig = worst_ratio = 0.0
     for _ in range(N_FAMILY):
         spec = random_spec(rng, f_zero=True)
-        rep = coherence_check(GridSamples(spec, t_free, dt_free),
-                              evolve_unitary(spec, t_free, dt_free))
+        rep = coherence_check(evolve_unitary(GridSamples(spec, t_free, dt_free)))
         worst_eig = max(worst_eig, float(np.max(rep.eigen_residual)))
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))))
@@ -157,8 +155,7 @@ def test_criterion_05_coherence_theorem():
     min_witness = np.inf
     for _ in range(N_FAMILY):
         spec = random_forced_spec(rng, min_peak=0.1)
-        rep = coherence_check(GridSamples(spec, T_FINAL, DT),
-                              evolve_unitary(spec, T_FINAL, DT))
+        rep = coherence_check(evolve_unitary(GridSamples(spec, T_FINAL, DT)))
         min_witness = min(min_witness, float(np.max(rep.eigen_residual)))
     ok = worst_eig <= 1e-7 and worst_ratio <= 1e-8 and min_witness >= 1e-3
     _report(5, "coherence theorem both ways", ok,
@@ -172,7 +169,7 @@ def test_criterion_06_epsilon_reduction_closure(eps_family):
         direct = integrate_nu(GridSamples(spec, T_FINAL, DT), tuple(traj.nu[0]))
         worst_closure = max(worst_closure, float(np.max(np.abs(direct.nu - traj.nu))))
         # the oracle route: B(nu(eps)) against U B(nu(eps)(0)) U', one RK4 error, not two
-        unitary = evolve_unitary(spec, T_FINAL, DT).U
+        unitary = evolve_unitary(traj.samples).U
         oracle = unitary @ build_B_array(traj.nu[0]) @ np.conj(np.swapaxes(unitary, 1, 2))
         worst_oracle = max(worst_oracle,
                            float(np.max(np.abs(build_B_array(traj.nu) - oracle))))
@@ -224,7 +221,7 @@ def test_criterion_07_first_integral(eps_family):
         worst_link = max(worst_link,
                          float(np.max(np.abs(lam - 16.0 * gen.lambda1))))
         # the library's first integral agrees with the vectorized jets on the whole grid
-        samples = Samples(spec, gen.times)
+        samples = gen.samples
         got = first_integral_lambda(samples, *nu_plus_jets(samples, gen.nu)[:3])
         assert np.all(np.abs(got - lam) <= 1e-10 * np.maximum(1.0, np.abs(lam)))
         # ladder-calibrated trajectory: lambda must sit at zero
@@ -242,8 +239,8 @@ def test_criterion_08_vacuum_and_coherent_states(eps_family):
     # psi is H0's vacuum and exp(-i theta) psi the physical one
     worst_ann = worst_schro = worst_norm = worst_cs = worst_closed = 0.0
     for spec, traj, eps, eps_dot in eps_family:
-        samples = Samples(spec, traj.times)
-        ph = lr_phases(traj, samples)
+        samples = traj.samples
+        ph = lr_phases(traj)
         psi, _ = vacuum_trajectory(ph)
         bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
         worst_ann = max(worst_ann, float(np.max(np.linalg.norm(bpsi, axis=1))))
@@ -286,9 +283,8 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
     # stationary closed forms
     w0, g0 = 1.3, 0.7
     spec0 = constant_spec(omega=w0, g=g0)
-    samples0 = GridSamples(spec0, 5.0, DT)
-    traj0 = integrate_nu(samples0, (1, 0, 0))
-    ph0 = lr_phases(traj0, samples0)
+    traj0 = integrate_nu(GridSamples(spec0, 5.0, DT), (1, 0, 0))
+    ph0 = lr_phases(traj0)
     t = traj0.times
     # the physical phases are H0's phases phi0 and -phi0, each minus theta
     stationary_dev = max(float(np.max(np.abs(ph0.phi0 - ph0.theta + g0 * t))),
@@ -299,8 +295,8 @@ def test_criterion_10_lewis_riesenfeld_phases(eps_family):
     worst_schro = 0.0
     worst_fit = worst_theta = 0.0
     for spec, traj, _, _ in eps_family:
-        samples = Samples(spec, traj.times)
-        ph = lr_phases(traj, samples)
+        samples = traj.samples
+        ph = lr_phases(traj)
         worst_consistency = max(worst_consistency, ph.consistency_residual)
         p0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
         p1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
@@ -324,13 +320,13 @@ def test_criterion_11_propagator_quality():
     worst_unit = 0.0
     for _ in range(5):
         spec = random_spec(rng)
-        u = evolve_unitary(spec, T_FINAL, DT)
+        u = evolve_unitary(GridSamples(spec, T_FINAL, DT))
         worst_unit = max(worst_unit, float(np.max(np.abs(
             np.conj(np.transpose(u.U, (0, 2, 1))) @ u.U - I2))))
     # observed order of the stepper: halving dt shrinks the change by about
     # 16 (Richardson on three grids)
     spec = random_spec(np.random.default_rng(1118))
-    us = [evolve_unitary(spec, 2.0, dt).U[-1]
+    us = [evolve_unitary(GridSamples(spec, 2.0, dt)).U[-1]
           for dt in (0.02, 0.01, 0.005)]
     ratio = max_abs(us[0] - us[1]) / max_abs(us[1] - us[2])
     ok = worst_unit <= 1e-9 and abs(ratio - 16.0) <= 2.0

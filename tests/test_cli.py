@@ -21,7 +21,7 @@ from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITI
 from ffo.errors import ConfigError
 from ffo.grid import GridSamples, _mul, time_grid
 from ffo.invariants import _nu_dot, build_B_array, integrate_nu, nu_generator
-from ffo.propagator import evolve_state, evolve_unitary
+from ffo.propagator import apply_unitary, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial, Signal,
                          Sinusoid, Tabulated)
@@ -364,6 +364,26 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"dt": 0.001', '"dt": 0.001, "tolerances": [1]', [], "run.tolerances"),
     ('"format": "csv"', '"format": "csv", "fields": "t"', [], "output.fields"),
     ('"format": "csv"', '"format": "xml"', [], "output.format"),
+    # a repeated key used to resolve silently to its last value, as a free
+    # scenario for a repeated f_re or a 100 times finer grid for a repeated dt
+    ('"output": {"format": "csv"}\n}', '"output": {"format": "csv"},\n  "run": {"t_final": 1}\n}',
+     [], "<document>.run"),
+    ('"f_re": {"type": "constant", "value": 0.5}',
+     '"f_re": {"type": "constant", "value": 0.5}, "f_re": {"type": "constant", "value": 0.0}',
+     [], "hamiltonian.f_re"),
+    ('"dt": 0.001', '"dt": 0.1, "dt": 0.001', [], "run.dt"),
+    ('"value": 0.5', '"value": 0.5, "value": 0.0', [], "hamiltonian.f_re.value"),
+    ('"dt": 0.001', '"dt": 0.001, "tolerances": {"closure": 1e-5, "closure": 1}', [],
+     "run.tolerances.closure"),
+    # a sequence field must be a list: 5 was iterated by Python, {"a": 1} read as
+    # its keys and "12" as its characters
+    ('"coeffs": [0.2, 0.01]', '"coeffs": 5', [], "hamiltonian.g.coeffs"),
+    ('"f_re": {"type": "constant", "value": 0.5}',
+     '"f_re": {"type": "tabulated", "times": {"a": 1}, "values": [1, 2]}', [],
+     "hamiltonian.f_re.times"),
+    ('"f_re": {"type": "constant", "value": 0.5}',
+     '"f_re": {"type": "tabulated", "times": [0, 2], "values": "12"}', [],
+     "hamiltonian.f_re.values"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -537,7 +557,7 @@ def test_evolve_unitarity_drift_keeps_a_nan():
 
     from ffo.cli import _run_evolve
 
-    unitary = evolve_unitary(random_spec(np.random.default_rng(0)), 1.0, 1e-2)
+    unitary = evolve_unitary(GridSamples(random_spec(np.random.default_rng(0)), 1.0, 1e-2))
     unitary.U[50, 0, 1] = np.nan
     sc = SimpleNamespace(unitary=unitary, cfg=SimpleNamespace(state0=np.array([1.0, 0.0])))
     _, checks = _run_evolve(sc, dict(CHECK_TOLERANCES))
@@ -987,16 +1007,17 @@ def test_grid_bound_rejected_before_allocation(monkeypatch, capsys):
     replace(cfg, t_final=(MAX_GRID_POINTS - 1) * cfg.dt)
 
 
-def test_main_evolve_matches_evolve_state(tmp_path):
+def test_main_evolve_matches_the_propagator(tmp_path):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(GOOD.replace('"initial": {', '"initial": {"state": [[0.6, 0], [0, 0.8]], '))
     out = tmp_path / "evolve.csv"
     assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     cfg = parse_config(cfg_path.read_text())
-    _, psi = evolve_state(cfg.spec, [0.6, 0.8j], cfg.t_final, cfg.dt)
-    assert np.max(np.abs(table[:, 1] + 1j * table[:, 2] - psi[:, 0])) < 1e-14
-    assert np.max(np.abs(table[:, 3] + 1j * table[:, 4] - psi[:, 1])) < 1e-14
+    a0, a1 = apply_unitary(evolve_unitary(GridSamples(cfg.spec, cfg.t_final, cfg.dt)).U,
+                           [0.6, 0.8j])
+    assert np.max(np.abs(table[:, 1] + 1j * table[:, 2] - a0)) < 1e-14
+    assert np.max(np.abs(table[:, 3] + 1j * table[:, 4] - a1)) < 1e-14
     assert np.max(np.abs(table[:, 5] - 1.0)) < 1e-12
 
 
@@ -1142,7 +1163,7 @@ def test_entrywise_runner_quantities_match_their_matrix_forms(seed):
     cfg = ScenarioConfig(spec=random_spec(rng, f_floor=True), t_final=0.2, dt=1e-3, nu0=nu0,
                          epsilon0=eps0, state0=state0)
     samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
-    u = evolve_unitary(cfg.spec, cfg.t_final, cfg.dt).U
+    u = evolve_unitary(samples).U
     ud = np.conj(np.swapaxes(u, 1, 2))
 
     def runner(mode):

@@ -231,7 +231,7 @@ def test_trajectory_accessors():
     traj = integrate_nu(GridSamples(constant_spec(omega=1.0), 1.0, DT), (1, 0, 0))
     assert traj.nu[0].tolist() == [1, 0, 0]
     assert (traj.lambda1[0], traj.lambda2[0]) == (0, 1)
-    assert traj.dt == pytest.approx(1e-3)
+    assert traj.times is traj.samples.times and traj.samples.dt == 1e-3
 
 
 # -- operator assembly -------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_build_B_matches_heisenberg_oracle_free_case():
     w0 = 0.9
     spec = constant_spec(omega=w0)
     traj = integrate_nu(GridSamples(spec, 3.0, DT), (1, 0, 0))
-    u = evolve_unitary(spec, 3.0, DT)
+    u = evolve_unitary(traj.samples)
     b, _, _ = ladder_operators()
     k = 3000
     got = build_B_array(traj.nu[k])
@@ -293,7 +293,7 @@ def test_hermitian_invariant_satisfies_invariance_equation(forced_spec,
     traj, _, _ = calibrated_trajectory
     k = np.arange(1, len(traj.times) - 1, 499)
     i_prev, i_now, i_next = (hermitian_invariant(traj.nu[k + s]) for s in (-1, 0, 1))
-    di = (i_next - i_prev) / (2 * traj.dt)
+    di = (i_next - i_prev) / (2 * traj.samples.dt)
     h = hamiltonian_matrix(Samples(forced_spec, traj.times[k]))
     assert max_abs(di - 1j * (i_now @ h - h @ i_now)) <= 1e-6
 
@@ -303,18 +303,17 @@ def test_hermitian_invariant_satisfies_invariance_equation(forced_spec,
 def test_invariance_residual_free_closed_form():
     spec = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
                            f=ComplexSignal(Constant(0.0)), g=Constant(0.0))
-    times = np.arange(0, 5001) * 1e-3
-    nus = free_oscillator_nu((1, 0, 0), Samples(spec, times))
-    traj = NuTrajectory(times, nus)
+    samples = GridSamples(spec, 5.0, 1e-3)
+    traj = NuTrajectory(samples, free_oscillator_nu((1, 0, 0), samples))
     assert _matrix_residuals(spec, traj)[2499] <= 1e-6
-    assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-6
+    assert invariance_residual_max(traj) <= 1e-6
 
 
 def test_invariance_residual_on_random_spec():
     rng = np.random.default_rng(13)
     spec = random_spec(rng)
     traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
-    assert invariance_residual_max(Samples(spec, traj.times), traj) <= 1e-5
+    assert invariance_residual_max(traj) <= 1e-5
 
 
 def _matrix_residuals(spec, traj):
@@ -324,7 +323,7 @@ def _matrix_residuals(spec, traj):
     formed from the assembled B and H matrices, not entrywise.
     """
     b = build_B_array(traj.nu)
-    db = (b[2:] - b[:-2]) / (2.0 * traj.dt)
+    db = (b[2:] - b[:-2]) / (2.0 * traj.samples.dt)
     h = hamiltonian_matrix(Samples(spec, traj.times[1:-1]))
     return np.max(np.abs(db - 1j * (b[1:-1] @ h - h @ b[1:-1])), axis=(1, 2))
 
@@ -334,11 +333,11 @@ def test_invariance_residual_max_matches_matrix_form():
     # dB/dt - i[B, H] is the largest one in some draw
     rng = np.random.default_rng(5)
     spec = random_spec(rng)
-    times = np.array([0.3, 0.4, 0.5])
+    samples = GridSamples(spec, 0.2, 0.1)
     for _ in range(40):
         nu = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        traj = NuTrajectory(times=times, nu=nu)
-        assert invariance_residual_max(Samples(spec, traj.times), traj) == pytest.approx(
+        traj = NuTrajectory(samples, nu)
+        assert invariance_residual_max(traj) == pytest.approx(
             float(_matrix_residuals(spec, traj)[0]), rel=1e-14)
 
 
@@ -346,7 +345,7 @@ def test_invariance_residual_detects_wrong_forcing_sign():
     spec = constant_spec(omega=0.8, f=0.5)
     flipped = constant_spec(omega=0.8, f=-0.5)
     bad = integrate_nu(GridSamples(flipped, 2.0, DT), (1, 0, 0))
-    assert invariance_residual_max(Samples(spec, bad.times), bad) >= 1e-2
+    assert invariance_residual_max(NuTrajectory(GridSamples(spec, 2.0, DT), bad.nu)) >= 1e-2
 
 
 

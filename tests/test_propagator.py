@@ -9,8 +9,8 @@ from scipy.linalg import expm
 import ffo
 from ffo.algebra import I2, hamiltonian_matrix, ladder_operators, max_abs
 from ffo.errors import IntegrationError
-from ffo.grid import Samples, time_grid
-from ffo.propagator import _magnus_factors, evolve_state, evolve_unitary
+from ffo.grid import GridSamples, Samples, time_grid
+from ffo.propagator import _magnus_factors, apply_unitary, evolve_unitary
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Signal,
                          Sinusoid, constant_spec)
 from ffo.sweeps import random_spec
@@ -45,20 +45,20 @@ def unitarity_drift(U):
 
 def test_unitary_entries_are_contiguous_grid_columns():
     # the mode runners read U entry by entry along the grid axis
-    traj = evolve_unitary(random_spec(np.random.default_rng(0)), 1.0, 1e-2)
+    traj = evolve_unitary(GridSamples(random_spec(np.random.default_rng(0)), 1.0, 1e-2))
     assert traj.U.shape == (101, 2, 2)
     assert np.moveaxis(traj.U, 0, -1).flags.c_contiguous
     assert traj.U[0].tolist() == I2.tolist()
 
 
 def test_zero_hamiltonian_is_identity():
-    traj = evolve_unitary(constant_spec(), 1.0, 1e-3)
+    traj = evolve_unitary(GridSamples(constant_spec(), 1.0, 1e-3))
     assert max_abs(traj.U[-1] - I2) < 1e-14
 
 
 def test_constant_omega_closed_form():
     w0 = 1.3
-    traj = evolve_unitary(constant_spec(omega=w0), 5.0, 1e-3)
+    traj = evolve_unitary(GridSamples(constant_spec(omega=w0), 5.0, 1e-3))
     want = np.diag([1.0, np.exp(-1j * w0 * 5.0)])
     assert max_abs(traj.U[-1] - want) < 1e-8
 
@@ -66,7 +66,7 @@ def test_constant_omega_closed_form():
 def test_constant_forcing_closed_form():
     f0 = 0.8
     b, bd, _ = ladder_operators()
-    traj = evolve_unitary(constant_spec(f=f0), 5.0, 1e-3)
+    traj = evolve_unitary(GridSamples(constant_spec(f=f0), 5.0, 1e-3))
     t = 5.0
     want = np.cos(f0 * t) * I2 - 1j * np.sin(f0 * t) * (bd + b)
     assert max_abs(traj.U[-1] - want) < 1e-8
@@ -76,7 +76,7 @@ def test_unitarity_on_smooth_random_specs():
     rng = np.random.default_rng(9)
     for _ in range(3):
         spec = random_spec(rng)
-        traj = evolve_unitary(spec, 10.0, 1e-3)
+        traj = evolve_unitary(GridSamples(spec, 10.0, 1e-3))
         assert unitarity_drift(traj.U) <= 1e-9
 
 
@@ -86,7 +86,7 @@ def test_fourth_order_convergence():
         f=ComplexSignal(Sinusoid(0.5, 0.8, 0.5, offset=0.1), Constant(0.2)),
         g=Constant(0.1))
     t_final = 2.0
-    us = [evolve_unitary(spec, t_final, dt).U[-1]
+    us = [evolve_unitary(GridSamples(spec, t_final, dt)).U[-1]
           for dt in (0.02, 0.01, 0.005)]
     e1 = max_abs(us[0] - us[1])
     e2 = max_abs(us[1] - us[2])
@@ -95,7 +95,7 @@ def test_fourth_order_convergence():
 
 def test_matches_closed_form_tightly():
     w0 = 0.9
-    traj = evolve_unitary(constant_spec(omega=w0), 5.0, 1e-3)
+    traj = evolve_unitary(GridSamples(constant_spec(omega=w0), 5.0, 1e-3))
     want = np.diag([1.0, np.exp(-1j * w0 * 5.0)])
     assert max_abs(traj.U[-1] - want) < 1e-11
 
@@ -103,9 +103,9 @@ def test_matches_closed_form_tightly():
 def test_composition_property():
     spec = random_spec(np.random.default_rng(12))
     t1, t2 = 2.0, 5.0
-    full = evolve_unitary(spec, t2, 1e-3)
-    head = evolve_unitary(spec, t1, 1e-3)
-    tail = evolve_unitary(shift_spec(spec, t1), t2 - t1, 1e-3)
+    full = evolve_unitary(GridSamples(spec, t2, 1e-3))
+    head = evolve_unitary(GridSamples(spec, t1, 1e-3))
+    tail = evolve_unitary(GridSamples(shift_spec(spec, t1), t2 - t1, 1e-3))
     assert max_abs(tail.U[-1] @ head.U[-1] - full.U[-1]) < 1e-10
 
 
@@ -151,7 +151,7 @@ def test_scan_matches_stepwise_reference(steps):
     # reversed product order would go unseen
     spec = random_spec(np.random.default_rng(31))
     dt = 1e-2
-    got = evolve_unitary(spec, steps * dt, dt).U
+    got = evolve_unitary(GridSamples(spec, steps * dt, dt)).U
     want = _stepwise_reference(spec, steps * dt, dt)
     assert got.shape == (steps + 1, 2, 2)
     assert max_abs(got - want) <= 1e-13
@@ -159,7 +159,7 @@ def test_scan_matches_stepwise_reference(steps):
 
 def test_invalid_config():
     with pytest.raises(ValueError):
-        evolve_unitary(constant_spec(), 1.0, -1.0)
+        GridSamples(constant_spec(), 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def test_nonfinite_hamiltonian_names_grid_time():
     spec = HamiltonianSpec(omega=Constant(1.0), f=ComplexSignal(NanFrom(1.25)),
                            g=Constant(0.0))
     with pytest.raises(IntegrationError) as err:
-        evolve_unitary(spec, 2.0, 1e-3)
+        evolve_unitary(GridSamples(spec, 2.0, 1e-3))
     assert err.value.t == pytest.approx(1.25)
     assert "t=1.25" in str(err.value)
 
@@ -186,7 +186,7 @@ def test_nonfinite_omega_or_g_alone_names_grid_time(leg):
     spec = HamiltonianSpec(omega=signals["omega"], f=ComplexSignal(Constant(0.5)),
                            g=signals["g"])
     with pytest.raises(IntegrationError) as err:
-        evolve_unitary(spec, 2.0, 1e-3)
+        evolve_unitary(GridSamples(spec, 2.0, 1e-3))
     assert err.value.t == pytest.approx(1.25)
     assert "t=1.25" in str(err.value)
 
@@ -196,7 +196,7 @@ def test_overflowing_running_phase_names_grid_time():
     # largest double after 1798 steps although every step angle is finite
     spec = constant_spec(omega=1.0, f=0.5, g=1e308)
     with pytest.raises(IntegrationError) as err:
-        evolve_unitary(spec, 2.0, 1e-3)
+        evolve_unitary(GridSamples(spec, 2.0, 1e-3))
     assert err.value.t == pytest.approx(1.797, abs=2e-3)
 
 
@@ -209,19 +209,28 @@ def test_oracle_samples_each_signal_once_on_both_gauss_nodes():
                               f=ComplexSignal(_Counted(spec.f.re, calls, "f_re"),
                                               _Counted(spec.f.im, calls, "f_im")),
                               g=_Counted(spec.g, calls, "g"))
-    traj = evolve_unitary(counted, 1.0, 1e-2)
+    traj = evolve_unitary(GridSamples(counted, 1.0, 1e-2))
     points = 2 * (len(traj.times) - 1)
     assert sorted((name, method, len(grid) // 8) for name, method, grid in calls) == [
         (name, "value", points) for name in ("f_im", "f_re", "g", "omega")]
     assert len({grid for _, _, grid in calls}) == 1
-    assert max_abs(traj.U - evolve_unitary(spec, 1.0, 1e-2).U) == 0.0
+    assert max_abs(traj.U - evolve_unitary(GridSamples(spec, 1.0, 1e-2)).U) == 0.0
+
+
+def test_oracle_reads_no_shared_sample():
+    # the oracle gets the scenario's samples for its grid alone: a signal it
+    # took from them would be shared with the integrators it checks
+    s = GridSamples(random_spec(np.random.default_rng(3)), 1.0, 1e-2)
+    assert evolve_unitary(s).samples is s
+    names = {"omega", "omega_d1", "omega_d2", "f", "f_d1", "f_d2", "g"}
+    assert not names & set(vars(s)) and not names & set(vars(s.mids))
 
 
 # -- Heisenberg transport U X U' -------------------------------------------------
 
 def test_heisenberg_preserves_identity_and_energy():
     spec = constant_spec(omega=1.0, f=0.3, g=0.2)
-    traj = evolve_unitary(spec, 5.0, 1e-3)
+    traj = evolve_unitary(GridSamples(spec, 5.0, 1e-3))
     h = np.array([[0.2, 0.3], [0.3, 1.2]], dtype=complex)
     for k in (1000, 5000):
         u = traj.U[k]
@@ -229,26 +238,26 @@ def test_heisenberg_preserves_identity_and_energy():
         assert max_abs(u @ h @ u.conj().T - h) < 1e-9
 
 
-# -- evolve_state ------------------------------------------------------------------
+# -- states U psi0 ------------------------------------------------------------------
 
 def test_state_stays_in_vacuum_without_hamiltonian():
-    times, psi = evolve_state(constant_spec(), [1, 0], 1.0, 1e-3)
-    assert np.max(np.abs(psi - np.array([1.0, 0.0]))) < 1e-14
+    a0, a1 = apply_unitary(evolve_unitary(GridSamples(constant_spec(), 1.0, 1e-3)).U, [1, 0])
+    assert np.max(np.abs(a0 - 1.0)) < 1e-14 and np.max(np.abs(a1)) < 1e-14
 
 
 def test_state_rabi_closed_form():
     f0 = 0.6
-    times, psi = evolve_state(constant_spec(f=f0), [1, 0], 5.0, 1e-3)
-    assert np.max(np.abs(psi[:, 0] - np.cos(f0 * times))) < 1e-8
-    assert np.max(np.abs(psi[:, 1] + 1j * np.sin(f0 * times))) < 1e-8
+    traj = evolve_unitary(GridSamples(constant_spec(f=f0), 5.0, 1e-3))
+    a0, a1 = apply_unitary(traj.U, [1, 0])
+    assert np.max(np.abs(a0 - np.cos(f0 * traj.times))) < 1e-8
+    assert np.max(np.abs(a1 + 1j * np.sin(f0 * traj.times))) < 1e-8
 
 
 def test_state_norm_preserved_on_random_specs():
     rng = np.random.default_rng(21)
     for _ in range(3):
-        spec = random_spec(rng)
-        _, psi = evolve_state(spec, [0.6, 0.8j], 10.0, 1e-3)
-        norms = np.linalg.norm(psi, axis=1)
+        u = evolve_unitary(GridSamples(random_spec(rng), 10.0, 1e-3)).U
+        norms = np.linalg.norm(np.stack(apply_unitary(u, [0.6, 0.8j]), axis=1), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-8
 
 

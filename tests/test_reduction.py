@@ -159,7 +159,7 @@ def test_build_B_normalized_is_ladder_and_matches_direct(forced_spec,
 
 def test_build_B_normalized_invariance(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    dt = traj.dt
+    dt = traj.samples.dt
     k = np.arange(1, len(traj.times) - 1, 367)
     mats = []
     for shift in (-1, 0, 1):
@@ -400,7 +400,7 @@ def test_epsilon_prime_exponential_forcing():
 def test_epsilon_prime_round_trip(forced_spec):
     dt = 1e-3
     et = integrate_epsilon(GridSamples(forced_spec, 5.0, DT), (1.0 + 0.2j, 0.1 - 0.3j))
-    om_p, gauge = epsilon_prime_transform(Samples(forced_spec, et.times))
+    om_p, gauge = epsilon_prime_transform(et.samples)
     # integrate the primed equation with matched initial conditions
     f0 = complex(forced_spec.f.value(0.0))
     fd0 = complex(forced_spec.f.d1(0.0))

@@ -29,9 +29,9 @@ README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
 
 # -- evolved vacuum ------------------------------------------------------------
 
-def _vacuum(traj, spec):
+def _vacuum(traj):
     """psi of ``vacuum_trajectory`` on the phases of ``traj``: the vacuum of H0."""
-    return vacuum_trajectory(lr_phases(traj, Samples(spec, traj.times)))[0]
+    return vacuum_trajectory(lr_phases(traj))[0]
 
 
 def _physical_vacuum(ph):
@@ -92,7 +92,7 @@ def test_vacuum_trajectory_matches_reference(case):
     # two independent routes: one constant phase at t = 0 apart
     spec, nu0, t_final, gaps = VACUUM_CASES[case]
     traj = integrate_nu(GridSamples(spec, t_final, DT), nu0)
-    psi = _physical_vacuum(lr_phases(traj, Samples(spec, traj.times)))
+    psi = _physical_vacuum(lr_phases(traj))
     want_psi, want_mask = vacuum_reference(traj, spec)
     assert np.count_nonzero(np.diff(want_mask.astype(int)) == 1) + int(want_mask[0]) == gaps
     assert np.max(np.abs(_phase_aligned(psi, want_psi) - want_psi)) <= 1e-10
@@ -105,7 +105,7 @@ def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
     assert traj.nu[0, 0] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psi = _vacuum(traj, spec)
+        psi = _vacuum(traj)
     assert np.all(np.isfinite(psi))
 
 
@@ -118,7 +118,7 @@ def test_vacuum_trajectory_random_specs(seed):
     samples = GridSamples(spec, 2.0, DT)
     for nu0 in ((1, 0, 0), random_plus_keyed_nu0(rng)):
         traj = integrate_nu(samples, nu0)
-        ph = lr_phases(traj, samples)
+        ph = lr_phases(traj)
         assert ph.frame.plus[0] == (nu0 != (1, 0, 0))
         psi, _ = vacuum_trajectory(ph)
         bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
@@ -131,35 +131,27 @@ def test_vacuum_trajectory_random_specs(seed):
 
 def test_vacuum_double_contract(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi = _vacuum(traj, forced_spec)
+    psi = _vacuum(traj)
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
-    assert schrodinger_residual_max(Samples(forced_spec, traj.times), psi) <= 1e-5
+    assert schrodinger_residual_max(traj.samples, psi) <= 1e-5
     norms = np.linalg.norm(psi, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
 
 def test_samples_on_another_grid_are_rejected(forced_spec, calibrated_trajectory):
-    # the same length with another dt, and one point fewer: neither pairs with traj
+    # psi is a bare array, so its samples are passed on their own: one point
+    # fewer does not pair with it
     traj, _, _ = calibrated_trajectory
-    t_final, dt = float(traj.times[-1]), traj.dt
-    unitary = evolve_unitary(forced_spec, t_final, dt)
-    psi = _vacuum(traj, forced_spec)
-    for samples in (GridSamples(forced_spec, 2.0 * t_final, 2.0 * dt),
-                    GridSamples(forced_spec, t_final - dt, dt)):
-        for call in (lambda: lr_phases(traj, samples),
-                     lambda: coherence_check(samples, unitary),
-                     lambda: invariance_residual_max(samples, traj)):
-            with pytest.raises(ContractError, match="different time grids"):
-                call()
+    t_final, dt = float(traj.times[-1]), traj.samples.dt
     with pytest.raises(ContractError, match="different time grids"):
-        schrodinger_residual_max(GridSamples(forced_spec, t_final - dt, dt), psi)
+        schrodinger_residual_max(GridSamples(forced_spec, t_final - dt, dt), _vacuum(traj))
 
 
 def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
     # the mask flags no point: every point is exp(i phi0) e0
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     psi, mask = vacuum_trajectory(ph)
     assert mask.shape == (len(traj.times),) and not mask.any()
     assert np.array_equal(psi, np.exp(1j * ph.phi0)[:, None] * ph.frame.e0)
@@ -169,7 +161,7 @@ def test_vacuum_trajectory_flags_and_values(forced_spec, calibrated_trajectory):
 def test_vacuum_canonical_start_is_ground_state():
     spec = constant_spec(omega=1.0, f=0.4, g=0.2)
     traj = integrate_nu(GridSamples(spec, 1.0, DT), (1, 0, 0))
-    psi = _vacuum(traj, spec)
+    psi = _vacuum(traj)
     assert psi[0, 0] == pytest.approx(1.0)
     assert psi[0, 1] == pytest.approx(0.0)
 
@@ -182,12 +174,12 @@ def test_vacuum_tracks_true_evolution_through_pinch():
     t_final = 8.0
     traj = integrate_nu(GridSamples(spec, t_final, DT), (1, 0, 0))
     assert np.min(np.abs(traj.nu[:, 0])) < VACUUM_NU_MIN
-    psi = _vacuum(traj, spec)
-    u = evolve_unitary(spec, t_final, DT)
+    psi = _vacuum(traj)
+    u = evolve_unitary(traj.samples)
     true_vac = u.U[:, :, 0]  # U |0>
     overlap = np.abs(np.sum(np.conj(true_vac) * psi, axis=1))
     assert np.min(overlap) >= 1.0 - 1e-8
-    assert schrodinger_residual_max(Samples(spec, traj.times), psi) <= 1e-5
+    assert schrodinger_residual_max(traj.samples, psi) <= 1e-5
     bpsi = np.einsum("kij,kj->ki", build_B_array(traj.nu), psi)
     assert np.max(np.linalg.norm(bpsi, axis=1)) <= 1e-6
 
@@ -197,10 +189,10 @@ def test_vacuum_through_sweep_pinches_matches_the_oracle():
     spec = random_spec(np.random.default_rng(0))
     traj = integrate_nu(GridSamples(spec, 10.0, DT), (1, 0, 0))
     assert np.count_nonzero(np.abs(traj.nu[:, 0]) < VACUUM_NU_MIN) == 32
-    psi = _physical_vacuum(lr_phases(traj, Samples(spec, traj.times)))
-    u = evolve_unitary(spec, 10.0, DT)
+    psi = _physical_vacuum(lr_phases(traj))
+    u = evolve_unitary(traj.samples)
     assert np.max(np.abs(psi - u.U[:, :, 0])) <= 1e-10
-    assert closed_form_deviation(traj, Samples(spec, traj.times), psi) <= 1e-10
+    assert closed_form_deviation(traj, traj.samples, psi) <= 1e-10
 
 
 def _h0_state(samples, psi):
@@ -215,7 +207,7 @@ def test_schrodinger_residual_under_a_large_constant_g(g):
     # that psi does not have must still show as a residual of 1e-3
     spec = constant_spec(f=0.5, g=g)
     samples = GridSamples(spec, 1.0, DT)
-    psi = _h0_state(samples, evolve_unitary(spec, 1.0, DT).U[:, :, 0])
+    psi = _h0_state(samples, evolve_unitary(samples).U[:, :, 0])
     assert schrodinger_residual_max(samples, psi) <= 1e-7
     off = np.exp(1e-3j * samples.times)[:, None] * psi
     assert schrodinger_residual_max(samples, off) >= 0.9e-3
@@ -228,7 +220,7 @@ def test_residual_maxima_keep_a_nan():
 
     spec = constant_spec(omega=1.0, f=0.5)
     samples = GridSamples(spec, 1.0, DT)
-    psi = _h0_state(samples, evolve_unitary(spec, 1.0, DT).U[:, :, 0])
+    psi = _h0_state(samples, evolve_unitary(samples).U[:, :, 0])
     assert schrodinger_residual_max(samples, psi) <= 1e-5
     for k in (0, 1):  # a nan in either component
         bad = psi.copy()
@@ -240,10 +232,10 @@ def test_residual_maxima_keep_a_nan():
         assert not checks[0]["passed"]
     # a nan omega spoils only the second and third invariance residuals
     traj = integrate_nu(samples, (1, 0, 0))
-    assert invariance_residual_max(samples, traj) <= 1e-5
+    assert invariance_residual_max(traj) <= 1e-5
     samples.omega = samples.omega.copy()
     samples.omega[500] = np.nan
-    assert np.isnan(invariance_residual_max(samples, traj))
+    assert np.isnan(invariance_residual_max(traj))
 
 
 def test_nullspace_fallback_examples():
@@ -257,12 +249,12 @@ def test_nullspace_fallback_examples():
 def test_nullspace_fallback_cross_validates_with_formula(forced_spec,
                                                          calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    psi = _vacuum(traj, forced_spec)
+    psi = _vacuum(traj)
     for k in (800, 2400, 4000):
         if abs(traj.nu[k, 0]) < 1e-3:
             continue
         fb = _nullspace_fallback(build_B_array(traj.nu[k]), psi[k - 1], forced_spec,
-                                 float(traj.times[k]), traj.dt)
+                                 float(traj.times[k]), traj.samples.dt)
         overlap = abs(np.conj(fb) @ psi[k])
         assert overlap >= 1.0 - 1e-8
 
@@ -285,7 +277,7 @@ def test_coherent_state_canonical_at_t0():
 def test_cs_eigen_relation_is_exact(forced_spec, calibrated_trajectory):
     # every grid point in one stacked call
     traj, _, _ = calibrated_trajectory
-    psi = _vacuum(traj, forced_spec)
+    psi = _vacuum(traj)
     for scale in (1.0, 0.4 - 0.6j):
         assert cs_eigen_residual(traj.nu, psi, scale) <= 1e-12
 
@@ -294,7 +286,7 @@ def test_stacked_coherent_states_are_each_state_bit_for_bit(forced_spec,
                                                             calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
     ks = [0, 1111, 3210, 5000]
-    nu, psi = traj.nu[ks], _vacuum(traj, forced_spec)[ks]
+    nu, psi = traj.nu[ks], _vacuum(traj)[ks]
     for scale in (1.0, 0.4 - 0.6j):
         stacked = coherent_state(scale, psi, nu)
         assert stacked.c.shape == (len(ks), 2, 4)
@@ -307,7 +299,7 @@ def test_stacked_coherent_states_are_each_state_bit_for_bit(forced_spec,
 def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
     # {|0;t>, B'(t)|0;t>} is an orthonormal moving frame
     traj, _, _ = calibrated_trajectory
-    psi = _vacuum(traj, forced_spec)
+    psi = _vacuum(traj)
     for k in (123, 2500, 4999):
         v = psi[k]
         w = build_B_dagger(traj.nu[k]) @ v
@@ -321,18 +313,19 @@ def test_overlap_matrix_is_identity(forced_spec, calibrated_trajectory):
 def test_coherence_stationary_family():
     w0, g0 = 1.2, 0.4
     spec = constant_spec(omega=w0, g=g0)
-    rep = coherence_check(GridSamples(spec, 5.0, DT), evolve_unitary(spec, 5.0, DT))
+    unitary = evolve_unitary(GridSamples(spec, 5.0, DT))
+    rep = coherence_check(unitary)
     assert np.max(rep.eigen_residual) == 0.0  # |u10|, exactly 0 where f = 0
-    want = np.exp(-1j * w0 * rep.times)
+    want = np.exp(-1j * w0 * unitary.times)
     assert np.max(np.abs(rep.zeta_ratio - want)) <= 1e-8
-    assert np.max(np.abs(rep.beta - np.exp(1j * w0 * rep.times))) <= 1e-10
+    assert np.max(np.abs(rep.beta - np.exp(1j * w0 * unitary.times))) <= 1e-10
 
 
 def test_coherence_sinusoidal_frequency():
     spec = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
                            f=ComplexSignal(Constant(0.0)),
                            g=Sinusoid(0.3, 0.4))
-    rep = coherence_check(GridSamples(spec, 5.0, DT), evolve_unitary(spec, 5.0, DT))
+    rep = coherence_check(evolve_unitary(GridSamples(spec, 5.0, DT)))
     assert np.max(rep.eigen_residual) <= 1e-7
     # zeta(t)/zeta must match conj(beta) = exp(-i int omega)
     assert np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta))) <= 1e-7
@@ -340,8 +333,8 @@ def test_coherence_sinusoidal_frequency():
 
 def test_coherence_broken_by_forcing():
     spec = constant_spec(f=1.0)
-    unitary = evolve_unitary(spec, 2.0, DT)
-    rep = coherence_check(GridSamples(spec, 2.0, DT), unitary)
+    unitary = evolve_unitary(GridSamples(spec, 2.0, DT))
+    rep = coherence_check(unitary)
     assert np.array_equal(rep.eigen_residual, np.abs(unitary.U[:, 1, 0]))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
@@ -354,7 +347,7 @@ def test_lr_phases_stationary():
     w0, g0 = 1.3, 0.7
     spec = constant_spec(omega=w0, g=g0)
     traj = integrate_nu(GridSamples(spec, 5.0, DT), (1, 0, 0))
-    ph = lr_phases(traj, Samples(spec, traj.times))
+    ph = lr_phases(traj)
     t = traj.times
     assert np.max(np.abs(ph.phi0 - ph.theta + g0 * t)) <= 1e-6
     assert np.max(np.abs(-ph.phi0 - ph.theta + (g0 + w0) * t)) <= 1e-6
@@ -366,10 +359,10 @@ def test_lr_phases_stationary():
 
 def test_phased_states_solve_schrodinger(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     psi0 = np.exp(1j * ph.phi0)[:, None] * ph.frame.e0
     psi1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
-    samples = Samples(forced_spec, traj.times)
+    samples = traj.samples
     assert schrodinger_residual_max(samples, psi0) <= 1e-5
     assert schrodinger_residual_max(samples, psi1) <= 1e-5
 
@@ -383,8 +376,8 @@ def test_vacuum_partner_has_the_same_residual(which, forced_spec, calibrated_tra
         traj = integrate_nu(samples, (1, 0, 0))
     else:
         traj = calibrated_trajectory[0]
-        samples = Samples(forced_spec, traj.times)
-    ph = lr_phases(traj, samples)
+        samples = traj.samples
+    ph = lr_phases(traj)
     psi0, _ = vacuum_trajectory(ph)
     partner = np.column_stack((-np.conj(psi0[:, 1]), np.conj(psi0[:, 0])))
     psi1 = np.exp(-1j * ph.phi0)[:, None] * ph.frame.e1
@@ -420,19 +413,19 @@ def test_constant_added_to_g_moves_theta_alone(seed, c):
     runs = []
     for s in (spec, dataclasses.replace(spec, g=_Shifted(spec.g, c))):
         samples = GridSamples(s, 2.0, DT)
-        ph = lr_phases(integrate_nu(samples, (1, 0, 0)), samples)
+        ph = lr_phases(integrate_nu(samples, (1, 0, 0)))
         runs.append((ph, schrodinger_residual_max(samples, vacuum_trajectory(ph)[0])))
     (ph, res), (ph_c, res_c) = runs
     assert np.array_equal(ph_c.phi0, ph.phi0)
     assert ph_c.consistency_residual == ph.consistency_residual
     assert res_c == res
-    assert np.allclose(ph_c.theta - ph.theta, c * ph.times, rtol=0.0,
+    assert np.allclose(ph_c.theta - ph.theta, c * samples.times, rtol=0.0,
                        atol=1e-11 * (1.0 + abs(c)))
 
 
 def test_phase_split_is_additive(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     assert np.max(np.abs((ph.phi_geometric + ph.phi_dynamical) - (-2.0 * ph.phi0))) <= 1e-12
 
 
@@ -467,7 +460,7 @@ def test_lr_frame_is_continuous_across_key_switches():
 
 
 def test_lr_frame_rejects_vanishing_nu():
-    traj = NuTrajectory(times=np.arange(5) * DT, nu=np.zeros((5, 3), dtype=complex))
+    traj = NuTrajectory(GridSamples(constant_spec(), 4 * DT, DT), np.zeros((5, 3), dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractError, match="vanish"):
@@ -477,7 +470,7 @@ def test_lr_frame_rejects_vanishing_nu():
 def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory):
     # the normalized-frame CS carries eigenvalue zeta * exp(i phi(t))
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     k = 2048
     x = np.exp(1j * ph.phi0[k]) * ph.frame.e0[k]
     y = np.exp(-1j * ph.phi0[k]) * ph.frame.e1[k]
@@ -492,7 +485,7 @@ def test_phased_cs_is_eigenstate_of_lr_ladder(forced_spec, calibrated_trajectory
 
 def test_lr_ladder_phase_fit(forced_spec, calibrated_trajectory):
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     theta, fit_residual = lr_ladder_fit(ph, traj)
     assert fit_residual <= 1e-7
     dphi = -2.0 * ph.phi0
@@ -504,11 +497,11 @@ def test_geometric_phase_gauge_independence(forced_spec, calibrated_trajectory):
     # multiplying the frame by a smooth test phase with chi(0) = chi(T) = 0
     # must leave the endpoint geometric phase unchanged
     traj, _, _ = calibrated_trajectory
-    ph = lr_phases(traj, Samples(forced_spec, traj.times))
+    ph = lr_phases(traj)
     t = traj.times
     chi = 0.1 * np.sin(np.pi * t / t[-1]) ** 2
     e1 = np.exp(1j * chi)[:, None] * ph.frame.e1
-    dt = traj.dt
+    dt = traj.samples.dt
 
     def connection(e):
         d = np.empty_like(e)

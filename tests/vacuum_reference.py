@@ -57,7 +57,7 @@ def vacuum_reference(traj, spec):
     sqrt(nu_minus) branch is tracked point to point and restarts after a gap,
     whose end re-anchors the phase of all later closed-form points.
     """
-    times, dt, n = traj.times, traj.dt, len(traj.times)
+    times, dt, n = traj.times, traj.samples.dt, len(traj.times)
     q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
                         + np.asarray(spec.omega.value(times), dtype=float), dt)
     h = hamiltonian_matrix(Samples(spec, times))
@@ -110,7 +110,7 @@ def closed_form_deviation(traj, samples, psi) -> float:
     vm, v3 = traj.nu[:, 0], traj.nu[:, 2]
     ok = np.flatnonzero(np.abs(vm) >= VACUUM_NU_MIN)
     stretch = np.concatenate(([0], np.cumsum(np.diff(ok) > 1)))
-    q = cumsimpson_grid(2.0 * samples.g + samples.omega, traj.dt)[ok]
+    q = cumsimpson_grid(2.0 * samples.g + samples.omega, traj.samples.dt)[ok]
     a0 = np.sqrt(np.abs(vm[ok])) * np.exp(0.5j * (np.unwrap(np.angle(vm[ok])) - q))
     closed = np.column_stack((a0, a0 * v3[ok] / (2.0 * vm[ok])))
     closed /= np.linalg.norm(closed, axis=1)[:, None]
