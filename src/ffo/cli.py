@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +36,10 @@ from .errors import ConfigError, FfoError
 from .grassmann import (ZETA, ZETA_STAR, GrassmannElement, apply_fermion_op,
                         berezin_integrate, coherent_ket, completeness_check, g_mul)
 from .grid import GridSamples, abs2
+# build_B_array is not called here, but perfbench/layers.py wraps it by this name
 from .invariants import (F_MIN, NuTrajectory, build_B_array, integrate_nu,
                          invariance_residual_max, motion_constants)
-from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
+from .propagator import UnitaryTrajectory, apply_unitary, evolve_unitary, transport
 from .reduction import integrate_epsilon, lambda2_from_epsilon, nu_from_epsilon_arrays
 from .signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial,
                       Signal, Sinusoid, Tabulated)
@@ -505,13 +506,10 @@ def _run_evolve(sc: _Scenario, tols: dict):
 
 
 def _oracle_deviation(unitary: UnitaryTrajectory, nu0, nu) -> np.ndarray:
-    """max over the four entries of |B(nu(t)) - U(t) B(nu0) U(t)'| at each grid point."""
-    # the oracle U B0 U' entrywise, each entry one grid column: c = U B0, then c U'
-    u, b0 = np.moveaxis(unitary.U, 0, -1), build_B_array(nu0)
-    c = [[u[i, 0] * b0[0, j] + u[i, 1] * b0[1, j] for j in (0, 1)] for i in (0, 1)]
-    ud, b = [[np.conj(x) for x in row] for row in u], np.moveaxis(build_B_array(nu), 0, -1)
-    return reduce(np.maximum, (np.abs(b[i, j] - (c[i][0] * ud[j][0] + c[i][1] * ud[j][1]))
-                               for i in (0, 1) for j in (0, 1)))
+    """max over the entries of |B(nu(t)) - U(t) B(nu0) U(t)'| per grid point ((1, 1) as (0, 0))."""
+    o01, o10, o00 = transport(unitary, nu0)
+    return np.maximum(np.maximum(np.abs(nu[:, 0] - o01), np.abs(nu[:, 1] - o10)),
+                      np.abs(-0.5 * nu[:, 2] - o00))
 
 
 def _run_invariants(sc: _Scenario, tols: dict):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .signals import HamiltonianSpec
 
-# steps whose RK4 step matrices are held in memory at once
+# steps whose RK4 step matrices are held at once; 8192 ran slower end to end (faults, RSS)
 CHUNK_STEPS = 4096
 # steps per block of _scan: a chunk is at most 256 blocks
 BLOCK_STEPS = 16

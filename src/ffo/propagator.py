@@ -6,12 +6,14 @@ Phys. Rep. 470 (2009), arXiv:0810.5488).  The trace part (g + omega/2) 1
 of H only turns U by a phase, and the traceless rest generates SU(2), so
 each step factor is e^{-i angle_k} times the SU(2) matrix of its
 Cayley-Klein pair (alpha_k, beta_k).  The pairs are composed by a log-depth
-prefix product, the angles by one cumulative sum, and
-U = e^{-i theta} [[A, -conj B], [B, conj A]] is written once.  Each factor
-is the exponential of an anti-Hermitian matrix, so U is unitary by
-construction; its global error is O(dt^4).  It shares no time-stepping
-algorithm with the RK4 integrators of the invariant machinery, which is
-exactly what makes it a usable oracle for them.
+prefix product into (a, b), the angles by one cumulative sum into theta,
+and U = e^{-i theta} [[a, -conj b], [b, conj a]] is built only where it is
+read: the phase cancels in the transport U B0 U' (``transport``) and in
+the coherence measurement, which read (a, b) alone.  Each factor is the
+exponential of an anti-Hermitian matrix, so U is unitary by construction;
+its global error is O(dt^4).  It shares no time-stepping algorithm with
+the RK4 integrators of the invariant machinery, which is exactly what
+makes it a usable oracle for them.
 
 CPU us per step, signal sampling included, medians of interleaved runs
 over 8 random specs and the README spec (two runs under different machine
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntegrationError
-from .grid import GridSamples, Trajectory
+from .grid import GridSamples, Trajectory, abs2
 from .signals import HamiltonianSpec
 
 _GAUSS = math.sqrt(3.0) / 6.0
@@ -37,7 +40,24 @@ _GAUSS = math.sqrt(3.0) / 6.0
 
 @dataclass
 class UnitaryTrajectory(Trajectory):
-    U: np.ndarray  # (len(times), 2, 2), a view of a grid-last array: each entry is contiguous
+    """U = e^{-i theta} [[a, -conj b], [b, conj a]] on the grid; a[0] = 1, b[0] = theta[0] = 0."""
+
+    a: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+
+    @cached_property
+    def U(self) -> np.ndarray:  # (len(times), 2, 2), a view of a grid-last array
+        a, b = self.a[1:], self.b[1:]
+        phase = np.exp(-1j * self.theta[1:])
+        u = np.empty((2, 2, len(self.a)), dtype=complex)
+        u[..., 0] = np.eye(2)
+        (u00, u01), (u10, u11) = u[..., 1:]
+        np.multiply(phase, a, out=u00)
+        np.multiply(phase, b, out=u10)
+        np.multiply(np.conj(b, out=u01), -phase, out=u01)
+        np.multiply(np.conj(a, out=u11), phase, out=u11)
+        return np.moveaxis(u, -1, 0)
 
 
 def _magnus_factors(spec: HamiltonianSpec, times: np.ndarray, dt: float):
@@ -110,23 +130,37 @@ def evolve_unitary(samples: GridSamples) -> UnitaryTrajectory:
     """
     times = samples.times
     alpha, beta, angle = _magnus_factors(samples.spec, times, samples.dt)
+    theta = np.zeros(len(times))
     with np.errstate(over="ignore"):  # an overflowing phase is reported below
-        theta = np.cumsum(angle)
-    bad = ~(np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(theta))
+        np.cumsum(angle, out=theta[1:])
+    bad = ~(np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(theta[1:]))
     if bad.any():
         t = float(times[np.argmax(bad)])
         raise IntegrationError(f"nonfinite propagator step at t={t}", t=t)
 
     a, b = _prefix_products(alpha, beta)
-    phase = np.exp(-1j * theta)
-    u = np.empty((2, 2, len(times)), dtype=complex)
-    u[..., 0] = np.eye(2)
-    (u00, u01), (u10, u11) = u[..., 1:]
-    np.multiply(phase, a, out=u00)
-    np.multiply(phase, b, out=u10)
-    np.multiply(np.conj(b, out=u01), -phase, out=u01)
-    np.multiply(np.conj(a, out=u11), phase, out=u11)
-    return UnitaryTrajectory(samples=samples, U=np.moveaxis(u, -1, 0))
+    return UnitaryTrajectory(samples=samples, a=np.concatenate(([1.0], a)),
+                             b=np.concatenate(([0.0], b)), theta=theta)
+
+
+def transport(unitary: UnitaryTrajectory, nu0):
+    """The entries (0, 1), (1, 0) and (0, 0) of U(t) B(nu0) U(t)' as three grid columns.
+
+    The (1, 1) entry is minus the (0, 0) one.  With B(nu0) = [[q, m], [p, -q]],
+    m = nu0_minus, p = nu0_plus and q = -nu0_3/2, the phase cancels and
+
+        o00 = (|a|^2 - |b|^2) q - conj(ab) p - ab m
+        o01 = 2q a conj(b) + m a^2 - p conj(b^2)
+        o10 = 2q conj(a) b + p conj(a^2) - m b^2
+    """
+    m, p, nu3 = np.asarray(nu0, dtype=complex)
+    q = -0.5 * nu3
+    a, b = unitary.a, unitary.b
+    ab, c, a2, b2 = a * b, a * np.conj(b), a * a, b * b
+    o00 = (abs2(a) - abs2(b)) * q - np.conj(ab) * p - ab * m
+    o01 = (2.0 * q) * c + m * a2 - p * np.conj(b2)
+    o10 = (2.0 * q) * np.conj(c) + p * np.conj(a2) - m * b2
+    return o01, o10, o00
 
 
 def apply_unitary(u: np.ndarray, psi0) -> tuple[np.ndarray, np.ndarray]:

@@ -185,6 +185,13 @@ class Tabulated(Signal):
         return self._eval(t, 2)
 
 
+def _complex(re, im):
+    """re + i im from its two parts; no product with 1j, which spoils re where im is inf."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out if out.ndim else complex(out)
+
+
 @dataclass(frozen=True)
 class ComplexSignal:
     """Complex function of time as a pair of real signals (Re, Im)."""
@@ -193,13 +200,13 @@ class ComplexSignal:
     im: Signal = Constant(0.0)
 
     def value(self, t):
-        return self.re.value(t) + 1j * self.im.value(t)
+        return _complex(self.re.value(t), self.im.value(t))
 
     def d1(self, t):
-        return self.re.d1(t) + 1j * self.im.d1(t)
+        return _complex(self.re.d1(t), self.im.d1(t))
 
     def d2(self, t):
-        return self.re.d2(t) + 1j * self.im.d2(t)
+        return _complex(self.re.d2(t), self.im.d2(t))
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,9 @@ class CoherenceReport:
 
     beta is the invariant-coefficient solution exp(+i int omega);
     zeta_ratio is the measured eigenvalue ratio of b on the evolved CS
-    (meaningful where the eigen-relation holds); eigen_residual is |u10|,
-    read from U, the largest coefficient of the part of b|zeta;t> that
-    violates the eigen-relation.
+    (meaningful where the eigen-relation holds); eigen_residual is |u10| =
+    |b| of the oracle's Cayley-Klein pair, the largest coefficient of the
+    part of b|zeta;t> that violates the eigen-relation.
     """
 
     beta: np.ndarray
@@ -112,18 +112,19 @@ def coherence_check(unitary: UnitaryTrajectory) -> CoherenceReport:
     """Measure how far the canonical CS evolved through U(t) is from a b-eigenstate.
 
     With u_ij = <i|U|j> the eigen-relation requires u10 = 0 and then
-    zeta(t)/zeta = u11/u00.  The residual is the largest coefficient that
-    violates it, |u10|, read from U; no Grassmann element is built.
+    zeta(t)/zeta = u11/u00.  The phase of U = e^{-i theta} [[a, -conj b], [b,
+    conj a]] cancels in both, so the residual, the largest coefficient that
+    violates the relation, is |b| and the ratio conj(a)/a; neither U nor a
+    Grassmann element is built.
     """
-    u00, u10, u11 = unitary.U[:, 0, 0], unitary.U[:, 1, 0], unitary.U[:, 1, 1]
-    safe = np.abs(u00) > 1e-12
-    ratio = np.where(safe, u11 / np.where(safe, u00, 1.0), 0.0)
+    a, b = unitary.a, unitary.b
+    safe = np.abs(a) > 1e-12
+    ratio = np.where(safe, np.conj(a) / np.where(safe, a, 1.0), 0.0)
     # residual ket coefficients: u10 (|0>, scalar), -u10/2 (|0>, zeta*zeta),
-    # u11 - ratio u00 (|0>, zeta) and -ratio u10 (|1>, zeta); |u11| = |u00| for
-    # U = e^{-i theta} [[A, -conj B], [B, conj A]], so |ratio| <= 1 and the fit
-    # gap is rounding, or |u11| <= 1e-12 < |u10| where u00 is not safe
+    # u11 - ratio u00 (|0>, zeta) and -ratio u10 (|1>, zeta); |u11| = |u00| = |a|,
+    # so |ratio| <= 1 and the fit gap is rounding; where |a| <= 1e-12, |u11| < |u10|
     beta = np.exp(1j * cumsimpson_grid(unitary.samples.omega, unitary.samples.dt))
-    return CoherenceReport(beta=beta, zeta_ratio=ratio, eigen_residual=np.abs(u10))
+    return CoherenceReport(beta=beta, zeta_ratio=ratio, eigen_residual=np.abs(b))
 
 
 # -- Lewis-Riesenfeld frame and phases ------------------------------------------

@@ -20,8 +20,8 @@ from ffo.cli import (CHECK_TOLERANCES, CSV_SLAB_ROWS, MAX_GRID_POINTS, MAX_INITI
                      parse_config, run)
 from ffo.errors import ConfigError
 from ffo.grid import GridSamples, _mul, time_grid
-from ffo.invariants import _nu_dot, build_B_array, integrate_nu, nu_generator
-from ffo.propagator import apply_unitary, evolve_unitary
+from ffo.invariants import _nu_dot, build_B_array, integrate_nu, motion_constants, nu_generator
+from ffo.propagator import UnitaryTrajectory, apply_unitary, evolve_unitary
 from ffo.reduction import integrate_epsilon, nu_from_epsilon_arrays
 from ffo.signals import (ComplexSignal, Constant, HamiltonianSpec, Polynomial, Signal,
                          Sinusoid, Tabulated)
@@ -506,6 +506,17 @@ def test_nonfinite_g_rejected_with_path_in_every_mode(tmp_path, capsys, mode):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["invariants", "reduce", "phases", "all"])
+def test_nonfinite_f_im_is_blamed_on_f_im(tmp_path, capsys, mode):
+    # f = re + 1j * im made 0 * inf a nan in the real part, and the gate blamed f_re
+    path = _write_doc(tmp_path, {"omega": {"type": "constant", "value": 1.0},
+                                 "f_re": {"type": "constant", "value": 0.5},
+                                 "f_im": {"type": "sinusoid", "amplitude": 1e308,
+                                          "offset": 1e308, "phase": 1.3}}, t_final=1.0)
+    assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "hamiltonian.f_im: inf at t=0.0: not finite" in capsys.readouterr().err
+
+
 def test_overflowing_forcing_rejected_without_a_warning(tmp_path, capsys):
     # f = 1e306 t^3 overflows on the late nodes; the gate names the first node
     # past the bound, and the overflow used to print a RuntimeWarning before it
@@ -576,6 +587,36 @@ def test_constant_g_passes_phases(tmp_path, g):
 
 _README_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                                 "readme_scenario.json")
+
+
+def test_only_evolve_builds_the_unitary_matrix(tmp_path, monkeypatch):
+    # the oracle checks read the Cayley-Klein pair; evolve reads U's entries
+    with open(_README_SCENARIO, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["output"]
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    reads, build = [], UnitaryTrajectory.U.func
+    monkeypatch.setattr(UnitaryTrajectory, "U", property(lambda u: reads.append(u) or build(u)))
+    for mode in ("invariants", "reduce", "coherence", "all", "evolve"):
+        reads.clear()
+        assert main([mode, "--config", str(cfg_path), "--out", str(tmp_path / mode)]) == 0
+        assert bool(reads) == (mode == "evolve"), mode
+
+
+@pytest.mark.parametrize("t_final", [2.0, 10.0])
+def test_oracle_deviation_matches_the_matrix_transport(t_final):
+    from ffo.cli import _oracle_deviation
+
+    rng = np.random.default_rng(2718)
+    for k in range(4):
+        samples = GridSamples(random_spec(rng, f_floor=k % 2 == 1), t_final, 1e-3)
+        nu0 = rng.normal(size=3) + 1j * rng.normal(size=3)  # complex, nu_3 != 0
+        nu, u = integrate_nu(samples, nu0).nu, evolve_unitary(samples)
+        oracle = u.U @ build_B_array(nu0) @ np.conj(np.transpose(u.U, (0, 2, 1)))
+        want = np.max(np.abs(build_B_array(nu) - oracle), axis=(1, 2))
+        scale = np.sqrt(motion_constants(nu0).lambda2)
+        assert np.max(np.abs(_oracle_deviation(u, nu0, nu) - want)) <= 1e-14 * scale
 
 
 def test_phases_check_values_do_not_depend_on_g(tmp_path):

@@ -89,6 +89,16 @@ def test_complex_signal_assembles_pair():
     assert f.d1(0.3) == pytest.approx(0.5 * np.cos(0.3))
 
 
+def test_complex_signal_keeps_each_part():
+    # re + 1j * im put 0 * inf = nan into the real part where im is inf
+    f = ComplexSignal(Constant(0.5), Sinusoid(1e308, 1.0, 1.3, offset=1e308))
+    with np.errstate(over="ignore"):
+        scalar, array = f.value(0.0), f.value(np.zeros(3))
+    assert array.dtype == complex and array.shape == (3,)
+    for z in (scalar, *array):
+        assert z.real == 0.5 and z.imag == np.inf
+
+
 def test_constant_spec_evaluates():
     spec = constant_spec(omega=1.0, f=0.5 + 0.2j, g=-0.3)
     assert spec.omega.value(3.0) == 1.0

@@ -335,10 +335,26 @@ def test_coherence_broken_by_forcing():
     spec = constant_spec(f=1.0)
     unitary = evolve_unitary(GridSamples(spec, 2.0, DT))
     rep = coherence_check(unitary)
-    assert np.array_equal(rep.eigen_residual, np.abs(unitary.U[:, 1, 0]))
+    assert np.array_equal(rep.eigen_residual, np.abs(unitary.b))
     k = int(round(np.pi / 4 / 1e-3))
     assert rep.eigen_residual[k] >= 0.1
     assert np.max(rep.eigen_residual) >= 1e-3
+
+
+@pytest.mark.parametrize("t_final", [2.0, 10.0])
+def test_coherence_check_matches_the_entries_of_u(t_final):
+    # the phase e^{-i theta} cancels: |u10| = |b| and u11/u00 = conj(a)/a
+    rng = np.random.default_rng(4242)
+    for k in range(4):
+        unitary = evolve_unitary(GridSamples(random_spec(rng, f_floor=k % 2 == 1), t_final, DT))
+        rep, u = coherence_check(unitary), unitary.U
+        assert np.max(np.abs(rep.eigen_residual - np.abs(u[:, 1, 0]))) <= 1e-15
+        assert np.min(np.abs(u[:, 0, 0])) > 1e-12
+        assert np.max(np.abs(rep.zeta_ratio - u[:, 1, 1] / u[:, 0, 0])) <= 1e-15
+    free = HamiltonianSpec(omega=Sinusoid(0.7, 0.9, 0.2, offset=1.1),
+                           f=ComplexSignal(Constant(0.0)), g=Sinusoid(0.3, 0.4))
+    rep = coherence_check(evolve_unitary(GridSamples(free, t_final, DT)))
+    assert not np.any(rep.eigen_residual)  # exactly 0 where f = 0
 
 
 # -- Lewis-Riesenfeld phases -----------------------------------------------------------

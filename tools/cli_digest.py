@@ -4,7 +4,9 @@ Usage: ``python tools/cli_digest.py [CHECKOUT]``.  Runs a fixed list of
 ``ffo`` invocations against ``CHECKOUT/src`` (default: the checkout holding
 this script), each in a fresh directory, and prints ``sha256  argv`` per
 invocation.  The hash covers stdout with its ``wall=`` time removed,
-stderr, the exit code and every file the run wrote.  Run it on two
+stderr, the exit code and every file the run wrote.  The last invocations
+run config documents that must fail with exit 2, so a changed diagnostic
+shows too.  Run it on two
 checkouts and ``diff`` the listings.  Standard library only; the
 invocations run one at a time.
 """
@@ -24,9 +26,23 @@ SWEEP_MODES = ("invariants", "reduce", "coherence", "phases", "evolve")
 _WALL = re.compile(rb"wall=\S+")
 
 
+def error_documents() -> dict[str, str]:
+    """Config documents that are rejected, by file name: g = 1e306 t^3, which overflows; an
+    f_im whose first sample is inf; and a repeated key."""
+    run = {"t_final": 10.0, "dt": 0.01}
+    g = {"g": {"type": "polynomial", "coeffs": [0, 0, 0, 1e306]},
+         "f_re": {"type": "constant", "value": 0.5}}
+    f_im = {"omega": {"type": "constant", "value": 1.0},
+            "f_re": {"type": "constant", "value": 0.5},
+            "f_im": {"type": "sinusoid", "amplitude": 1e308, "offset": 1e308, "phase": 1.3}}
+    return {"error-g.json": json.dumps({"hamiltonian": g, "run": run}),
+            "error-f-im.json": json.dumps({"hamiltonian": f_im, "run": {"t_final": 1.0}}),
+            "error-duplicate.json": '{"run": {"t_final": 1.0, "dt": 0.1, "dt": 0.001}}'}
+
+
 def invocations() -> list[list[str]]:
     """The argv list; ``readme.json`` is the README scenario, ``readme-all-columns.json`` the
-    same without ``output.fields``."""
+    same without ``output.fields``, and the ``error-*.json`` files are ``error_documents``."""
     out = []
     for mode in MODES:
         out.append([mode, "--config", "readme.json", "--format", "csv"])
@@ -38,6 +54,10 @@ def invocations() -> list[list[str]]:
                     "--out", "sweep"])
         out.append([mode, "--sweep", "2", "--seed", "5", "--t-final", "2", "--out", "sweep"])
     out.append(["all", "--sweep", "2", "--seed", "1", "--t-final", "2", "--out", "sweep"])
+    out.append(["invariants", "--config", "error-g.json"])
+    for mode in ("invariants", "reduce", "phases", "all"):
+        out.append([mode, "--config", "error-f-im.json"])
+    out.append(["invariants", "--config", "error-duplicate.json"])
     return out
 
 
@@ -46,10 +66,11 @@ def digest(checkout: str, argv: list[str], scenario: dict) -> str:
     all_columns = dict(scenario, output={k: v for k, v in scenario["output"].items()
                                          if k != "fields"})
     with tempfile.TemporaryDirectory() as work:
-        configs = {"readme.json": scenario, "readme-all-columns.json": all_columns}
-        for name, doc in configs.items():
+        configs = {"readme.json": json.dumps(scenario),
+                   "readme-all-columns.json": json.dumps(all_columns), **error_documents()}
+        for name, text in configs.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                fh.write(text)
         env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-m", "ffo.cli", *argv], cwd=work, env=env,
