@@ -25,10 +25,12 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -437,24 +439,21 @@ class _Scenario:
         self.samples = GridSamples(cfg.spec, cfg.t_final, cfg.dt)
         # a sample that overflows is reported by the gates, with its path, time and value
         with np.errstate(over="ignore", invalid="ignore"):
-            # |f| on the grid nodes, which the resolution and mode gates read
-            self.forcing = np.abs(self.samples.f)
-            self._check_resolution()
+            self._check_resolution()  # the first read of |f| on the grid nodes
         self.submodes = [cfg.mode]
         if cfg.mode == "all":
             self.submodes = [m for m in ALL if m != "reduce"
-                             or float(np.min(self.forcing)) >= ALL_REDUCE_MIN_F]
+                             or float(np.min(self.samples.abs_f)) >= ALL_REDUCE_MIN_F]
         if "reduce" in self.submodes:  # it divides by f, which it samples on both grids
             for s in (self.samples, self.samples.mids):
-                forcing = np.abs(s.f)
-                k = int(np.argmin(forcing))
-                if forcing[k] < F_MIN:
-                    raise ConfigError("hamiltonian.f_re", f"|f| = {float(forcing[k])!r} at "
+                k = int(np.argmin(s.abs_f))
+                if s.abs_f[k] < F_MIN:
+                    raise ConfigError("hamiltonian.f_re", f"|f| = {float(s.abs_f[k])!r} at "
                                       f"t={s.times[k]}: reduce needs |f| >= {F_MIN:g}")
 
     def _check_resolution(self):
         s = self.samples
-        rotation = s.dt * np.hypot(s.omega, 2.0 * self.forcing)
+        rotation = s.dt * np.hypot(s.omega, 2.0 * s.abs_f)
         bad = ~(rotation <= MAX_STEP_ROTATION)  # a nan sample fails too
         if bad.any():
             k = int(np.argmax(bad))
@@ -558,7 +557,7 @@ def _run_reduce(sc: _Scenario, tols: dict):
 def _run_coherence(sc: _Scenario, tols: dict):
     rep = coherence_check(sc.unitary)
     checks: list = []
-    if float(np.max(sc.forcing)) <= F_MIN:
+    if float(np.max(sc.samples.abs_f)) <= F_MIN:
         _check(checks, "coherence_eigen", float(np.max(rep.eigen_residual)),
                tols["coherence_eigen"])
         ratio_dev = np.max(np.abs(rep.zeta_ratio - np.conj(rep.beta)))
@@ -671,6 +670,99 @@ def _emit(cfg: ScenarioConfig, report: RunReport, tables: dict, path: str | None
     emit_csv(path, header, cols)
 
 
+# -- sweeps --------------------------------------------------------------------
+
+def _sweep_scenarios(cfg: ScenarioConfig, count: int, seed: int):
+    """The sweep's scenarios in order; every worker replays the same draws."""
+    rng = np.random.default_rng(seed)
+    mode = cfg.mode if cfg.mode != "all" else "invariants"
+    for _ in range(count):
+        yield replace(cfg, mode=mode, spec=random_spec(
+            rng, f_zero=(mode == "coherence" and rng.uniform() < 0.5),
+            f_floor=(mode == "reduce")))
+
+
+def _sweep_child(cfg: ScenarioConfig, count: int, seed: int, worker: int, workers: int, fd: int):
+    """Run the scenarios i with i % workers == worker and pickle to ``fd``, in
+    order, each one's (report, CSV table or None) or its exception, then stop.
+    Called in a forked child, which it ends through ``os._exit``: it never
+    returns into the caller, prints, writes an output file or flushes stdio."""
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for scenario in islice(_sweep_scenarios(cfg, count, seed), worker, None, workers):
+                try:
+                    report, tables = run(scenario)
+                    csv = scenario.out_format == "csv" and scenario.out_path is not None
+                    answer = (report, tables[scenario.mode] if csv else None)
+                except Exception as exc:  # the parent raises it at this scenario's index
+                    answer = exc
+                pipe.write(pickle.dumps(answer))
+                pipe.flush()
+                if isinstance(answer, Exception):
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _SweepWorkers:
+    """The workers of a sweep: worker w runs the scenarios i with i % count == w.
+
+    count = min(N, the CPUs this process may run on), or 1 where the platform
+    has no ``fork`` or no affinity mask.  Worker 0 is this process, the others
+    forked children (``_sweep_child``); if a fork fails, the children forked
+    so far are reaped and count is 1.  ``close`` kills and reaps every child.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, count: int, seed: int):
+        self.count, self.children = 1, {}  # worker -> (pid, read end of its pipe)
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            self.count = min(count, len(os.sched_getaffinity(0)))
+        try:
+            for worker in range(1, self.count):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this process runs every scenario
+                    os.close(r)
+                    os.close(w)
+                    self.close()
+                    break
+                if pid == 0:
+                    _sweep_child(cfg, count, seed, worker, self.count, w)
+                os.close(w)
+                self.children[worker] = (pid, open(r, "rb"))
+        except BaseException:
+            self.close()
+            raise
+
+    def answer(self, worker: int):
+        """Worker ``worker``'s next (report, CSV table or None); raises its exception."""
+        pid, pipe = self.children[worker]
+        try:
+            answer = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            del self.children[worker]
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise FfoError(f"sweep worker {pid} ended without an answer ("
+                           + (f"signal {-code})" if code < 0 else f"exit status {code})")) from None
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def close(self):
+        from signal import SIGKILL  # no import cost where no sweep runs
+
+        children, self.children, self.count = self.children, {}, 1
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+        for pid, _ in children.values():
+            os.waitpid(pid, 0)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ffo",
@@ -716,20 +808,24 @@ def main(argv=None) -> int:
             _table_select(cfg, header, header)
 
         if args.sweep is not None:
-            # one scenario at a time, so no scenario's samples or tables outlive its output
-            rng = np.random.default_rng(args.seed)
-            mode = cfg.mode if cfg.mode != "all" else "invariants"
-            ok = True
-            for i in range(args.sweep):
-                scenario = replace(cfg, mode=mode, spec=random_spec(
-                    rng, f_zero=(mode == "coherence" and rng.uniform() < 0.5),
-                    f_floor=(mode == "reduce")))
-                rep, tables = run(scenario)
-                _emit(scenario, rep, tables, _output_paths(cfg.out_path, cfg.out_format, i))
-                status = "pass" if rep.passed else "FAIL"
-                print(f"scenario {i:03d}: {status} "
-                      + " ".join(f"{c['name']}={c['value']:.3e}" for c in rep.checks))
-                ok = ok and rep.passed
+            # one scenario per worker at a time, so no scenario's samples or
+            # tables outlive its output; every output is written and printed
+            # here, in scenario order, so they equal a one-worker sweep's
+            ok, workers = True, _SweepWorkers(cfg, args.sweep, args.seed)
+            try:
+                for i, scenario in enumerate(_sweep_scenarios(cfg, args.sweep, args.seed)):
+                    if i % workers.count == 0:
+                        rep, tables = run(scenario)
+                    else:
+                        rep, table = workers.answer(i % workers.count)
+                        tables = {scenario.mode: table}
+                    _emit(scenario, rep, tables, _output_paths(cfg.out_path, cfg.out_format, i))
+                    status = "pass" if rep.passed else "FAIL"
+                    print(f"scenario {i:03d}: {status} "
+                          + " ".join(f"{c['name']}={c['value']:.3e}" for c in rep.checks))
+                    ok = ok and rep.passed
+            finally:
+                workers.close()
             print(f"sweep: {args.sweep} scenarios, "
                   f"{'all passed' if ok else 'FAILURES PRESENT'}")
             return 0 if ok else 1

@@ -34,8 +34,14 @@ class ContractError(FfoError):
 
 
 class ConfigError(FfoError):
-    """Scenario configuration is malformed; ``path`` locates the bad field."""
+    """Scenario configuration is malformed; ``path`` locates the bad field.
+
+    ``args`` is ``(path, message)``, so a pickle round trip rebuilds it.
+    """
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)
         self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.args[1]}"

@@ -204,7 +204,7 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
 
 
 class Samples:
-    """omega, f, their first two derivatives and g of ``spec`` at ``times``, each on first use.
+    """omega, f, their first two derivatives, |f| and g of ``spec`` at ``times``, each on first use.
 
     ``times`` may be a grid or a scalar; the samples keep its shape.
     """
@@ -227,6 +227,10 @@ class Samples:
     @cached_property
     def f(self) -> np.ndarray:
         return np.asarray(self.spec.f.value(self.times), dtype=complex)
+
+    @cached_property
+    def abs_f(self) -> np.ndarray:
+        return np.abs(self.f)
 
     @cached_property
     def f_d1(self) -> np.ndarray:

@@ -194,7 +194,7 @@ def free_oscillator_nu(nu0, samples: Samples) -> np.ndarray:
     ``samples.times``.  The sign pairing is the one the differential system
     produces.  Raises ContractError unless |f| <= F_MIN at every grid time.
     """
-    if np.max(np.abs(samples.f)) > F_MIN:
+    if np.max(samples.abs_f) > F_MIN:
         raise ContractError("free-oscillator closed form requires f = 0")
     vm, vp, v3 = (complex(x) for x in nu0)
     phi = cumsimpson_grid(samples.omega, float(samples.times[1] - samples.times[0]))

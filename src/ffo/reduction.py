@@ -53,9 +53,8 @@ class EpsilonTrajectory(Trajectory):
 
 def _require_f(samples: Samples) -> np.ndarray:
     """``samples.f``, once |f| >= F_MIN holds at every one of ``samples.times``."""
-    absf = np.abs(samples.f)
-    if np.min(absf) < F_MIN:
-        t = float(np.ravel(samples.times)[np.argmin(absf)])
+    if np.min(samples.abs_f) < F_MIN:
+        t = float(np.ravel(samples.times)[np.argmin(samples.abs_f)])
         raise SingularReductionError(f"reduction needs |f| >= {F_MIN}; violated at t={t}")
     return samples.f
 
@@ -79,7 +78,7 @@ def nu_minus_from_nu_plus_2nd(samples: Samples, nu_plus, nu_plus_dot, nu_plus_dd
 def _gamma_omega(s: Samples):
     """gamma = f'/f and Omega = |f|^2 + omega^2/4 + i omega'/2 - i omega gamma/2."""
     gamma, w = s.f_d1 / s.f, s.omega
-    return gamma, np.abs(s.f) ** 2 + 0.25 * w * w + 0.5j * s.omega_d1 - 0.5j * w * gamma
+    return gamma, s.abs_f ** 2 + 0.25 * w * w + 0.5j * s.omega_d1 - 0.5j * w * gamma
 
 
 def _big_omega_dot(s: Samples):
@@ -194,9 +193,9 @@ def lambda2_from_epsilon(samples: Samples, e):
     and is a first integral of the eps equation.  ``e = (eps, eps')`` has
     the shape of ``samples.times``, a scalar included, and so has the result.
     """
-    f, w = _require_f(samples), samples.omega
+    _require_f(samples)
     eps, epsd = e[0], e[1]
-    u = np.abs(0.5 * w * eps - 1j * epsd) ** 2 / np.abs(f) ** 2
+    u = np.abs(0.5 * samples.omega * eps - 1j * epsd) ** 2 / samples.abs_f ** 2
     return 0.25 * (np.abs(eps) ** 2 + u) ** 2
 
 

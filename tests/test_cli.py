@@ -1166,6 +1166,30 @@ def test_reduce_samples_what_integrate_epsilon_needs_once(monkeypatch):
                          + [("g", "value", "nodes")])
 
 
+def test_reduce_takes_abs_f_once_per_grid(monkeypatch):
+    # the gates, integrate_epsilon, nu(eps) and lambda2(eps) all read Samples.abs_f
+    import ffo.cli
+
+    sample_sets, taken, real_abs = [], [], np.abs
+
+    class Tracked(GridSamples):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sample_sets.append(self)
+
+    def counting_abs(x, *args, **kwargs):
+        taken.append(x)
+        return real_abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(ffo.cli, "GridSamples", Tracked)
+    monkeypatch.setattr(np, "abs", counting_abs)
+    report, _ = run(ScenarioConfig(spec=random_spec(np.random.default_rng(0), f_floor=True),
+                                   mode="reduce", t_final=1.0))
+    assert report.passed
+    (s,) = sample_sets
+    assert [sum(x is f for x in taken) for f in (s.f, s.mids.f)] == [1, 1]
+
+
 def test_all_mode_repeats_no_grid_evaluation_and_drops_the_samples(monkeypatch):
     import weakref
 

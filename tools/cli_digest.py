@@ -54,6 +54,13 @@ def invocations() -> list[list[str]]:
                     "--out", "sweep"])
         out.append([mode, "--sweep", "2", "--seed", "5", "--t-final", "2", "--out", "sweep"])
     out.append(["all", "--sweep", "2", "--seed", "1", "--t-final", "2", "--out", "sweep"])
+    # sweeps wider than the worker count, to CSV: every scenario passes, every
+    # scenario fails its checks, and a config error in scenario 3
+    out.append(["reduce", "--sweep", "5", "--seed", "2", "--t-final", "2", "--out", "sweep"])
+    out.append(["coherence", "--sweep", "5", "--seed", "4", "--t-final", "2", "--out", "sweep"])
+    for dt in ("0.4", "0.6"):
+        out.append(["invariants", "--sweep", "6", "--seed", "2", "--t-final", "4.8", "--dt", dt,
+                    "--out", "sweep"])
     out.append(["invariants", "--config", "error-g.json"])
     for mode in ("invariants", "reduce", "phases", "all"):
         out.append([mode, "--config", "error-f-im.json"])
