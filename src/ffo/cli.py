@@ -355,20 +355,20 @@ CSV_SLAB_ROWS = 4096
 
 
 def _cells(col) -> list:
-    """The text of each element of ``col``, as ``_fmt`` gives it.
-
-    A float array is cast to float64, as ``repr(float(x))`` does, and each
-    distinct bit pattern is formatted once; bit patterns rather than values,
-    so 0.0 and -0.0 keep their own text.  A signalling NaN casts to a quiet
-    one, which prints ``nan`` as ``repr`` does, so the cast's flag is ignored.
-    """
+    """The text of each element of ``col``, as ``_fmt`` gives it.  A float column,
+    cast to float64 as ``float(x)`` casts it (a signalling NaN prints ``nan``), is
+    written by orjson (imported here: runs writing no CSV never load it), and by
+    ``repr`` where orjson's notation differs: nan, inf, 1e-9 <= |x| < 1e-4, |x| >= 1e16."""
     if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
         return list(map(_fmt, col))
+    import orjson
     with np.errstate(invalid="ignore"):
-        wide = np.asarray(col, dtype=np.float64)
-    bits, inverse = np.unique(wide.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+        wide = np.ascontiguousarray(col, dtype=np.float64)
+    text = orjson.dumps(wide, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(wide)
+    for i in np.flatnonzero(~((mag < 1e-9) | ((mag >= 1e-4) & (mag < 1e16)))).tolist():
+        text[i] = repr(float(wide[i]))
+    return text if wide.size else []
 
 
 def emit_csv(path: str, header: list, columns: list) -> None:

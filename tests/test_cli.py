@@ -191,6 +191,21 @@ def test_emit_csv_matches_per_cell_reference(tmp_path):
     }
     with np.errstate(invalid="ignore"):  # the float32 cast of a NaN payload is deliberate
         cases["nans"] = (["n", "n32"], [np.tile(nans, 3), np.tile(nans, 3).astype(np.float32)])
+    # each magnitude where orjson's notation parts from repr's, with both neighbours
+    big = np.finfo(np.float64).max
+    bounds = np.array([1e-9, 1e-5, 1e-4, 1e16])
+    bounds = np.concatenate([np.nextafter(bounds, 0.0), bounds, np.nextafter(bounds, np.inf)])
+    bounds = np.concatenate([bounds, -bounds, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, big]])
+    with np.errstate(over="ignore"):  # float16 holds none of the large magnitudes
+        cases["bounds"] = (["x", "x16", "xbe"], [bounds, bounds.astype(np.float16),
+                                                 bounds.astype(">f8")])
+    cases["one_row"] = (["x", "x32"], [np.array([1e-5]), np.array([-2.5e-7], dtype=np.float32)])
+    # the README scenario's tables that hold the most cells repr writes
+    with open(_README_SCENARIO, encoding="utf-8") as fh:
+        readme = dict(json.load(fh), output={"format": "csv"})
+    _, readme_tables = run(replace(parse_config(json.dumps(readme)), mode="all"))
+    cases["readme_reduce"] = readme_tables["reduce"]
+    cases["readme_phases"] = readme_tables["phases"]
     # row counts either side of the slab boundaries, with repeated values
     t = tables["invariants"][1][0]
     for rows in (CSV_SLAB_ROWS - 1, CSV_SLAB_ROWS, CSV_SLAB_ROWS + 1, 2 * CSV_SLAB_ROWS + 1):
@@ -229,6 +244,17 @@ def test_emit_csv_matches_reference_on_repeated_bit_patterns(tmp_path_factory, p
     work = tmp_path_factory.mktemp("csv")
     emit_csv(str(work / "got.csv"), ["a", "b32", "c"], cols)
     _csv_reference(str(work / "want.csv"), ["a", "b32", "c"], cols)
+    assert (work / "got.csv").read_bytes() == (work / "want.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(values=st.lists(st.floats(width=64), max_size=40))
+def test_emit_csv_matches_reference_on_drawn_floats(tmp_path_factory, values):
+    # floats drawn by value spread over magnitudes, where raw bit patterns cluster
+    col = np.array(values, dtype=np.float64)
+    work = tmp_path_factory.mktemp("csv")
+    emit_csv(str(work / "got.csv"), ["x"], [col])
+    _csv_reference(str(work / "want.csv"), ["x"], [col])
     assert (work / "got.csv").read_bytes() == (work / "want.csv").read_bytes()
 
 
@@ -774,6 +800,28 @@ def test_fresh_run_imports_scipy_only_for_a_tabulated_signal(tmp_path, doc, load
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
+def test_fresh_process_imports_orjson_only_to_write_csv(tmp_path):
+    # config parsing and a JSON-only run leave orjson unloaded; a CSV run loads it
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(_README_DOC))
+    script = ("import sys\n"
+              "from ffo.cli import main, parse_config\n"
+              "parse_config(open(sys.argv[1]).read())\n"
+              "print('loaded', 'orjson' in sys.modules)\n"
+              "for fmt in ('json', 'csv'):\n"
+              "    code = main(['invariants', '--config', sys.argv[1], '--format', fmt,\n"
+              "                 '--out', sys.argv[2] + '.' + fmt])\n"
+              "    print('loaded', code, 'orjson' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ffo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == ["loaded False", "loaded 0 False", "loaded 0 True"]
+    assert (tmp_path / "out.csv").read_text().startswith("t,lambda2,oracle_dev\n")
 
 
 @pytest.mark.parametrize("mode", ["phases", "all"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffo.algebra import hamiltonian_matrix, ladder_operators, max_abs
@@ -19,7 +19,7 @@ from ffo.states import (coherence_check, coherent_state, cs_eigen_residual, lr_f
                         lr_ladder_fit, lr_phases, schrodinger_residual_max, vacuum_trajectory)
 from ffo.sweeps import random_spec
 from random_inputs import random_plus_keyed_nu0
-from vacuum_reference import VACUUM_NU_MIN, closed_form_deviation, cn_step, vacuum_reference
+from vacuum_reference import VACUUM_NU_MIN, closed_form_deviation, rk4_step, vacuum_reference
 
 DT = 1e-3
 README_SPEC = HamiltonianSpec(omega=Sinusoid(0.3, 1.0, 0.0, offset=1.0),
@@ -51,9 +51,9 @@ def _nullspace_fallback(b_matrix: np.ndarray, previous: np.ndarray | None,
 
     An independent one-point route to the vacuum, cross-checked against
     ``vacuum_trajectory`` below.  With ``previous`` given, the phase comes
-    from one implicit (Crank-Nicolson) Schrodinger step of the previous
-    state; without it, the largest component is made real positive.  Raises
-    if B has no null space (ladder conditions violated).
+    from one classical RK4 Schrodinger step of the previous state; without
+    it, the largest component is made real positive.  Raises if B has no
+    null space (ladder conditions violated).
     """
     b = np.asarray(b_matrix, dtype=complex)
     if abs(np.linalg.det(b)) > 1e-8 * max(1.0, max_abs(b) ** 2):
@@ -69,8 +69,8 @@ def _nullspace_fallback(b_matrix: np.ndarray, previous: np.ndarray | None,
     if previous is None:
         j = int(np.argmax(np.abs(d)))
         return d * np.exp(-1j * np.angle(d[j]))
-    h_prev, h_now = hamiltonian_matrix(Samples(spec, np.array([t - dt, t])))
-    pred = cn_step(h_prev, h_now, previous, dt)
+    h_prev, h_mid, h_now = hamiltonian_matrix(Samples(spec, np.array([t - dt, t - 0.5 * dt, t])))
+    pred = rk4_step(h_prev, h_mid, h_now, previous, dt)
     ov = np.vdot(d, pred)
     if abs(ov) > 0:
         d = d * ov / abs(ov)
@@ -111,6 +111,10 @@ def test_vacuum_trajectory_silent_where_nu_minus_vanishes():
 
 @settings(max_examples=8, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
+# seeds whose gaps a one-step Crank-Nicolson prediction bridged with 2e-9 to 1.5e-8 phase error
+@example(seed=1679802727)
+@example(seed=2751328124)
+@example(seed=238811247)
 def test_vacuum_trajectory_random_specs(seed):
     # from the canonical start, and from a ladder-shell nu0 keyed on nu_plus
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ nu_minus,
 with the continuous branch of the square root, on the stretches where
 |nu_minus| >= VACUUM_NU_MIN.  ``closed_form_deviation`` evaluates it on all
 those points at once; ``vacuum_reference`` walks the grid point by point and
-bridges each gap with Crank-Nicolson steps and null vectors of B.
+bridges each gap with RK4 steps and null vectors of B.
 """
 
 import numpy as np
@@ -23,18 +23,13 @@ from ffo.grid import Samples, cumsimpson_grid
 VACUUM_NU_MIN = 1e-4
 
 
-def cn_step(h_prev, h_now, psi, dt):
-    """One Crank-Nicolson step (1 + i dt/2 H_now)^-1 (1 - i dt/2 H_prev) psi, H 2x2."""
-    (p00, p01), (p10, p11) = h_prev
-    (n00, n01), (n10, n11) = h_now
-    b00, b01, b10, b11 = (1.0 - 0.5j * dt * p00, -0.5j * dt * p01,
-                          -0.5j * dt * p10, 1.0 - 0.5j * dt * p11)
-    a00, a01, a10, a11 = (1.0 + 0.5j * dt * n00, 0.5j * dt * n01,
-                          0.5j * dt * n10, 1.0 + 0.5j * dt * n11)
-    r0 = b00 * psi[0] + b01 * psi[1]
-    r1 = b10 * psi[0] + b11 * psi[1]
-    det = a00 * a11 - a01 * a10
-    return np.array([(a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det])
+def rk4_step(h_prev, h_mid, h_now, psi, dt):
+    """One classical RK4 step of i psi' = H psi, H 2x2 at the step's start, middle and end."""
+    k1 = -1j * (h_prev @ psi)
+    k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
+    k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
+    k4 = -1j * (h_now @ (psi + dt * k3))
+    return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def null_direction(vm, vp, v3):
@@ -53,7 +48,7 @@ def vacuum_reference(traj, spec):
     """Point-by-point evolved vacuum: closed form, or a null vector of B below the floor.
 
     Returns (psi, mask), the mask marking the points below VACUUM_NU_MIN.
-    Every point takes a Crank-Nicolson prediction from the previous one; the
+    Every point takes an RK4 prediction from the previous one; the
     sqrt(nu_minus) branch is tracked point to point and restarts after a gap,
     whose end re-anchors the phase of all later closed-form points.
     """
@@ -61,6 +56,7 @@ def vacuum_reference(traj, spec):
     q = cumsimpson_grid(2.0 * np.asarray(spec.g.value(times), dtype=float)
                         + np.asarray(spec.omega.value(times), dtype=float), dt)
     h = hamiltonian_matrix(Samples(spec, times))
+    h_mid = hamiltonian_matrix(Samples(spec, times[:-1] + 0.5 * dt))
     psi = np.empty((n, 2), dtype=complex)
     mask = np.zeros(n, dtype=bool)
     s_prev = None
@@ -69,7 +65,7 @@ def vacuum_reference(traj, spec):
         vm, vp, v3 = traj.nu[k]
         pred = None
         if k > 0:
-            pred = cn_step(h[k - 1], h[k], psi[k - 1], dt)
+            pred = rk4_step(h[k - 1], h_mid[k - 1], h[k], psi[k - 1], dt)
         if abs(vm) >= VACUUM_NU_MIN:
             s = complex(np.sqrt(vm))
             if s_prev is not None and abs(s - s_prev) > abs(s + s_prev):
