@@ -28,6 +28,7 @@ import os
 import pickle
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -87,11 +88,14 @@ MIN_INITIAL_ABS = 1e-50
 
 # -- configuration ------------------------------------------------------------
 
-_SIGNAL_KEYS = {
-    "constant": {"value"},
-    "sinusoid": {"amplitude", "frequency", "phase", "offset"},
-    "polynomial": {"coeffs"},
-    "tabulated": {"times", "values"},
+# signal type -> (class, its keys with their defaults, in argument order); a
+# number default marks a number, a list default a list of numbers, which must
+# not be empty where the default is not
+_SIGNALS = {
+    "constant": (Constant, {"value": 0.0}),
+    "sinusoid": (Sinusoid, {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0, "offset": 0.0}),
+    "polynomial": (Polynomial, {"coeffs": [0.0]}),
+    "tabulated": (Tabulated, {"times": [], "values": []}),
 }
 
 
@@ -139,31 +143,23 @@ def _parse_signal(node, path: str) -> Signal:
     if not isinstance(node, dict):
         raise ConfigError(path, "signal descriptor must be an object")
     kind = node.get("type")
-    if not (isinstance(kind, str) and kind in _SIGNAL_KEYS):
+    if not (isinstance(kind, str) and kind in _SIGNALS):
         raise ConfigError(f"{path}.type", f"unknown signal type {kind!r}")
-    _check_keys(node, _SIGNAL_KEYS[kind] | {"type"}, path)
-
-    def num(key, default):
-        return _finite(node.get(key, default), f"{path}.{key}")
-
-    def seq(key, default):
-        values = node.get(key, default)
-        if not isinstance(values, list):
+    cls, defaults = _SIGNALS[kind]
+    _check_keys(node, {"type", *defaults}, path)
+    args = []
+    for key, default in defaults.items():
+        value = node.get(key, default)
+        if isinstance(default, float):
+            args.append(_finite(value, f"{path}.{key}"))
+        elif not isinstance(value, list):
             raise ConfigError(f"{path}.{key}", "expected a list of numbers")
-        return tuple(_finite(x, f"{path}.{key}[{i}]") for i, x in enumerate(values))
-
+        elif default and not value:
+            raise ConfigError(f"{path}.{key}", "must not be empty")
+        else:
+            args.append(tuple(_finite(x, f"{path}.{key}[{i}]") for i, x in enumerate(value)))
     try:
-        if kind == "constant":
-            return Constant(num("value", 0.0))
-        if kind == "sinusoid":
-            return Sinusoid(amplitude=num("amplitude", 1.0), frequency=num("frequency", 1.0),
-                            phase=num("phase", 0.0), offset=num("offset", 0.0))
-        if kind == "polynomial":
-            coeffs = seq("coeffs", [0.0])
-            if not coeffs:
-                raise ConfigError(f"{path}.coeffs", "must not be empty")
-            return Polynomial(coeffs)
-        return Tabulated(seq("times", []), seq("values", []))
+        return cls(*args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -239,72 +235,65 @@ class ScenarioConfig:
             raise ConfigError("initial.nu0", "the Lewis-Riesenfeld frame needs lambda1 = 0")
 
 
-def _section(doc: dict, key: str, allowed) -> dict:
-    node = doc.get(key, {})
+def _section(node, path: str, allowed) -> dict:
     if not isinstance(node, dict):
-        raise ConfigError(key, "must be an object")
-    _check_keys(node, allowed, key)
+        raise ConfigError(path, "must be an object")
+    _check_keys(node, allowed, path)
     return node
+
+
+def _tolerances(node, path: str) -> dict:
+    # the names are ScenarioConfig's to check
+    return {k: _finite(v, f"{path}.{k}") for k, v in _section(node, path, node).items()}
+
+
+def _pairs(count: int):
+    def read(node, path: str) -> tuple:
+        if not (isinstance(node, list) and len(node) == count):
+            raise ConfigError(path, f"expected {count} [re, im] pairs")
+        return tuple(_parse_complex_pair(p, f"{path}[{i}]") for i, p in enumerate(node))
+    return read
+
+
+def _fields(node, path: str) -> list:
+    if not isinstance(node, list):
+        raise ConfigError(path, "must be a list of column names")
+    return [_string(x, f"{path}[{i}]") for i, x in enumerate(node)]
+
+
+# the document's sections in reading order: hamiltonian's signals, each with the
+# constant it defaults to, then each later section's key -> (ScenarioConfig field, reader)
+_SECTIONS = {
+    "hamiltonian": {"omega": 1.0, "f_re": 0.0, "f_im": 0.0, "g": 0.0},
+    "run": {"mode": ("mode", _string), "t_final": ("t_final", _finite), "dt": ("dt", _finite),
+            "tolerances": ("tolerances", _tolerances)},
+    "initial": {"nu0": ("nu0", _pairs(3)), "epsilon0": ("epsilon0", _pairs(2)),
+                "state": ("state0", _pairs(2))},
+    "output": {"format": ("out_format", _string), "path": ("out_path", _string),
+               "fields": ("fields", _fields)},
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document (strict JSON schema)."""
     try:
         doc = json.loads(text, object_pairs_hook=_object)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer past Python's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-    _check_keys(doc, {"hamiltonian", "run", "initial", "output"}, "<document>")
-
-    ham = _section(doc, "hamiltonian", {"omega", "f_re", "f_im", "g"})
-    spec = HamiltonianSpec(
-        omega=_parse_signal(ham.get("omega", {"type": "constant", "value": 1.0}),
-                            "hamiltonian.omega"),
-        f=ComplexSignal(
-            _parse_signal(ham.get("f_re", {"type": "constant", "value": 0.0}),
-                          "hamiltonian.f_re"),
-            _parse_signal(ham.get("f_im", {"type": "constant", "value": 0.0}),
-                          "hamiltonian.f_im")),
-        g=_parse_signal(ham.get("g", {"type": "constant", "value": 0.0}),
-                        "hamiltonian.g"),
-    )
-
+    _check_keys(doc, _SECTIONS, "<document>")
+    ham = _section(doc.get("hamiltonian", {}), "hamiltonian", _SECTIONS["hamiltonian"])
+    omega, f_re, f_im, g = (
+        _parse_signal(ham.get(key, {"type": "constant", "value": value}), f"hamiltonian.{key}")
+        for key, value in _SECTIONS["hamiltonian"].items())
     kwargs = {}
-    run = _section(doc, "run", {"mode", "t_final", "dt", "tolerances"})
-    if "mode" in run:
-        kwargs["mode"] = _string(run["mode"], "run.mode")
-    for key in ("t_final", "dt"):
-        if key in run:
-            kwargs[key] = _finite(run[key], f"run.{key}")
-    tols = run.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("run.tolerances", "must be an object")
-    _check_keys(tols, tols, "run.tolerances")  # the names are ScenarioConfig's to check
-    kwargs["tolerances"] = {k: _finite(v, f"run.tolerances.{k}") for k, v in tols.items()}
-
-    init = _section(doc, "initial", {"nu0", "epsilon0", "state"})
-    for key, name, count in (("nu0", "nu0", 3), ("epsilon0", "epsilon0", 2),
-                             ("state", "state0", 2)):
-        if key in init:
-            node = init[key]
-            if not (isinstance(node, list) and len(node) == count):
-                raise ConfigError(f"initial.{key}", f"expected {count} [re, im] pairs")
-            kwargs[name] = tuple(_parse_complex_pair(p, f"initial.{key}[{i}]")
-                                 for i, p in enumerate(node))
-
-    out = _section(doc, "output", {"format", "path", "fields"})
-    if "format" in out:
-        kwargs["out_format"] = _string(out["format"], "output.format")
-    if "path" in out:
-        kwargs["out_path"] = _string(out["path"], "output.path")
-    if "fields" in out:
-        if not isinstance(out["fields"], list):
-            raise ConfigError("output.fields", "must be a list of column names")
-        kwargs["fields"] = [_string(x, f"output.fields[{i}]")
-                            for i, x in enumerate(out["fields"])]
-
-    return ScenarioConfig(spec=spec, **kwargs)
+    for name, keys in islice(_SECTIONS.items(), 1, None):
+        node = _section(doc.get(name, {}), name, keys)
+        kwargs.update((attr, read(node[key], f"{name}.{key}"))
+                      for key, (attr, read) in keys.items() if key in node)
+    return ScenarioConfig(spec=HamiltonianSpec(omega, ComplexSignal(f_re, f_im), g), **kwargs)
 
 
 # -- reports and emission -------------------------------------------------------
@@ -706,61 +695,63 @@ def _sweep_child(cfg: ScenarioConfig, count: int, seed: int, worker: int, worker
         os._exit(status)
 
 
-class _SweepWorkers:
-    """The workers of a sweep: worker w runs the scenarios i with i % count == w.
+def _sweep_answers(cfg: ScenarioConfig, count: int, seed: int):
+    """Yield (scenario, report, tables) for each sweep scenario, in order; a
+    scenario's exception is raised at its index.
 
-    count = min(N, the CPUs this process may run on), or 1 where the platform
-    has no ``fork`` or no affinity mask.  Worker 0 is this process, the others
-    forked children (``_sweep_child``); if a fork fails, the children forked
-    so far are reaped and count is 1.  ``close`` kills and reaps every child.
+    Scenario i runs on worker i % W, W = min(count, the CPUs this process may
+    run on), or 1 where the platform has no ``fork`` or no affinity mask.
+    Worker 0 is this process, the others forked children (``_sweep_child``);
+    if a fork fails, the children forked so far are reaped and W is 1.  The
+    generator's end or ``close`` kills and reaps every child.
     """
+    from signal import SIGKILL  # no import cost where no sweep runs
 
-    def __init__(self, cfg: ScenarioConfig, count: int, seed: int):
-        self.count, self.children = 1, {}  # worker -> (pid, read end of its pipe)
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-            self.count = min(count, len(os.sched_getaffinity(0)))
-        try:
-            for worker in range(1, self.count):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to spare: this process runs every scenario
-                    os.close(r)
-                    os.close(w)
-                    self.close()
-                    break
-                if pid == 0:
-                    _sweep_child(cfg, count, seed, worker, self.count, w)
-                os.close(w)
-                self.children[worker] = (pid, open(r, "rb"))
-        except BaseException:
-            self.close()
-            raise
+    workers, children = 1, {}  # worker -> (pid, read end of its pipe)
 
-    def answer(self, worker: int):
-        """Worker ``worker``'s next (report, CSV table or None); raises its exception."""
-        pid, pipe = self.children[worker]
-        try:
-            answer = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            del self.children[worker]
-            pipe.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise FfoError(f"sweep worker {pid} ended without an answer ("
-                           + (f"signal {-code})" if code < 0 else f"exit status {code})")) from None
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    def close(self):
-        from signal import SIGKILL  # no import cost where no sweep runs
-
-        children, self.children, self.count = self.children, {}, 1
+    def reap():
         for pid, pipe in children.values():
             pipe.close()
             os.kill(pid, SIGKILL)
         for pid, _ in children.values():
             os.waitpid(pid, 0)
+        children.clear()
+
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(count, len(os.sched_getaffinity(0)))
+    try:
+        for worker in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this process runs every scenario
+                os.close(r)
+                os.close(w)
+                reap()
+                workers = 1
+                break
+            if pid == 0:
+                _sweep_child(cfg, count, seed, worker, workers, w)
+            os.close(w)
+            children[worker] = (pid, open(r, "rb"))
+        for i, scenario in enumerate(_sweep_scenarios(cfg, count, seed)):
+            if i % workers == 0:
+                yield (scenario, *run(scenario))
+                continue
+            pid, pipe = children[i % workers]
+            try:
+                answer = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                del children[i % workers]
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                why = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise FfoError(f"sweep worker {pid} ended without an answer ({why})") from None
+            if isinstance(answer, Exception):
+                raise answer
+            yield scenario, answer[0], {scenario.mode: answer[1]}
+    finally:
+        reap()
 
 
 def main(argv=None) -> int:
@@ -811,21 +802,14 @@ def main(argv=None) -> int:
             # one scenario per worker at a time, so no scenario's samples or
             # tables outlive its output; every output is written and printed
             # here, in scenario order, so they equal a one-worker sweep's
-            ok, workers = True, _SweepWorkers(cfg, args.sweep, args.seed)
-            try:
-                for i, scenario in enumerate(_sweep_scenarios(cfg, args.sweep, args.seed)):
-                    if i % workers.count == 0:
-                        rep, tables = run(scenario)
-                    else:
-                        rep, table = workers.answer(i % workers.count)
-                        tables = {scenario.mode: table}
+            ok = True
+            with closing(_sweep_answers(cfg, args.sweep, args.seed)) as answers:
+                for i, (scenario, rep, tables) in enumerate(answers):
                     _emit(scenario, rep, tables, _output_paths(cfg.out_path, cfg.out_format, i))
                     status = "pass" if rep.passed else "FAIL"
                     print(f"scenario {i:03d}: {status} "
                           + " ".join(f"{c['name']}={c['value']:.3e}" for c in rep.checks))
                     ok = ok and rep.passed
-            finally:
-                workers.close()
             print(f"sweep: {args.sweep} scenarios, "
                   f"{'all passed' if ok else 'FAILURES PRESENT'}")
             return 0 if ok else 1

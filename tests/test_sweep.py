@@ -140,8 +140,11 @@ def test_a_failed_fork_leaves_one_worker(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-def test_a_platform_without_fork_or_affinity_runs_one_worker(monkeypatch, missing):
+def test_a_platform_without_fork_or_affinity_runs_one_worker(monkeypatch, capsys, missing):
+    runs, real_run = [], ffo.cli.run
+    monkeypatch.setattr(ffo.cli, "run", lambda scenario: runs.append(1) or real_run(scenario))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.delattr(os, missing)
-    assert ffo.cli._SweepWorkers(ffo.cli.parse_config("{}"), 4, 0).count == 1
+    assert main(["invariants", "--sweep", "4", "--t-final", "1"]) == 0
+    assert len(runs) == 4 and capsys.readouterr().out.count("\n") == 5  # this process ran all
