@@ -213,8 +213,8 @@ class ScenarioConfig:
             raise ConfigError("run.mode", f"unknown mode {self.mode!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("output.format", f"unknown format {self.out_format!r}")
-        if self.out_path == "":
-            raise ConfigError("output.path", "must not be empty")
+        if self.out_path is not None and os.path.basename(self.out_path) in ("", ".", ".."):
+            raise ConfigError("output.path", "must name a file")
         for name, tol in self.tolerances.items():
             if name not in CHECK_TOLERANCES:
                 raise ConfigError(f"run.tolerances.{name}", "unknown tolerance name")
@@ -777,8 +777,12 @@ def main(argv=None) -> int:
         if args.sweep is not None and args.seed < 0:
             raise ConfigError("--seed", "must be non-negative")
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError("<document>", f"not UTF-8: {exc}") from None
+            cfg = parse_config(text)
         elif args.mode != "grassmann-selftest" and args.sweep is None:
             print("error: --config is required for this mode", file=sys.stderr)
             return 2

@@ -410,6 +410,11 @@ def test_main_bad_config_exit_2(tmp_path):
     ('"f_re": {"type": "constant", "value": 0.5}',
      '"f_re": {"type": "tabulated", "times": [0, 2], "values": "12"}', [],
      "hamiltonian.f_re.values"),
+    # as an empty path did, a path naming a directory wrote a hidden "dir/.csv"
+    # (or "dir/-000.csv" in a sweep)
+    ('"format": "csv"', '"format": "csv", "path": "no-such-dir/"', [], "output.path"),
+    ("", "", ["--out", "no-such-dir/."], "output.path"),
+    ("", "", ["--sweep", "2", "--out", "no-such-dir/.."], "output.path"),
 ])
 def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path):
     assert old in GOOD
@@ -419,6 +424,23 @@ def test_main_bad_input_exit_2_with_path(tmp_path, capsys, old, new, flags, path
     assert main([mode, "--config", str(cfg_path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("data", [
+    b'{"run": ' + b"[" * 100_000,  # nesting past the recursion limit
+    b'{"run": {"dt": ' + b"1" * 5000 + b"}}",  # an integer past Python's digit limit
+    b'{"output": {"path": "caf\xe9.csv"}}',  # Latin-1, not UTF-8
+], ids=["nesting", "digits", "latin-1"])
+def test_malformed_document_is_a_config_error(tmp_path, capsys, data):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_bytes(data)
+    assert main(["invariants", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: <document>: ") and err.count("\n") == 1, err
+    if data.isascii():
+        with pytest.raises(ConfigError) as info:
+            parse_config(data.decode())
+        assert info.value.path == "<document>"
 
 
 def test_config_is_validated_however_it_is_built():

@@ -203,3 +203,12 @@ def test_graded_apply_needs_2x2():
 def test_element_needs_four_coefficients():
     with pytest.raises(ValueError):
         GrassmannElement(np.zeros((4, 3)))
+
+
+def test_scalar_arithmetic_is_the_coefficient_arithmetic():
+    r = np.random.default_rng(3).normal(size=(2, 5, 4))
+    for x in (GrassmannElement([0.5, 1j, -2, 3]), GrassmannElement(r[0] + 1j * r[1])):
+        one, two = np.array([1, 0, 0, 0]), np.array([2, 0, 0, 0])
+        for got, want in ((1 + x, one + x.c), (x - 1, x.c - one), (2 - x, two - x.c),
+                          (-x, -x.c), (x * 2, 2 * x.c), (2 * x, 2 * x.c)):
+            assert isinstance(got, GrassmannElement) and np.array_equal(got.c, want)

@@ -103,6 +103,22 @@ def test_exception_of_a_childs_scenario_is_raised_at_its_index(monkeypatch, caps
     assert list(one[3]) == ["sweep-000.csv"]
 
 
+def test_a_failure_while_consuming_answers_stops_every_child(monkeypatch, capsys, tmp_path):
+    calls, real_emit = [], ffo.cli._emit
+
+    def emit(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_emit(*args)
+
+    monkeypatch.setattr(ffo.cli, "_emit", emit)
+    code, out, err, files, pids = _sweep(monkeypatch, capsys, tmp_path / "w",
+                                         ["invariants", "--sweep", "4", "--t-final", "1"], 2)
+    assert (code, out.count("\n"), list(files), len(pids)) == (2, 1, ["sweep-000.csv"], 1)
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("die, status", [
     (lambda: os._exit(3), "exit status 3"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),

@@ -26,9 +26,10 @@ SWEEP_MODES = ("invariants", "reduce", "coherence", "phases", "evolve")
 _WALL = re.compile(rb"wall=\S+")
 
 
-def error_documents() -> dict[str, str]:
+def error_documents() -> dict[str, str | bytes]:
     """Config documents that are rejected, by file name: g = 1e306 t^3, which overflows; an
-    f_im whose first sample is inf; and a repeated key."""
+    f_im whose first sample is inf; a repeated key; nesting past the recursion limit; an
+    integer past Python's digit limit; and a document that is not UTF-8."""
     run = {"t_final": 10.0, "dt": 0.01}
     g = {"g": {"type": "polynomial", "coeffs": [0, 0, 0, 1e306]},
          "f_re": {"type": "constant", "value": 0.5}}
@@ -37,7 +38,10 @@ def error_documents() -> dict[str, str]:
             "f_im": {"type": "sinusoid", "amplitude": 1e308, "offset": 1e308, "phase": 1.3}}
     return {"error-g.json": json.dumps({"hamiltonian": g, "run": run}),
             "error-f-im.json": json.dumps({"hamiltonian": f_im, "run": {"t_final": 1.0}}),
-            "error-duplicate.json": '{"run": {"t_final": 1.0, "dt": 0.1, "dt": 0.001}}'}
+            "error-duplicate.json": '{"run": {"t_final": 1.0, "dt": 0.1, "dt": 0.001}}',
+            "error-nesting.json": '{"run": ' + "[" * 100_000,
+            "error-digits.json": '{"run": {"dt": ' + "1" * 5000 + "}}",
+            "error-latin-1.json": b'{"output": {"path": "caf\xe9.csv"}}'}
 
 
 def invocations() -> list[list[str]]:
@@ -65,6 +69,9 @@ def invocations() -> list[list[str]]:
     for mode in ("invariants", "reduce", "phases", "all"):
         out.append([mode, "--config", "error-f-im.json"])
     out.append(["invariants", "--config", "error-duplicate.json"])
+    for name in ("error-nesting.json", "error-digits.json", "error-latin-1.json"):
+        out.append(["invariants", "--config", name])
+    out.append(["invariants", "--config", "readme.json", "--out", "./"])  # names a directory
     return out
 
 
@@ -76,8 +83,8 @@ def digest(checkout: str, argv: list[str], scenario: dict) -> str:
         configs = {"readme.json": json.dumps(scenario),
                    "readme-all-columns.json": json.dumps(all_columns), **error_documents()}
         for name, text in configs.items():
-            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(os.path.join(work, name), "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode())
         env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "-m", "ffo.cli", *argv], cwd=work, env=env,
